@@ -33,8 +33,14 @@ _EXIT_NUMERIC = 2
 _EXIT_VERIFY = 3
 
 
+def _json_text(payload: dict) -> str:
+    """Sorted, indented JSON; non-finite floats become null, as JSON has no inf/nan."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload)
     if out:
         Path(out).write_text(text)
     sys.stdout.write(text)
@@ -77,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--m", type=int, default=None, help="alphabet truncation")
         p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         if seed:
             p.add_argument("--seed", type=int, default=2024)
         if tol:
@@ -114,14 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("verify", help="theoretical kappa_r against the empirical slope")
     common(p, seed=True, tol=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n-list", type=_int_list, default=[4, 8, 16, 32, 64, 128, 256, 512])
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--restarts", type=int, default=8)
 
     p = sub.add_parser("figure1", help="temperature curve, chord and spectrum dataset")
     common(p, tol=True)
@@ -191,7 +194,7 @@ def _cmd_sweep(args, system, family, meta) -> int:
                     for e in result.entries],
         "kappa_ref": result.kappa_ref, "final_gap": result.final_gap, **meta,
     }
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(summary))
     return _EXIT_OK
 
 
@@ -201,22 +204,18 @@ def _cmd_sample(args, system, family, meta) -> int:
     if not args.out:
         raise SpecFormatError("sample needs --out for the CSV artifact")
     save_sample(sample, args.out)
-    sys.stdout.write(json.dumps({
+    sys.stdout.write(_json_text({
         "command": "sample", "count": len(sample), "seed": sample.seed,
         "depth": sample.depth, "truncation": sample.truncation,
         "deficit": sample.deficit, **meta,
-    }, sort_keys=True, indent=2) + "\n")
+    }))
     return _EXIT_OK
 
 
 def _run_quantize(args, system, family):
     sample = sample_measure(system, family, args.samples, depth=args.depth,
                             truncation=args.m, seed=args.seed)
-    runs = []
-    for n in args.n_list:
-        runs.append(lloyd_optimize(sample, n, args.r, restarts=args.restarts,
-                                   seed=args.seed, threads=args.threads))
-    return sample, runs
+    return sample, [lloyd_optimize(sample, n, args.r) for n in args.n_list]
 
 
 def _cmd_quantize(args, system, family, meta) -> int:
@@ -237,7 +236,7 @@ def _cmd_quantize(args, system, family, meta) -> int:
                  for run in runs],
         **meta,
     }
-    sys.stdout.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(manifest))
     return _EXIT_OK
 
 
@@ -270,7 +269,7 @@ def _cmd_figure1(args, system, family, meta) -> int:
         "intersection": list(data.intersection), "intercept": data.intercept,
         **meta,
     }
-    sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_json_text(summary))
     return _EXIT_OK
 
 

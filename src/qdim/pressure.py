@@ -50,7 +50,7 @@ class PressureEstimate:
     depth_values: tuple[tuple[int, float], ...]
     value: float
     error: float                    # depth-extrapolation drift
-    finite: bool
+    finite: bool                    # false when the truncation tail diverges
     tail_bound: float = 0.0         # single-symbol mass beyond the truncation
 
 
@@ -301,7 +301,7 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
         if truncation is not None and isinstance(system.alphabet, InfiniteAlphabet):
             tail = truncation_tail_bound(system, family, q, t, truncation)
         return PressureEstimate(q, t, truncation, ((1, v),), v, 0.0,
-                                math.isfinite(v), tail)
+                                math.isfinite(v) and math.isfinite(tail), tail)
     M = _resolve_truncation(system, truncation)
     n1, n2 = _tree_depths(M, depths)
     p1 = pressure_word_sum(system, family, q, t, n1, M)
@@ -311,7 +311,8 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     if isinstance(system.alphabet, InfiniteAlphabet):
         tail = truncation_tail_bound(system, family, q, t, M)
     return PressureEstimate(q, t, M, ((n1, p1), (n2, p2)), value,
-                            abs(value - p2), math.isfinite(value), tail)
+                            abs(value - p2), math.isfinite(value) and math.isfinite(tail),
+                            tail)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The order-r quantization error of a codebook is the mean r-th power of
 the distance to the nearest code point.  ``lloyd_optimize`` alternates
 nearest-point partitions (contiguous cells on a sorted sample) with
 per-cell center minimization: the mean for r = 2, the median for r = 1,
-a golden-section search on the convex 1-D objective otherwise.
+a golden-section search on the convex 1-D objective otherwise.  It
+starts from one deterministic greedy split of the sorted sample into n
+contiguous cells; optimal 1-D cells are contiguous too.
 
 ``antichain_codebook`` builds the prefix-free cylinder family whose
 weights (mass * ||phi'||^r)^eta straddle a size-n threshold; one
@@ -15,6 +17,7 @@ codebooks stays bounded.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +31,6 @@ from .measure import SampleSet, cylinder_mass
 from .potentials import PotentialFamily, ratio_bound
 from .pressure import solve_quantization_dim
 
-_INIT_SUBSAMPLE = 32768
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -181,32 +183,41 @@ def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     return code
 
 
-def _init_quantile(pts: np.ndarray, n: int) -> np.ndarray:
-    qs = (np.arange(n) + 0.5) / n
-    return np.unique(np.quantile(pts, qs, method="inverted_cdf")).astype(float)
+def _best_split(seg: np.ndarray) -> int:
+    """Index splitting a sorted cell into two with the least summed squared error.
+
+    Prefix sums of seg - seg[0] give both halves' errors for every split
+    in one pass; splits between equal values are excluded.
+    """
+    y = seg - seg[0]
+    k = np.arange(1, y.size)
+    s1 = np.cumsum(y)[:-1]
+    s2 = np.cumsum(y * y)[:-1]
+    t1, t2 = s1[-1] + y[-1], s2[-1] + y[-1] * y[-1]
+    sse = s2 - s1 * s1 / k + (t2 - s2) - (t1 - s1) ** 2 / (y.size - k)
+    sse[y[1:] == y[:-1]] = np.inf
+    return 1 + int(np.argmin(sse))
 
 
-def _init_spread(pts: np.ndarray, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding with d^r weighting on a capped subsample."""
-    if pts.size > _INIT_SUBSAMPLE:
-        idx = rng.choice(pts.size, size=_INIT_SUBSAMPLE, replace=False)
-        base = np.sort(pts[idx])
-    else:
-        base = pts
-    code = [float(base[int(rng.integers(0, base.size))])]
-    d = np.abs(base - code[0]) ** r
-    while len(code) < n:
-        total = d.sum()
-        if total <= 0:
-            remaining = np.setdiff1d(np.unique(base), np.asarray(code))
-            for v in remaining[: n - len(code)]:
-                code.append(float(v))
-            break
-        probs = d / total
-        pick = float(base[int(rng.choice(base.size, p=probs))])
-        code.append(pick)
-        d = np.minimum(d, np.abs(base - pick) ** r)
-    return np.sort(np.unique(np.asarray(code)))
+def _split_start(pts: np.ndarray, n: int, r: float, tol: float) -> np.ndarray:
+    """Centers of n contiguous cells grown by greedy splits of the sorted sample.
+
+    Starting from one cell, the cell with the largest order-r cost is
+    split at ``_best_split`` until there are n cells.  A cell of equal
+    values cannot be split and ranks last; the caller guarantees n is
+    below the number of distinct values, so a splittable cell remains.
+    """
+    heap = [(0.0, 0, pts.size)]  # (-order-r cost, start, stop)
+    while len(heap) < n:
+        _, a, b = heapq.heappop(heap)
+        seg = pts[a:b]
+        edges = np.array([0, _best_split(seg), b - a])
+        costs = _segment_objective(seg, edges, _cell_centers(seg, edges, r, tol), r)
+        for lo, hi, cost in zip(edges[:-1], edges[1:], costs):
+            key = -cost if seg[lo] < seg[hi - 1] else math.inf
+            heapq.heappush(heap, (key, a + int(lo), a + int(hi)))
+    edges = np.array(sorted(start for _, start, _ in heap) + [pts.size])
+    return _cell_centers(pts, edges, r, tol)
 
 
 def _lloyd_once(pts: np.ndarray, code: np.ndarray, r: float, max_iter: int,
@@ -232,14 +243,13 @@ def _lloyd_once(pts: np.ndarray, code: np.ndarray, r: float, max_iter: int,
     return code, v, it, converged, trace
 
 
-def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0, restarts: int = 8,
-                   max_iter: int = 60, seed: int = 0, threads: int = 1) -> QuantizationRun:
-    """Best-of-restarts Lloyd optimization of an n-point codebook.
+def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
+                   max_iter: int = 60) -> QuantizationRun:
+    """Lloyd optimization of an n-point codebook from a greedy split start.
 
-    Restart 0 initializes at sample quantiles; later restarts use
-    seeded spread (k-means++-style) initialization.  Ties between
-    equal-error codebooks break toward the lexicographically smallest
-    point sequence, so results are deterministic given the seed.
+    The start is ``_split_start``: a deterministic contiguous partition
+    of the sorted sample, so the same sample always gives the same
+    codebook.
     """
     if n < 1:
         raise ValueError("codebook size must be >= 1")
@@ -251,38 +261,11 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0, restarts: int = 8,
         code = Codebook(distinct, n)
         return QuantizationRun(n=n, r=r, V_hat=0.0, e_hat=0.0, codebook=code,
                                iterations=0, restarts=0, converged=True)
-
-    def one_restart(k: int):
-        if k == 0:
-            init = _init_quantile(pts, n)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, k)))
-            init = _init_spread(pts, n, r, rng)
-        init = _fix_empty_cells(pts, _pad_codebook(init, distinct, n), r)
-        return _lloyd_once(pts, init, r, max_iter, center_tol)
-
-    results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_restart, range(restarts)))
-    else:
-        results = [one_restart(k) for k in range(restarts)]
-
-    best = min(results, key=lambda res: (res[1], tuple(res[0])))
-    code, v, iters, converged, trace = best
+    init = _split_start(pts, n, r, center_tol)
+    code, v, iters, converged, trace = _lloyd_once(pts, init, r, max_iter, center_tol)
     return QuantizationRun(n=n, r=r, V_hat=v, e_hat=v ** (1.0 / r),
                            codebook=Codebook(code, n), iterations=iters,
-                           restarts=restarts, converged=converged,
-                           trace=tuple(trace))
-
-
-def _pad_codebook(code: np.ndarray, distinct: np.ndarray, n: int) -> np.ndarray:
-    """Deduplicated inits can fall short of n points; pad from unused values."""
-    if code.size >= n:
-        return code[:n]
-    extra = np.setdiff1d(distinct, code)
-    return np.sort(np.concatenate([code, extra[: n - code.size]]))
+                           restarts=1, converged=converged, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Callable
 
@@ -76,12 +77,6 @@ def _build_system(doc: dict) -> IfsSystem:
             raise SpecFormatError("finite continued-fraction systems need symbols")
         return gauss_system(symbols, K=K)
 
-    if kind == "custom":
-        name = doc.get("name")
-        if name not in CUSTOM_BUILDERS:
-            raise SpecFormatError(f"unknown custom system {name!r}")
-        return CUSTOM_BUILDERS[name](doc)[0]
-
     raise SpecFormatError(f"unknown system kind {kind!r}")
 
 
@@ -109,6 +104,19 @@ def _build_potential(doc: dict) -> PotentialFamily:
     raise SpecFormatError(f"unknown potential kind {kind!r}")
 
 
+def _finite_float(text: str) -> float:
+    # also parses the NaN/Infinity constants; 1e999 and huge integers overflow to inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecFormatError(f"non-finite number {text[:24]} in spec")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
 def load_spec(path: str | Path) -> tuple[IfsSystem, PotentialFamily, dict]:
     """Parse a spec document; returns (system, family, metadata).
 
@@ -121,7 +129,8 @@ def load_spec(path: str | Path) -> tuple[IfsSystem, PotentialFamily, dict]:
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=_finite_float,
+                         parse_float=_finite_float, parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -140,8 +140,8 @@ def test_criterion_05_continued_fraction_cross_check(gauss12):
 
 def test_criterion_06_quantizer_oracles(e1_sample_big):
     t0 = time.perf_counter()
-    r1 = Q.lloyd_optimize(e1_sample_big, 1, 2.0, seed=1)
-    r2 = Q.lloyd_optimize(e1_sample_big, 2, 2.0, seed=1)
+    r1 = Q.lloyd_optimize(e1_sample_big, 1, 2.0)
+    r2 = Q.lloyd_optimize(e1_sample_big, 2, 2.0)
     ok_v1 = abs(r1.V_hat - 0.125) <= 0.04 * 0.125
     ok_v2 = abs(r2.V_hat - 1 / 72) <= 0.10 / 72
     d_hat, _ = Q.estimate_Dr([r1, r2])
@@ -200,14 +200,14 @@ def test_criterion_09_measure_convergence(e3):
     slack = {(M, n): [] for M in Ms for n in ns}
     for j in range(R):
         ref = Q.sample_measure(system, family, N, seed=900 + j)
-        e_ref = {n: Q.lloyd_optimize(ref, n, 2.0, restarts=4, seed=j).e_hat for n in ns}
+        e_ref = {n: Q.lloyd_optimize(ref, n, 2.0).e_hat for n in ns}
         for M in Ms:
             part = Q.sample_measure(system, family, N, truncation=M,
                                     seed=100 * j + M, allow_deficit=True)
             rho_j = Q.wasserstein_1d(2.0, part, ref)
             rho[M].append(rho_j)
             for n in ns:
-                e_part = Q.lloyd_optimize(part, n, 2.0, restarts=4, seed=j).e_hat
+                e_part = Q.lloyd_optimize(part, n, 2.0).e_hat
                 slack[(M, n)].append(abs(e_part - e_ref[n]) - rho_j)
 
     monotone_ok = True

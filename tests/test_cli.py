@@ -22,6 +22,14 @@ GAUSS_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "symbols": [1, 2], "K": 4
  "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
 """
 
+GAUSS_FULL_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "infinite": {"family": "gauss"},
+ "K": 4.0, "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
+"""
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
 
 @pytest.fixture()
 def e1_spec(tmp_path):
@@ -63,13 +71,21 @@ def test_beta_grid_csv(e1_spec, tmp_path):
     assert b == pytest.approx((1 - q) * LOG23, abs=1e-9)
 
 
-def test_dimh_and_pressure_commands(e1_spec, capsys):
+def test_dimh_and_pressure_commands(e1_spec, tmp_path, capsys):
     assert main(["dimh", "--system", e1_spec]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["dim_h"] == pytest.approx(LOG23, abs=1e-9)
     assert main(["pressure", "--system", e1_spec, "--q", "0.5", "--t", "0.5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["value"] == pytest.approx(0.5 * (math.log(2) - math.log(3)), abs=1e-12)
+    # the full Gauss tail sum_{i>M} i^{-0.8} diverges: not finite, and the
+    # infinite bound is written as null, since strict JSON has no Infinity
+    path = tmp_path / "gauss_full.json"
+    path.write_text(GAUSS_FULL_DOC)
+    assert main(["pressure", "--system", str(path), "--m", "5", "--q", "0",
+                 "--t", "0.4"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert report["finite"] is False and report["tail_bound"] is None
 
 
 def test_sweep_command(e3_spec, tmp_path, capsys):
@@ -142,6 +158,21 @@ def test_malformed_spec_exits_one(tmp_path, capsys):
     assert main(["qdim", "--system", str(bad), "--r", "2"]) == 1
     missing = tmp_path / "missing.json"
     assert main(["qdim", "--system", str(missing), "--r", "2"]) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    GAUSS_DOC.replace('"K": 4.0', '"K": NaN'),
+    E1_DOC.replace('"weights": [0.5, 0.5]', '"weights": [NaN, 0.5]'),
+    E1_DOC.replace('"weights": [0.5, 0.5]', '"weights": [0.5, -Infinity]'),
+    E1_DOC.replace('"offset": 0.0', '"offset": 1e999'),
+    E1_DOC.replace('"weights": [0.5, 0.5]', '"weights": [1' + '0' * 400 + ', 0.5]'),
+], ids=["K-nan", "weight-nan", "weight-minus-infinity", "offset-overflow",
+        "weight-int-overflow"])
+def test_nonfinite_spec_numbers_exit_one(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["dimh", "--system", str(path)]) == 1
+    assert "non-finite number" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):

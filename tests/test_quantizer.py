@@ -45,7 +45,7 @@ def test_quant_error_rejects_empty(e1_sample):
 
 
 def test_lloyd_one_point_is_mean(e1_sample):
-    run = Q.lloyd_optimize(e1_sample, 1, 2.0, seed=1)
+    run = Q.lloyd_optimize(e1_sample, 1, 2.0)
     assert run.codebook.points[0] == pytest.approx(0.5, abs=0.01)
     assert run.V_hat == pytest.approx(0.125, rel=0.04)
 
@@ -53,34 +53,34 @@ def test_lloyd_one_point_is_mean(e1_sample):
 def test_lloyd_two_points_split_oracle(e1_sample):
     # each third carries half the mass with variance scaled by 1/9:
     # optimal points {1/6, 5/6}, V = 2 * (1/2) * (1/9) * (1/8) = 1/72
-    run = Q.lloyd_optimize(e1_sample, 2, 2.0, seed=1)
+    run = Q.lloyd_optimize(e1_sample, 2, 2.0)
     assert run.codebook.points == pytest.approx([1 / 6, 5 / 6], abs=0.01)
     assert run.V_hat == pytest.approx(1 / 72, rel=0.10)
 
 
 def test_lloyd_error_trace_nonincreasing(e1_sample):
     for n in (3, 7, 16):
-        run = Q.lloyd_optimize(e1_sample, n, 2.0, restarts=2, seed=4)
+        run = Q.lloyd_optimize(e1_sample, n, 2.0)
         trace = np.asarray(run.trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_lloyd_monotone_in_n(e1_sample):
-    vs = [Q.lloyd_optimize(e1_sample, n, 2.0, restarts=3, seed=2).V_hat
+    vs = [Q.lloyd_optimize(e1_sample, n, 2.0).V_hat
           for n in (1, 2, 4, 8, 16)]
     assert all(a >= b - 1e-15 for a, b in zip(vs, vs[1:]))
 
 
 def test_lloyd_general_r_median_and_golden(e1_sample):
     # r = 1: the one-point optimum is the median  (E|x - c| minimized)
-    run1 = Q.lloyd_optimize(e1_sample, 1, 1.0, restarts=2, seed=3)
+    run1 = Q.lloyd_optimize(e1_sample, 1, 1.0)
     med = float(np.median(e1_sample.points))
     assert run1.codebook.points[0] == pytest.approx(med, abs=0.02)
     # r = 3: golden-section path; two-point codebook still splits the thirds
-    run3 = Q.lloyd_optimize(e1_sample, 2, 3.0, restarts=2, seed=3)
+    run3 = Q.lloyd_optimize(e1_sample, 2, 3.0)
     assert run3.codebook.points == pytest.approx([1 / 6, 5 / 6], abs=0.05)
     # r = 0.7: pre-scan path stays finite and ordered
-    run07 = Q.lloyd_optimize(e1_sample, 2, 0.7, restarts=2, seed=3, max_iter=20)
+    run07 = Q.lloyd_optimize(e1_sample, 2, 0.7, max_iter=20)
     assert np.all(np.diff(run07.codebook.points) > 0)
 
 
@@ -93,10 +93,42 @@ def test_lloyd_oversized_codebook_returns_zero():
 
 
 def test_lloyd_deterministic(e1_sample):
-    a = Q.lloyd_optimize(e1_sample, 5, 2.0, seed=9)
-    b = Q.lloyd_optimize(e1_sample, 5, 2.0, seed=9)
+    a = Q.lloyd_optimize(e1_sample, 5, 2.0)
+    b = Q.lloyd_optimize(e1_sample, 5, 2.0)
     assert np.array_equal(a.codebook.points, b.codebook.points)
     assert a.V_hat == b.V_hat
+
+
+def _optimal_r2_errors(pts: np.ndarray, n_max: int) -> list[float]:
+    """Exact optimal order-2 errors for n = 1..n_max by dynamic programming.
+
+    Optimal 1-D cells are contiguous on the sorted sample, so
+    D_k[j] = min_{i<j} D_{k-1}[i] + SSE(x[i:j]) is the least error of
+    k cells covering the first j points; O(n N^2) over an N x N table.
+    """
+    N = pts.size
+    y = pts - pts[0]
+    p1 = np.concatenate(([0.0], np.cumsum(y)))
+    p2 = np.concatenate(([0.0], np.cumsum(y * y)))
+    i, j = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sse = (p2[j] - p2[i]) - (p1[j] - p1[i]) ** 2 / (j - i)
+    sse = np.where(j > i, np.maximum(sse, 0.0), np.inf)
+    best = sse[0]
+    errors = [best[N] / N]
+    for _ in range(2, n_max + 1):
+        best = np.min(best[:, None] + sse, axis=0)
+        errors.append(best[N] / N)
+    return errors
+
+
+@pytest.mark.parametrize("name", ["e2", "gauss12", "e3"])
+def test_lloyd_near_exact_optimum(name, request):
+    system, family = request.getfixturevalue(name)
+    sample = Q.sample_measure(system, family, 1500, seed=5)
+    v_opt = _optimal_r2_errors(sample.points, 16)
+    for n in (2, 3, 5, 8, 12, 16):
+        assert Q.lloyd_optimize(sample, n, 2.0).V_hat <= 1.01 * v_opt[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +239,8 @@ def test_truncation_comparison_invariant(e3):
         part = Q.sample_measure(system, family, N, truncation=M, seed=3,
                                 allow_deficit=True)
         for n in (4, 16):
-            v_m = Q.lloyd_optimize(part, n, 2.0, restarts=4, seed=3).V_hat
-            v_f = Q.lloyd_optimize(full, n, 2.0, restarts=4, seed=3).V_hat
+            v_m = Q.lloyd_optimize(part, n, 2.0).V_hat
+            v_f = Q.lloyd_optimize(full, n, 2.0).V_hat
             assert v_m <= v_f * 1.10 + 1e-6
 
 
@@ -220,7 +252,7 @@ def test_wasserstein_continuity_of_errors():
     sa = Q.SampleSet(points=a, seed=0, depth=1, truncation=None, deficit=0.0, bias_bound=1.0)
     sb = Q.SampleSet(points=b, seed=0, depth=1, truncation=None, deficit=0.0, bias_bound=1.0)
     for n in (2, 5, 9):
-        ea = Q.lloyd_optimize(sa, n, 2.0, restarts=6, seed=1).e_hat
-        eb = Q.lloyd_optimize(sb, n, 2.0, restarts=6, seed=1).e_hat
+        ea = Q.lloyd_optimize(sa, n, 2.0).e_hat
+        eb = Q.lloyd_optimize(sb, n, 2.0).e_hat
         rho = Q.wasserstein_1d(2.0, sa, sb)
         assert abs(ea - eb) <= rho + 0.02
