@@ -10,7 +10,7 @@ optimizing codebooks.
 __version__ = "0.1.0"
 
 from .errors import (BracketError, DegenerateSystemError, NonSummableError,
-                     NumericalFailure, QdimError, SpecFormatError)
+                     NumericalFailure, QdimError, SpecFormatError, WordBudgetError)
 from .ifs import (AnalyticBranch1D, CylinderInfo, FiniteAlphabet, GeometricTail,
                   IfsSystem, InfiniteAlphabet, PowerLawTail, Similarity1D, Word,
                   cantor_system, check_distortion, compose_and_derivative,

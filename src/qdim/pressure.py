@@ -10,10 +10,12 @@ at every depth.  General systems are summed over a truncated word tree
 with vectorized per-word sup norms; the per-word arrays do not depend
 on (q, t), so root finding in either variable reuses them.
 
-The temperature function beta(q) is the unique zero of t -> P(q, t),
-found by bisection (P is strictly decreasing in t).  The quantization
-dimension of order r solves beta(q_r) = r * q_r and equals
-kappa_r = r * q_r / (1 - q_r).
+The temperature function beta(q) is the unique zero of t -> P(q, t)
+(P is strictly decreasing in t).  The quantization dimension of order r
+solves beta(q_r) = r * q_r and equals kappa_r = r * q_r / (1 - q_r).
+Since P decreases in t, q_r is also the single root of
+g(q) = P(q, r * q), which is found directly, without computing beta.
+Both roots come from one safeguarded regula falsi.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import BracketError, DegenerateSystemError
+from .errors import BracketError, DegenerateSystemError, WordBudgetError
 from .ifs import FiniteAlphabet, GeometricTail, IfsSystem, InfiniteAlphabet, PowerLawTail
 from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily,
                          f_value, is_symbol_constant, symbol_log_weight)
@@ -115,6 +116,25 @@ class FigureData:
 # closed forms for multiplicative systems
 
 
+def _lse(v: np.ndarray) -> float:
+    """log(sum(exp(v))), shifted by the maximum; +inf or nan pass through."""
+    m = float(np.max(v, initial=-math.inf))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(v - m))))
+
+
+@lru_cache(maxsize=16)
+def _symbol_logs(system: IfsSystem, family: PotentialFamily,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-symbol (log||e^{f_i}||, log||phi_i'||) for i = 1..n."""
+    a = np.array([symbol_log_weight(family, system, i) for i in range(1, n + 1)])
+    d = np.array([math.log(system.map(i).deriv_sup) for i in range(1, n + 1)])
+    a.flags.writeable = False
+    d.flags.writeable = False
+    return a, d
+
+
 def is_multiplicative(system: IfsSystem, family: PotentialFamily) -> bool:
     """Symbol-constant potentials on similarity maps: word sums factor exactly."""
     if not is_symbol_constant(family, system):
@@ -133,12 +153,8 @@ def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
     """
     if isinstance(system.alphabet, FiniteAlphabet):
         n = system.alphabet.size if M is None else min(M, system.alphabet.size)
-        terms = [
-            q * symbol_log_weight(family, system, i)
-            + t * math.log(system.map(i).deriv_sup)
-            for i in range(1, n + 1)
-        ]
-        return float(logsumexp(terms))
+        a, d = _symbol_logs(system, family, n)
+        return _lse(q * a + t * d)
 
     rho = system.geometric_ratio
     if rho is None:
@@ -185,7 +201,7 @@ def _tree_sup_arrays(system: IfsSystem, family: PotentialFamily, M: int,
         birkhoff_{iw} = f_i(values_w) + birkhoff_w .
     """
     if M ** depth > _WORD_BUDGET:
-        raise ValueError(
+        raise WordBudgetError(
             f"word tree M={M}, depth={depth} exceeds the budget; "
             "lower the depth or the truncation"
         )
@@ -282,7 +298,7 @@ def pressure_word_sum(system: IfsSystem, family: PotentialFamily, q: float, t: f
         return _single_symbol_logsum(system, family, q, t, truncation)
     M = _resolve_truncation(system, truncation)
     B, D = _tree_sup_arrays(system, family, M, depth)
-    return float(logsumexp(q * B + t * D)) / depth
+    return _lse(q * B + t * D) / depth
 
 
 def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: float,
@@ -348,45 +364,76 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaRes
 # root finding
 
 
-def _pressure_callable(system: IfsSystem, family: PotentialFamily, q: float,
+def _pressure_callable(system: IfsSystem, family: PotentialFamily,
                        truncation: int | None,
-                       depths: tuple[int, int] | None) -> tuple[Callable[[float], float], float]:
-    """(t -> pressure estimate, |P| tolerance default) for a fixed q."""
+                       depths: tuple[int, int] | None) -> tuple[Callable[[float, float], float], float]:
+    """((q, t) -> pressure estimate, |P| tolerance default)."""
     if is_multiplicative(system, family):
-        return (lambda t: _single_symbol_logsum(system, family, q, t, truncation),
+        return (lambda q, t: _single_symbol_logsum(system, family, q, t, truncation),
                 _TOL_CLOSED)
     M = _resolve_truncation(system, truncation)
     n1, n2 = _tree_depths(M, depths)
     B1, D1 = _tree_sup_arrays(system, family, M, n1)
     B2, D2 = _tree_sup_arrays(system, family, M, n2)
 
-    def est(t: float) -> float:
-        a1 = float(logsumexp(q * B1 + t * D1))
-        a2 = float(logsumexp(q * B2 + t * D2))
-        return (a2 - a1) / (n2 - n1)
+    def est(q: float, t: float) -> float:
+        return (_lse(q * B2 + t * D2) - _lse(q * B1 + t * D1)) / (n2 - n1)
 
     return est, _TOL_TREE
 
 
-def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float,
-                       tol_f: float, max_iter: int = 300,
-                       trace: list | None = None) -> float:
-    """Bisection for a strictly decreasing fn with fn(lo) > 0 > fn(hi)."""
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        v = fn(mid)
+def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
+                     trace: list | None = None) -> tuple[float, float]:
+    """(x, fn(x)) at the root of a decreasing fn with fn(lo) > 0 > fn(hi).
+
+    Illinois regula falsi: the secant through the bracket ends, with the
+    value kept at an end that survives twice in a row halved.  The
+    midpoint replaces a secant step that is NaN (fn(lo) = +inf) or leaves
+    the bracket, and any step after three in a row that did not halve
+    the bracket, so it never needs more than four times the steps of
+    bisection.  Stops when the bracket is a few ulps wide and returns
+    the end with the smaller |fn|.  Every evaluation goes to ``trace``.
+    """
+    def f(x: float) -> float:
+        v = fn(x)
         if trace is not None:
-            trace.append((mid, v))
-        if math.isfinite(v) and abs(v) <= tol_f:
-            return mid
-        if v > 0:
-            lo = mid
+            trace.append((x, v))
+        return v
+
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo > 0.0 > f_hi:
+        raise BracketError(f"no sign change on [{lo:.6g}, {hi:.6g}]: "
+                           f"values {f_lo:.3g}, {f_hi:.3g}")
+    best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    w_lo, w_hi, side = f_lo, f_hi, 0           # secant weights, last side moved
+    width, slow = hi - lo, 0                   # last halved width, steps since
+    while True:
+        step = 2.0 * math.ulp(max(abs(lo), abs(hi), 1e-3))
+        if hi - lo <= 2.0 * step:
+            break
+        x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        if slow >= 3 or not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        # a step shorter than `step` moves the nearer end by `step` instead
+        x = min(max(x, lo + step), hi - step)
+        v = f(x)
+        if abs(v) < abs(best[1]):
+            best = (x, v)
+        if v == 0.0:
+            break
+        if v > 0.0:
+            lo, w_lo = x, v
+            w_hi = 0.5 * w_hi if side > 0 else w_hi
+            side = 1
         else:
-            hi = mid
-        if hi - lo <= 5e-16 * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-    return mid
+            hi, w_hi = x, v
+            w_lo = 0.5 * w_lo if side < 0 else w_lo
+            side = -1
+        if hi - lo <= 0.5 * width:
+            width, slow = hi - lo, 0
+        else:
+            slow += 1
+    return best
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
@@ -395,12 +442,15 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     """The temperature function: the unique t with P(q, t) = 0.
 
     Exploits strict decrease of t -> P(q, t); the returned t satisfies
-    |P(q, t)| <= tolerance.  Raises BracketError when no sign change
-    exists (irregular or degenerate truncations are reported, never
-    extrapolated over).
+    |P(q, t)| <= max(10 * tolerance, 1e-9).  Raises BracketError when no
+    sign change exists or the residual is above that bound (irregular or
+    degenerate truncations are reported, never extrapolated over).
     """
-    fn, tol_default = _pressure_callable(system, family, q, truncation, depths)
+    P, tol_default = _pressure_callable(system, family, truncation, depths)
     tol = tol_default if tolerance is None else tolerance
+
+    def fn(t: float) -> float:
+        return P(q, t)
 
     # truncated series converge for every t, so the finiteness threshold
     # constrains the bracket only for untruncated infinite sums
@@ -410,8 +460,8 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     if math.isfinite(theta):
         lo = theta + 1e-6
         # regularity probe: P must become positive and finite just above theta
-        probes = [lo, theta + 0.05, theta + 0.1]
-        if not any(math.isfinite(fn(u)) and fn(u) > 0 for u in probes):
+        probes = [fn(u) for u in (lo, theta + 0.05, theta + 0.1)]
+        if not any(math.isfinite(v) and v > 0 for v in probes):
             raise BracketError(
                 f"pressure never positive just above theta({q})={theta}; "
                 "system looks irregular at this truncation"
@@ -433,7 +483,10 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
         if hi > 1e4:
             raise BracketError("pressure does not become negative for large t")
 
-    return _bisect_decreasing(fn, lo, hi, tol)
+    t, resid = _root_decreasing(fn, lo, hi)
+    if not abs(resid) <= max(tol * 10, 1e-9):
+        raise BracketError(f"pressure residual {resid:.3g} at beta({q}) above tolerance")
+    return t
 
 
 def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
@@ -463,40 +516,29 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
                            depths: tuple[int, int] | None = None) -> QdimSolution:
     """Solve beta(q_r) = r * q_r and return (q_r, kappa_r, D_r).
 
-    h(q) = beta(q) - r q is strictly decreasing with h(0) = beta(0) > 0,
-    so bisection in q is unconditionally safe.  kappa_r = r q_r/(1-q_r)
-    and D_r = kappa_r = beta(q_r)/(1-q_r).
+    As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
+    where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
+    g(0) > 0 when beta(0) > 0; its root is found directly.  The trace
+    holds every (q, g(q)) evaluation.  kappa_r = r q_r/(1-q_r) and
+    D_r = kappa_r = beta(q_r)/(1-q_r).
     """
     if r <= 0:
         raise ValueError("the order r must be positive")
+    P, tol_default = _pressure_callable(system, family, truncation, depths)
+    tol = tol_default if tolerance is None else tolerance
 
-    def beta(q: float) -> float:
-        return beta_of_q(system, family, q, truncation, tolerance, depths)
-
-    beta0 = beta(1e-12)
-    if beta0 <= 1e-9:
+    p0 = P(0.0, 1e-9)
+    if p0 <= 0.0:
         raise DegenerateSystemError(
-            f"beta(0) = {beta0:.3g} <= 0: the (truncated) limit set carries no dimension"
+            f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
+            "the (truncated) limit set carries no dimension"
         )
 
-    def h(q: float) -> float:
-        return beta(q) - r * q
-
-    lo, hi = 1e-6, 1.0 - 1e-6
-    if h(lo) <= 0:
-        raise BracketError("h(q) not positive at the left bracket")
-    if h(hi) >= 0:
-        raise BracketError("h(q) not negative at the right bracket")
-
-    tol = tolerance
-    if tol is None:
-        tol = _TOL_CLOSED if is_multiplicative(system, family) else _TOL_TREE
     trace: list[tuple[float, float]] = []
-    q_r = _bisect_decreasing(h, lo, hi, tol, trace=trace)
-    kappa = r * q_r / (1.0 - q_r)
-    check = beta(q_r) - r * q_r
+    q_r, check = _root_decreasing(lambda q: P(q, r * q), 1e-6, 1.0 - 1e-6, trace)
     if not abs(check) <= max(tol * 10, 1e-9):
         raise BracketError(f"fixed-point residual {check:.3g} above tolerance")
+    kappa = r * q_r / (1.0 - q_r)
     return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa,
                         truncation=truncation, trace=tuple(trace))
 

@@ -7,8 +7,7 @@ A document bundles the map family and the potential:
      "maps": [{"ratio": .., "offset": .., "orientation": 1}, ...],
      "symbols": [1, 2],                      # gauss subsystems
      "infinite": {"family": "geometric" | "gauss",
-                  "ratio": ..,               # geometric similarity base
-                  "tail": {"c": .., "p": ..}},
+                  "ratio": ..},              # geometric similarity base
      "K": .., "s": ..,
      "potential": {"kind": "logweights",
                    "weights": [..] | {"family": "geometric", "ratio": ..}}

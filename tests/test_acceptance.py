@@ -62,7 +62,7 @@ def test_criterion_02_temperature_closed_form(e1):
     beta1 = abs(Q.beta_of_q(system, family, 1.0))
     gap0 = abs(Q.beta_of_q(system, family, 0.0) - Q.hausdorff_dim(system, family))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-10 and beta1 <= 1e-10 and gap0 <= 1e-10 and elapsed < 1.0
+    ok = worst <= 1e-12 and beta1 <= 1e-12 and gap0 <= 1e-12 and elapsed < 1.0
     _report(2, "temperature closed form", ok,
             f"(max dev {worst:.2e}, beta(1) {beta1:.2e}, {elapsed:.2f}s)")
 
@@ -75,7 +75,7 @@ def test_criterion_03_fixed_point(e1, e3):
             sol = Q.solve_quantization_dim(system, family, r)
             worst = max(worst, abs(sol.kappa_r - LOG23), abs(sol.D_r - LOG23))
     elapsed = time.perf_counter() - t0
-    _report(3, "fixed point kappa_r = D_r = log2/log3", worst <= 1e-8 and elapsed < 5.0,
+    _report(3, "fixed point kappa_r = D_r = log2/log3", worst <= 1e-12 and elapsed < 5.0,
             f"(max dev {worst:.2e}, {elapsed:.2f}s)")
 
 
@@ -94,7 +94,7 @@ def test_criterion_04_truncation_sweep(e3):
     dev_oracle = abs(kappas[-1] - 2 * q20 / (1 - q20))
     gap = abs(kappas[-1] - LOG23)
     elapsed = time.perf_counter() - t0
-    ok = (ok_first and dev2 <= 1e-8 and monotone and dev_oracle <= 1e-8
+    ok = (ok_first and dev2 <= 1e-12 and monotone and dev_oracle <= 1e-12
           and gap <= 1e-3 and elapsed < 10.0)
     _report(4, "truncation sweep", ok,
             f"(M=2 dev {dev2:.2e}, M=20 gap {gap:.2e}, {elapsed:.2f}s)")

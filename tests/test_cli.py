@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,29 @@ def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):
     out = tmp_path / "pts.csv"
     assert main(["sample", "--system", e3_spec, "--samples", "100", "--m", "3",
                  "--out", str(out)]) == 2
+
+
+def test_word_budget_exits_two(tmp_path, capsys):
+    path = tmp_path / "gauss_full.json"
+    path.write_text(GAUSS_FULL_DOC)
+    # a depth-6 tree over 40 symbols has 40**6 leaves, beyond the word budget:
+    # a numerical failure (exit 2), not a malformed spec
+    assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "6"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "1"]) == 1
+    assert "spec error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; a fresh CLI process must not pay its import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, qdim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_gauss_spec_loads(tmp_path, capsys):

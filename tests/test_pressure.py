@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qdim as Q
-from qdim.errors import DegenerateSystemError
+from qdim.errors import BracketError, DegenerateSystemError
+from qdim.pressure import _root_decreasing
 
 from conftest import LOG23
 
@@ -155,8 +158,57 @@ def test_qdim_e2_against_bisection_oracle(e2):
     assert q_oracle == pytest.approx(0.2345, abs=1e-3)
     assert kappa_oracle == pytest.approx(0.612, abs=3e-3)
     sol = Q.solve_quantization_dim(system, family, 2.0)
-    assert sol.q_r == pytest.approx(q_oracle, abs=1e-9)
-    assert sol.kappa_r == pytest.approx(kappa_oracle, abs=1e-8)
+    assert sol.q_r == pytest.approx(q_oracle, abs=1e-12)
+    assert sol.kappa_r == pytest.approx(kappa_oracle, abs=1e-12)
+
+
+@st.composite
+def _similarity_systems(draw):
+    """2-5 similarity maps with ratios in [0.05, 0.8/n] and positive normalized weights."""
+    n = draw(st.integers(2, 5))
+    ratios = np.array(draw(st.lists(st.floats(0.05, 0.8 / n), min_size=n, max_size=n)))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    weights = raw / raw.sum()
+    gap = (1.0 - ratios.sum()) / (n - 1)
+    offsets = np.concatenate([[0.0], np.cumsum(ratios[:-1] + gap)])
+    return ratios, weights, Q.similarity_system(list(ratios), list(offsets))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_similarity_systems(), st.floats(0.25, 8.0), st.floats(0.0, 1.0))
+def test_roots_match_independent_brentq(case, r, q):
+    ratios, weights, system = case
+    family = Q.log_weight_family(list(weights))
+    log_p, log_s = np.log(weights), np.log(ratios)
+    eps = 4 * np.finfo(float).eps
+
+    # oracle: sum_i p_i^q s_i^{r q} = 1, solved independently in q
+    q_r = brentq(lambda u: np.log(np.sum(np.exp(u * (log_p + r * log_s)))),
+                 1e-15, 1.0, xtol=1e-300, rtol=eps, maxiter=500)
+    kappa = r * q_r / (1.0 - q_r)
+    sol = Q.solve_quantization_dim(system, family, r)
+    assert sol.kappa_r == pytest.approx(kappa, rel=1e-12)
+    assert len(sol.trace) <= 40
+
+    # oracle: sum_i p_i^q s_i^t = 1, solved independently in t
+    beta = brentq(lambda t: np.log(np.sum(np.exp(q * log_p + t * log_s))),
+                  -50.0, 50.0, xtol=1e-15, rtol=eps, maxiter=500)
+    assert Q.beta_of_q(system, family, q) == pytest.approx(beta, abs=1e-12)
+
+
+def test_root_finder_safeguards():
+    # +inf at the left end makes the secant step NaN: the midpoint takes over
+    trace = []
+    x, v = _root_decreasing(lambda t: math.inf if t < 0.1 else 0.5 - t, 0.0, 2.0, trace)
+    assert x == pytest.approx(0.5, abs=1e-15) and abs(v) <= 1e-15
+    assert len(trace) <= 10
+    # a flat root stalls plain regula falsi; forced bisection bounds the steps
+    trace = []
+    x, _ = _root_decreasing(lambda t: -(t - 0.3) ** 9, -1.0, 2.0, trace)
+    assert x == pytest.approx(0.3, abs=1e-15)
+    assert len(trace) <= 4 * 64
+    with pytest.raises(BracketError):
+        _root_decreasing(lambda t: 1.0 - t, 2.0, 3.0)
 
 
 def test_qdim_rejects_bad_order(e1):
