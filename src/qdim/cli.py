@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +64,7 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _depths(args) -> tuple[int, int] | None:
-    # --depth N steers tree-summed estimates to the pair (N//2, N)
-    if args.depth is None:
-        return None
-    if args.depth < 2:
-        raise SpecFormatError("--depth must be >= 2")
-    return max(1, args.depth // 2), args.depth
-
-
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdim",
                                      description="quantization dimensions of conformal measures")
@@ -82,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", required=True, help="system spec JSON")
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--m", type=int, default=None, help="alphabet truncation")
-        p.add_argument("--depth", type=int, default=None)
         if seed:
+            p.add_argument("--depth", type=int, default=None, help="sampling depth")
             p.add_argument("--seed", type=int, default=2024)
         if tol:
             p.add_argument("--tol", type=float, default=None)
@@ -123,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="theoretical kappa_r against the empirical slope")
     common(p, seed=True, tol=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n-list", type=_int_list, default=[4, 8, 16, 32, 64, 128, 256, 512])
+    p.add_argument("--n-list", type=_int_list, default=(4, 8, 16, 32, 64, 128, 256, 512))
     p.add_argument("--samples", type=int, default=200_000)
 
     p = sub.add_parser("figure1", help="temperature curve, chord and spectrum dataset")
@@ -139,12 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_pressure(args, system, family, meta) -> int:
-    est = estimate_pressure(system, family, args.q, args.t, depths=_depths(args),
-                            truncation=args.m)
+    est = estimate_pressure(system, family, args.q, args.t, truncation=args.m)
     _emit_json({
         "command": "pressure", "q": est.q, "t": est.t,
         "truncation": est.truncation,
-        "depth_values": [[n, v] for n, v in est.depth_values],
         "value": est.value, "error": est.error, "finite": est.finite,
         "tail_bound": est.tail_bound,
         **meta,
@@ -155,20 +146,18 @@ def _cmd_pressure(args, system, family, meta) -> int:
 def _cmd_beta(args, system, family, meta) -> int:
     if args.q is None:
         qs = np.linspace(0.0, 1.0, 21)
-        rows = [(float(q), beta_of_q(system, family, float(q), args.m, args.tol,
-                                     _depths(args)))
+        rows = [(float(q), beta_of_q(system, family, float(q), args.m, args.tol))
                 for q in qs]
         _emit_csv(rows, ["q", "beta_q"], args.out)
         return _EXIT_OK
-    value = beta_of_q(system, family, args.q, args.m, args.tol, _depths(args))
+    value = beta_of_q(system, family, args.q, args.m, args.tol)
     _emit_json({"command": "beta", "q": args.q, "beta": value,
                 "truncation": args.m, "tolerance": args.tol, **meta}, args.out)
     return _EXIT_OK
 
 
 def _cmd_qdim(args, system, family, meta) -> int:
-    sol = solve_quantization_dim(system, family, args.r, args.m, args.tol,
-                                 _depths(args))
+    sol = solve_quantization_dim(system, family, args.r, args.m, args.tol)
     _emit_json({"command": "qdim", "r": sol.r, "q_r": sol.q_r,
                 "kappa_r": sol.kappa_r, "D_r": sol.D_r,
                 "truncation": sol.truncation, "iterations": len(sol.trace),
@@ -177,15 +166,14 @@ def _cmd_qdim(args, system, family, meta) -> int:
 
 
 def _cmd_dimh(args, system, family, meta) -> int:
-    value = hausdorff_dim(system, family, args.m, args.tol, _depths(args))
+    value = hausdorff_dim(system, family, args.m, args.tol)
     _emit_json({"command": "dimh", "dim_h": value, "truncation": args.m,
                 "tolerance": args.tol, **meta}, args.out)
     return _EXIT_OK
 
 
 def _cmd_sweep(args, system, family, meta) -> int:
-    result = truncation_sweep(system, family, args.r, args.m_list, args.tol,
-                              _depths(args))
+    result = truncation_sweep(system, family, args.r, args.m_list, args.tol)
     rows = [(e.M, e.kappa) for e in result.entries]
     _emit_csv(rows, ["M", "kappa_rM"], args.out)
     summary = {
@@ -260,8 +248,7 @@ def _cmd_verify(args, system, family, meta) -> int:
 def _cmd_figure1(args, system, family, meta) -> int:
     data = legendre_and_figure_data(system, family, args.r,
                                     q_grid=np.linspace(0.0, 1.0, args.grid),
-                                    truncation=args.m, tolerance=args.tol,
-                                    depths=_depths(args))
+                                    truncation=args.m, tolerance=args.tol)
     _emit_csv(data.rows(), ["q", "beta", "line", "legendre_alpha", "legendre_f"],
               args.out)
     summary = {

@@ -350,14 +350,15 @@ def summability_and_holder(family: PotentialFamily, system: IfsSystem,
 # pressure normalization
 
 
-def normalize_pressure(family: PotentialFamily, system: IfsSystem, depth: int = 8,
+def normalize_pressure(family: PotentialFamily, system: IfsSystem,
                        truncation: int | None = None) -> PotentialFamily:
-    """Return a family whose shift makes the estimated pressure vanish.
+    """Return a family whose shift makes the pressure P(1, 0) vanish.
 
     Symbol-constant families have the exact closed form
-    shift = log sum_i ||e^{f_i}||.  Otherwise word sums at depths
-    {4, 6, 8} are Aitken-extrapolated and the residual spread is kept on
-    the returned family as shift_error.
+    shift = log sum_i ||e^{f_i}||.  Otherwise the shift is P(1, 0) of the
+    collocated transfer operator (over 20 symbols when an infinite
+    alphabet comes without a truncation), and the returned family keeps
+    its node-halving drift as shift_error.
     """
     _tail_exp_sum(family, system)  # raises if non-summable
 
@@ -377,15 +378,7 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem, depth: int = 
         return replace(family, shift=math.log(math.fsum(math.exp(v) for v in raw)),
                        shift_error=0.0)
 
-    from .pressure import pressure_word_sum  # cycle kept local on purpose
+    from .pressure import estimate_pressure  # cycle kept local on purpose
 
-    M = truncation or system.size or 20
-    depths = sorted({max(2, depth // 2), max(3, 3 * depth // 4), depth})
-    vals = [pressure_word_sum(system, family, 1.0, 0.0, n, truncation=M) for n in depths]
-    est = vals[-1]
-    if len(vals) == 3:
-        d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
-        if abs(d2 - d1) > 1e-15:
-            est = vals[2] - d2 * d2 / (d2 - d1)
-    err = abs(est - vals[-1]) + abs(vals[-1] - vals[-2])
-    return replace(family, shift=family.shift + est, shift_error=err)
+    est = estimate_pressure(system, family, 1.0, 0.0, truncation or system.size or 20)
+    return replace(family, shift=family.shift + est.value, shift_error=est.error)

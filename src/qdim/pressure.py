@@ -6,9 +6,9 @@ P(q, t) is the exponential growth rate of the word sums
 
 Symbol-constant families on similarity systems are multiplicative: the
 depth-n sum is the n-th power of the single-symbol sum, so P is exact
-at every depth.  General systems are summed over a truncated word tree
-with vectorized per-word sup norms; the per-word arrays do not depend
-on (q, t), so root finding in either variable reuses them.
+at every depth.  Otherwise P is the log of the leading eigenvalue of the
+transfer operator g -> sum_i exp(q f_i) |phi_i'|^t g o phi_i, collocated
+at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).
 
 The temperature function beta(q) is the unique zero of t -> P(q, t)
 (P is strictly decreasing in t).  The quantization dimension of order r
@@ -27,16 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DegenerateSystemError, WordBudgetError
+from .errors import BracketError, DegenerateSystemError, NumericalFailure, WordBudgetError
 from .ifs import FiniteAlphabet, GeometricTail, IfsSystem, InfiniteAlphabet, PowerLawTail
 from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily,
                          f_value, is_symbol_constant, symbol_log_weight)
 
 _WORD_BUDGET = 4_000_000  # refuse word trees beyond this many leaves
-
-# default |P| tolerances: closed-form vs tree-summed estimates
-_TOL_CLOSED = 1e-12
-_TOL_TREE = 1e-6
+_NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
+_TOL = 1e-12              # default |P| tolerance of the root solves
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +46,8 @@ class PressureEstimate:
     q: float
     t: float
     truncation: int | None          # None means the untruncated alphabet
-    depth_values: tuple[tuple[int, float], ...]
     value: float
-    error: float                    # depth-extrapolation drift
+    error: float                    # drift from halving the nodes; 0 for closed forms
     finite: bool                    # false when the truncation tail diverges
     tail_bound: float = 0.0         # single-symbol mass beyond the truncation
 
@@ -183,10 +180,9 @@ def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
 
 
 # ---------------------------------------------------------------------------
-# word-tree sup arrays (general systems)
+# word-tree sup arrays (the depth-n definition, general systems)
 
 
-@lru_cache(maxsize=6)
 def _tree_sup_arrays(system: IfsSystem, family: PotentialFamily, M: int,
                      depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-word sup arrays at a fixed depth over the truncated alphabet.
@@ -219,19 +215,15 @@ def _tree_sup_arrays(system: IfsSystem, family: PotentialFamily, M: int,
         vals = np.concatenate(new_vals, axis=0)
         logd = np.concatenate(new_logd, axis=0)
         bsum = np.concatenate(new_bsum, axis=0)
-    B = bsum.max(axis=1)
-    D = logd.max(axis=1)
-    B.flags.writeable = False
-    D.flags.writeable = False
-    return B, D
+    return bsum.max(axis=1), logd.max(axis=1)
 
 
 def truncation_tail_bound(system: IfsSystem, family: PotentialFamily, q: float,
                           t: float, M: int) -> float:
     """Upper bound for sum over i > M of ||e^{f_i}||^q ||phi_i'||^t.
 
-    Separates the alphabet-truncation error from the depth error; it is
-    reported alongside tree estimates, never folded into the sums.
+    Separates the alphabet-truncation error from the operator error; it
+    is reported alongside truncated estimates, never folded into them.
     Returns +inf when the tail diverges at this (q, t).
     """
     if isinstance(system.alphabet, FiniteAlphabet):
@@ -271,18 +263,59 @@ def _resolve_truncation(system: IfsSystem, truncation: int | None) -> int:
     if isinstance(system.alphabet, FiniteAlphabet):
         return system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
     if truncation is None:
-        raise ValueError("tree sums over an infinite alphabet need a truncation")
+        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
     return truncation
 
 
-def _tree_depths(M: int, depths: tuple[int, int] | None) -> tuple[int, int]:
-    if depths is not None:
-        n1, n2 = depths
-        if not 1 <= n1 < n2:
-            raise ValueError("depths must satisfy 1 <= n1 < n2")
-        return n1, n2
-    n2 = max(2, int(math.log(16384) / math.log(max(M, 2))))
-    return max(1, n2 // 2), n2
+# ---------------------------------------------------------------------------
+# the collocated transfer operator (general systems)
+
+
+@lru_cache(maxsize=32)
+def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
+                    nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, D, E) of the transfer operator over symbols 1..M at ``nodes`` points.
+
+    At the Chebyshev-Lobatto nodes x_j of the domain, F[i, j] = f_i(x_j),
+    D[i, j] = log|phi_i'(x_j)|, and E[i] is the barycentric interpolation
+    matrix from values at the nodes to values at phi_i(x_j); its row is a
+    unit vector where phi_i(x_j) is itself a node.
+    """
+    a, b = system.domain
+    k = np.arange(nodes)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (nodes - 1))
+    w = (-1.0) ** k
+    w[[0, -1]] *= 0.5
+    maps = [system.map(i) for i in range(1, M + 1)]
+    F = np.array([f_value(family, system, i, x) for i in range(1, M + 1)])
+    D = np.log([m.abs_deriv(x) for m in maps])
+    diff = np.array([m.value(x) for m in maps])[:, :, None] - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = w / diff
+        E /= E.sum(axis=2, keepdims=True)
+    exact = (diff == 0.0).any(axis=2)
+    E[exact] = diff[exact] == 0.0
+    for arr in (F, D, E):
+        arr.flags.writeable = False
+    return F, D, E
+
+
+def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
+                       q: float, t: float) -> float:
+    """s + log of the largest *real* eigenvalue of sum_i diag(e^{q F_i + t D_i - s}) E_i.
+
+    Not the largest in modulus: where |phi_i'| = 1 at a point (Gauss branch
+    1 at 0), spurious oscillatory modes are not damped and can outweigh it.
+    """
+    F, D, E = parts
+    X = q * F + t * D
+    s = float(X.max())
+    ev = np.linalg.eigvals(np.einsum("ij,ijk->jk", np.exp(X - s), E))
+    lam = float(ev.real[ev.imag == 0.0].max(initial=0.0))
+    if not lam > 0.0:
+        raise NumericalFailure(f"collocated operator has no positive real eigenvalue "
+                               f"at (q, t) = ({q:.6g}, {t:.6g})")
+    return s + math.log(lam)
 
 
 def pressure_word_sum(system: IfsSystem, family: PotentialFamily, q: float, t: float,
@@ -302,33 +335,25 @@ def pressure_word_sum(system: IfsSystem, family: PotentialFamily, q: float, t: f
 
 
 def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: float,
-                      depths: tuple[int, int] | None = None,
                       truncation: int | None = None) -> PressureEstimate:
-    """Depth-extrapolated pressure estimate.
+    """P(q, t) with its error indicator and the truncation tail bound.
 
-    With a_n = n * P_n, the telescoped value (a_{n2} - a_{n1})/(n2 - n1)
-    cancels the constant offset of the subadditive sequence; the error
-    indicator is the drift between the raw top depth and the telescoped
-    value.
+    Closed forms are exact (error 0).  The transfer-operator value comes
+    with the drift |P_32 - P_16| between 32 and 16 collocation nodes.
     """
     if is_multiplicative(system, family):
-        v = pressure_word_sum(system, family, q, t, 1, truncation)
-        tail = 0.0
-        if truncation is not None and isinstance(system.alphabet, InfiniteAlphabet):
-            tail = truncation_tail_bound(system, family, q, t, truncation)
-        return PressureEstimate(q, t, truncation, ((1, v),), v, 0.0,
-                                math.isfinite(v) and math.isfinite(tail), tail)
-    M = _resolve_truncation(system, truncation)
-    n1, n2 = _tree_depths(M, depths)
-    p1 = pressure_word_sum(system, family, q, t, n1, M)
-    p2 = pressure_word_sum(system, family, q, t, n2, M)
-    value = (n2 * p2 - n1 * p1) / (n2 - n1)
+        value = _single_symbol_logsum(system, family, q, t, truncation)
+        error = 0.0
+    else:
+        truncation = _resolve_truncation(system, truncation)
+        value = _operator_pressure(_operator_parts(system, family, truncation, _NODES), q, t)
+        half = _operator_parts(system, family, truncation, _NODES // 2)
+        error = abs(value - _operator_pressure(half, q, t))
     tail = 0.0
-    if isinstance(system.alphabet, InfiniteAlphabet):
-        tail = truncation_tail_bound(system, family, q, t, M)
-    return PressureEstimate(q, t, M, ((n1, p1), (n2, p2)), value,
-                            abs(value - p2), math.isfinite(value) and math.isfinite(tail),
-                            tail)
+    if truncation is not None and isinstance(system.alphabet, InfiniteAlphabet):
+        tail = truncation_tail_bound(system, family, q, t, truncation)
+    return PressureEstimate(q, t, truncation, value, error,
+                            math.isfinite(value) and math.isfinite(tail), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +390,17 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaRes
 
 
 def _pressure_callable(system: IfsSystem, family: PotentialFamily,
-                       truncation: int | None,
-                       depths: tuple[int, int] | None) -> tuple[Callable[[float, float], float], float]:
-    """((q, t) -> pressure estimate, |P| tolerance default)."""
+                       truncation: int | None) -> Callable[[float, float], float]:
+    """(q, t) -> P(q, t): the closed form, or the collocated operator."""
     if is_multiplicative(system, family):
-        return (lambda q, t: _single_symbol_logsum(system, family, q, t, truncation),
-                _TOL_CLOSED)
-    M = _resolve_truncation(system, truncation)
-    n1, n2 = _tree_depths(M, depths)
-    B1, D1 = _tree_sup_arrays(system, family, M, n1)
-    B2, D2 = _tree_sup_arrays(system, family, M, n2)
-
-    def est(q: float, t: float) -> float:
-        return (_lse(q * B2 + t * D2) - _lse(q * B1 + t * D1)) / (n2 - n1)
-
-    return est, _TOL_TREE
+        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation)
+    parts = _operator_parts(system, family, _resolve_truncation(system, truncation), _NODES)
+    return lambda q, t: _operator_pressure(parts, q, t)
 
 
 def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
-                     trace: list | None = None) -> tuple[float, float]:
+                     trace: list | None = None,
+                     ends: tuple[float, float] | None = None) -> tuple[float, float]:
     """(x, fn(x)) at the root of a decreasing fn with fn(lo) > 0 > fn(hi).
 
     Illinois regula falsi: the secant through the bracket ends, with the
@@ -392,7 +409,8 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
     the bracket, and any step after three in a row that did not halve
     the bracket, so it never needs more than four times the steps of
     bisection.  Stops when the bracket is a few ulps wide and returns
-    the end with the smaller |fn|.  Every evaluation goes to ``trace``.
+    the end with the smaller |fn|.  Every evaluation made here goes to
+    ``trace``; ``ends`` are fn(lo) and fn(hi) when the caller has them.
     """
     def f(x: float) -> float:
         v = fn(x)
@@ -400,7 +418,7 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
             trace.append((x, v))
         return v
 
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = (f(lo), f(hi)) if ends is None else ends
     if not f_lo > 0.0 > f_hi:
         raise BracketError(f"no sign change on [{lo:.6g}, {hi:.6g}]: "
                            f"values {f_lo:.3g}, {f_hi:.3g}")
@@ -437,8 +455,7 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
-              truncation: int | None = None, tolerance: float | None = None,
-              depths: tuple[int, int] | None = None) -> float:
+              truncation: int | None = None, tolerance: float | None = None) -> float:
     """The temperature function: the unique t with P(q, t) = 0.
 
     Exploits strict decrease of t -> P(q, t); the returned t satisfies
@@ -446,8 +463,8 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     sign change exists or the residual is above that bound (irregular or
     degenerate truncations are reported, never extrapolated over).
     """
-    P, tol_default = _pressure_callable(system, family, truncation, depths)
-    tol = tol_default if tolerance is None else tolerance
+    P = _pressure_callable(system, family, truncation)
+    tol = _TOL if tolerance is None else tolerance
 
     def fn(t: float) -> float:
         return P(q, t)
@@ -466,42 +483,42 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
                 f"pressure never positive just above theta({q})={theta}; "
                 "system looks irregular at this truncation"
             )
-        while not math.isfinite(fn(lo)):
+        f_lo = probes[0]
+        while not math.isfinite(f_lo):
             lo = 0.5 * (lo + theta + 0.2)
+            f_lo = fn(lo)
     else:
-        lo = 0.0
-        step = 1.0
-        while fn(lo) <= 0.0:
+        lo, step = 0.0, 1.0
+        while (f_lo := fn(lo)) <= 0.0:
             lo -= step
             step *= 2.0
             if lo < -1e4:
                 raise BracketError("no positive pressure found walking t downward")
 
     hi = max(25.0, lo + 1.0)
-    while fn(hi) >= 0.0:
+    while (f_hi := fn(hi)) >= 0.0:
         hi *= 2.0
         if hi > 1e4:
             raise BracketError("pressure does not become negative for large t")
 
-    t, resid = _root_decreasing(fn, lo, hi)
+    t, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
     if not abs(resid) <= max(tol * 10, 1e-9):
         raise BracketError(f"pressure residual {resid:.3g} at beta({q}) above tolerance")
     return t
 
 
 def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
-                  truncation: int | None = None, tolerance: float | None = None,
-                  depths: tuple[int, int] | None = None) -> float:
+                  truncation: int | None = None, tolerance: float | None = None) -> float:
     """Root of t -> P(0, t); coincides with beta(0) for regular systems."""
-    return beta_of_q(system, family, 0.0, truncation, tolerance, depths)
+    return beta_of_q(system, family, 0.0, truncation, tolerance)
 
 
 def temperature_curve(system: IfsSystem, family: PotentialFamily,
                       q_grid: Sequence[float] | None = None,
-                      truncation: int | None = None, tolerance: float | None = None,
-                      depths: tuple[int, int] | None = None) -> TemperatureSample:
+                      truncation: int | None = None,
+                      tolerance: float | None = None) -> TemperatureSample:
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
-    betas = [beta_of_q(system, family, float(q), truncation, tolerance, depths) for q in qs]
+    betas = [beta_of_q(system, family, float(q), truncation, tolerance) for q in qs]
     b = np.asarray(betas)
     defect = 0.0
     if len(b) >= 3:
@@ -512,8 +529,7 @@ def temperature_curve(system: IfsSystem, family: PotentialFamily,
 
 def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
                            truncation: int | None = None,
-                           tolerance: float | None = None,
-                           depths: tuple[int, int] | None = None) -> QdimSolution:
+                           tolerance: float | None = None) -> QdimSolution:
     """Solve beta(q_r) = r * q_r and return (q_r, kappa_r, D_r).
 
     As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
@@ -524,8 +540,8 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     """
     if r <= 0:
         raise ValueError("the order r must be positive")
-    P, tol_default = _pressure_callable(system, family, truncation, depths)
-    tol = tol_default if tolerance is None else tolerance
+    P = _pressure_callable(system, family, truncation)
+    tol = _TOL if tolerance is None else tolerance
 
     p0 = P(0.0, 1e-9)
     if p0 <= 0.0:
@@ -544,8 +560,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
 
 
 def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
-                     M_list: Sequence[int], tolerance: float | None = None,
-                     depths: tuple[int, int] | None = None) -> SweepResult:
+                     M_list: Sequence[int], tolerance: float | None = None) -> SweepResult:
     """kappa_{r,M} across truncations, with the full-system reference when closed-form.
 
     Truncations whose beta_M(0) <= 0 (single-map limit sets are points)
@@ -557,7 +572,7 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
             raise ValueError("truncations must be >= 1")
         try:
             sol = solve_quantization_dim(system, family, r, truncation=int(M),
-                                         tolerance=tolerance, depths=depths)
+                                         tolerance=tolerance)
             entries.append(SweepEntry(int(M), sol.kappa_r, False))
         except DegenerateSystemError:
             entries.append(SweepEntry(int(M), 0.0, True))
@@ -565,7 +580,7 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
     gap = None
     if is_multiplicative(system, family) or isinstance(system.alphabet, FiniteAlphabet):
         ref = solve_quantization_dim(system, family, r, truncation=None,
-                                     tolerance=tolerance, depths=depths)
+                                     tolerance=tolerance)
         kappa_ref = ref.kappa_r
         gap = kappa_ref - entries[-1].kappa if entries else None
     return SweepResult(r, tuple(entries), kappa_ref, gap)
@@ -574,8 +589,7 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
 def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: float,
                              q_grid: Sequence[float] | None = None,
                              truncation: int | None = None,
-                             tolerance: float | None = None,
-                             depths: tuple[int, int] | None = None) -> FigureData:
+                             tolerance: float | None = None) -> FigureData:
     """Temperature curve, the y = r q chord, and the discrete Legendre transform.
 
     The line through the intersection (q_r, r q_r) and (1, 0) meets the
@@ -586,9 +600,9 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
-    betas = np.array([beta_of_q(system, family, float(q), truncation, tolerance, depths)
+    betas = np.array([beta_of_q(system, family, float(q), truncation, tolerance)
                       for q in qs])
-    sol = solve_quantization_dim(system, family, r, truncation, tolerance, depths)
+    sol = solve_quantization_dim(system, family, r, truncation, tolerance)
     q_r = sol.q_r
     intercept = r * q_r / (1.0 - q_r)
 

@@ -118,7 +118,7 @@ def _cf_log_word_sum(t, n):
 def test_criterion_05_continued_fraction_cross_check(gauss12):
     t0 = time.perf_counter()
     system, family = gauss12
-    dim = Q.hausdorff_dim(system, family, depths=(7, 14))
+    dim = Q.hausdorff_dim(system, family)
 
     # independent oracle: brute-force word sums telescoped over depth pairs
     # (the per-pair error decays geometrically), Aitken-accelerated
@@ -132,6 +132,7 @@ def test_criterion_05_continued_fraction_cross_check(gauss12):
 
     elapsed = time.perf_counter() - t0
     ok = abs(dim - 0.5313) <= 1e-2 and abs(dim - oracle) <= 5e-3 and elapsed < 10.0
+    ok = ok and abs(dim - 0.531280506277205) <= 1e-12
     # the published continued-fraction value, cross-check only
     ok = ok and abs(oracle - 0.5312805) <= 1e-3
     _report(5, "continued-fraction dimension", ok,

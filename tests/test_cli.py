@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from qdim.cli import main
+import qdim as Q
+from qdim.cli import _build_parser, main
 
 from conftest import LOG23
 
@@ -186,15 +187,35 @@ def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
-def test_word_budget_exits_two(tmp_path, capsys):
+def test_depth_only_samples_and_word_budget_kept(tmp_path, capsys):
     path = tmp_path / "gauss_full.json"
     path.write_text(GAUSS_FULL_DOC)
-    # a depth-6 tree over 40 symbols has 40**6 leaves, beyond the word budget:
-    # a numerical failure (exit 2), not a malformed spec
-    assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "6"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
-    assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "1"]) == 1
-    assert "spec error" in capsys.readouterr().err
+    # the pressure comes from the transfer operator: --depth is no dimh flag
+    assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "6"]) == 1
+    capsys.readouterr()
+    assert main(["dimh", "--system", str(path), "--m", "40"]) == 0
+    assert 0.98 < json.loads(capsys.readouterr().out)["dim_h"] < 1.0
+    # without a closed form, an infinite alphabet still needs --m
+    assert main(["dimh", "--system", str(path)]) == 1
+    assert "needs a truncation" in capsys.readouterr().err
+    # the depth-n word sum still refuses a 40**6-leaf tree
+    system, family = Q.gauss_system(None), Q.derivative_family(0.6)
+    with pytest.raises(Q.WordBudgetError):
+        Q.pressure_word_sum(system, family, 0.0, 1.0, depth=6, truncation=40)
+
+
+def test_parser_built_once(e1_spec, capsys):
+    assert _build_parser() is _build_parser()
+    assert main(["dimh", "--system", e1_spec]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_h"] == pytest.approx(LOG23, abs=1e-12)
+    assert main(["qdim", "--system", e1_spec, "--r", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa_r"] == pytest.approx(LOG23, abs=1e-12)
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "--system", e1_spec, "--r", "2", "--samples", "20000"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n_list"] == [4, 8, 16, 32, 64, 128, 256, 512]
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -214,11 +235,7 @@ def test_gauss_spec_loads(tmp_path, capsys):
     path.write_text(GAUSS_DOC)
     assert main(["dimh", "--system", str(path), "--m", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["dim_h"] == pytest.approx(0.5313, abs=0.01)
-    # --depth steers the tree-summed estimate
-    assert main(["dimh", "--system", str(path), "--m", "2", "--depth", "12"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["dim_h"] == pytest.approx(0.5313, abs=0.01)
+    assert abs(report["dim_h"] - 0.531280506277205) <= 1e-12
 
 
 def test_spec_contraction_override(tmp_path):

@@ -149,10 +149,15 @@ def test_normalize_unnormalized_weights():
     assert Q.pressure_word_sum(system, out, 1.0, 0.0, 4) == pytest.approx(0.0, abs=1e-13)
 
 
-def test_normalize_derivative_family_on_gauss(gauss12):
+def test_normalize_derivative_family_on_gauss(gauss12, gauss_full):
     system, _ = gauss12
     family = Q.derivative_family(0.6)
     out = Q.normalize_pressure(family, system)
     assert out.shift_error < 0.2
     resid = Q.pressure_word_sum(system, out, 1.0, 0.0, 8)
     assert abs(resid) < 0.05
+    assert abs(Q.beta_of_q(system, out, 1.0)) <= 1e-12
+    # the full system normalizes over a truncation without a word-budget failure
+    full, _ = gauss_full
+    out = Q.normalize_pressure(family, full, truncation=20)
+    assert abs(Q.beta_of_q(full, out, 1.0, truncation=20)) <= 1e-12

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import qdim as Q
+import qdim.pressure
 from qdim.errors import BracketError, DegenerateSystemError
 from qdim.pressure import _root_decreasing
 
@@ -63,12 +64,12 @@ def test_untruncated_series_can_diverge(e3):
     assert Q.pressure_word_sum(system, family, 0.0, -1.0, 1) == math.inf
 
 
-def test_estimate_pressure_reports_depths(gauss12):
+def test_estimate_pressure_error_is_node_drift(gauss12):
     system, family = gauss12
-    est = Q.estimate_pressure(system, family, 0.0, 0.6, depths=(4, 8))
-    assert [n for n, _ in est.depth_values] == [4, 8]
+    est = Q.estimate_pressure(system, family, 0.0, 0.6)
+    assert not hasattr(est, "depth_values")
     assert est.finite
-    assert est.error >= 0.0
+    assert 0.0 <= est.error <= 1e-12  # |P_32 - P_16| of the collocated operator
     assert est.tail_bound == 0.0  # finite alphabet
 
 
@@ -196,6 +197,63 @@ def test_roots_match_independent_brentq(case, r, q):
     assert Q.beta_of_q(system, family, q) == pytest.approx(beta, abs=1e-12)
 
 
+@st.composite
+def _oriented_similarity_systems(draw):
+    """_similarity_systems with each map's orientation drawn as well."""
+    ratios, weights, system = draw(_similarity_systems())
+    flips = draw(st.lists(st.sampled_from((1, -1)), min_size=len(ratios),
+                          max_size=len(ratios)))
+    # a reversing map x -> o - r x has image [o - r, o]
+    offsets = [m.offset + (m.ratio if e < 0 else 0.0)
+               for m, e in zip(system.alphabet.maps, flips)]
+    return weights, Q.similarity_system(list(ratios), offsets, flips)
+
+
+def _as_branches(system):
+    """The same maps as analytic branches, which defeat the closed forms."""
+    maps = tuple(Q.AnalyticBranch1D(fn=m.value,
+                                    deriv=lambda x, m=m: m.orientation * m.ratio + 0.0 * x,
+                                    deriv_sup=m.ratio)
+                 for m in system.alphabet.maps)
+    return Q.IfsSystem(domain=system.domain, alphabet=Q.FiniteAlphabet(maps), s=system.s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_oriented_similarity_systems(), st.sampled_from(("log-weight", "derivative")),
+       st.floats(0.25, 8.0), st.floats(0.0, 1.0), st.floats(0.2, 2.0))
+def test_operator_matches_closed_form(case, kind, r, q, s_exp):
+    weights, system = case
+    family = (Q.log_weight_family(list(weights)) if kind == "log-weight"
+              else Q.derivative_family(s_exp))
+    branches = _as_branches(system)
+    assert Q.is_multiplicative(system, family)
+    assert not Q.is_multiplicative(branches, family)
+    assert Q.beta_of_q(branches, family, q) == pytest.approx(
+        Q.beta_of_q(system, family, q), abs=1e-12)
+    kappa = Q.solve_quantization_dim(system, family, r).kappa_r
+    assert Q.solve_quantization_dim(branches, family, r).kappa_r == pytest.approx(
+        kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["e1", "gauss12"])
+def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
+    system, family = request.getfixturevalue(name)
+    make = qdim.pressure._pressure_callable
+    ts = []
+
+    def recording(*args):
+        P = make(*args)
+
+        def wrapped(q, t):
+            ts.append(t)
+            return P(q, t)
+        return wrapped
+
+    monkeypatch.setattr(qdim.pressure, "_pressure_callable", recording)
+    Q.beta_of_q(system, family, 0.4)
+    assert ts and len(ts) == len(set(ts))
+
+
 def test_root_finder_safeguards():
     # +inf at the left end makes the secant step NaN: the midpoint takes over
     trace = []
@@ -250,9 +308,25 @@ def test_hausdorff_moran_oracles(e1, e3):
 
 def test_hausdorff_equals_beta_zero(gauss12):
     system, family = gauss12
-    d = Q.hausdorff_dim(system, family, depths=(5, 10))
-    b = Q.beta_of_q(system, family, 0.0, depths=(5, 10))
+    d = Q.hausdorff_dim(system, family)
+    b = Q.beta_of_q(system, family, 0.0)
     assert d == pytest.approx(b, abs=1e-12)
+
+
+def test_hausdorff_continued_fraction_oracles():
+    # Jenkinson-Pollicott: dim E_2 and dim E_{1..5}
+    family = Q.derivative_family(1.0)
+    assert abs(Q.hausdorff_dim(Q.gauss_system((1, 2)), family)
+               - 0.531280506277205) <= 1e-12
+    assert abs(Q.hausdorff_dim(Q.gauss_system((1, 2, 3, 4, 5)), family)
+               - 0.836829443681208) <= 1e-12
+
+
+def test_gauss_truncations_monotone_in_M(gauss_full):
+    system, family = gauss_full
+    dims = [Q.hausdorff_dim(system, family, truncation=M) for M in (5, 10, 20, 40)]
+    assert all(a < b for a, b in zip(dims, dims[1:]))
+    assert abs(dims[0] - 0.836829443681208) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
