@@ -24,7 +24,7 @@ from .errors import NumericalFailure, SpecFormatError
 from .measure import sample_measure, save_sample
 from .pressure import (beta_of_q, estimate_pressure, hausdorff_dim,
                        legendre_and_figure_data, solve_quantization_dim,
-                       truncation_sweep)
+                       temperature_curve, truncation_sweep)
 from .quantizer import estimate_Dr, lloyd_optimize
 from .specio import load_spec
 
@@ -145,10 +145,8 @@ def _cmd_pressure(args, system, family, meta) -> int:
 
 def _cmd_beta(args, system, family, meta) -> int:
     if args.q is None:
-        qs = np.linspace(0.0, 1.0, 21)
-        rows = [(float(q), beta_of_q(system, family, float(q), args.m, args.tol))
-                for q in qs]
-        _emit_csv(rows, ["q", "beta_q"], args.out)
+        curve = temperature_curve(system, family, truncation=args.m, tolerance=args.tol)
+        _emit_csv(zip(curve.qs, curve.betas), ["q", "beta_q"], args.out)
         return _EXIT_OK
     value = beta_of_q(system, family, args.q, args.m, args.tol)
     _emit_json({"command": "beta", "q": args.q, "beta": value,

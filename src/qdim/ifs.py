@@ -20,6 +20,8 @@ import numpy as np
 
 Word = tuple[int, ...]
 
+_GRID_POINTS = 64  # domain grid for sup-norm estimates
+
 
 # ---------------------------------------------------------------------------
 # contraction maps
@@ -80,20 +82,18 @@ ContractionMap = Similarity1D | AnalyticBranch1D
 
 @dataclass(frozen=True)
 class PowerLawTail:
-    """Derivative tail bound  sup|phi_i'| <= coef * i**(-power)  for i >= start."""
+    """Derivative tail bound  sup|phi_i'| <= coef * i**(-power)  for every i >= 1."""
 
     coef: float
     power: float
-    start: int = 1
 
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """Derivative tail bound  sup|phi_i'| <= coef * base**i  for i >= start."""
+    """Derivative tail bound  sup|phi_i'| <= coef * base**i  for every i >= 1."""
 
     coef: float
     base: float
-    start: int = 1
 
 
 TailDecay = PowerLawTail | GeometricTail
@@ -138,9 +138,8 @@ class IfsSystem:
     vacuous and only the per-word derivative norms carry information.
 
     ``K`` is the bounded-distortion constant, user-asserted for analytic
-    branches and forced to 1 for pure similarity systems.  ``K_tilde``
-    (>= K) corrects diameter estimates; in one dimension the mean value
-    theorem lets K_tilde = K.
+    branches and forced to 1 for pure similarity systems.  In one
+    dimension the mean value theorem lets K also bound cylinder diameters.
 
     ``sup_grid_exact`` marks systems whose composed derivative magnitude
     is monotone on the domain (Moebius families), so endpoint-including
@@ -151,9 +150,6 @@ class IfsSystem:
     alphabet: FiniteAlphabet | InfiniteAlphabet
     s: float
     K: float = 1.0
-    K_tilde: float | None = None
-    open_set: tuple[float, float] | None = None
-    grid_points: int = 64
     sup_grid_exact: bool = False
     geometric_ratio: float | None = None  # set when map i is a ratio**i similarity
     assumptions: tuple[str, ...] = ("closure-of-interior", "cone-condition")
@@ -166,10 +162,6 @@ class IfsSystem:
             raise ValueError("contraction bound s must lie in (0, 1]")
         if self.K < 1.0:
             raise ValueError("distortion constant K must be >= 1")
-        if self.K_tilde is not None and self.K_tilde < self.K:
-            raise ValueError("K_tilde must be >= K")
-        if self.grid_points < 2:
-            raise ValueError("need at least 2 grid points")
         if isinstance(self.alphabet, FiniteAlphabet):
             for i, m in enumerate(self.alphabet.maps, start=1):
                 if m.deriv_sup > self.s + 1e-12:
@@ -192,13 +184,9 @@ class IfsSystem:
     def midpoint(self) -> float:
         return 0.5 * (self.domain[0] + self.domain[1])
 
-    @property
-    def ktilde(self) -> float:
-        return self.K if self.K_tilde is None else self.K_tilde
-
     @cached_property
     def grid(self) -> np.ndarray:
-        g = np.linspace(self.domain[0], self.domain[1], self.grid_points)
+        g = np.linspace(self.domain[0], self.domain[1], _GRID_POINTS)
         g.flags.writeable = False
         return g
 
@@ -292,7 +280,7 @@ def cylinder_geometry(system: IfsSystem, word: Sequence[int]) -> CylinderInfo:
     if not w:
         return CylinderInfo(w, system.diam, system.midpoint, 1.0, 1.0)
     norm, err = derivative_sup_norm(system, w)
-    bound = norm * system.ktilde * system.diam
+    bound = norm * system.K * system.diam
     cap = system.s ** len(w) * system.diam
     point, _ = compose_and_derivative(system, w, system.midpoint)
     return CylinderInfo(w, min(bound, cap), point, norm, err)
@@ -337,8 +325,7 @@ def check_distortion(system: IfsSystem, depth: int = 5, samples: int = 200, seed
 def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
                       orientations: Sequence[int] | None = None, *,
                       domain: tuple[float, float] = (0.0, 1.0),
-                      K: float = 1.0, s: float | None = None,
-                      open_set: tuple[float, float] | None = None) -> IfsSystem:
+                      K: float = 1.0, s: float | None = None) -> IfsSystem:
     """Finite system of affine contractions; validates images stay inside the domain."""
     if len(ratios) != len(offsets):
         raise ValueError("ratios and offsets must have equal length")
@@ -356,7 +343,7 @@ def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
     if s is None:
         s = max(m.ratio for m in maps)
     return IfsSystem(domain=(float(a), float(b)), alphabet=FiniteAlphabet(maps),
-                     s=float(s), K=K, open_set=open_set)
+                     s=float(s), K=K)
 
 
 def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
@@ -383,7 +370,7 @@ def geometric_similarity_system(ratio: float = 1 / 3,
 
     return IfsSystem(domain=(0.0, 1.0),
                      alphabet=InfiniteAlphabet(gen, GeometricTail(1.0, ratio)),
-                     s=ratio, open_set=(0.0, 1.0), geometric_ratio=ratio)
+                     s=ratio, geometric_ratio=ratio)
 
 
 def _gauss_branch(i: int) -> AnalyticBranch1D:
@@ -395,8 +382,7 @@ def _gauss_branch(i: int) -> AnalyticBranch1D:
     )
 
 
-def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0,
-                 grid_points: int = 64) -> IfsSystem:
+def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0) -> IfsSystem:
     """Continued-fraction branches phi_i(x) = 1/(i + x) on [0, 1].
 
     ``symbols`` picks a finite subsystem; None gives the full countable
@@ -406,12 +392,11 @@ def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0,
     if symbols is None:
         return IfsSystem(domain=(0.0, 1.0),
                          alphabet=InfiniteAlphabet(_gauss_branch, PowerLawTail(1.0, 2.0)),
-                         s=1.0, K=K, open_set=(0.0, 1.0), grid_points=grid_points,
-                         sup_grid_exact=True)
+                         s=1.0, K=K, sup_grid_exact=True)
     syms = tuple(int(i) for i in symbols)
     if any(i < 1 for i in syms):
         raise ValueError("continued-fraction symbols are positive integers")
     maps = tuple(_gauss_branch(i) for i in syms)
     s = min(1.0, max(m.deriv_sup for m in maps))
     return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps), s=s, K=K,
-                     open_set=(0.0, 1.0), grid_points=grid_points, sup_grid_exact=True)
+                     sup_grid_exact=True)

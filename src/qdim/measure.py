@@ -25,12 +25,14 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .ifs import FiniteAlphabet, IfsSystem, Similarity1D, Word
-from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily,
-                         f_value, ratio_bound, single_exp_sup,
-                         sup_norm_exp_birkhoff)
+from .potentials import (ConstantLogWeights, PotentialFamily, _head_exp_sum,
+                         _tail_exp_sum, f_value, ratio_bound,
+                         sup_norm_exp_birkhoff, truncation_tail_bound)
 
 _CHUNK = 65536
 _SURROGATE_CHUNK = 1024
+_DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
+_MAX_TRUNCATION = 4096    # the surrogate sampler visits every symbol at every step
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,7 @@ def _renorm_log(system: IfsSystem, family: PotentialFamily, truncation: int | No
     """log of the per-symbol mass renormalizer for a truncated subsystem."""
     if truncation is None:
         return 0.0
-    total = math.fsum(single_exp_sup(family, system, i) for i in range(1, truncation + 1))
-    return math.log(total)
+    return math.log(_head_exp_sum(family, system, truncation))
 
 
 def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int],
@@ -121,31 +122,27 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
 
 
 def _weight_deficit(system: IfsSystem, family: PotentialFamily, M: int) -> float:
-    """Relative child-weight mass beyond symbol M (0 for finite alphabets)."""
-    if isinstance(system.alphabet, FiniteAlphabet):
-        return 0.0
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        return w.tail_mass(M)
-    # derivative family: weights proportional to ||e^{f_i}||
-    from .potentials import _tail_exp_sum
-    total = _tail_exp_sum(family, system)
-    head = math.fsum(single_exp_sup(family, system, i) for i in range(1, M + 1))
-    return max(0.0, 1.0 - head / total)
+    """Relative child-weight mass beyond symbol M: the tail bound over the total."""
+    tail = truncation_tail_bound(system, family, 1.0, 0.0, M)
+    return 0.0 if tail == 0.0 else tail / _tail_exp_sum(family, system)
 
 
-def _auto_truncation(system: IfsSystem, family: PotentialFamily, threshold: float) -> int:
-    M = 2
-    while _weight_deficit(system, family, M) > threshold:
-        M *= 2
-        if M > 1 << 20:
-            raise NumericalFailure("cannot reach the requested truncation deficit")
-    # tighten: walk back down
-    while M > 2 and _weight_deficit(system, family, M - 1) <= threshold:
-        M -= 1
-    return M
+def _auto_truncation(system: IfsSystem, family: PotentialFamily) -> int:
+    """The smallest M >= 2 with deficit <= _DEFICIT, by bisection (deficits fall in M)."""
+    deficit = _weight_deficit(system, family, _MAX_TRUNCATION)
+    if deficit > _DEFICIT:
+        raise NumericalFailure(
+            f"cannot reach the truncation deficit {_DEFICIT:.3g}: it is still "
+            f"{deficit:.3g} at {_MAX_TRUNCATION} symbols"
+        )
+    lo, hi = 1, _MAX_TRUNCATION  # deficit(hi) <= _DEFICIT; lo is never a candidate
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _weight_deficit(system, family, mid) <= _DEFICIT:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _default_depth(system: IfsSystem) -> int:
@@ -246,15 +243,15 @@ def _sample_surrogate(system: IfsSystem, family: PotentialFamily, count: int,
 
 def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
                    depth: int | None = None, truncation: int | None = None,
-                   seed: int = 0, deficit_threshold: float = 1e-6,
-                   allow_deficit: bool = False) -> SampleSet:
+                   seed: int = 0, allow_deficit: bool = False) -> SampleSet:
     """Draw a deterministic empirical approximation of the conformal measure.
 
     Constant-weight families draw i.i.d. symbol strings with the
     (truncation-renormalized) weights and map the domain midpoint
-    through the word.  Infinite alphabets truncate where the tail mass
-    drops below ``deficit_threshold`` unless an explicit truncation is
-    supplied; a larger deficit needs ``allow_deficit=True``.
+    through the word.  Infinite alphabets truncate at the smallest M
+    whose relative tail mass is at most 1e-6 (at most 4096 symbols)
+    unless an explicit truncation is supplied; a larger deficit needs
+    ``allow_deficit=True``.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -266,13 +263,13 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     if isinstance(system.alphabet, FiniteAlphabet):
         M = system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
     elif truncation is None:
-        M = _auto_truncation(system, family, deficit_threshold)
+        M = _auto_truncation(system, family)
     else:
         M = truncation
     deficit = _weight_deficit(system, family, M)
-    if deficit > deficit_threshold and not allow_deficit:
+    if deficit > _DEFICIT and not allow_deficit:
         raise NumericalFailure(
-            f"truncation deficit {deficit:.3g} exceeds {deficit_threshold:.3g}; "
+            f"truncation deficit {deficit:.3g} exceeds {_DEFICIT:.3g}; "
             "pass allow_deficit=True to sample the truncated measure anyway"
         )
 

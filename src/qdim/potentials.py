@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonSummableError
-from .ifs import GeometricTail, IfsSystem, InfiniteAlphabet, Similarity1D, Word
+from .ifs import (FiniteAlphabet, GeometricTail, IfsSystem, InfiniteAlphabet,
+                  Similarity1D, TailDecay, Word)
 
 # ---------------------------------------------------------------------------
 # weight tables
@@ -57,10 +58,6 @@ class GeometricWeights:
     @property
     def size(self) -> None:
         return None
-
-    def tail_mass(self, M: int) -> float:
-        # sum_{i > M} p_i
-        return self.ratio ** M
 
 
 @dataclass(frozen=True)
@@ -251,45 +248,85 @@ def sup_norm_exp_birkhoff(family: PotentialFamily, system: IfsSystem,
 
 
 # ---------------------------------------------------------------------------
-# summability / Hoelder diagnostics
+# the tail model of infinite alphabets
 
 
-def _tail_exp_sum(family: PotentialFamily, system: IfsSystem,
-                  enumerate_to: int = 10_000) -> float:
-    """sum_i ||e^{f_i}|| via partial enumeration plus an integral tail bracket."""
-    alphabet = system.alphabet
-    if not isinstance(alphabet, InfiniteAlphabet):
-        return sum(single_exp_sup(family, system, i) for i in range(1, alphabet.size + 1))
+_HEAD = 256  # symbols summed exactly before the tail bound takes over
 
+
+def _tail_decay(family: PotentialFamily, tail: TailDecay,
+                q: float) -> tuple[tuple[float, float], ...]:
+    """((c0, c1), (b0, b1), (p0, p1)): the decay of the single-symbol terms.
+
+    For q >= 0, every t and i >= 1,  ||e^{f_i}||^q ||phi_i'||^t <= c * b**i * i**(-p)
+    with log c = c0 + c1 t, log b = b0 + b1 t and p = p0 + p1 t.  This is
+    the one place that reads a tail descriptor.  Geometric weights give
+    ||e^{f_i}|| exactly; a derivative family is bounded by
+    e^{g_sup - shift} ||phi_i'||^s_exp.
+    """
     if isinstance(family, ConstantLogWeights):
         w = family.weights
         if isinstance(w, FiniteWeights):
             raise ValueError("finite weight table on an infinite alphabet")
-        return math.exp(-family.shift)  # geometric weights sum to one
-
-    tail = alphabet.tail
-    s = family.s_exp
-    scale = math.exp(family.g_sup - family.shift)
+        c0 = q * (math.log1p(-w.ratio) - math.log(w.ratio) - family.shift)
+        b0 = q * math.log(w.ratio)
+        e0 = 0.0  # ||phi_i'|| enters with the exponent e0 + t
+    else:
+        c0 = q * (family.g_sup - family.shift)
+        b0 = 0.0
+        e0 = q * family.s_exp
+    log_coef = math.log(tail.coef)
+    c = (c0 + e0 * log_coef, log_coef)
     if isinstance(tail, GeometricTail):
-        base = tail.base ** s
-        head = sum(single_exp_sup(family, system, i) for i in range(1, 64))
-        rest = scale * tail.coef ** s * base ** 64 / (1.0 - base)
-        return head + rest
-    # power law: ||e^{f_i}|| ~ coef**s * i**(-power*s)
-    expo = tail.power * s
-    if expo <= 1.0:
-        raise NonSummableError(
-            f"derivative family diverges: tail exponent {tail.power}*{s} <= 1"
-        )
-    n0 = max(enumerate_to, tail.start)
-    exact_to = 256
-    head = sum(single_exp_sup(family, system, i) for i in range(1, exact_to + 1))
-    i = np.arange(exact_to + 1, n0 + 1, dtype=float)
-    head += scale * tail.coef ** s * float(np.sum(i ** (-expo)))
-    # integral bracket for the remainder; report the midpoint
-    up = scale * tail.coef ** s * n0 ** (1.0 - expo) / (expo - 1.0)
-    lo = scale * tail.coef ** s * (n0 + 1) ** (1.0 - expo) / (expo - 1.0)
-    return head + 0.5 * (up + lo)
+        log_base = math.log(tail.base)
+        return c, (b0 + e0 * log_base, log_base), (0.0, 0.0)
+    return c, (b0, 0.0), (e0 * tail.power, tail.power)
+
+
+def truncation_tail_bound(system: IfsSystem, family: PotentialFamily, q: float,
+                          t: float, M: int) -> float:
+    """Upper bound for sum over i > M >= 1 of ||e^{f_i}||^q ||phi_i'||^t.
+
+    Separates the alphabet-truncation error from the operator error; it
+    is reported alongside truncated estimates, never folded into them.
+    Returns +inf when the tail diverges at this (q, t).
+    """
+    if isinstance(system.alphabet, FiniteAlphabet):
+        return 0.0
+    log_c, log_b, p = (x0 + x1 * t for x0, x1 in _tail_decay(family, system.alphabet.tail, q))
+    if log_b > 0.0 or (log_b == 0.0 and p <= 1.0):
+        return math.inf
+    try:
+        if log_b == 0.0:
+            return math.exp(log_c) * M ** (1.0 - p) / (p - 1.0)  # integral test
+        # the terms c e^{-lam i} i^a, a = max(0, -p), peak at i = a/lam at most
+        # and from n0 >= 2a/lam on shrink by a ratio below e^{a/n0 - lam} <= e^{-lam/2}
+        lam, a = -log_b, max(0.0, -p)
+        n0 = max(M + 1, math.ceil(2.0 * a / lam))
+        rest = math.exp(log_c - lam * n0 - p * math.log(n0)) / -math.expm1(a / n0 - lam)
+        if n0 == M + 1:
+            return rest
+        return rest + (n0 - M - 1) * math.exp(log_c + a * math.log(a / lam) - a)
+    except OverflowError:  # a bound beyond the float range
+        return math.inf
+
+
+def _head_exp_sum(family: PotentialFamily, system: IfsSystem, M: int) -> float:
+    return math.fsum(single_exp_sup(family, system, i) for i in range(1, M + 1))
+
+
+def _tail_exp_sum(family: PotentialFamily, system: IfsSystem) -> float:
+    """sum_i ||e^{f_i}||: an exact head plus, on infinite alphabets, the tail bound."""
+    if isinstance(system.alphabet, FiniteAlphabet):
+        return _head_exp_sum(family, system, system.size)
+    tail = truncation_tail_bound(system, family, 1.0, 0.0, _HEAD)
+    if tail == math.inf:
+        raise NonSummableError("sum_i ||e^{f_i}|| diverges over the alphabet's tail")
+    return _head_exp_sum(family, system, _HEAD) + tail
+
+
+# ---------------------------------------------------------------------------
+# summability / Hoelder diagnostics
 
 
 def summability_and_holder(family: PotentialFamily, system: IfsSystem,
@@ -354,31 +391,21 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
                        truncation: int | None = None) -> PotentialFamily:
     """Return a family whose shift makes the pressure P(1, 0) vanish.
 
-    Symbol-constant families have the exact closed form
-    shift = log sum_i ||e^{f_i}||.  Otherwise the shift is P(1, 0) of the
-    collocated transfer operator (over 20 symbols when an infinite
-    alphabet comes without a truncation), and the returned family keeps
+    Symbol-constant families take the shift log sum_i ||e^{f_i}|| over
+    the truncation, or over the whole alphabet (exact head plus the
+    closed-form tail, itself exact for geometric tails).  Otherwise the
+    shift is P(1, 0) of the collocated transfer operator, which needs a
+    truncation on an infinite alphabet, and the returned family keeps
     its node-halving drift as shift_error.
     """
-    _tail_exp_sum(family, system)  # raises if non-summable
+    total = _tail_exp_sum(family, system)  # raises if non-summable
 
     if is_symbol_constant(family, system):
-        # exact closed form: shift = log sum_i e^{f_i} (unshifted)
-        if isinstance(family, ConstantLogWeights) and isinstance(family.weights, GeometricWeights):
-            return replace(family, shift=0.0, shift_error=0.0)
-        if isinstance(system.alphabet, InfiniteAlphabet):
-            u = system.geometric_ratio ** family.s_exp
-            if truncation is None:
-                total = u / (1.0 - u)
-            else:
-                total = u * (1.0 - u ** truncation) / (1.0 - u)
-            return replace(family, shift=math.log(total), shift_error=0.0)
-        raw = [symbol_log_weight(family, system, i) + family.shift
-               for i in range(1, system.size + 1)]
-        return replace(family, shift=math.log(math.fsum(math.exp(v) for v in raw)),
-                       shift_error=0.0)
+        if truncation is not None:
+            total = _head_exp_sum(family, system, min(truncation, system.size or truncation))
+        return replace(family, shift=family.shift + math.log(total), shift_error=0.0)
 
     from .pressure import estimate_pressure  # cycle kept local on purpose
 
-    est = estimate_pressure(system, family, 1.0, 0.0, truncation or system.size or 20)
+    est = estimate_pressure(system, family, 1.0, 0.0, truncation)
     return replace(family, shift=family.shift + est.value, shift_error=est.error)

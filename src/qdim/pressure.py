@@ -28,9 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, DegenerateSystemError, NumericalFailure, WordBudgetError
-from .ifs import FiniteAlphabet, GeometricTail, IfsSystem, InfiniteAlphabet, PowerLawTail
-from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily,
-                         f_value, is_symbol_constant, symbol_log_weight)
+from .ifs import FiniteAlphabet, IfsSystem, InfiniteAlphabet
+from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily, _tail_decay,
+                         f_value, is_symbol_constant, symbol_log_weight,
+                         truncation_tail_bound)
 
 _WORD_BUDGET = 4_000_000  # refuse word trees beyond this many leaves
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
@@ -56,7 +57,6 @@ class PressureEstimate:
 class ThetaResult:
     q: float
     theta: float                    # -inf for finite alphabets
-    method: str
 
 
 @dataclass(frozen=True)
@@ -218,47 +218,6 @@ def _tree_sup_arrays(system: IfsSystem, family: PotentialFamily, M: int,
     return bsum.max(axis=1), logd.max(axis=1)
 
 
-def truncation_tail_bound(system: IfsSystem, family: PotentialFamily, q: float,
-                          t: float, M: int) -> float:
-    """Upper bound for sum over i > M of ||e^{f_i}||^q ||phi_i'||^t.
-
-    Separates the alphabet-truncation error from the operator error; it
-    is reported alongside truncated estimates, never folded into them.
-    Returns +inf when the tail diverges at this (q, t).
-    """
-    if isinstance(system.alphabet, FiniteAlphabet):
-        return 0.0
-    tail = system.alphabet.tail
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        scale = q * (math.log1p(-w.ratio) - math.log(w.ratio) - family.shift)
-        if isinstance(tail, GeometricTail):
-            a = math.exp(q * math.log(w.ratio) + t * math.log(tail.base))
-            if a >= 1.0:
-                return math.inf
-            return math.exp(scale) * tail.coef ** t * a ** (M + 1) / (1.0 - a)
-        # geometric weights against a power-law derivative tail
-        if q <= 0.0 and t * tail.power <= 1.0:
-            return math.inf
-        ws = np.arange(M + 1, M + 1002, dtype=float)
-        head = float(np.sum(np.exp(q * np.log1p(-w.ratio) + q * (ws - 1) * math.log(w.ratio))
-                            * (tail.coef * ws ** -tail.power) ** t))
-        return head  # geometrically dominated; the first 1000 terms bracket it
-    expo = q * family.s_exp + t
-    scale = math.exp(q * (family.g_sup - family.shift))
-    if isinstance(tail, GeometricTail):
-        a = tail.base ** expo
-        if a >= 1.0:
-            return math.inf
-        return scale * tail.coef ** expo * a ** (M + 1) / (1.0 - a)
-    p_eff = tail.power * expo
-    if p_eff <= 1.0:
-        return math.inf
-    return scale * tail.coef ** expo * M ** (1.0 - p_eff) / (p_eff - 1.0)
-
-
 def _resolve_truncation(system: IfsSystem, truncation: int | None) -> int:
     if isinstance(system.alphabet, FiniteAlphabet):
         return system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
@@ -363,26 +322,18 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
 def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaResult:
     """theta(q): infimum of t for which the pressure series stays finite.
 
-    Finite alphabets are unbounded below (theta = -inf).  Infinite
-    alphabets are resolved from the tail descriptors.
+    Finite alphabets are unbounded below (theta = -inf).  On an infinite
+    alphabet the single-symbol series converges where the tail model's
+    log b(t) = b0 + b1 t < 0, or log b(t) = 0 and p(t) = p0 + p1 t > 1.
     """
     if isinstance(system.alphabet, FiniteAlphabet):
-        return ThetaResult(q, -math.inf, "closed-form")
-    tail = system.alphabet.tail
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        if isinstance(tail, GeometricTail):
-            # converges iff w^q * base^t < 1, i.e. t > -q log w / log base
-            theta = -q * math.log(w.ratio) / math.log(tail.base)
-            return ThetaResult(q, theta, "closed-form")
-        # geometric weights beat any power-law derivative tail once q > 0
-        theta = 1.0 / tail.power if q == 0.0 else -math.inf
-        return ThetaResult(q, theta, "tail-descriptor")
-    if isinstance(tail, PowerLawTail):
-        return ThetaResult(q, 1.0 / tail.power - q * family.s_exp, "tail-descriptor")
-    return ThetaResult(q, -q * family.s_exp, "closed-form")
+        return ThetaResult(q, -math.inf)
+    _, (b0, b1), (p0, p1) = _tail_decay(family, system.alphabet.tail, q)
+    if b1 != 0.0:  # a geometric tail: log b(theta) = 0
+        return ThetaResult(q, -b0 / b1)
+    if b0 != 0.0:  # geometric weights alone decide, for every t at once
+        return ThetaResult(q, -math.inf if b0 < 0.0 else math.inf)
+    return ThetaResult(q, (1.0 - p0) / p1)  # a power-law tail: p(theta) = 1
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +551,7 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
-    betas = np.array([beta_of_q(system, family, float(q), truncation, tolerance)
-                      for q in qs])
+    betas = np.array(temperature_curve(system, family, qs, truncation, tolerance).betas)
     sol = solve_quantization_dim(system, family, r, truncation, tolerance)
     q_r = sol.q_r
     intercept = r * q_r / (1.0 - q_r)

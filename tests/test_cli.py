@@ -218,16 +218,32 @@ def test_parser_built_once(e1_spec, capsys):
     assert json.loads(reports[0])["n_list"] == [4, 8, 16, 32, 64, 128, 256, 512]
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports qdim from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; a fresh CLI process must not pay its import
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, qdim.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("s_exp", ["1.0", "0.6"])
+def test_sample_unreachable_deficit_exits_two(s_exp, tmp_path):
+    # sum_{i>M} i^(-2s) over the total stays above 1e-6 up to the 4096-symbol cap
+    path = tmp_path / "gauss_full.json"
+    path.write_text(GAUSS_FULL_DOC.replace('"s": 0.6', f'"s": {s_exp}'))
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", "sample", "--system", str(path),
+                           "--samples", "100", "--out", str(tmp_path / "pts.csv")],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "cannot reach the truncation deficit" in done.stderr
 
 
 def test_gauss_spec_loads(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_cylinder_geometry_gauss(gauss12):
     system, _ = gauss12
     info = Q.cylinder_geometry(system, (2, 1))
     norm, _ = Q.derivative_sup_norm(system, (2, 1))
-    assert info.diameter <= norm * system.ktilde * system.diam + 1e-15
+    assert info.diameter <= norm * system.K * system.diam + 1e-15
     assert info.deriv_error <= system.K
 
 

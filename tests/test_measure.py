@@ -52,7 +52,7 @@ def test_mq_mode_validates_parameters(e1):
 def test_cylinder_additivity_bracket(e3):
     system, family = e3
     M = 20
-    deficit = family.weights.tail_mass(M)
+    deficit = 0.5 ** M  # sum_{i > M} p_i of the ratio-1/2 geometric weights
     for word in [(1,), (2, 1), (3,)]:
         parent = Q.cylinder_mass(system, family, word).midpoint
         children = sum(Q.cylinder_mass(system, family, word + (i,)).midpoint

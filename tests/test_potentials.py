@@ -161,3 +161,16 @@ def test_normalize_derivative_family_on_gauss(gauss12, gauss_full):
     full, _ = gauss_full
     out = Q.normalize_pressure(family, full, truncation=20)
     assert abs(Q.beta_of_q(full, out, 1.0, truncation=20)) <= 1e-12
+
+
+def test_normalize_needs_a_truncation_for_the_operator(gauss_full):
+    system, family = gauss_full
+    with pytest.raises(ValueError, match="needs a truncation"):
+        Q.normalize_pressure(family, system)
+
+
+def test_normalize_geometric_weights_over_the_truncation(e3):
+    system, family = e3
+    out = Q.normalize_pressure(family, system, truncation=4)
+    assert out.shift == pytest.approx(math.log(15 / 16), abs=1e-15)
+    assert abs(Q.beta_of_q(system, out, 1.0, truncation=4)) <= 1e-12

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 import qdim as Q
 import qdim.pressure
 from qdim.errors import BracketError, DegenerateSystemError
+from qdim.potentials import single_exp_sup
 from qdim.pressure import _root_decreasing
 
 from conftest import LOG23
@@ -110,6 +111,31 @@ def test_theta_brackets_finiteness(e3):
     theta = Q.theta_of_q(system, family, q).theta
     assert math.isfinite(Q.pressure_word_sum(system, family, q, theta + 0.05, 1))
     assert Q.pressure_word_sum(system, family, q, theta - 0.05, 1) == math.inf
+
+
+_TAIL_CASES = {
+    "e3": (Q.geometric_similarity_system(1 / 3), Q.geometric_weight_family(0.5)),
+    **{f"gauss s={s_exp}": (Q.gauss_system(None), Q.derivative_family(s_exp))
+       for s_exp in (0.6, 1.0, 2.0)},
+    "gauss geometric weights": (Q.gauss_system(None), Q.geometric_weight_family(0.5)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_TAIL_CASES)), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.floats(0.05, 3.0), st.integers(1, 100))
+def test_tail_model_bounds_enumerated_tail(name, q, dt, M):
+    system, family = _TAIL_CASES[name]
+    theta = Q.theta_of_q(system, family, q).theta
+    t = max(theta, -1.0) + dt
+    # oracle: the next 500 single-symbol sup norms, enumerated one by one
+    enumerated = math.fsum(
+        single_exp_sup(family, system, i) ** q * system.map(i).deriv_sup ** t
+        for i in range(M + 1, M + 501))
+    assert enumerated <= Q.truncation_tail_bound(system, family, q, t, M) * (1 + 1e-12)
+    if math.isfinite(theta):
+        assert math.isfinite(Q.truncation_tail_bound(system, family, q, theta + 0.05, M))
+        assert Q.truncation_tail_bound(system, family, q, theta - 0.05, M) == math.inf
 
 
 # ---------------------------------------------------------------------------
