@@ -3,10 +3,10 @@
 The conformal measure assigns every cylinder the weight of its Birkhoff
 exponential; constant-weight families reduce to self-similar measures
 and sample exactly by i.i.d. symbol draws.  Nonconstant families are
-sampled by a ratio-bounded surrogate: the word grows one symbol at a
-time with probabilities proportional to the child cylinder-mass bracket
-midpoints, whose bias is bounded by the ratio constant C and recorded
-on the sample.
+sampled by a place-dependent chain driven by the leading eigenfunction
+of the transfer operator, whose stationary law is the Gibbs state, and
+a rejection step that turns the Gibbs state back into the conformal
+measure.
 
 Also here: the order-r minimal (Wasserstein) metric between empirical
 measures on the line, computed by the sorted (quantile) coupling.
@@ -26,13 +26,16 @@ import numpy as np
 from .errors import NumericalFailure
 from .ifs import FiniteAlphabet, IfsSystem, Similarity1D, Word
 from .potentials import (ConstantLogWeights, PotentialFamily, _head_exp_sum,
-                         _tail_exp_sum, f_value, ratio_bound,
-                         sup_norm_exp_birkhoff, truncation_tail_bound)
+                         _tail_exp_sum, ratio_bound, sup_norm_exp_birkhoff,
+                         truncation_tail_bound)
+from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_eigen,
+                       _operator_parts)
 
 _CHUNK = 65536
-_SURROGATE_CHUNK = 1024
+_CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
+_H_GRID = 2049            # grid points for the minimum of the eigenfunction's interpolant
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
-_MAX_TRUNCATION = 4096    # the surrogate sampler visits every symbol at every step
+_MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class SampleSet:
     depth: int
     truncation: int | None
     deficit: float
-    bias_bound: float             # worst-case per-draw ratio distortion
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -173,7 +175,13 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     all_sims = (system.geometric_ratio is not None
                 or (isinstance(system.alphabet, FiniteAlphabet)
                     and all(isinstance(m, Similarity1D) for m in system.alphabet.maps)))
-    if all_sims:
+    if system.geometric_ratio is not None:
+        # phi_i(x) = ratio**i (x + 2) in closed form: a ratio**i that underflows
+        # to 0 only collapses a map of negligible weight onto 0
+        ratio = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
+        orient = np.ones(M)
+        offset = 2.0 * ratio
+    elif all_sims:
         ratio = np.array([system.map(i).ratio for i in range(1, M + 1)])
         orient = np.array([float(system.map(i).orientation) for i in range(1, M + 1)])
         offset = np.array([system.map(i).offset for i in range(1, M + 1)])
@@ -198,47 +206,50 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     return out
 
 
-def _sample_surrogate(system: IfsSystem, family: PotentialFamily, count: int,
-                      depth: int, M: int, seed: int) -> np.ndarray:
-    """Ratio-bounded surrogate draw for nonconstant families.
+def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
+                  depth: int, M: int, seed: int) -> np.ndarray:
+    """Exact draw for nonconstant families: an eigenfunction chain, then rejection.
 
-    The word is grown from its last symbol to its first; prepending a
-    symbol i updates the cached grid images in one vectorized step
-    (phi_{iw} = phi_i o phi_w), and the next symbol is drawn with
-    probability proportional to the grid sup of exp(S_{iw}), the common
-    midpoint scale of the child mass brackets.
+    With L h = lambda h for the transfer operator at (q, t) = (1, 0), the
+    place-dependent chain y -> phi_i(y) with probability
+    p_i(y) = e^{f_i(y)} h(phi_i y) / (lambda h(y)) has the Gibbs state h m
+    as its stationary law (Barnsley-Demko-Elton-Geronimo); keeping its
+    state after ``depth`` steps with probability min h / h(y) leaves the
+    conformal measure m.  The p_i are interpolated from their values at
+    the operator's Chebyshev-Lobatto nodes, so each step is one product
+    of (chains x nodes) barycentric terms with the (nodes x M) node
+    probabilities.  Chunks of chains run from (seed, chunk) streams until
+    ``count`` points are kept.
     """
-    grid = np.append(system.grid, system.midpoint)
-    out = np.empty(count)
-    start = 0
-    chunk_idx = 0
-    while start < count:
-        n = min(_SURROGATE_CHUNK, count - start)
+    parts = _operator_parts(system, family, M, _NODES)
+    F, _, E = parts
+    lam, h, _ = _operator_eigen(parts)
+    x, w = _chebyshev_nodes(system.domain, _NODES)
+    probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
+    table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
+    grid = np.linspace(*system.domain, _H_GRID)
+    terms = _barycentric_terms(x, w, grid)
+    h_min = float(np.min(terms @ h / terms.sum(axis=1)))
+    if not h_min > 0.0:
+        raise NumericalFailure("the interpolated eigenfunction is not positive")
+
+    kept, total, chunk_idx = [], 0, 0
+    while total < count:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
-        vals = np.broadcast_to(grid, (n, grid.size)).copy()
-        bsum = np.zeros_like(vals)
-        uniforms = rng.random((depth, n))
-        for step in range(depth):
-            scores = np.empty((n, M))
-            cand_vals = np.empty((M, n, grid.size))
-            cand_bsum = np.empty((M, n, grid.size))
-            for i in range(1, M + 1):
-                m = system.map(i)
-                fv = f_value(family, system, i, vals)
-                cand_bsum[i - 1] = bsum + fv
-                cand_vals[i - 1] = m.value(vals)
-                scores[:, i - 1] = cand_bsum[i - 1].max(axis=1)
-            w = np.exp(scores - scores.max(axis=1, keepdims=True))
-            cdf = np.cumsum(w, axis=1)
-            cdf /= cdf[:, -1:]
-            pick = (uniforms[step][:, None] > cdf).sum(axis=1)
-            rows = np.arange(n)
-            vals = cand_vals[pick, rows, :]
-            bsum = cand_bsum[pick, rows, :]
-        out[start:start + n] = vals[:, -1]  # the image of the midpoint
-        start += n
+        steps = rng.random((depth, _CHAIN_CHUNK))
+        accept = rng.random(_CHAIN_CHUNK)
+        y = np.full(_CHAIN_CHUNK, system.midpoint)
+        for u in steps:
+            num = _barycentric_terms(x, w, y) @ table
+            cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
+            syms = (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1) + 1
+            y = _apply_symbols(system, syms, y, M)
+        terms = _barycentric_terms(x, w, y)
+        y = y[accept * (terms @ h / terms.sum(axis=1)) <= h_min]
+        kept.append(y)
+        total += y.size
         chunk_idx += 1
-    return out
+    return np.concatenate(kept)[:count]
 
 
 def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
@@ -248,10 +259,11 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
 
     Constant-weight families draw i.i.d. symbol strings with the
     (truncation-renormalized) weights and map the domain midpoint
-    through the word.  Infinite alphabets truncate at the smallest M
-    whose relative tail mass is at most 1e-6 (at most 4096 symbols)
-    unless an explicit truncation is supplied; a larger deficit needs
-    ``allow_deficit=True``.
+    through the word; every other family runs ``depth`` steps of the
+    eigenfunction chain (``_sample_chain``).  Infinite alphabets
+    truncate at the smallest M whose relative tail mass is at most 1e-6
+    (at most 4096 symbols) unless an explicit truncation is supplied; a
+    larger deficit needs ``allow_deficit=True``.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -275,12 +287,10 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
 
     if isinstance(family, ConstantLogWeights):
         pts = _sample_constant(system, family, count, depth, M, seed)
-        bias = 1.0
     else:
-        pts = _sample_surrogate(system, family, count, depth, M, seed)
-        bias = ratio_bound(family, system)
+        pts = _sample_chain(system, family, count, depth, M, seed)
     return SampleSet(points=np.sort(pts), seed=seed, depth=depth, truncation=M,
-                     deficit=deficit, bias_bound=bias)
+                     deficit=deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,6 @@ def save_sample(sample: SampleSet, path: str | Path) -> None:
         "depth": sample.depth,
         "truncation": sample.truncation,
         "deficit": sample.deficit,
-        "bias_bound": sample.bias_bound,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
@@ -316,8 +325,7 @@ def load_sample(path: str | Path) -> SampleSet:
         pts = np.array([float(row[0]) for row in reader])
     meta = json.loads(Path(str(path) + ".json").read_text())
     return SampleSet(points=pts, seed=meta["seed"], depth=meta["depth"],
-                     truncation=meta["truncation"], deficit=meta["deficit"],
-                     bias_bound=meta["bias_bound"])
+                     truncation=meta["truncation"], deficit=meta["deficit"])
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,33 @@ def _resolve_truncation(system: IfsSystem, truncation: int | None) -> int:
 # the collocated transfer operator (general systems)
 
 
+def _chebyshev_nodes(domain: tuple[float, float],
+                     nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes of the domain and their barycentric weights."""
+    a, b = domain
+    k = np.arange(nodes)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (nodes - 1))
+    w = (-1.0) ** k
+    w[[0, -1]] *= 0.5
+    return x, w
+
+
+def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unnormalized barycentric terms w_j / (y - x_j) for points y (any shape).
+
+    Dividing by their sum over j interpolates node values at y; where y is
+    itself a node the terms are that node's unit vector instead.
+    """
+    diff = y[..., None] - x
+    with np.errstate(divide="ignore"):
+        C = w / diff
+    hit = diff == 0.0
+    if hit.any():
+        exact = hit.any(axis=-1)
+        C[exact] = hit[exact]
+    return C
+
+
 @lru_cache(maxsize=32)
 def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
                     nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,41 +267,77 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
     matrix from values at the nodes to values at phi_i(x_j); its row is a
     unit vector where phi_i(x_j) is itself a node.
     """
-    a, b = system.domain
-    k = np.arange(nodes)
-    x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / (nodes - 1))
-    w = (-1.0) ** k
-    w[[0, -1]] *= 0.5
+    x, w = _chebyshev_nodes(system.domain, nodes)
     maps = [system.map(i) for i in range(1, M + 1)]
     F = np.array([f_value(family, system, i, x) for i in range(1, M + 1)])
     D = np.log([m.abs_deriv(x) for m in maps])
-    diff = np.array([m.value(x) for m in maps])[:, :, None] - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        E = w / diff
-        E /= E.sum(axis=2, keepdims=True)
-    exact = (diff == 0.0).any(axis=2)
-    E[exact] = diff[exact] == 0.0
+    E = _barycentric_terms(x, w, np.array([m.value(x) for m in maps]))
+    E /= E.sum(axis=2, keepdims=True)
     for arr in (F, D, E):
         arr.flags.writeable = False
     return F, D, E
 
 
-def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                       q: float, t: float) -> float:
-    """s + log of the largest *real* eigenvalue of sum_i diag(e^{q F_i + t D_i - s}) E_i.
+def _operator_matrix(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
+                     q: float, t: float) -> tuple[float, np.ndarray]:
+    """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent."""
+    F, D, E = parts
+    X = q * F + t * D
+    s = float(X.max())
+    return s, np.einsum("ij,ijk->jk", np.exp(X - s), E)
+
+
+def _leading_real(ev: np.ndarray, q: float, t: float) -> int:
+    """Index of the largest *real* eigenvalue, which must be positive.
 
     Not the largest in modulus: where |phi_i'| = 1 at a point (Gauss branch
     1 at 0), spurious oscillatory modes are not damped and can outweigh it.
     """
-    F, D, E = parts
-    X = q * F + t * D
-    s = float(X.max())
-    ev = np.linalg.eigvals(np.einsum("ij,ijk->jk", np.exp(X - s), E))
-    lam = float(ev.real[ev.imag == 0.0].max(initial=0.0))
-    if not lam > 0.0:
+    real = np.where(ev.imag == 0.0, ev.real, -np.inf)
+    k = int(np.argmax(real))
+    if not real[k] > 0.0:
         raise NumericalFailure(f"collocated operator has no positive real eigenvalue "
                                f"at (q, t) = ({q:.6g}, {t:.6g})")
-    return s + math.log(lam)
+    return k
+
+
+def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
+                       q: float, t: float) -> float:
+    """s + log of the leading real eigenvalue of the collocated operator."""
+    s, A = _operator_matrix(parts, q, t)
+    ev = np.linalg.eigvals(A)
+    return s + math.log(float(ev.real[_leading_real(ev, q, t)]))
+
+
+def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray]
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lambda, h, nu) of the collocated operator at (q, t) = (1, 0).
+
+    lambda is the leading real eigenvalue (as in ``_operator_pressure``),
+    h > 0 its right eigenvector at the nodes and nu its left eigenvector,
+    scaled so that sum(nu) = 1 and nu . h = 1.  Since L*m = lambda m, nu is
+    a quadrature rule for the conformal measure m, and h m is the Gibbs
+    state.  One eigendecomposition gives lambda and h; nu solves the
+    bordered system [A^T - mu, h; h^T, 0] [nu; 0] = [0; 1], which is well
+    conditioned for a simple eigenvalue, where a row of the inverse
+    eigenvector matrix is not (its condition number reaches 1e13).
+    """
+    s, A = _operator_matrix(parts, 1.0, 0.0)
+    ev, V = np.linalg.eig(A)
+    k = _leading_real(ev, 1.0, 0.0)
+    mu = float(ev.real[k])
+    h = V[:, k].real
+    h = h if h.sum() > 0.0 else -h
+    if not np.all(h > 0.0):
+        raise NumericalFailure("the leading eigenfunction of the collocated "
+                               "operator changes sign")
+    n = h.size
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = A.T - mu * np.eye(n)
+    bordered[:n, n] = bordered[n, :n] = h
+    nu = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
+    total = float(nu.sum())
+    return math.exp(s) * mu, h * total, nu / total
 
 
 def pressure_word_sum(system: IfsSystem, family: PotentialFamily, q: float, t: float,
@@ -446,7 +509,9 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
             if lo < -1e4:
                 raise BracketError("no positive pressure found walking t downward")
 
-    hi = max(25.0, lo + 1.0)
+    # a short first bracket: collocation degrades at large t on branches
+    # with |phi'| = 1 at a point, so roots never evaluate far out there
+    hi = max(2.0, lo + 1.0)
     while (f_hi := fn(hi)) >= 0.0:
         hi *= 2.0
         if hi > 1e4:

@@ -202,17 +202,18 @@ def _best_split(seg: np.ndarray) -> int:
 def _split_start(pts: np.ndarray, n: int, r: float, tol: float) -> np.ndarray:
     """Centers of n contiguous cells grown by greedy splits of the sorted sample.
 
-    Starting from one cell, the cell with the largest order-r cost is
-    split at ``_best_split`` until there are n cells.  A cell of equal
-    values cannot be split and ranks last; the caller guarantees n is
-    below the number of distinct values, so a splittable cell remains.
+    Starting from one cell, the cell with the largest order-r cost about
+    its mean is split at ``_best_split`` until there are n cells; only
+    the final centers are order-r optimal.  A cell of equal values
+    cannot be split and ranks last; the caller guarantees n is below the
+    number of distinct values, so a splittable cell remains.
     """
     heap = [(0.0, 0, pts.size)]  # (-order-r cost, start, stop)
     while len(heap) < n:
         _, a, b = heapq.heappop(heap)
         seg = pts[a:b]
         edges = np.array([0, _best_split(seg), b - a])
-        costs = _segment_objective(seg, edges, _cell_centers(seg, edges, r, tol), r)
+        costs = _segment_objective(seg, edges, _cell_centers(seg, edges, 2.0, tol), r)
         for lo, hi, cost in zip(edges[:-1], edges[1:], costs):
             key = -cost if seg[lo] < seg[hi - 1] else math.inf
             heapq.heappush(heap, (key, a + int(lo), a + int(hi)))

@@ -187,6 +187,15 @@ def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):
                  "--out", str(out)]) == 2
 
 
+def test_sample_far_geometric_truncation(e3_spec, tmp_path, capsys):
+    # ratio**i underflows to 0 past i ~ 678; those maps carry no weight
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--system", e3_spec, "--samples", "2000", "--m", "700",
+                 "--seed", "4", "--out", str(out)]) == 0
+    points = [float(v) for v in out.read_text().split()[1:]]
+    assert len(points) == 2000 and all(0.0 <= p <= 1.0 for p in points)
+
+
 def test_depth_only_samples_and_word_budget_kept(tmp_path, capsys):
     path = tmp_path / "gauss_full.json"
     path.write_text(GAUSS_FULL_DOC)

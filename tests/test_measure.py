@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdim as Q
+import qdim.pressure
 from qdim.errors import NumericalFailure
 
 
@@ -121,23 +122,71 @@ def test_sample_depth_default_resolves_cylinders(e1):
     assert system.s ** sample.depth <= 1e-11
 
 
-def test_surrogate_sampler_stays_on_attractor(gauss12):
+def _node_quadrature(system, family):
+    """(lambda, nu, F, nodes): nu integrates node values against the conformal measure."""
+    parts = qdim.pressure._operator_parts(system, family, system.size, qdim.pressure._NODES)
+    lam, _, nu = qdim.pressure._operator_eigen(parts)
+    x, _ = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
+    return lam, nu, parts[0], x
+
+
+def test_chain_sampler_matches_branch_mass(gauss12):
     system, _ = gauss12
     family = Q.normalize_pressure(Q.derivative_family(0.6), system)
     sample = Q.sample_measure(system, family, 1500, depth=40, seed=3)
-    # attractor hull of the {1,2} branches: [(sqrt3-1)/2, (sqrt3+... numerically
+    # attractor hull of the {1,2} branches: [[0; 2, 1, 2, 1, ...], [0; 1, 2, 1, 2, ...]]
     left = (math.sqrt(3) - 1) / 2
     right = 1 / (1 + left)
     assert sample.points.min() >= left - 1e-9
     assert sample.points.max() <= right + 1e-9
-    assert sample.bias_bound == pytest.approx(Q.ratio_bound(family, system))
-    # symbol-1 cylinder frequency against the conformal mass bracket, C-widened
-    m1 = Q.cylinder_mass(system, family, (1,))
-    norm = m1.midpoint / (m1.midpoint + Q.cylinder_mass(system, family, (2,)).midpoint)
+    # symbol-1 cylinder frequency against its exact conformal mass
+    # m(phi_1 X) = int e^{f_1} dm / lambda, integrated by the node quadrature
+    lam, nu, F, _ = _node_quadrature(system, family)
+    mass = float(nu @ np.exp(F[0])) / lam
     cut = 1 / (1 + right)  # points above this lie in the branch-1 cylinder
     freq = float(np.mean(sample.points >= cut))
-    C = sample.bias_bound
-    assert norm / C ** 2 - 0.05 <= freq <= min(1.0, norm * C ** 2 + 0.05)
+    assert abs(freq - mass) <= 4 * math.sqrt(mass * (1 - mass) / len(sample))
+
+
+@pytest.mark.parametrize("symbols, s_exp, count", [
+    ((1, 2), 0.531280506277205, 40_000),              # s = dim E_2: normalized
+    ((1, 2, 3, 4, 5), 0.836829443681208, 20_000),     # s = dim E_{1..5}: normalized
+    ((1, 2), 0.6, 40_000),                            # lambda = 0.917: self-normalized
+], ids=["gauss12-dim", "gauss15-dim", "gauss12-raw"])
+def test_chain_moments_match_node_quadrature(symbols, s_exp, count):
+    system, family = Q.gauss_system(symbols), Q.derivative_family(s_exp)
+    _, nu, _, x = _node_quadrature(system, family)
+    sample = Q.sample_measure(system, family, count, seed=1)
+    for g in (lambda v: v, lambda v: v * v, lambda v: np.cos(2 * np.pi * v)):
+        vals = g(sample.points)
+        z = (vals.mean() - nu @ g(x)) / (vals.std() / math.sqrt(vals.size))
+        assert abs(z) <= 4.0
+
+
+def test_chain_matches_self_similar_moments():
+    # a derivative family on similarity maps is self-similar with p_i = r_i / sum r:
+    # X = e_i r_i X + o_i gives E X and E X^2 in closed form
+    system = Q.similarity_system([0.2, 0.5], [0.0, 1.0], [1, -1])
+    r, o, e = np.array([0.2, 0.5]), np.array([0.0, 1.0]), np.array([1.0, -1.0])
+    p = r / r.sum()
+    m1 = (p @ o) / (1 - p @ (e * r))
+    m2 = (p @ (2 * e * r * o * m1 + o * o)) / (1 - p @ (r * r))
+    x = Q.sample_measure(system, Q.derivative_family(1.0), 20_000, seed=2).points
+    for vals, exact in ((x, m1), (x * x, m2)):
+        assert abs(vals.mean() - exact) <= 4 * vals.std() / math.sqrt(vals.size)
+
+
+def test_chain_sampler_deterministic_on_hull():
+    system, family = Q.gauss_system((1, 2, 3, 4, 5)), Q.derivative_family(0.8)
+    a = Q.sample_measure(system, family, 5000, seed=11)
+    b = Q.sample_measure(system, family, 5000, seed=11)
+    assert a.points.tobytes() == b.points.tobytes()
+    assert not np.array_equal(a.points, Q.sample_measure(system, family, 5000, seed=12).points)
+    # the attractor of {1..5} spans [a, 1/(1+a)], a = [0; 5, 1, 5, 1, ...]
+    # solving a = 1/(5 + 1/(1 + a)), i.e. 5a^2 + 5a - 1 = 0
+    left = (math.sqrt(45) - 5) / 10
+    assert a.points.min() >= left - 1e-9
+    assert a.points.max() <= 1 / (1 + left) + 1e-9
 
 
 def test_sample_roundtrip(tmp_path, e1):

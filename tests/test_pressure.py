@@ -261,9 +261,8 @@ def test_operator_matches_closed_form(case, kind, r, q, s_exp):
         kappa, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["e1", "gauss12"])
-def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
-    system, family = request.getfixturevalue(name)
+def _record_t(monkeypatch) -> list:
+    """Every t at which the root solves evaluate P, in order."""
     make = qdim.pressure._pressure_callable
     ts = []
 
@@ -276,8 +275,45 @@ def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(qdim.pressure, "_pressure_callable", recording)
+    return ts
+
+
+@pytest.mark.parametrize("name", ["e1", "gauss12"])
+def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
+    system, family = request.getfixturevalue(name)
+    ts = _record_t(monkeypatch)
     Q.beta_of_q(system, family, 0.4)
     assert ts and len(ts) == len(set(ts))
+
+
+@pytest.mark.parametrize("s_exp", [0.6, 0.531280506277205])
+def test_beta_bracket_stays_at_small_t(s_exp, monkeypatch):
+    # 32-node collocation drifts at large t on Gauss {1,2} (P(0.3, 25) is off
+    # by 3), so no root solve on q in [0, 1] may evaluate P out there
+    system, family = Q.gauss_system((1, 2)), Q.derivative_family(s_exp)
+    ts = _record_t(monkeypatch)
+    curve = Q.temperature_curve(system, family)
+    assert ts and max(ts) <= 4.0
+    if s_exp != 0.6:  # f = delta log|phi'| gives beta(q) = delta (1 - q)
+        exact = s_exp * (1.0 - np.array(curve.qs))
+        assert np.max(np.abs(np.array(curve.betas) - exact)) <= 1e-12
+
+
+def test_operator_eigen_triple(gauss12):
+    # L h = lambda h and nu L = lambda nu at the nodes, h > 0, lambda = e^{P(1, 0)}
+    system, family = gauss12
+    parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
+    lam, h, nu = qdim.pressure._operator_eigen(parts)
+    F, _, E = parts
+    L = np.einsum("ij,ijk->jk", np.exp(F), E)
+    assert lam == pytest.approx(math.exp(Q.estimate_pressure(system, family, 1.0, 0.0).value),
+                                rel=1e-13)
+    assert np.all(h > 0) and nu.sum() == pytest.approx(1.0) and nu @ h == pytest.approx(1.0)
+    assert np.max(np.abs(L @ h - lam * h)) <= 1e-13 * np.max(h)
+    assert np.max(np.abs(nu @ L - lam * nu)) <= 1e-13 * np.max(np.abs(nu))
+    # the chain's step probabilities at the nodes sum to one
+    probs = np.exp(F) * (E @ h) / (lam * h)
+    assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-13
 
 
 def test_root_finder_safeguards():

@@ -86,7 +86,7 @@ def test_lloyd_general_r_median_and_golden(e1_sample):
 
 def test_lloyd_oversized_codebook_returns_zero():
     sample = Q.SampleSet(points=np.array([0.1, 0.2, 0.3]), seed=0, depth=1,
-                         truncation=None, deficit=0.0, bias_bound=1.0)
+                         truncation=None, deficit=0.0)
     run = Q.lloyd_optimize(sample, 8, 2.0)
     assert run.V_hat == 0.0
     assert run.converged
@@ -249,8 +249,8 @@ def test_wasserstein_continuity_of_errors():
     rng = np.random.default_rng(8)
     a = np.sort(rng.normal(0.0, 1.0, size=3000))
     b = np.sort(rng.normal(0.2, 1.1, size=3000))
-    sa = Q.SampleSet(points=a, seed=0, depth=1, truncation=None, deficit=0.0, bias_bound=1.0)
-    sb = Q.SampleSet(points=b, seed=0, depth=1, truncation=None, deficit=0.0, bias_bound=1.0)
+    sa = Q.SampleSet(points=a, seed=0, depth=1, truncation=None, deficit=0.0)
+    sb = Q.SampleSet(points=b, seed=0, depth=1, truncation=None, deficit=0.0)
     for n in (2, 5, 9):
         ea = Q.lloyd_optimize(sa, n, 2.0).e_hat
         eb = Q.lloyd_optimize(sb, n, 2.0).e_hat
