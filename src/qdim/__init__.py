@@ -10,7 +10,7 @@ optimizing codebooks.
 __version__ = "0.1.0"
 
 from .errors import (BracketError, DegenerateSystemError, NonSummableError,
-                     NumericalFailure, QdimError, SpecFormatError, WordBudgetError)
+                     NumericalFailure, QdimError, SpecFormatError)
 from .ifs import (AnalyticBranch1D, CylinderInfo, FiniteAlphabet, GeometricTail,
                   IfsSystem, InfiniteAlphabet, PowerLawTail, Similarity1D, Word,
                   cantor_system, check_distortion, compose_and_derivative,
@@ -27,10 +27,10 @@ from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
 from .pressure import (FigureData, PressureEstimate, QdimSolution, SweepResult,
                        TemperatureSample, ThetaResult, beta_of_q,
                        estimate_pressure, hausdorff_dim, is_multiplicative,
-                       legendre_and_figure_data, pressure_word_sum,
-                       solve_quantization_dim, temperature_curve, theta_of_q,
-                       truncation_sweep, truncation_tail_bound)
+                       legendre_and_figure_data, solve_quantization_dim,
+                       temperature_curve, theta_of_q, truncation_sweep,
+                       truncation_tail_bound)
 from .quantizer import (AntichainResult, Codebook, QuantizationRun,
                         antichain_codebook, estimate_Dr, lloyd_optimize,
                         quant_error)
-from .specio import load_spec, register_custom
+from .specio import load_spec

@@ -28,7 +28,3 @@ class NonSummableError(NumericalFailure):
 
 class DegenerateSystemError(NumericalFailure):
     """A (truncated) system whose limit set carries no dimension content."""
-
-
-class WordBudgetError(NumericalFailure):
-    """A word tree would exceed its leaf budget at this truncation and depth."""

@@ -177,6 +177,23 @@ class IfsSystem:
         return self.alphabet.size
 
     @property
+    def all_similarities(self) -> bool:
+        """True when every map is a similarity (geometric alphabets included)."""
+        if isinstance(self.alphabet, InfiniteAlphabet):
+            return self.geometric_ratio is not None
+        return all(isinstance(m, Similarity1D) for m in self.alphabet.maps)
+
+    def truncated_size(self, truncation: int | None) -> int | None:
+        """Symbols kept by a truncation: at most a finite alphabet's size.
+
+        None keeps a finite alphabet whole and an infinite one untruncated.
+        """
+        n = self.alphabet.size
+        if n is None:
+            return truncation
+        return n if truncation is None else min(truncation, n)
+
+    @property
     def diam(self) -> float:
         return self.domain[1] - self.domain[0]
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .ifs import FiniteAlphabet, IfsSystem, Similarity1D, Word
+from .ifs import IfsSystem, Word
 from .potentials import (ConstantLogWeights, PotentialFamily, _head_exp_sum,
                          _tail_exp_sum, ratio_bound, sup_norm_exp_birkhoff,
                          truncation_tail_bound)
@@ -172,9 +172,7 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
     probs = probs / probs.sum()
     mid = system.midpoint
-    all_sims = (system.geometric_ratio is not None
-                or (isinstance(system.alphabet, FiniteAlphabet)
-                    and all(isinstance(m, Similarity1D) for m in system.alphabet.maps)))
+    all_sims = system.all_similarities
     if system.geometric_ratio is not None:
         # phi_i(x) = ratio**i (x + 2) in closed form: a ratio**i that underflows
         # to 0 only collapses a map of negligible weight onto 0
@@ -272,12 +270,9 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
-    if isinstance(system.alphabet, FiniteAlphabet):
-        M = system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
-    elif truncation is None:
+    M = system.truncated_size(truncation)
+    if M is None:
         M = _auto_truncation(system, family)
-    else:
-        M = truncation
     deficit = _weight_deficit(system, family, M)
     if deficit > _DEFICIT and not allow_deficit:
         raise NumericalFailure(

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonSummableError
-from .ifs import (FiniteAlphabet, GeometricTail, IfsSystem, InfiniteAlphabet,
-                  Similarity1D, TailDecay, Word)
+from .ifs import FiniteAlphabet, GeometricTail, IfsSystem, TailDecay, Word
 
 # ---------------------------------------------------------------------------
 # weight tables
@@ -156,11 +155,7 @@ def is_symbol_constant(family: PotentialFamily, system: IfsSystem) -> bool:
     """True when every f_i is constant on the domain (exact sup norms)."""
     if isinstance(family, ConstantLogWeights):
         return True
-    if family.g is not None:
-        return False
-    if isinstance(system.alphabet, InfiniteAlphabet):
-        return system.geometric_ratio is not None
-    return all(isinstance(m, Similarity1D) for m in system.alphabet.maps)
+    return family.g is None and system.all_similarities
 
 
 def symbol_log_weight(family: PotentialFamily, system: IfsSystem, i: int) -> float:
@@ -272,7 +267,8 @@ def _tail_decay(family: PotentialFamily, tail: TailDecay,
         b0 = q * math.log(w.ratio)
         e0 = 0.0  # ||phi_i'|| enters with the exponent e0 + t
     else:
-        c0 = q * (family.g_sup - family.shift)
+        g_sup = 0.0 if family.g is None else family.g_sup  # exact for a zero g
+        c0 = q * (g_sup - family.shift)
         b0 = 0.0
         e0 = q * family.s_exp
     log_coef = math.log(tail.coef)
@@ -281,6 +277,27 @@ def _tail_decay(family: PotentialFamily, tail: TailDecay,
         log_base = math.log(tail.base)
         return c, (b0 + e0 * log_base, log_base), (0.0, 0.0)
     return c, (b0, 0.0), (e0 * tail.power, tail.power)
+
+
+def _geometric_logsum(family: PotentialFamily, system: IfsSystem, q: float, t: float,
+                      M: int | None) -> float:
+    """log sum over i <= M of ||e^{f_i}||^q ||phi_i'||^t on a geometric similarity system.
+
+    There a symbol-constant family meets its tail model with equality:
+    the terms are e^{A + B i} with A = log c and B = log b.  M = None sums
+    the whole alphabet and gives +inf where that series diverges.
+    """
+    (c0, c1), (b0, b1), _ = _tail_decay(family, system.alphabet.tail, q)
+    A, B = c0 + c1 * t, b0 + b1 * t
+    if M is None:
+        if B >= 0.0:
+            return math.inf
+        return A + B - math.log1p(-math.exp(B))
+    if abs(B) < 1e-300:
+        return A + math.log(M)
+    if B > 0:
+        return A + B * M + math.log1p(-math.exp(-B * M)) - math.log1p(-math.exp(-B))
+    return A + B + math.log1p(-math.exp(B * M)) - math.log1p(-math.exp(B))
 
 
 def truncation_tail_bound(system: IfsSystem, family: PotentialFamily, q: float,
@@ -312,6 +329,10 @@ def truncation_tail_bound(system: IfsSystem, family: PotentialFamily, q: float,
 
 
 def _head_exp_sum(family: PotentialFamily, system: IfsSystem, M: int) -> float:
+    """sum over i <= M of ||e^{f_i}||; in closed form on geometric similarity
+    systems, whose far maps underflow to zero ratios (ratio 0.05 at i = 249)."""
+    if system.geometric_ratio is not None and is_symbol_constant(family, system):
+        return math.exp(_geometric_logsum(family, system, 1.0, 0.0, M))
     return math.fsum(single_exp_sup(family, system, i) for i in range(1, M + 1))
 
 
@@ -402,7 +423,7 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
 
     if is_symbol_constant(family, system):
         if truncation is not None:
-            total = _head_exp_sum(family, system, min(truncation, system.size or truncation))
+            total = _head_exp_sum(family, system, system.truncated_size(truncation))
         return replace(family, shift=family.shift + math.log(total), shift_error=0.0)
 
     from .pressure import estimate_pressure  # cycle kept local on purpose

@@ -9,6 +9,7 @@ depth-n sum is the n-th power of the single-symbol sum, so P is exact
 at every depth.  Otherwise P is the log of the leading eigenvalue of the
 transfer operator g -> sum_i exp(q f_i) |phi_i'|^t g o phi_i, collocated
 at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).
+``_pressure_callable`` is the one place that picks between the two.
 
 The temperature function beta(q) is the unique zero of t -> P(q, t)
 (P is strictly decreasing in t).  The quantization dimension of order r
@@ -27,13 +28,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DegenerateSystemError, NumericalFailure, WordBudgetError
+from .errors import BracketError, DegenerateSystemError, NumericalFailure
 from .ifs import FiniteAlphabet, IfsSystem, InfiniteAlphabet
-from .potentials import (ConstantLogWeights, FiniteWeights, PotentialFamily, _tail_decay,
-                         f_value, is_symbol_constant, symbol_log_weight,
-                         truncation_tail_bound)
+from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_value,
+                         is_symbol_constant, symbol_log_weight, truncation_tail_bound)
 
-_WORD_BUDGET = 4_000_000  # refuse word trees beyond this many leaves
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
 _TOL = 1e-12              # default |P| tolerance of the root solves
 
@@ -134,12 +133,7 @@ def _symbol_logs(system: IfsSystem, family: PotentialFamily,
 
 def is_multiplicative(system: IfsSystem, family: PotentialFamily) -> bool:
     """Symbol-constant potentials on similarity maps: word sums factor exactly."""
-    if not is_symbol_constant(family, system):
-        return False
-    if isinstance(system.alphabet, InfiniteAlphabet):
-        return system.geometric_ratio is not None
-    from .ifs import Similarity1D
-    return all(isinstance(m, Similarity1D) for m in system.alphabet.maps)
+    return is_symbol_constant(family, system) and system.all_similarities
 
 
 def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
@@ -149,81 +143,9 @@ def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
     Returns +inf when the untruncated series diverges.
     """
     if isinstance(system.alphabet, FiniteAlphabet):
-        n = system.alphabet.size if M is None else min(M, system.alphabet.size)
-        a, d = _symbol_logs(system, family, n)
+        a, d = _symbol_logs(system, family, system.truncated_size(M))
         return _lse(q * a + t * d)
-
-    rho = system.geometric_ratio
-    if rho is None:
-        raise ValueError("closed-form sums need geometric similarity structure")
-    log_rho = math.log(rho)
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        # log p_i = log(1-w) + (i-1) log w;  log ratio_i = i log rho
-        A = q * (math.log1p(-w.ratio) - math.log(w.ratio) - family.shift)
-        B = q * math.log(w.ratio) + t * log_rho
-    else:
-        A = -q * family.shift
-        B = q * family.s_exp * log_rho + t * log_rho
-    # sum_{i=1..M} e^{A + B i}
-    if M is None:
-        if B >= 0.0:
-            return math.inf
-        return A + B - math.log1p(-math.exp(B))
-    if abs(B) < 1e-300:
-        return A + math.log(M)
-    if B > 0:
-        return A + B * M + math.log1p(-math.exp(-B * M)) - math.log1p(-math.exp(-B))
-    return A + B + math.log1p(-math.exp(B * M)) - math.log1p(-math.exp(B))
-
-
-# ---------------------------------------------------------------------------
-# word-tree sup arrays (the depth-n definition, general systems)
-
-
-def _tree_sup_arrays(system: IfsSystem, family: PotentialFamily, M: int,
-                     depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-word sup arrays at a fixed depth over the truncated alphabet.
-
-    Returns (B, D) with B[w] = log||exp(S_w(F))|| and
-    D[w] = log||phi_w'||, both as grid maxima.  Words are built by
-    prepending symbols, which keeps every update a single vectorized
-    pass: for w -> i+w,
-
-        values_{iw} = phi_i(values_w)
-        logderiv_{iw} = log|phi_i'(values_w)| + logderiv_w
-        birkhoff_{iw} = f_i(values_w) + birkhoff_w .
-    """
-    if M ** depth > _WORD_BUDGET:
-        raise WordBudgetError(
-            f"word tree M={M}, depth={depth} exceeds the budget; "
-            "lower the depth or the truncation"
-        )
-    grid = np.array(system.grid, dtype=float)
-    vals = grid[None, :].copy()
-    logd = np.zeros_like(vals)
-    bsum = np.zeros_like(vals)
-    maps = [system.map(i) for i in range(1, M + 1)]
-    for _ in range(depth):
-        new_vals, new_logd, new_bsum = [], [], []
-        for i, m in enumerate(maps, start=1):
-            new_vals.append(m.value(vals))
-            new_logd.append(np.log(m.abs_deriv(vals)) + logd)
-            new_bsum.append(f_value(family, system, i, vals) + bsum)
-        vals = np.concatenate(new_vals, axis=0)
-        logd = np.concatenate(new_logd, axis=0)
-        bsum = np.concatenate(new_bsum, axis=0)
-    return bsum.max(axis=1), logd.max(axis=1)
-
-
-def _resolve_truncation(system: IfsSystem, truncation: int | None) -> int:
-    if isinstance(system.alphabet, FiniteAlphabet):
-        return system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
-    if truncation is None:
-        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
-    return truncation
+    return _geometric_logsum(family, system, q, t, M)
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +262,6 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray]
     return math.exp(s) * mu, h * total, nu / total
 
 
-def pressure_word_sum(system: IfsSystem, family: PotentialFamily, q: float, t: float,
-                      depth: int, truncation: int | None = None) -> float:
-    """(1/n) log sum over depth-n words of ||exp S_w||^q ||phi_w'||^t.
-
-    Multiplicative systems use the exact single-symbol identity (the
-    value is depth-independent); everything else runs the word tree.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if is_multiplicative(system, family):
-        return _single_symbol_logsum(system, family, q, t, truncation)
-    M = _resolve_truncation(system, truncation)
-    B, D = _tree_sup_arrays(system, family, M, depth)
-    return _lse(q * B + t * D) / depth
-
-
 def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: float,
                       truncation: int | None = None) -> PressureEstimate:
     """P(q, t) with its error indicator and the truncation tail bound.
@@ -363,14 +269,9 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     Closed forms are exact (error 0).  The transfer-operator value comes
     with the drift |P_32 - P_16| between 32 and 16 collocation nodes.
     """
-    if is_multiplicative(system, family):
-        value = _single_symbol_logsum(system, family, q, t, truncation)
-        error = 0.0
-    else:
-        truncation = _resolve_truncation(system, truncation)
-        value = _operator_pressure(_operator_parts(system, family, truncation, _NODES), q, t)
-        half = _operator_parts(system, family, truncation, _NODES // 2)
-        error = abs(value - _operator_pressure(half, q, t))
+    P, coarse = _pressure_callable(system, family, truncation)
+    value = P(q, t)
+    error = 0.0 if coarse is None else abs(value - coarse(q, t))
     tail = 0.0
     if truncation is not None and isinstance(system.alphabet, InfiniteAlphabet):
         tail = truncation_tail_bound(system, family, q, t, truncation)
@@ -403,13 +304,24 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaRes
 # root finding
 
 
-def _pressure_callable(system: IfsSystem, family: PotentialFamily,
-                       truncation: int | None) -> Callable[[float, float], float]:
-    """(q, t) -> P(q, t): the closed form, or the collocated operator."""
+def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
+                       ) -> tuple[Callable[[float, float], float],
+                                  Callable[[float, float], float] | None]:
+    """(q, t) -> P(q, t) and its coarse twin for the error indicator.
+
+    Multiplicative systems get the exact closed form and no twin.  Every
+    other system gets the collocated operator at ``_NODES`` nodes, twinned
+    with the same operator at half the nodes (built on first use).
+    """
     if is_multiplicative(system, family):
-        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation)
-    parts = _operator_parts(system, family, _resolve_truncation(system, truncation), _NODES)
-    return lambda q, t: _operator_pressure(parts, q, t)
+        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation), None
+    M = system.truncated_size(truncation)
+    if M is None:
+        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
+    parts = _operator_parts(system, family, M, _NODES)
+    return (lambda q, t: _operator_pressure(parts, q, t),
+            lambda q, t: _operator_pressure(_operator_parts(system, family, M, _NODES // 2),
+                                            q, t))
 
 
 def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
@@ -477,7 +389,7 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     sign change exists or the residual is above that bound (irregular or
     degenerate truncations are reported, never extrapolated over).
     """
-    P = _pressure_callable(system, family, truncation)
+    P, _ = _pressure_callable(system, family, truncation)
     tol = _TOL if tolerance is None else tolerance
 
     def fn(t: float) -> float:
@@ -556,7 +468,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     """
     if r <= 0:
         raise ValueError("the order r must be positive")
-    P = _pressure_callable(system, family, truncation)
+    P, _ = _pressure_callable(system, family, truncation)
     tol = _TOL if tolerance is None else tolerance
 
     p0 = P(0.0, 1e-9)

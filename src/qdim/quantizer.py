@@ -296,12 +296,9 @@ def antichain_codebook(system: IfsSystem, family: PotentialFamily, r: float, n: 
     """
     if n < 1:
         raise ValueError("codebook budget must be >= 1")
-    if isinstance(system.alphabet, FiniteAlphabet):
-        N = system.alphabet.size if truncation is None else min(truncation, system.alphabet.size)
-    else:
-        if truncation is None:
-            raise ValueError("infinite alphabets need a truncation for the antichain")
-        N = truncation
+    N = system.truncated_size(truncation)
+    if N is None:
+        raise ValueError("infinite alphabets need a truncation for the antichain")
     if kappa_r is None:
         M_ref = None if isinstance(system.alphabet, FiniteAlphabet) else N
         kappa_r = solve_quantization_dim(system, family, r, truncation=M_ref).kappa_r

@@ -3,7 +3,7 @@
 A document bundles the map family and the potential:
 
     {"domain": [0.0, 1.0],
-     "kind": "similarity" | "gauss" | "custom",
+     "kind": "similarity" | "gauss",
      "maps": [{"ratio": .., "offset": .., "orientation": 1}, ...],
      "symbols": [1, 2],                      # gauss subsystems
      "infinite": {"family": "geometric" | "gauss",
@@ -12,8 +12,6 @@ A document bundles the map family and the potential:
      "potential": {"kind": "logweights",
                    "weights": [..] | {"family": "geometric", "ratio": ..}}
                 | {"kind": "derivative", "s": .., "g": "zero"}}
-
-``kind: custom`` resolves a programmatically registered builder by name.
 """
 
 from __future__ import annotations
@@ -22,19 +20,11 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Callable
 
 from .errors import SpecFormatError
 from .ifs import IfsSystem, gauss_system, geometric_similarity_system, similarity_system
 from .potentials import (PotentialFamily, derivative_family,
                          geometric_weight_family, log_weight_family)
-
-CUSTOM_BUILDERS: dict[str, Callable[[dict], tuple[IfsSystem, PotentialFamily]]] = {}
-
-
-def register_custom(name: str,
-                    builder: Callable[[dict], tuple[IfsSystem, PotentialFamily]]) -> None:
-    CUSTOM_BUILDERS[name] = builder
 
 
 def _build_system(doc: dict) -> IfsSystem:
@@ -135,14 +125,8 @@ def load_spec(path: str | Path) -> tuple[IfsSystem, PotentialFamily, dict]:
     if not isinstance(doc, dict):
         raise SpecFormatError("spec document must be a JSON object")
 
-    if doc.get("kind") == "custom":
-        name = doc.get("name")
-        if name not in CUSTOM_BUILDERS:
-            raise SpecFormatError(f"unknown custom system {name!r}")
-        system, family = CUSTOM_BUILDERS[name](doc)
-    else:
-        system = _build_system(doc)
-        family = _build_potential(doc)
+    system = _build_system(doc)
+    family = _build_potential(doc)
 
     meta = {
         "system_digest": hashlib.sha256(raw).hexdigest(),

@@ -37,16 +37,14 @@ def test_criterion_01_multiplicative_exactness(e1, e3):
     system, family = e1
     for q, t in itertools.product(qs, ts):
         oracle = math.log(2.0 ** (1 - q) * 3.0 ** -t)
-        for depth in range(1, 7):
-            value = Q.pressure_word_sum(system, family, q, t, depth)
-            worst = max(worst, abs(value - oracle))
+        value = Q.estimate_pressure(system, family, q, t).value
+        worst = max(worst, abs(value - oracle))
     system3, family3 = e3
     i = np.arange(1, 51, dtype=float)
     for q, t in itertools.product(qs, ts):
         oracle = math.log(np.sum(2.0 ** (-i * q) * 3.0 ** (-i * t)))
-        for depth in range(1, 7):
-            value = Q.pressure_word_sum(system3, family3, q, t, depth, truncation=50)
-            worst = max(worst, abs(value - oracle))
+        value = Q.estimate_pressure(system3, family3, q, t, truncation=50).value
+        worst = max(worst, abs(value - oracle))
     elapsed = time.perf_counter() - t0
     _report(1, "multiplicative exactness", worst <= 1e-12 and elapsed < 1.0,
             f"(max dev {worst:.2e}, {elapsed:.2f}s)")
@@ -242,24 +240,24 @@ def test_criterion_10_convexity_monotonicity(e1, e3, gauss12):
 
     ok_decreasing = True
     for q in (0.0, 0.5, 1.0):
-        vals = [Q.pressure_word_sum(system3, family3, q, t, 1, truncation=30)
+        vals = [Q.estimate_pressure(system3, family3, q, t, truncation=30).value
                 for t in np.linspace(0.0, 2.0, 9)]
         ok_decreasing = ok_decreasing and all(a > b for a, b in zip(vals, vals[1:]))
     gsystem, gfamily = gauss12
-    gvals = [Q.pressure_word_sum(gsystem, gfamily, 0.3, t, 6)
+    gvals = [Q.estimate_pressure(gsystem, gfamily, 0.3, t).value
              for t in np.linspace(0.0, 2.0, 9)]
     ok_decreasing = ok_decreasing and all(a > b for a, b in zip(gvals, gvals[1:]))
 
     ok_truncation = True
     for q, t in [(0.0, 0.7), (0.5, 0.3), (1.0, 0.1)]:
-        vals = [Q.pressure_word_sum(system3, family3, q, t, 1, truncation=M)
+        vals = [Q.estimate_pressure(system3, family3, q, t, truncation=M).value
                 for M in (2, 3, 5, 9, 15)]
-        full = Q.pressure_word_sum(system3, family3, q, t, 1)
+        full = Q.estimate_pressure(system3, family3, q, t).value
         ok_truncation = (ok_truncation
                          and all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
                          and vals[-1] <= full + 1e-14)
-    p2 = Q.pressure_word_sum(Q.gauss_system((1, 2)), gfamily, 0.2, 0.8, 6)
-    p3 = Q.pressure_word_sum(Q.gauss_system((1, 2, 3)), gfamily, 0.2, 0.8, 6)
+    p2 = Q.estimate_pressure(Q.gauss_system((1, 2)), gfamily, 0.2, 0.8).value
+    p3 = Q.estimate_pressure(Q.gauss_system((1, 2, 3)), gfamily, 0.2, 0.8).value
     ok_truncation = ok_truncation and p2 <= p3 + 1e-14
 
     elapsed = time.perf_counter() - t0

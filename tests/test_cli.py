@@ -23,6 +23,10 @@ E3_DOC = """{"domain": [0.0, 1.0], "kind": "similarity",
  "potential": {"kind": "logweights", "weights": {"family": "geometric", "ratio": 0.5}}}
 """
 
+GEO_DERIVATIVE_DOC = """{"kind": "similarity", "infinite": {"family": "geometric", "ratio": 0.05},
+ "potential": {"kind": "derivative", "s": 0.8}}
+"""
+
 GAUSS_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "symbols": [1, 2], "K": 4.0,
  "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
 """
@@ -163,6 +167,8 @@ def test_malformed_spec_exits_one(tmp_path, capsys):
     assert main(["qdim", "--system", str(bad), "--r", "2"]) == 1
     missing = tmp_path / "missing.json"
     assert main(["qdim", "--system", str(missing), "--r", "2"]) == 1
+    bad.write_text('{"kind": "custom", "name": "x"}')
+    assert main(["qdim", "--system", str(bad), "--r", "2"]) == 1
 
 
 @pytest.mark.parametrize("doc", [
@@ -196,7 +202,21 @@ def test_sample_far_geometric_truncation(e3_spec, tmp_path, capsys):
     assert len(points) == 2000 and all(0.0 <= p <= 1.0 for p in points)
 
 
-def test_depth_only_samples_and_word_budget_kept(tmp_path, capsys):
+def test_sample_small_geometric_ratio(tmp_path, capsys):
+    # ratio 0.05**i underflows to 0 at i = 249, inside the 256-symbol head
+    # of the weight total; that total now comes from the closed form
+    path = tmp_path / "geo.json"
+    path.write_text(GEO_DERIVATIVE_DOC)
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--system", str(path), "--samples", "500", "--seed", "3",
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["truncation"] == 6 and report["deficit"] <= 1e-6
+    points = [float(v) for v in out.read_text().split()[1:]]
+    assert len(points) == 500 and all(0.0 <= p <= 1.0 for p in points)
+
+
+def test_depth_only_samples(tmp_path, capsys):
     path = tmp_path / "gauss_full.json"
     path.write_text(GAUSS_FULL_DOC)
     # the pressure comes from the transfer operator: --depth is no dimh flag
@@ -207,10 +227,6 @@ def test_depth_only_samples_and_word_budget_kept(tmp_path, capsys):
     # without a closed form, an infinite alphabet still needs --m
     assert main(["dimh", "--system", str(path)]) == 1
     assert "needs a truncation" in capsys.readouterr().err
-    # the depth-n word sum still refuses a 40**6-leaf tree
-    system, family = Q.gauss_system(None), Q.derivative_family(0.6)
-    with pytest.raises(Q.WordBudgetError):
-        Q.pressure_word_sum(system, family, 0.0, 1.0, depth=6, truncation=40)
 
 
 def test_parser_built_once(e1_spec, capsys):

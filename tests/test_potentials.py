@@ -145,8 +145,8 @@ def test_normalize_unnormalized_weights():
     family = Q.log_weight_family([1.0, 1.0])
     out = Q.normalize_pressure(family, system)
     assert out.shift == pytest.approx(math.log(2), abs=1e-14)
-    # the shifted family now has vanishing pressure at every depth
-    assert Q.pressure_word_sum(system, out, 1.0, 0.0, 4) == pytest.approx(0.0, abs=1e-13)
+    # the shifted family now has vanishing pressure
+    assert Q.estimate_pressure(system, out, 1.0, 0.0).value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_normalize_derivative_family_on_gauss(gauss12, gauss_full):
@@ -154,10 +154,10 @@ def test_normalize_derivative_family_on_gauss(gauss12, gauss_full):
     family = Q.derivative_family(0.6)
     out = Q.normalize_pressure(family, system)
     assert out.shift_error < 0.2
-    resid = Q.pressure_word_sum(system, out, 1.0, 0.0, 8)
-    assert abs(resid) < 0.05
+    resid = Q.estimate_pressure(system, out, 1.0, 0.0).value
+    assert abs(resid) <= 1e-12
     assert abs(Q.beta_of_q(system, out, 1.0)) <= 1e-12
-    # the full system normalizes over a truncation without a word-budget failure
+    # the full system normalizes over a truncation
     full, _ = gauss_full
     out = Q.normalize_pressure(family, full, truncation=20)
     assert abs(Q.beta_of_q(full, out, 1.0, truncation=20)) <= 1e-12
@@ -174,3 +174,17 @@ def test_normalize_geometric_weights_over_the_truncation(e3):
     out = Q.normalize_pressure(family, system, truncation=4)
     assert out.shift == pytest.approx(math.log(15 / 16), abs=1e-15)
     assert abs(Q.beta_of_q(system, out, 1.0, truncation=4)) <= 1e-12
+
+
+def test_normalize_derivative_family_on_small_geometric_ratio():
+    # map i has ratio 0.05**i, which underflows to 0 at i = 249, inside the
+    # 256-symbol head; sum_i 0.05**(0.8 i) = b / (1 - b) with b = 0.05**0.8
+    system = Q.geometric_similarity_system(0.05)
+    out = Q.normalize_pressure(Q.derivative_family(0.8), system)
+    b = 0.05 ** 0.8
+    assert out.shift == pytest.approx(math.log(b / (1.0 - b)), abs=1e-14)
+    assert out.shift_error == 0.0
+    assert Q.estimate_pressure(system, out, 1.0, 0.0).value == pytest.approx(0.0, abs=1e-14)
+    # g_sup only bounds g; with g = 0 the exact sum must not use it
+    loose = Q.derivative_family(0.8, g_sup=0.5)
+    assert Q.normalize_pressure(loose, system).shift == out.shift

@@ -18,32 +18,29 @@ GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# word sums
+# pressure values
+
+
+def _pressure(system, family, q, t, truncation=None):
+    return Q.estimate_pressure(system, family, q, t, truncation).value
 
 
 def test_multiplicative_identity_e1(e1):
     system, family = e1
     expected = math.log(2 * 2 ** -0.5 * 3 ** -0.5)
-    for depth in range(1, 7):
-        value = Q.pressure_word_sum(system, family, 0.5, 0.5, depth)
-        assert value == pytest.approx(expected, abs=1e-13)
+    assert _pressure(system, family, 0.5, 0.5) == pytest.approx(expected, abs=1e-13)
 
 
 def test_probability_weights_sum_to_one(e3):
     system, family = e3
-    value = Q.pressure_word_sum(system, family, 1.0, 0.0, 1, truncation=50)
+    value = _pressure(system, family, 1.0, 0.0, truncation=50)
     assert value == pytest.approx(0.0, abs=2 ** -49)
 
 
-def test_gauss_single_level_enumeration(gauss12):
-    system, family = gauss12
-    value = Q.pressure_word_sum(system, family, 0.0, 1.0, 1)
-    assert value == pytest.approx(math.log(1 + 1 / 4), rel=1e-12)
-
-
-def test_tree_path_matches_closed_form():
+def test_operator_path_matches_closed_form():
     # dual route: the Cantor maps wrapped as analytic branches defeat the
-    # multiplicative shortcut, so the word tree must reproduce the closed form
+    # multiplicative shortcut, so the collocated operator must reproduce the
+    # closed form
     branches = [
         Q.AnalyticBranch1D(fn=lambda x, o=o: x / 3 + o,
                            deriv=lambda x: 1 / 3 + 0.0 * x,
@@ -55,14 +52,12 @@ def test_tree_path_matches_closed_form():
     family = Q.log_weight_family([0.5, 0.5])
     for q, t in [(0.0, 0.5), (0.5, 0.5), (1.0, 0.2), (0.3, 1.4)]:
         expected = math.log(2.0 * 2.0 ** -q * 3.0 ** -t)
-        for depth in (1, 3, 5):
-            value = Q.pressure_word_sum(system, family, q, t, depth)
-            assert value == pytest.approx(expected, abs=1e-12)
+        assert _pressure(system, family, q, t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_untruncated_series_can_diverge(e3):
     system, family = e3
-    assert Q.pressure_word_sum(system, family, 0.0, -1.0, 1) == math.inf
+    assert _pressure(system, family, 0.0, -1.0) == math.inf
 
 
 def test_estimate_pressure_error_is_node_drift(gauss12):
@@ -82,7 +77,7 @@ def test_truncation_tail_reported_separately(e3, gauss_full):
     exact_tail = a ** 11 / (1 - a)
     assert est.tail_bound == pytest.approx(exact_tail, rel=1e-12)
     # and the truncated value plus the remainder brackets the full sum
-    full = Q.pressure_word_sum(system, family, 0.5, 0.5, 1)
+    full = _pressure(system, family, 0.5, 0.5)
     assert math.exp(est.value) + est.tail_bound == pytest.approx(math.exp(full), rel=1e-12)
 
     gsystem, gfamily = gauss_full
@@ -109,8 +104,8 @@ def test_theta_brackets_finiteness(e3):
     system, family = e3
     q = 0.4
     theta = Q.theta_of_q(system, family, q).theta
-    assert math.isfinite(Q.pressure_word_sum(system, family, q, theta + 0.05, 1))
-    assert Q.pressure_word_sum(system, family, q, theta - 0.05, 1) == math.inf
+    assert math.isfinite(_pressure(system, family, q, theta + 0.05))
+    assert _pressure(system, family, q, theta - 0.05) == math.inf
 
 
 _TAIL_CASES = {
@@ -267,12 +262,12 @@ def _record_t(monkeypatch) -> list:
     ts = []
 
     def recording(*args):
-        P = make(*args)
+        P, coarse = make(*args)
 
         def wrapped(q, t):
             ts.append(t)
             return P(q, t)
-        return wrapped
+        return wrapped, coarse
 
     monkeypatch.setattr(qdim.pressure, "_pressure_callable", recording)
     return ts
@@ -420,26 +415,25 @@ def test_intercept_independent_of_r(e1):
 def test_pressure_strictly_decreasing_in_t(e3, gauss12):
     system, family = e3
     for q in (0.0, 0.5, 1.0):
-        vals = [Q.pressure_word_sum(system, family, q, t, 1, truncation=30)
+        vals = [_pressure(system, family, q, t, truncation=30)
                 for t in np.linspace(0.0, 2.0, 9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
     gsystem, gfamily = gauss12
-    vals = [Q.pressure_word_sum(gsystem, gfamily, 0.3, t, 6) for t in np.linspace(0.0, 2.0, 9)]
+    vals = [_pressure(gsystem, gfamily, 0.3, t) for t in np.linspace(0.0, 2.0, 9)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_truncated_pressure_monotone_in_M(e3):
     system, family = e3
     for q, t in [(0.0, 0.7), (0.5, 0.3), (1.0, 0.1)]:
-        vals = [Q.pressure_word_sum(system, family, q, t, 1, truncation=M)
-                for M in (2, 3, 5, 9)]
-        full = Q.pressure_word_sum(system, family, q, t, 1)
+        vals = [_pressure(system, family, q, t, truncation=M) for M in (2, 3, 5, 9)]
+        full = _pressure(system, family, q, t)
         assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= full + 1e-14
 
 
 def test_truncated_pressure_monotone_gauss():
     family = Q.derivative_family(0.6)
-    p2 = Q.pressure_word_sum(Q.gauss_system((1, 2)), family, 0.2, 0.8, 6)
-    p3 = Q.pressure_word_sum(Q.gauss_system((1, 2, 3)), family, 0.2, 0.8, 6)
+    p2 = _pressure(Q.gauss_system((1, 2)), family, 0.2, 0.8)
+    p3 = _pressure(Q.gauss_system((1, 2, 3)), family, 0.2, 0.8)
     assert p2 <= p3 + 1e-14
