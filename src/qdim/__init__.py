@@ -16,8 +16,8 @@ from .ifs import (AnalyticBranch1D, CylinderInfo, FiniteAlphabet, GeometricTail,
                   cantor_system, check_distortion, compose_and_derivative,
                   cylinder_geometry, cylinder_interval, derivative_sup_norm,
                   gauss_system, geometric_similarity_system, similarity_system)
-from .measure import (CylinderMass, SampleSet, cylinder_mass, load_sample,
-                      sample_measure, save_sample, wasserstein_1d)
+from .measure import (SampleSet, cylinder_mass, load_sample, sample_measure,
+                      save_sample, wasserstein_1d)
 from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
                          GeometricWeights, HolderCertificate, PotentialFamily,
                          RatioConstant, SummabilityReport, birkhoff_sum,
@@ -25,7 +25,7 @@ from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
                          log_weight_family, normalize_pressure, ratio_bound,
                          summability_and_holder, sup_norm_exp_birkhoff)
 from .pressure import (FigureData, PressureEstimate, QdimSolution, SweepResult,
-                       TemperatureSample, ThetaResult, beta_of_q,
+                       TemperatureSample, beta_of_q,
                        estimate_pressure, hausdorff_dim, is_multiplicative,
                        legendre_and_figure_data, solve_quantization_dim,
                        temperature_curve, theta_of_q, truncation_sweep,

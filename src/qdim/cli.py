@@ -71,15 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, tol=False):
+    def common(p, *, seed=False):
         p.add_argument("--system", required=True, help="system spec JSON")
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--m", type=int, default=None, help="alphabet truncation")
         if seed:
             p.add_argument("--depth", type=int, default=None, help="sampling depth")
             p.add_argument("--seed", type=int, default=2024)
-        if tol:
-            p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("pressure", help="two-parameter pressure estimate")
     common(p)
@@ -87,19 +85,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("beta", help="temperature function")
-    common(p, tol=True)
+    common(p)
     p.add_argument("--q", type=float, default=None,
                    help="single value; omit with --out for a 21-point grid CSV")
 
     p = sub.add_parser("qdim", help="quantization dimension fixed point")
-    common(p, tol=True)
+    common(p)
     p.add_argument("--r", type=float, required=True)
 
     p = sub.add_parser("dimh", help="Hausdorff dimension of the limit set")
-    common(p, tol=True)
+    common(p)
 
     p = sub.add_parser("sweep", help="truncation sweep of kappa_{r,M}")
-    common(p, tol=True)
+    common(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--m-list", type=_int_list, required=True)
 
@@ -114,13 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
 
     p = sub.add_parser("verify", help="theoretical kappa_r against the empirical slope")
-    common(p, seed=True, tol=True)
+    common(p, seed=True)
     p.add_argument("--r", type=float, required=True)
+    p.add_argument("--tol", type=float, default=0.15, help="largest relative gap")
     p.add_argument("--n-list", type=_int_list, default=(4, 8, 16, 32, 64, 128, 256, 512))
     p.add_argument("--samples", type=int, default=200_000)
 
     p = sub.add_parser("figure1", help="temperature curve, chord and spectrum dataset")
-    common(p, tol=True)
+    common(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--grid", type=int, default=21)
 
@@ -145,33 +144,33 @@ def _cmd_pressure(args, system, family, meta) -> int:
 
 def _cmd_beta(args, system, family, meta) -> int:
     if args.q is None:
-        curve = temperature_curve(system, family, truncation=args.m, tolerance=args.tol)
+        curve = temperature_curve(system, family, truncation=args.m)
         _emit_csv(zip(curve.qs, curve.betas), ["q", "beta_q"], args.out)
         return _EXIT_OK
-    value = beta_of_q(system, family, args.q, args.m, args.tol)
+    value = beta_of_q(system, family, args.q, args.m)
     _emit_json({"command": "beta", "q": args.q, "beta": value,
-                "truncation": args.m, "tolerance": args.tol, **meta}, args.out)
+                "truncation": args.m, **meta}, args.out)
     return _EXIT_OK
 
 
 def _cmd_qdim(args, system, family, meta) -> int:
-    sol = solve_quantization_dim(system, family, args.r, args.m, args.tol)
+    sol = solve_quantization_dim(system, family, args.r, args.m)
     _emit_json({"command": "qdim", "r": sol.r, "q_r": sol.q_r,
                 "kappa_r": sol.kappa_r, "D_r": sol.D_r,
                 "truncation": sol.truncation, "iterations": len(sol.trace),
-                "tolerance": args.tol, **meta}, args.out)
+                **meta}, args.out)
     return _EXIT_OK
 
 
 def _cmd_dimh(args, system, family, meta) -> int:
-    value = hausdorff_dim(system, family, args.m, args.tol)
-    _emit_json({"command": "dimh", "dim_h": value, "truncation": args.m,
-                "tolerance": args.tol, **meta}, args.out)
+    value = hausdorff_dim(system, family, args.m)
+    _emit_json({"command": "dimh", "dim_h": value, "truncation": args.m, **meta},
+               args.out)
     return _EXIT_OK
 
 
 def _cmd_sweep(args, system, family, meta) -> int:
-    result = truncation_sweep(system, family, args.r, args.m_list, args.tol)
+    result = truncation_sweep(system, family, args.r, args.m_list)
     rows = [(e.M, e.kappa) for e in result.entries]
     _emit_csv(rows, ["M", "kappa_rM"], args.out)
     summary = {
@@ -227,7 +226,6 @@ def _cmd_quantize(args, system, family, meta) -> int:
 
 
 def _cmd_verify(args, system, family, meta) -> int:
-    tol = 0.15 if args.tol is None else args.tol
     sol = solve_quantization_dim(system, family, args.r, truncation=args.m)
     sample, runs = _run_quantize(args, system, family)
     d_hat, diagnostics = estimate_Dr(runs, kappa_hint=sol.kappa_r)
@@ -236,17 +234,17 @@ def _cmd_verify(args, system, family, meta) -> int:
         "command": "verify", "r": args.r, "seed": args.seed,
         "samples": len(sample), "n_list": list(args.n_list),
         "kappa_r": sol.kappa_r, "q_r": sol.q_r, "D_hat": d_hat,
-        "relative_gap": gap, "tolerance": tol, "passed": bool(gap <= tol),
+        "relative_gap": gap, "tolerance": args.tol, "passed": bool(gap <= args.tol),
         "diagnostics": diagnostics, **meta,
     }
     _emit_json(report, args.out)
-    return _EXIT_OK if gap <= tol else _EXIT_VERIFY
+    return _EXIT_OK if gap <= args.tol else _EXIT_VERIFY
 
 
 def _cmd_figure1(args, system, family, meta) -> int:
     data = legendre_and_figure_data(system, family, args.r,
                                     q_grid=np.linspace(0.0, 1.0, args.grid),
-                                    truncation=args.m, tolerance=args.tol)
+                                    truncation=args.m)
     _emit_csv(data.rows(), ["q", "beta", "line", "legendre_alpha", "legendre_f"],
               args.out)
     summary = {

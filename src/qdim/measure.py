@@ -24,29 +24,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .ifs import IfsSystem, Word
-from .potentials import (ConstantLogWeights, PotentialFamily, _head_exp_sum,
-                         _tail_exp_sum, ratio_bound, sup_norm_exp_birkhoff,
+from .ifs import IfsSystem
+from .potentials import (ConstantLogWeights, PotentialFamily, _tail_exp_sum, f_value,
                          truncation_tail_bound)
 from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_eigen,
-                       _operator_parts)
+                       _operator_parts, _pressure_callable, _symbol_logs,
+                       is_multiplicative)
 
 _CHUNK = 65536
 _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
 _H_GRID = 2049            # grid points for the minimum of the eigenfunction's interpolant
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
-
-
-@dataclass(frozen=True)
-class CylinderMass:
-    word: Word
-    lower: float
-    upper: float
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -75,63 +64,60 @@ class SampleSet:
 # cylinder masses
 
 
-def _renorm_log(system: IfsSystem, family: PotentialFamily, truncation: int | None) -> float:
-    """log of the per-symbol mass renormalizer for a truncated subsystem."""
-    if truncation is None:
-        return 0.0
-    return math.log(_head_exp_sum(family, system, truncation))
-
-
 def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int],
-                  mode: str = "mF", q: float | None = None, r: float | None = None,
-                  truncation: int | None = None) -> CylinderMass:
-    """Two-sided bracket for a cylinder's conformal mass.
+                  q: float = 1.0, t: float = 0.0, truncation: int | None = None) -> float:
+    """m(phi_w X) for the measure m with L*m = e^{P(q, t)} m.
 
-    mode "mF": the measure transforming by exp(S_w); the bracket is
-    [C^-1 ||exp S_w||, ||exp S_w||], exact for constant-weight families.
+    L is the transfer operator g -> sum_i e^{q f_i} |phi_i'|^t g o phi_i
+    over the (truncated) alphabet, so (q, t) = (1, 0) gives the conformal
+    measure m_F and t = r q the auxiliary measure of order r.  Pulling
+    the cylinder back through L^n gives, for |w| = n,
 
-    mode "mq": the auxiliary measure transforming by
-    (exp(S_w) |phi_w'|^r)^q at the exponent pair t = r q; exact for
-    constant-weight similarity systems as (p_w s_w^r)^q.
+        m(phi_w X) = e^{-n P(q, t)} int e^{q S_w F} |phi_w'|^t dm,
 
-    A truncation renormalizes the per-symbol weights over {1..M}.
+    a product of symbol weights on multiplicative systems and otherwise
+    the integral against the operator's left eigenvector nu, which is a
+    quadrature rule for m at the collocation nodes.
     """
     w = system.check_word(word)
     if not w:
-        return CylinderMass(w, 1.0, 1.0)
-    C = ratio_bound(family, system)
-    renorm = _renorm_log(system, family, truncation)
-
-    norm, err = sup_norm_exp_birkhoff(family, system, w)
-    log_mass_up = math.log(norm) + math.log(err) - len(w) * renorm
-    log_mass_lo = math.log(norm) - math.log(C) - len(w) * renorm
-
-    if mode == "mF":
-        return CylinderMass(w, math.exp(log_mass_lo), math.exp(log_mass_up))
-    if mode == "mq":
-        if q is None or r is None or not 0.0 < q < 1.0:
-            raise ValueError("mq mode needs q in (0,1) and the order r (t = r*q)")
-        from .ifs import derivative_sup_norm
-        dnorm, derr = derivative_sup_norm(system, w)
-        upper = q * (log_mass_up + r * math.log(dnorm) + r * math.log(derr))
-        lower = q * (log_mass_lo + r * (math.log(dnorm) - math.log(system.K)))
-        return CylinderMass(w, math.exp(lower), math.exp(upper))
-    raise ValueError(f"unknown mode {mode!r}")
+        return 1.0
+    P, _ = _pressure_callable(system, family, truncation)
+    M = system.truncated_size(truncation)
+    if M is not None and max(w) > M:
+        raise ValueError(f"symbol {max(w)} beyond the truncation {M}")
+    if is_multiplicative(system, family):
+        a, d = _symbol_logs(system, family, M or max(w))
+        k = np.array(w) - 1
+        log_integral = float(np.sum(q * a[k] + t * d[k]))
+    else:
+        _, _, nu = _operator_eigen(_operator_parts(system, family, M, _NODES), q, t)
+        y, _ = _chebyshev_nodes(system.domain, _NODES)
+        log_g = np.zeros(_NODES)
+        for sym in reversed(w):  # q S_w F + t log|phi_w'| along the suffix orbit
+            m = system.map(sym)
+            log_g += q * f_value(family, system, sym, y) + t * np.log(m.abs_deriv(y))
+            y = m.value(y)
+        top = float(log_g.max())
+        log_integral = top + math.log(float(nu @ np.exp(log_g - top)))
+    return math.exp(log_integral - len(w) * P(q, t))
 
 
 # ---------------------------------------------------------------------------
 # truncation bookkeeping
 
 
-def _weight_deficit(system: IfsSystem, family: PotentialFamily, M: int) -> float:
-    """Relative child-weight mass beyond symbol M: the tail bound over the total."""
+def _weight_deficit(system: IfsSystem, family: PotentialFamily, M: int,
+                    total: float) -> float:
+    """Relative child-weight mass beyond symbol M: the tail bound over ``total``,
+    the sum over the whole alphabet (``_tail_exp_sum``)."""
     tail = truncation_tail_bound(system, family, 1.0, 0.0, M)
-    return 0.0 if tail == 0.0 else tail / _tail_exp_sum(family, system)
+    return 0.0 if tail == 0.0 else tail / total
 
 
-def _auto_truncation(system: IfsSystem, family: PotentialFamily) -> int:
+def _auto_truncation(system: IfsSystem, family: PotentialFamily, total: float) -> int:
     """The smallest M >= 2 with deficit <= _DEFICIT, by bisection (deficits fall in M)."""
-    deficit = _weight_deficit(system, family, _MAX_TRUNCATION)
+    deficit = _weight_deficit(system, family, _MAX_TRUNCATION, total)
     if deficit > _DEFICIT:
         raise NumericalFailure(
             f"cannot reach the truncation deficit {_DEFICIT:.3g}: it is still "
@@ -140,7 +126,7 @@ def _auto_truncation(system: IfsSystem, family: PotentialFamily) -> int:
     lo, hi = 1, _MAX_TRUNCATION  # deficit(hi) <= _DEFICIT; lo is never a candidate
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _weight_deficit(system, family, mid) <= _DEFICIT:
+        if _weight_deficit(system, family, mid, total) <= _DEFICIT:
             hi = mid
         else:
             lo = mid
@@ -221,7 +207,7 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
-    lam, h, _ = _operator_eigen(parts)
+    lam, h, _ = _operator_eigen(parts, 1.0, 0.0)
     x, w = _chebyshev_nodes(system.domain, _NODES)
     probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
     table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
@@ -270,10 +256,11 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
+    total = _tail_exp_sum(family, system)
     M = system.truncated_size(truncation)
     if M is None:
-        M = _auto_truncation(system, family)
-    deficit = _weight_deficit(system, family, M)
+        M = _auto_truncation(system, family, total)
+    deficit = _weight_deficit(system, family, M, total)
     if deficit > _DEFICIT and not allow_deficit:
         raise NumericalFailure(
             f"truncation deficit {deficit:.3g} exceeds {_DEFICIT:.3g}; "

@@ -336,13 +336,19 @@ def _head_exp_sum(family: PotentialFamily, system: IfsSystem, M: int) -> float:
     return math.fsum(single_exp_sup(family, system, i) for i in range(1, M + 1))
 
 
+def _summable_tail(family: PotentialFamily, system: IfsSystem) -> float:
+    """The tail bound of sum_i ||e^{f_i}|| beyond the head; raises where it diverges."""
+    tail = truncation_tail_bound(system, family, 1.0, 0.0, _HEAD)
+    if tail == math.inf:
+        raise NonSummableError("sum_i ||e^{f_i}|| diverges over the alphabet's tail")
+    return tail
+
+
 def _tail_exp_sum(family: PotentialFamily, system: IfsSystem) -> float:
     """sum_i ||e^{f_i}||: an exact head plus, on infinite alphabets, the tail bound."""
     if isinstance(system.alphabet, FiniteAlphabet):
         return _head_exp_sum(family, system, system.size)
-    tail = truncation_tail_bound(system, family, 1.0, 0.0, _HEAD)
-    if tail == math.inf:
-        raise NonSummableError("sum_i ||e^{f_i}|| diverges over the alphabet's tail")
+    tail = _summable_tail(family, system)
     return _head_exp_sum(family, system, _HEAD) + tail
 
 
@@ -417,12 +423,15 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
     closed-form tail, itself exact for geometric tails).  Otherwise the
     shift is P(1, 0) of the collocated transfer operator, which needs a
     truncation on an infinite alphabet, and the returned family keeps
-    its node-halving drift as shift_error.
+    its node-halving drift as shift_error.  A divergent tail raises
+    NonSummableError in either case; only the kept maps are built.
     """
-    total = _tail_exp_sum(family, system)  # raises if non-summable
+    _summable_tail(family, system)
 
     if is_symbol_constant(family, system):
-        if truncation is not None:
+        if truncation is None:
+            total = _tail_exp_sum(family, system)
+        else:
             total = _head_exp_sum(family, system, system.truncated_size(truncation))
         return replace(family, shift=family.shift + math.log(total), shift_error=0.0)
 

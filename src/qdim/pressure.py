@@ -34,7 +34,7 @@ from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_valu
                          is_symbol_constant, symbol_log_weight, truncation_tail_bound)
 
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
-_TOL = 1e-12              # default |P| tolerance of the root solves
+_RESIDUAL = 1e-9          # largest |P| a root solve may return
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +50,6 @@ class PressureEstimate:
     error: float                    # drift from halving the nodes; 0 for closed forms
     finite: bool                    # false when the truncation tail diverges
     tail_bound: float = 0.0         # single-symbol mass beyond the truncation
-
-
-@dataclass(frozen=True)
-class ThetaResult:
-    q: float
-    theta: float                    # -inf for finite alphabets
 
 
 @dataclass(frozen=True)
@@ -231,22 +225,23 @@ def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
     return s + math.log(float(ev.real[_leading_real(ev, q, t)]))
 
 
-def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray]
-                    ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda, h, nu) of the collocated operator at (q, t) = (1, 0).
+def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
+                    t: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lambda, h, nu) of the collocated operator at (q, t).
 
     lambda is the leading real eigenvalue (as in ``_operator_pressure``),
     h > 0 its right eigenvector at the nodes and nu its left eigenvector,
     scaled so that sum(nu) = 1 and nu . h = 1.  Since L*m = lambda m, nu is
-    a quadrature rule for the conformal measure m, and h m is the Gibbs
-    state.  One eigendecomposition gives lambda and h; nu solves the
-    bordered system [A^T - mu, h; h^T, 0] [nu; 0] = [0; 1], which is well
-    conditioned for a simple eigenvalue, where a row of the inverse
-    eigenvector matrix is not (its condition number reaches 1e13).
+    a quadrature rule for the measure m with that eigen-relation (the
+    conformal measure at (1, 0)), and h m is the Gibbs state.  One
+    eigendecomposition gives lambda and h; nu solves the bordered system
+    [A^T - mu, h; h^T, 0] [nu; 0] = [0; 1], which is well conditioned
+    for a simple eigenvalue, where a row of the inverse eigenvector
+    matrix is not (its condition number reaches 1e13).
     """
-    s, A = _operator_matrix(parts, 1.0, 0.0)
+    s, A = _operator_matrix(parts, q, t)
     ev, V = np.linalg.eig(A)
-    k = _leading_real(ev, 1.0, 0.0)
+    k = _leading_real(ev, q, t)
     mu = float(ev.real[k])
     h = V[:, k].real
     h = h if h.sum() > 0.0 else -h
@@ -283,7 +278,7 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
 # finiteness threshold
 
 
-def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaResult:
+def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> float:
     """theta(q): infimum of t for which the pressure series stays finite.
 
     Finite alphabets are unbounded below (theta = -inf).  On an infinite
@@ -291,13 +286,13 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> ThetaRes
     log b(t) = b0 + b1 t < 0, or log b(t) = 0 and p(t) = p0 + p1 t > 1.
     """
     if isinstance(system.alphabet, FiniteAlphabet):
-        return ThetaResult(q, -math.inf)
+        return -math.inf
     _, (b0, b1), (p0, p1) = _tail_decay(family, system.alphabet.tail, q)
     if b1 != 0.0:  # a geometric tail: log b(theta) = 0
-        return ThetaResult(q, -b0 / b1)
+        return -b0 / b1
     if b0 != 0.0:  # geometric weights alone decide, for every t at once
-        return ThetaResult(q, -math.inf if b0 < 0.0 else math.inf)
-    return ThetaResult(q, (1.0 - p0) / p1)  # a power-law tail: p(theta) = 1
+        return -math.inf if b0 < 0.0 else math.inf
+    return (1.0 - p0) / p1  # a power-law tail: p(theta) = 1
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +376,15 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
-              truncation: int | None = None, tolerance: float | None = None) -> float:
+              truncation: int | None = None) -> float:
     """The temperature function: the unique t with P(q, t) = 0.
 
     Exploits strict decrease of t -> P(q, t); the returned t satisfies
-    |P(q, t)| <= max(10 * tolerance, 1e-9).  Raises BracketError when no
-    sign change exists or the residual is above that bound (irregular or
-    degenerate truncations are reported, never extrapolated over).
+    |P(q, t)| <= 1e-9.  Raises BracketError when no sign change exists or
+    the residual is above that bound (irregular or degenerate truncations
+    are reported, never extrapolated over).
     """
     P, _ = _pressure_callable(system, family, truncation)
-    tol = _TOL if tolerance is None else tolerance
 
     def fn(t: float) -> float:
         return P(q, t)
@@ -399,7 +393,7 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     # constrains the bracket only for untruncated infinite sums
     theta = -math.inf
     if truncation is None and isinstance(system.alphabet, InfiniteAlphabet):
-        theta = theta_of_q(system, family, q).theta
+        theta = theta_of_q(system, family, q)
     if math.isfinite(theta):
         lo = theta + 1e-6
         # regularity probe: P must become positive and finite just above theta
@@ -430,23 +424,22 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
             raise BracketError("pressure does not become negative for large t")
 
     t, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
-    if not abs(resid) <= max(tol * 10, 1e-9):
+    if not abs(resid) <= _RESIDUAL:
         raise BracketError(f"pressure residual {resid:.3g} at beta({q}) above tolerance")
     return t
 
 
 def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
-                  truncation: int | None = None, tolerance: float | None = None) -> float:
+                  truncation: int | None = None) -> float:
     """Root of t -> P(0, t); coincides with beta(0) for regular systems."""
-    return beta_of_q(system, family, 0.0, truncation, tolerance)
+    return beta_of_q(system, family, 0.0, truncation)
 
 
 def temperature_curve(system: IfsSystem, family: PotentialFamily,
                       q_grid: Sequence[float] | None = None,
-                      truncation: int | None = None,
-                      tolerance: float | None = None) -> TemperatureSample:
+                      truncation: int | None = None) -> TemperatureSample:
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
-    betas = [beta_of_q(system, family, float(q), truncation, tolerance) for q in qs]
+    betas = [beta_of_q(system, family, float(q), truncation) for q in qs]
     b = np.asarray(betas)
     defect = 0.0
     if len(b) >= 3:
@@ -456,8 +449,7 @@ def temperature_curve(system: IfsSystem, family: PotentialFamily,
 
 
 def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
-                           truncation: int | None = None,
-                           tolerance: float | None = None) -> QdimSolution:
+                           truncation: int | None = None) -> QdimSolution:
     """Solve beta(q_r) = r * q_r and return (q_r, kappa_r, D_r).
 
     As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
@@ -469,7 +461,6 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     if r <= 0:
         raise ValueError("the order r must be positive")
     P, _ = _pressure_callable(system, family, truncation)
-    tol = _TOL if tolerance is None else tolerance
 
     p0 = P(0.0, 1e-9)
     if p0 <= 0.0:
@@ -480,7 +471,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
 
     trace: list[tuple[float, float]] = []
     q_r, check = _root_decreasing(lambda q: P(q, r * q), 1e-6, 1.0 - 1e-6, trace)
-    if not abs(check) <= max(tol * 10, 1e-9):
+    if not abs(check) <= _RESIDUAL:
         raise BracketError(f"fixed-point residual {check:.3g} above tolerance")
     kappa = r * q_r / (1.0 - q_r)
     return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa,
@@ -488,7 +479,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
 
 
 def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
-                     M_list: Sequence[int], tolerance: float | None = None) -> SweepResult:
+                     M_list: Sequence[int]) -> SweepResult:
     """kappa_{r,M} across truncations, with the full-system reference when closed-form.
 
     Truncations whose beta_M(0) <= 0 (single-map limit sets are points)
@@ -499,16 +490,14 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
         if M < 1:
             raise ValueError("truncations must be >= 1")
         try:
-            sol = solve_quantization_dim(system, family, r, truncation=int(M),
-                                         tolerance=tolerance)
+            sol = solve_quantization_dim(system, family, r, truncation=int(M))
             entries.append(SweepEntry(int(M), sol.kappa_r, False))
         except DegenerateSystemError:
             entries.append(SweepEntry(int(M), 0.0, True))
     kappa_ref = None
     gap = None
     if is_multiplicative(system, family) or isinstance(system.alphabet, FiniteAlphabet):
-        ref = solve_quantization_dim(system, family, r, truncation=None,
-                                     tolerance=tolerance)
+        ref = solve_quantization_dim(system, family, r, truncation=None)
         kappa_ref = ref.kappa_r
         gap = kappa_ref - entries[-1].kappa if entries else None
     return SweepResult(r, tuple(entries), kappa_ref, gap)
@@ -516,8 +505,7 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
 
 def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: float,
                              q_grid: Sequence[float] | None = None,
-                             truncation: int | None = None,
-                             tolerance: float | None = None) -> FigureData:
+                             truncation: int | None = None) -> FigureData:
     """Temperature curve, the y = r q chord, and the discrete Legendre transform.
 
     The line through the intersection (q_r, r q_r) and (1, 0) meets the
@@ -528,8 +516,8 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
-    betas = np.array(temperature_curve(system, family, qs, truncation, tolerance).betas)
-    sol = solve_quantization_dim(system, family, r, truncation, tolerance)
+    betas = np.array(temperature_curve(system, family, qs, truncation).betas)
+    sol = solve_quantization_dim(system, family, r, truncation)
     q_r = sol.q_r
     intercept = r * q_r / (1.0 - q_r)
 

@@ -288,7 +288,8 @@ def antichain_codebook(system: IfsSystem, family: PotentialFamily, r: float, n: 
     """Prefix-free cylinder codebook of cardinality at most n.
 
     Words are split while their weight (mass * ||phi'||^r)^eta exceeds
-    L/(n rho_N) and retained once it drops to the threshold; their
+    L/(n rho_N) and retained once it drops to the threshold, with the
+    exact m_F mass of the subsystem over symbols 1..N; their
     parents stay above it, so the retained set is a finite maximal
     antichain.  The threshold constants use eta = kappa_r/(r+kappa_r),
     L = (C K^r)^eta and the conservative rho_N built from the smallest
@@ -308,13 +309,13 @@ def antichain_codebook(system: IfsSystem, family: PotentialFamily, r: float, n: 
     C = ratio_bound(family, system)
     K = system.K
     L = (C * K ** r) ** eta
-    level1 = {i: cylinder_mass(system, family, (i,), truncation=N).midpoint for i in order}
+    level1 = {i: cylinder_mass(system, family, (i,), truncation=N) for i in order}
     norm_last, _ = derivative_sup_norm(system, (order[-1],))
     rho_N = (C ** -3 * K ** -r * min(level1.values()) * norm_last ** r) ** eta
     log_tau = math.log(L) - math.log(n) - math.log(rho_N)
 
     def log_weight(word: Word) -> float:
-        mass = cylinder_mass(system, family, word, truncation=N).midpoint
+        mass = cylinder_mass(system, family, word, truncation=N)
         dnorm, _ = derivative_sup_norm(system, word)
         return eta * (math.log(mass) + r * math.log(dnorm))
 

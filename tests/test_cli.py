@@ -222,6 +222,9 @@ def test_depth_only_samples(tmp_path, capsys):
     # the pressure comes from the transfer operator: --depth is no dimh flag
     assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "6"]) == 1
     capsys.readouterr()
+    # the root solves have no tolerance knob: only verify takes --tol
+    assert main(["dimh", "--system", str(path), "--m", "40", "--tol", "1e-6"]) == 1
+    capsys.readouterr()
     assert main(["dimh", "--system", str(path), "--m", "40"]) == 0
     assert 0.98 < json.loads(capsys.readouterr().out)["dim_h"] < 1.0
     # without a closed form, an infinite alphabet still needs --m

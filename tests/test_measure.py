@@ -14,40 +14,38 @@ from qdim.errors import NumericalFailure
 
 def test_cylinder_mass_exact_constant(e1, e3):
     system, family = e1
-    m = Q.cylinder_mass(system, family, (1, 2))
-    assert m.lower == pytest.approx(0.25, abs=1e-15)
-    assert m.upper == pytest.approx(0.25, abs=1e-15)
+    assert Q.cylinder_mass(system, family, (1, 2)) == pytest.approx(0.25, abs=1e-15)
     system3, family3 = e3
-    m3 = Q.cylinder_mass(system3, family3, (2,))
-    assert m3.midpoint == pytest.approx(0.25, abs=1e-15)
+    assert Q.cylinder_mass(system3, family3, (2,)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_cylinder_mass_mq_fixed_point(e1):
     # closed form: (p_1 * s_1^2)^{q_r} = (1/18)^{log2/log18} = 1/2
     system, family = e1
     q_r = math.log(2) / math.log(18)
-    m = Q.cylinder_mass(system, family, (1,), mode="mq", q=q_r, r=2.0)
-    assert m.lower == pytest.approx(0.5, rel=1e-10)
-    assert m.upper == pytest.approx(0.5, rel=1e-10)
+    m = Q.cylinder_mass(system, family, (1,), q=q_r, t=2.0 * q_r)
+    assert m == pytest.approx(0.5, rel=1e-10)
 
 
 def test_mq_masses_sum_to_one_at_fixed_point(e1, e3):
     for system, family in (e1, e3):
         sol = Q.solve_quantization_dim(system, family, 2.0)
         total = sum(
-            Q.cylinder_mass(system, family, (i,), mode="mq", q=sol.q_r, r=2.0).midpoint
+            Q.cylinder_mass(system, family, (i,), q=sol.q_r, t=2.0 * sol.q_r)
             for i in range(1, 30)
             if system.size is None or i <= system.size
         )
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mq_mode_validates_parameters(e1):
-    system, family = e1
-    with pytest.raises(ValueError):
-        Q.cylinder_mass(system, family, (1,), mode="mq", q=1.5, r=2.0)
-    with pytest.raises(ValueError):
-        Q.cylinder_mass(system, family, (1,), mode="bogus")
+def test_cylinder_mass_needs_truncation(gauss_full):
+    system, family = gauss_full
+    # no closed form: the operator of an infinite alphabet needs a truncation
+    with pytest.raises(ValueError, match="needs a truncation"):
+        Q.cylinder_mass(system, family, (1,))
+    with pytest.raises(ValueError, match="beyond the truncation"):
+        Q.cylinder_mass(system, family, (1, 6), truncation=5)
+    assert Q.cylinder_mass(system, family, ()) == 1.0
 
 
 def test_cylinder_additivity_bracket(e3):
@@ -55,32 +53,36 @@ def test_cylinder_additivity_bracket(e3):
     M = 20
     deficit = 0.5 ** M  # sum_{i > M} p_i of the ratio-1/2 geometric weights
     for word in [(1,), (2, 1), (3,)]:
-        parent = Q.cylinder_mass(system, family, word).midpoint
-        children = sum(Q.cylinder_mass(system, family, word + (i,)).midpoint
+        parent = Q.cylinder_mass(system, family, word)
+        children = sum(Q.cylinder_mass(system, family, word + (i,))
                        for i in range(1, M + 1))
         assert parent * (1 - deficit) - 1e-12 <= children <= parent + 1e-12
 
 
-def test_cylinder_mass_bracket_ratio_bound(gauss12):
-    system, _ = gauss12
-    family = Q.derivative_family(0.6)
-    C = Q.ratio_bound(family, system)
-    for word in [(1,), (2, 1), (1, 2, 2)]:
-        m = Q.cylinder_mass(system, family, word)
-        assert 0 <= m.lower <= m.upper
-        assert m.upper / m.lower <= C * C * (1 + 1e-9)
+def _gauss12_measures(r=1.5):
+    """Gauss {1,2} at s = 0.6 (lambda = 0.917, not normalized): m_F at (1, 0)
+    and the auxiliary measure at (q_r, r q_r)."""
+    system, family = Q.gauss_system((1, 2)), Q.derivative_family(0.6)
+    q_r = Q.solve_quantization_dim(system, family, r).q_r
+    return system, family, ((1.0, 0.0), (q_r, r * q_r))
 
 
-def test_cylinder_additivity_analytic(gauss12):
-    # child masses recombine to the parent within the ratio-constant bracket
-    system, _ = gauss12
-    family = Q.derivative_family(0.6)
-    C = Q.ratio_bound(family, system)
-    for word in [(1,), (2,), (1, 2)]:
-        parent = Q.cylinder_mass(system, family, word).midpoint
-        children = sum(Q.cylinder_mass(system, family, word + (i,)).midpoint
-                       for i in (1, 2))
-        assert parent / C ** 2 - 1e-12 <= children <= parent * C ** 2 + 1e-12
+def test_cylinder_masses_sum_to_one():
+    system, family, pairs = _gauss12_measures()
+    for q, t in pairs:
+        total = sum(Q.cylinder_mass(system, family, (i,), q, t) for i in (1, 2))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cylinder_additivity_analytic():
+    # child masses recombine to the parent: the masses are exact, not bracketed
+    system, family, pairs = _gauss12_measures()
+    for q, t in pairs:
+        for word in [(1,), (2,), (1, 2)]:
+            parent = Q.cylinder_mass(system, family, word, q, t)
+            children = sum(Q.cylinder_mass(system, family, word + (i,), q, t)
+                           for i in (1, 2))
+            assert children == pytest.approx(parent, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +125,11 @@ def test_sample_depth_default_resolves_cylinders(e1):
 
 
 def _node_quadrature(system, family):
-    """(lambda, nu, F, nodes): nu integrates node values against the conformal measure."""
+    """(nu, nodes): nu integrates node values against the conformal measure."""
     parts = qdim.pressure._operator_parts(system, family, system.size, qdim.pressure._NODES)
-    lam, _, nu = qdim.pressure._operator_eigen(parts)
+    _, _, nu = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     x, _ = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
-    return lam, nu, parts[0], x
+    return nu, x
 
 
 def test_chain_sampler_matches_branch_mass(gauss12):
@@ -140,9 +142,7 @@ def test_chain_sampler_matches_branch_mass(gauss12):
     assert sample.points.min() >= left - 1e-9
     assert sample.points.max() <= right + 1e-9
     # symbol-1 cylinder frequency against its exact conformal mass
-    # m(phi_1 X) = int e^{f_1} dm / lambda, integrated by the node quadrature
-    lam, nu, F, _ = _node_quadrature(system, family)
-    mass = float(nu @ np.exp(F[0])) / lam
+    mass = Q.cylinder_mass(system, family, (1,))
     cut = 1 / (1 + right)  # points above this lie in the branch-1 cylinder
     freq = float(np.mean(sample.points >= cut))
     assert abs(freq - mass) <= 4 * math.sqrt(mass * (1 - mass) / len(sample))
@@ -155,7 +155,7 @@ def test_chain_sampler_matches_branch_mass(gauss12):
 ], ids=["gauss12-dim", "gauss15-dim", "gauss12-raw"])
 def test_chain_moments_match_node_quadrature(symbols, s_exp, count):
     system, family = Q.gauss_system(symbols), Q.derivative_family(s_exp)
-    _, nu, _, x = _node_quadrature(system, family)
+    nu, x = _node_quadrature(system, family)
     sample = Q.sample_measure(system, family, count, seed=1)
     for g in (lambda v: v, lambda v: v * v, lambda v: np.cos(2 * np.pi * v)):
         vals = g(sample.points)

@@ -132,6 +132,8 @@ def test_non_summable_family_reported():
         Q.summability_and_holder(family, system)
     with pytest.raises(NonSummableError):
         Q.normalize_pressure(family, system)
+    with pytest.raises(NonSummableError):  # the check needs no map built
+        Q.normalize_pressure(family, system, truncation=20)
 
 
 def test_normalize_probability_weights_zero_shift(e1, e3):
@@ -188,3 +190,12 @@ def test_normalize_derivative_family_on_small_geometric_ratio():
     # g_sup only bounds g; with g = 0 the exact sum must not use it
     loose = Q.derivative_family(0.8, g_sup=0.5)
     assert Q.normalize_pressure(loose, system).shift == out.shift
+
+
+def test_normalize_nonconstant_family_builds_only_the_kept_maps():
+    # a nonzero g defeats the closed form; the summability check must come
+    # from the tail model, not from maps 6..256, whose ratios underflow to 0
+    system = Q.geometric_similarity_system(0.05)
+    family = Q.derivative_family(0.8, g=lambda x: 0.1 * x, g_sup=0.1)
+    out = Q.normalize_pressure(family, system, truncation=5)
+    assert abs(Q.estimate_pressure(system, out, 1.0, 0.0, truncation=5).value) <= 1e-12

@@ -93,17 +93,17 @@ def test_truncation_tail_reported_separately(e3, gauss_full):
 
 def test_theta_examples(e1, e3, gauss_full):
     system, family = gauss_full
-    assert Q.theta_of_q(system, family, 0.0).theta == pytest.approx(0.5)
+    assert Q.theta_of_q(system, family, 0.0) == pytest.approx(0.5)
     system3, family3 = e3
-    assert Q.theta_of_q(system3, family3, 0.0).theta == pytest.approx(0.0, abs=1e-15)
+    assert Q.theta_of_q(system3, family3, 0.0) == pytest.approx(0.0, abs=1e-15)
     system1, family1 = e1
-    assert Q.theta_of_q(system1, family1, 0.3).theta == -math.inf
+    assert Q.theta_of_q(system1, family1, 0.3) == -math.inf
 
 
 def test_theta_brackets_finiteness(e3):
     system, family = e3
     q = 0.4
-    theta = Q.theta_of_q(system, family, q).theta
+    theta = Q.theta_of_q(system, family, q)
     assert math.isfinite(_pressure(system, family, q, theta + 0.05))
     assert _pressure(system, family, q, theta - 0.05) == math.inf
 
@@ -121,7 +121,7 @@ _TAIL_CASES = {
        st.floats(0.05, 3.0), st.integers(1, 100))
 def test_tail_model_bounds_enumerated_tail(name, q, dt, M):
     system, family = _TAIL_CASES[name]
-    theta = Q.theta_of_q(system, family, q).theta
+    theta = Q.theta_of_q(system, family, q)
     t = max(theta, -1.0) + dt
     # oracle: the next 500 single-symbol sup norms, enumerated one by one
     enumerated = math.fsum(
@@ -241,8 +241,9 @@ def _as_branches(system):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_oriented_similarity_systems(), st.sampled_from(("log-weight", "derivative")),
-       st.floats(0.25, 8.0), st.floats(0.0, 1.0), st.floats(0.2, 2.0))
-def test_operator_matches_closed_form(case, kind, r, q, s_exp):
+       st.floats(0.25, 8.0), st.floats(0.0, 1.0), st.floats(0.2, 2.0),
+       st.lists(st.integers(0, 7), min_size=1, max_size=3))
+def test_operator_matches_closed_form(case, kind, r, q, s_exp, draws):
     weights, system = case
     family = (Q.log_weight_family(list(weights)) if kind == "log-weight"
               else Q.derivative_family(s_exp))
@@ -254,6 +255,11 @@ def test_operator_matches_closed_form(case, kind, r, q, s_exp):
     kappa = Q.solve_quantization_dim(system, family, r).kappa_r
     assert Q.solve_quantization_dim(branches, family, r).kappa_r == pytest.approx(
         kappa, rel=1e-12)
+    # cylinder masses of m_F and of the auxiliary measure at t = r q
+    word = tuple(k % system.size + 1 for k in draws)
+    for qq, t in ((1.0, 0.0), (q, r * q)):
+        assert Q.cylinder_mass(branches, family, word, qq, t) == pytest.approx(
+            Q.cylinder_mass(system, family, word, qq, t), rel=1e-12)
 
 
 def _record_t(monkeypatch) -> list:
@@ -295,18 +301,20 @@ def test_beta_bracket_stays_at_small_t(s_exp, monkeypatch):
 
 
 def test_operator_eigen_triple(gauss12):
-    # L h = lambda h and nu L = lambda nu at the nodes, h > 0, lambda = e^{P(1, 0)}
+    # L h = lambda h and nu L = lambda nu at the nodes, h > 0, lambda = e^{P(q, t)}
     system, family = gauss12
     parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
-    lam, h, nu = qdim.pressure._operator_eigen(parts)
-    F, _, E = parts
-    L = np.einsum("ij,ijk->jk", np.exp(F), E)
-    assert lam == pytest.approx(math.exp(Q.estimate_pressure(system, family, 1.0, 0.0).value),
-                                rel=1e-13)
-    assert np.all(h > 0) and nu.sum() == pytest.approx(1.0) and nu @ h == pytest.approx(1.0)
-    assert np.max(np.abs(L @ h - lam * h)) <= 1e-13 * np.max(h)
-    assert np.max(np.abs(nu @ L - lam * nu)) <= 1e-13 * np.max(np.abs(nu))
+    F, D, E = parts
+    for q, t in ((1.0, 0.0), (0.4, 0.9)):
+        lam, h, nu = qdim.pressure._operator_eigen(parts, q, t)
+        L = np.einsum("ij,ijk->jk", np.exp(q * F + t * D), E)
+        assert lam == pytest.approx(math.exp(Q.estimate_pressure(system, family, q, t).value),
+                                    rel=1e-13)
+        assert np.all(h > 0) and nu.sum() == pytest.approx(1.0) and nu @ h == pytest.approx(1.0)
+        assert np.max(np.abs(L @ h - lam * h)) <= 1e-13 * np.max(h)
+        assert np.max(np.abs(nu @ L - lam * nu)) <= 1e-13 * np.max(np.abs(nu))
     # the chain's step probabilities at the nodes sum to one
+    lam, h, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     probs = np.exp(F) * (E @ h) / (lam * h)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-13
 
