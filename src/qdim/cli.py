@@ -197,6 +197,19 @@ def _cmd_sample(args, system, family, meta) -> int:
     return _EXIT_OK
 
 
+def _check_n_list(args) -> None:
+    """Reject codebook sizes that would otherwise fail only after sampling."""
+    seen = set()
+    for n in args.n_list:
+        if n < 1:
+            raise SpecFormatError(f"--n-list size {n} is not positive")
+        if n in seen:
+            raise SpecFormatError(f"--n-list size {n} is repeated")
+        if n >= args.samples:
+            raise SpecFormatError(f"--n-list size {n} is not below --samples {args.samples}")
+        seen.add(n)
+
+
 def _run_quantize(args, system, family):
     sample = sample_measure(system, family, args.samples, depth=args.depth,
                             truncation=args.m, seed=args.seed)
@@ -204,6 +217,7 @@ def _run_quantize(args, system, family):
 
 
 def _cmd_quantize(args, system, family, meta) -> int:
+    _check_n_list(args)
     sample, runs = _run_quantize(args, system, family)
     rows = []
     for k, run in enumerate(runs):
@@ -226,6 +240,9 @@ def _cmd_quantize(args, system, family, meta) -> int:
 
 
 def _cmd_verify(args, system, family, meta) -> int:
+    _check_n_list(args)
+    if len(args.n_list) < 2:
+        raise SpecFormatError("verify needs at least two --n-list sizes")
     sol = solve_quantization_dim(system, family, args.r, truncation=args.m)
     sample, runs = _run_quantize(args, system, family)
     d_hat, diagnostics = estimate_Dr(runs, kappa_hint=sol.kappa_r)
@@ -235,7 +252,10 @@ def _cmd_verify(args, system, family, meta) -> int:
         "samples": len(sample), "n_list": list(args.n_list),
         "kappa_r": sol.kappa_r, "q_r": sol.q_r, "D_hat": d_hat,
         "relative_gap": gap, "tolerance": args.tol, "passed": bool(gap <= args.tol),
-        "diagnostics": diagnostics, **meta,
+        "diagnostics": diagnostics,
+        "runs": [{"n": run.n, "iterations": run.iterations, "converged": run.converged}
+                 for run in runs],
+        **meta,
     }
     _emit_json(report, args.out)
     return _EXIT_OK if gap <= args.tol else _EXIT_VERIFY

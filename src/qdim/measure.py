@@ -38,9 +38,13 @@ _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation l
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Weighted-uniform empirical approximation of a conformal measure."""
+    """Weighted-uniform empirical approximation of a conformal measure.
+
+    Compared and hashed by identity, so per-sample results can be cached
+    against it.
+    """
 
     points: np.ndarray            # sorted ascending
     seed: int

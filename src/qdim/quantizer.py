@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -199,71 +200,97 @@ def _best_split(seg: np.ndarray) -> int:
     return 1 + int(np.argmin(sse))
 
 
-def _split_start(pts: np.ndarray, n: int, r: float, tol: float) -> np.ndarray:
-    """Centers of n contiguous cells grown by greedy splits of the sorted sample.
+class _SplitOrder:
+    """The greedy split sequence of one sorted sample at one order r, grown on demand.
 
     Starting from one cell, the cell with the largest order-r cost about
-    its mean is split at ``_best_split`` until there are n cells; only
-    the final centers are order-r optimal.  A cell of equal values
-    cannot be split and ranks last; the caller guarantees n is below the
-    number of distinct values, so a splittable cell remains.
+    its mean is split at ``_best_split``; a cell of equal values cannot
+    be split and ranks last.  The sequence does not depend on n, so it
+    is kept as ``starts``: the start index of each cell in the order the
+    splits create it (the whole sample's cell, at 0, first).  The greedy
+    partition into n cells is the cells that begin at ``starts[:n]``.
     """
-    heap = [(0.0, 0, pts.size)]  # (-order-r cost, start, stop)
-    while len(heap) < n:
-        _, a, b = heapq.heappop(heap)
-        seg = pts[a:b]
-        edges = np.array([0, _best_split(seg), b - a])
-        costs = _segment_objective(seg, edges, _cell_centers(seg, edges, 2.0, tol), r)
-        for lo, hi, cost in zip(edges[:-1], edges[1:], costs):
-            key = -cost if seg[lo] < seg[hi - 1] else math.inf
-            heapq.heappush(heap, (key, a + int(lo), a + int(hi)))
-    edges = np.array(sorted(start for _, start, _ in heap) + [pts.size])
-    return _cell_centers(pts, edges, r, tol)
+
+    def __init__(self, size: int):
+        self.heap = [(0.0, 0, size)]  # (-order-r cost, start, stop)
+        self.starts = [0]
+
+    def edges(self, pts: np.ndarray, n: int, r: float) -> np.ndarray:
+        """Edges of the first n greedy cells; n must be below the distinct count."""
+        while len(self.starts) < n:
+            _, a, b = heapq.heappop(self.heap)
+            seg = pts[a:b]
+            split = _best_split(seg)
+            edges = np.array([0, split, b - a])
+            # the means; the center tolerance is unused at r = 2
+            costs = _segment_objective(seg, edges, _cell_centers(seg, edges, 2.0, 0.0), r)
+            for lo, hi, cost in zip(edges[:-1], edges[1:], costs):
+                key = -cost if seg[lo] < seg[hi - 1] else math.inf
+                heapq.heappush(self.heap, (key, a + int(lo), a + int(hi)))
+            self.starts.append(a + split)
+        return np.array(sorted(self.starts[:n]) + [pts.size])
 
 
-def _lloyd_once(pts: np.ndarray, code: np.ndarray, r: float, max_iter: int,
-                center_tol: float) -> tuple[np.ndarray, float, int, bool, list[float]]:
+# sample -> {r: _SplitOrder}; an entry goes when its sample does
+_SPLIT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: float,
+                max_iter: int, center_tol: float
+                ) -> tuple[np.ndarray, float, int, bool, list[float]]:
+    """Lloyd iteration from the order-r centers of a contiguous partition.
+
+    Centers are a pure function of (edges, r), so a partition that
+    repeats reuses the centers already computed for it.
+    """
     trace: list[float] = []
     converged = False
+    code = centers
     it = 0
     for it in range(1, max_iter + 1):
         code = _fix_empty_cells(pts, code, r)
-        edges = _cell_edges(pts, code)
-        centers = _cell_centers(pts, edges, r, center_tol)
+        new_edges = _cell_edges(pts, code)
+        if not np.array_equal(new_edges, edges):
+            edges = new_edges
+            centers = _cell_centers(pts, edges, r, center_tol)
         counts = np.diff(edges)
-        centers = np.where(counts > 0, centers, code)
-        new_code = np.sort(centers)
-        v = float(np.mean(_nearest_errors(pts, new_code, r)))
-        trace.append(v)
-        if np.max(np.abs(new_code - code)) <= center_tol:
-            code = new_code
+        new_code = np.sort(np.where(counts > 0, centers, code))
+        trace.append(float(np.mean(_nearest_errors(pts, new_code, r))))
+        done = np.max(np.abs(new_code - code)) <= center_tol
+        code = new_code
+        if done:
             converged = True
             break
-        code = new_code
-    v = float(np.mean(_nearest_errors(pts, code, r)))
-    return code, v, it, converged, trace
+    return code, trace[-1], it, converged, trace
 
 
 def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
                    max_iter: int = 60) -> QuantizationRun:
     """Lloyd optimization of an n-point codebook from a greedy split start.
 
-    The start is ``_split_start``: a deterministic contiguous partition
-    of the sorted sample, so the same sample always gives the same
-    codebook.
+    The start is the order-r centers of the first n cells of the
+    sample's greedy split sequence (``_SplitOrder``): a deterministic
+    contiguous partition of the sorted sample, so the same sample always
+    gives the same codebook.  The sequence is grown once per sample and
+    order r and shared by every n.
     """
     if n < 1:
         raise ValueError("codebook size must be >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     pts = sample.points
-    distinct = np.unique(pts)
-    span = float(pts[-1] - pts[0]) or 1.0
-    center_tol = 1e-10 * span
-    if n >= distinct.size:
-        code = Codebook(distinct, n)
+    rises = pts[1:] != pts[:-1]
+    if n > np.count_nonzero(rises):  # n >= the number of distinct values
+        code = Codebook(pts[np.concatenate(([True], rises))], n)
         return QuantizationRun(n=n, r=r, V_hat=0.0, e_hat=0.0, codebook=code,
                                iterations=0, restarts=0, converged=True)
-    init = _split_start(pts, n, r, center_tol)
-    code, v, iters, converged, trace = _lloyd_once(pts, init, r, max_iter, center_tol)
+    span = float(pts[-1] - pts[0]) or 1.0
+    center_tol = 1e-10 * span
+    order = _SPLIT_ORDERS.setdefault(sample, {}).setdefault(r, _SplitOrder(pts.size))
+    edges = order.edges(pts, n, r)
+    centers = _cell_centers(pts, edges, r, center_tol)
+    code, v, iters, converged, trace = _lloyd_once(pts, edges, centers, r, max_iter,
+                                                   center_tol)
     return QuantizationRun(n=n, r=r, V_hat=v, e_hat=v ** (1.0 / r),
                            codebook=Codebook(code, n), iterations=iters,
                            restarts=1, converged=converged, trace=tuple(trace))

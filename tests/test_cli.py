@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import qdim as Q
+import qdim.cli
 from qdim.cli import _build_parser, main
 
 from conftest import LOG23
@@ -142,6 +143,8 @@ def test_verify_deterministic_and_exit_codes(e1_spec, tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
     report = json.loads(r1.read_text())
     assert report["passed"] and report["relative_gap"] <= 0.15
+    assert [run["n"] for run in report["runs"]] == [4, 16, 64]
+    assert all(run["converged"] and run["iterations"] >= 1 for run in report["runs"])
     # an absurd tolerance forces the verification exit code
     capsys.readouterr()
     assert main(base + ["--tol", "1e-9"]) == 3
@@ -157,6 +160,31 @@ def test_quantize_command(e1_spec, tmp_path, capsys):
     assert vs == sorted(vs, reverse=True)
     manifest = json.loads(capsys.readouterr().out)
     assert [run["n"] for run in manifest["runs"]] == [2, 4, 8]
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before --n-list was checked")
+
+
+@pytest.mark.parametrize("command", ["quantize", "verify"])
+@pytest.mark.parametrize("n_list, message", [
+    ("0,4", "--n-list size 0 is not positive"),
+    ("4,-2", "--n-list size -2 is not positive"),
+    ("4,8,4", "--n-list size 4 is repeated"),
+    ("4,8,16", "--n-list size 16 is not below --samples 10"),
+], ids=["zero", "negative", "repeated", "not-below-samples"])
+def test_n_list_checked_before_sampling(command, n_list, message, e1_spec, tmp_path,
+                                        monkeypatch, capsys):
+    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    assert main([command, "--system", e1_spec, "--r", "2", "--n-list", n_list,
+                 "--samples", "10", "--out", str(tmp_path / "out")]) == 1
+    assert f"spec error: {message}" in capsys.readouterr().err
+
+
+def test_verify_needs_two_sizes(e1_spec, monkeypatch, capsys):
+    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    assert main(["verify", "--system", e1_spec, "--r", "2", "--n-list", "8"]) == 1
+    assert "spec error: verify needs at least two --n-list sizes" in capsys.readouterr().err
 
 
 def test_malformed_spec_exits_one(tmp_path, capsys):

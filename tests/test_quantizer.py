@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import qdim as Q
+import qdim.quantizer
 
 from conftest import LOG23
 
@@ -97,6 +100,40 @@ def test_lloyd_deterministic(e1_sample):
     b = Q.lloyd_optimize(e1_sample, 5, 2.0)
     assert np.array_equal(a.codebook.points, b.codebook.points)
     assert a.V_hat == b.V_hat
+
+
+def _fresh(sample):
+    """A new SampleSet over a copy of the points: it shares no cached split sequence."""
+    return Q.SampleSet(points=sample.points.copy(), seed=sample.seed, depth=sample.depth,
+                       truncation=sample.truncation, deficit=sample.deficit)
+
+
+@pytest.mark.parametrize("r", [2.0, 1.5])
+@pytest.mark.parametrize("ns", [[4, 8, 16, 32, 64], [64, 32, 16, 8, 4], [16, 64, 4, 32, 8]],
+                         ids=["ascending", "descending", "shuffled"])
+def test_split_sequence_shared_across_n(e1_sample, ns, r, monkeypatch):
+    sizes = []
+    best_split = qdim.quantizer._best_split
+    monkeypatch.setattr(qdim.quantizer, "_best_split",
+                        lambda seg: sizes.append(seg.size) or best_split(seg))
+    sample = _fresh(e1_sample)
+    runs = [Q.lloyd_optimize(sample, n, r) for n in ns]
+    # 63 splits give the 64-cell start, and every smaller start is on the way
+    assert len(sizes) == 63
+    monkeypatch.undo()
+    for n, run in zip(ns, runs):
+        alone = Q.lloyd_optimize(_fresh(e1_sample), n, r)
+        assert np.array_equal(run.codebook.points, alone.codebook.points)
+        assert run.V_hat == alone.V_hat
+
+
+def test_split_cache_lets_go_of_the_sample(e1_sample):
+    sample = _fresh(e1_sample)
+    alive = weakref.ref(sample)
+    Q.lloyd_optimize(sample, 8, 2.0)
+    del sample
+    gc.collect()
+    assert alive() is None
 
 
 def _optimal_r2_errors(pts: np.ndarray, n_max: int) -> list[float]:
