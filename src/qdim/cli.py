@@ -184,6 +184,7 @@ def _cmd_sweep(args, system, family, meta) -> int:
 
 
 def _cmd_sample(args, system, family, meta) -> int:
+    _check_depth(args)
     sample = sample_measure(system, family, args.samples, depth=args.depth,
                             truncation=args.m, seed=args.seed)
     if not args.out:
@@ -195,6 +196,12 @@ def _cmd_sample(args, system, family, meta) -> int:
         "deficit": sample.deficit, **meta,
     }))
     return _EXIT_OK
+
+
+def _check_depth(args) -> None:
+    """Reject a sampling depth that would otherwise fail only after the solves."""
+    if args.depth is not None and args.depth < 1:
+        raise SpecFormatError(f"--depth {args.depth} is not positive")
 
 
 def _check_n_list(args) -> None:
@@ -218,6 +225,7 @@ def _run_quantize(args, system, family):
 
 def _cmd_quantize(args, system, family, meta) -> int:
     _check_n_list(args)
+    _check_depth(args)
     sample, runs = _run_quantize(args, system, family)
     rows = []
     for k, run in enumerate(runs):
@@ -229,7 +237,7 @@ def _cmd_quantize(args, system, family, meta) -> int:
     _emit_csv(rows, ["n", "r", "V_hat", "e_hat", "D_running"], args.out)
     manifest = {
         "command": "quantize", "r": args.r, "seed": args.seed,
-        "samples": len(sample), "truncation": sample.truncation,
+        "samples": len(sample), "depth": sample.depth, "truncation": sample.truncation,
         "runs": [{"n": run.n, "V_hat": run.V_hat, "iterations": run.iterations,
                   "restarts": run.restarts, "converged": run.converged}
                  for run in runs],
@@ -241,6 +249,7 @@ def _cmd_quantize(args, system, family, meta) -> int:
 
 def _cmd_verify(args, system, family, meta) -> int:
     _check_n_list(args)
+    _check_depth(args)
     if len(args.n_list) < 2:
         raise SpecFormatError("verify needs at least two --n-list sizes")
     sol = solve_quantization_dim(system, family, args.r, truncation=args.m)
@@ -249,8 +258,8 @@ def _cmd_verify(args, system, family, meta) -> int:
     gap = abs(d_hat - sol.kappa_r) / sol.kappa_r
     report = {
         "command": "verify", "r": args.r, "seed": args.seed,
-        "samples": len(sample), "n_list": list(args.n_list),
-        "kappa_r": sol.kappa_r, "q_r": sol.q_r, "D_hat": d_hat,
+        "samples": len(sample), "depth": sample.depth, "truncation": sample.truncation,
+        "n_list": list(args.n_list), "kappa_r": sol.kappa_r, "q_r": sol.q_r, "D_hat": d_hat,
         "relative_gap": gap, "tolerance": args.tol, "passed": bool(gap <= args.tol),
         "diagnostics": diagnostics,
         "runs": [{"n": run.n, "iterations": run.iterations, "converged": run.converged}

@@ -36,6 +36,7 @@ _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
 _H_GRID = 2049            # grid points for the minimum of the eigenfunction's interpolant
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
+_LAW_TOL = 1e-12          # the default depth takes the sampled law this close to its limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,7 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
         k = np.array(w) - 1
         log_integral = float(np.sum(q * a[k] + t * d[k]))
     else:
-        _, _, nu = _operator_eigen(_operator_parts(system, family, M, _NODES), q, t)
+        _, _, nu, _ = _operator_eigen(_operator_parts(system, family, M, _NODES), q, t)
         y, _ = _chebyshev_nodes(system.domain, _NODES)
         log_g = np.zeros(_NODES)
         for sym in reversed(w):  # q S_w F + t log|phi_w'| along the suffix orbit
@@ -137,10 +138,17 @@ def _auto_truncation(system: IfsSystem, family: PotentialFamily, total: float) -
     return hi
 
 
+def _gap_depth(rho: float) -> int:
+    """The fewest steps n with rho^n <= _LAW_TOL, for a law that converges like rho^n."""
+    if not 0.0 <= rho < 1.0:
+        raise NumericalFailure(f"the chain does not mix: its convergence rate {rho:.6g} "
+                               "is not below 1")
+    return 1 if rho == 0.0 else math.ceil(math.log(_LAW_TOL) / math.log(rho))
+
+
 def _default_depth(system: IfsSystem) -> int:
-    if system.s < 1.0:
-        return int(math.ceil(math.log(1e-12) / math.log(system.s)))
-    return 60
+    """Depth of the i.i.d. symbol words: backward iteration contracts by s per step."""
+    return _gap_depth(system.s) if system.s < 1.0 else 60
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
 
 
 def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
-                  depth: int, M: int, seed: int) -> np.ndarray:
+                  depth: int | None, M: int, seed: int) -> tuple[np.ndarray, int]:
     """Exact draw for nonconstant families: an eigenfunction chain, then rejection.
 
     With L h = lambda h for the transfer operator at (q, t) = (1, 0), the
@@ -203,15 +211,21 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     p_i(y) = e^{f_i(y)} h(phi_i y) / (lambda h(y)) has the Gibbs state h m
     as its stationary law (Barnsley-Demko-Elton-Geronimo); keeping its
     state after ``depth`` steps with probability min h / h(y) leaves the
-    conformal measure m.  The p_i are interpolated from their values at
-    the operator's Chebyshev-Lobatto nodes, so each step is one product
-    of (chains x nodes) barycentric terms with the (nodes x M) node
+    conformal measure m.  Its transition operator Q g = L(h g) / (lambda h)
+    is similar to L / lambda, so the law after n steps approaches h m like
+    rho^n, rho the operator's subdominant eigenvalue ratio; a ``depth`` of
+    None takes the fewest steps with rho^n <= 1e-12 (``_gap_depth``).  The
+    p_i are interpolated from their values at the operator's
+    Chebyshev-Lobatto nodes, so each step is one product of
+    (chains x nodes) barycentric terms with the (nodes x M) node
     probabilities.  Chunks of chains run from (seed, chunk) streams until
-    ``count`` points are kept.
+    ``count`` points are kept.  Returns the points and the depth used.
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
-    lam, h, _ = _operator_eigen(parts, 1.0, 0.0)
+    lam, h, _, rho = _operator_eigen(parts, 1.0, 0.0)
+    if depth is None:
+        depth = _gap_depth(rho)
     x, w = _chebyshev_nodes(system.domain, _NODES)
     probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
     table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
@@ -237,7 +251,7 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
         kept.append(y)
         total += y.size
         chunk_idx += 1
-    return np.concatenate(kept)[:count]
+    return np.concatenate(kept)[:count], depth
 
 
 def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
@@ -248,16 +262,17 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     Constant-weight families draw i.i.d. symbol strings with the
     (truncation-renormalized) weights and map the domain midpoint
     through the word; every other family runs ``depth`` steps of the
-    eigenfunction chain (``_sample_chain``).  Infinite alphabets
-    truncate at the smallest M whose relative tail mass is at most 1e-6
-    (at most 4096 symbols) unless an explicit truncation is supplied; a
-    larger deficit needs ``allow_deficit=True``.
+    eigenfunction chain (``_sample_chain``).  A ``depth`` of None takes
+    the law within 1e-12 of its limit: words of length
+    log(1e-12) / log(s) for constant weights (60 when s = 1), and for the
+    chain the steps its transfer operator's spectral gap needs.  Infinite
+    alphabets truncate at the smallest M whose relative tail mass is at
+    most 1e-6 (at most 4096 symbols) unless an explicit truncation is
+    supplied; a larger deficit needs ``allow_deficit=True``.
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    if depth is None:
-        depth = _default_depth(system)
-    if depth < 1:
+    if depth is not None and depth < 1:
         raise ValueError("depth must be >= 1")
 
     total = _tail_exp_sum(family, system)
@@ -272,9 +287,10 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
         )
 
     if isinstance(family, ConstantLogWeights):
+        depth = _default_depth(system) if depth is None else depth
         pts = _sample_constant(system, family, count, depth, M, seed)
     else:
-        pts = _sample_chain(system, family, count, depth, M, seed)
+        pts, depth = _sample_chain(system, family, count, depth, M, seed)
     return SampleSet(points=np.sort(pts), seed=seed, depth=depth, truncation=M,
                      deficit=deficit)
 

@@ -226,15 +226,18 @@ def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
-                    t: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda, h, nu) of the collocated operator at (q, t).
+                    t: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """(lambda, h, nu, rho) of the collocated operator at (q, t).
 
     lambda is the leading real eigenvalue (as in ``_operator_pressure``),
     h > 0 its right eigenvector at the nodes and nu its left eigenvector,
     scaled so that sum(nu) = 1 and nu . h = 1.  Since L*m = lambda m, nu is
     a quadrature rule for the measure m with that eigen-relation (the
-    conformal measure at (1, 0)), and h m is the Gibbs state.  One
-    eigendecomposition gives lambda and h; nu solves the bordered system
+    conformal measure at (1, 0)), and h m is the Gibbs state.  rho is the
+    largest modulus among the other eigenvalues over lambda: the rate
+    rho^n at which L^n / lambda^n approaches its projection onto h (the
+    spectral gap).  One eigendecomposition gives lambda, h and rho; nu
+    solves the bordered system
     [A^T - mu, h; h^T, 0] [nu; 0] = [0; 1], which is well conditioned
     for a simple eigenvalue, where a row of the inverse eigenvector
     matrix is not (its condition number reaches 1e13).
@@ -254,7 +257,8 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     bordered[:n, n] = bordered[n, :n] = h
     nu = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
     total = float(nu.sum())
-    return math.exp(s) * mu, h * total, nu / total
+    rho = float(np.max(np.abs(np.delete(ev, k)))) / mu
+    return math.exp(s) * mu, h * total, nu / total, rho
 
 
 def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: float,

@@ -114,22 +114,20 @@ def _segment_objective(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray,
     return np.add.reduceat(costs, edges[:-1]) * (np.diff(edges) > 0)
 
 
+def _cell_points(pts: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """pts[idx[j]] for each nonempty cell j, 0.0 for an empty one (fixed by the caller)."""
+    return np.where(np.diff(edges) > 0, pts[np.clip(idx, 0, pts.size - 1)], 0.0)
+
+
 def _golden_centers(pts: np.ndarray, edges: np.ndarray, r: float,
                     tol: float) -> np.ndarray:
     """Per-cell golden-section minimization of c -> sum |x - c|^r, vectorized.
 
     Convex for r >= 1; for r < 1 a 64-point pre-scan narrows each
-    bracket before the local search.
+    bracket before the local search.  Each bracket is the cell's span.
     """
-    k = edges.size - 1
-    lo = np.empty(k)
-    hi = np.empty(k)
-    for j in range(k):
-        a, b = edges[j], edges[j + 1]
-        if b > a:
-            lo[j], hi[j] = pts[a], pts[b - 1]
-        else:
-            lo[j] = hi[j] = 0.0  # empty cells are fixed by the caller
+    lo = _cell_points(pts, edges, edges[:-1])
+    hi = _cell_points(pts, edges, edges[1:] - 1)
     if r < 1.0:
         best = lo.copy()
         best_val = _segment_objective(pts, edges, best, r)
@@ -158,14 +156,10 @@ def _cell_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> n
     if r == 2.0:
         sums = np.add.reduceat(pts, edges[:-1]) * (counts > 0)
         return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    if r == 1.0:
-        centers = np.zeros(counts.size)
-        for j in range(counts.size):
-            a, b = edges[j], edges[j + 1]
-            if b > a:
-                seg = pts[a:b]
-                centers[j] = 0.5 * (seg[(b - a - 1) // 2] + seg[(b - a) // 2])
-        return centers
+    if r == 1.0:  # the medians
+        start = edges[:-1]
+        return 0.5 * (_cell_points(pts, edges, start + (counts - 1) // 2)
+                      + _cell_points(pts, edges, start + counts // 2))
     return _golden_centers(pts, edges, r, tol)
 
 

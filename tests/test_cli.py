@@ -144,6 +144,7 @@ def test_verify_deterministic_and_exit_codes(e1_spec, tmp_path, capsys):
     report = json.loads(r1.read_text())
     assert report["passed"] and report["relative_gap"] <= 0.15
     assert [run["n"] for run in report["runs"]] == [4, 16, 64]
+    assert report["depth"] == 26 and report["truncation"] == 2  # log 1e-12 / log(1/3)
     assert all(run["converged"] and run["iterations"] >= 1 for run in report["runs"])
     # an absurd tolerance forces the verification exit code
     capsys.readouterr()
@@ -160,6 +161,7 @@ def test_quantize_command(e1_spec, tmp_path, capsys):
     assert vs == sorted(vs, reverse=True)
     manifest = json.loads(capsys.readouterr().out)
     assert [run["n"] for run in manifest["runs"]] == [2, 4, 8]
+    assert manifest["depth"] == 26 and manifest["truncation"] == 2
 
 
 def _no_sampling(*args, **kwargs):
@@ -185,6 +187,33 @@ def test_verify_needs_two_sizes(e1_spec, monkeypatch, capsys):
     monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
     assert main(["verify", "--system", e1_spec, "--r", "2", "--n-list", "8"]) == 1
     assert "spec error: verify needs at least two --n-list sizes" in capsys.readouterr().err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before --depth was checked")
+
+
+@pytest.mark.parametrize("command", ["sample", "quantize", "verify"])
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeypatch,
+                                      capsys):
+    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    monkeypatch.setattr(qdim.cli, "solve_quantization_dim", _no_solve)
+    args = [command, "--system", e1_spec, "--depth", depth, "--samples", "100",
+            "--out", str(tmp_path / "out")]
+    if command != "sample":
+        args += ["--r", "2", "--n-list", "4,8"]
+    assert main(args) == 1
+    assert f"spec error: --depth {depth} is not positive" in capsys.readouterr().err
+
+
+def test_sample_reports_the_spectral_gap_depth(tmp_path, capsys):
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--system", str(path), "--samples", "50", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 24
+    assert json.loads((tmp_path / "pts.csv.json").read_text())["depth"] == 24
 
 
 def test_malformed_spec_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdim as Q
+import qdim.measure
 import qdim.pressure
 from qdim.errors import NumericalFailure
 
@@ -124,10 +125,22 @@ def test_sample_depth_default_resolves_cylinders(e1):
     assert system.s ** sample.depth <= 1e-11
 
 
+@pytest.mark.parametrize("rho, depth", [(0.0, 1), (0.5, 40), (1e-300, 1)])
+def test_gap_depth_rule(rho, depth):
+    assert qdim.measure._gap_depth(rho) == depth
+    assert rho ** depth <= qdim.measure._LAW_TOL < rho ** (depth - 1)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5, math.inf, math.nan])
+def test_gap_depth_rejects_a_chain_that_does_not_mix(rho):
+    with pytest.raises(NumericalFailure, match="does not mix"):
+        qdim.measure._gap_depth(rho)
+
+
 def _node_quadrature(system, family):
     """(nu, nodes): nu integrates node values against the conformal measure."""
     parts = qdim.pressure._operator_parts(system, family, system.size, qdim.pressure._NODES)
-    _, _, nu = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
+    _, _, nu, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     x, _ = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
     return nu, x
 
@@ -136,6 +149,7 @@ def test_chain_sampler_matches_branch_mass(gauss12):
     system, _ = gauss12
     family = Q.normalize_pressure(Q.derivative_family(0.6), system)
     sample = Q.sample_measure(system, family, 1500, depth=40, seed=3)
+    assert sample.depth == 40  # an explicit depth is used as given
     # attractor hull of the {1,2} branches: [[0; 2, 1, 2, 1, ...], [0; 1, 2, 1, 2, ...]]
     left = (math.sqrt(3) - 1) / 2
     right = 1 / (1 + left)
@@ -161,6 +175,36 @@ def test_chain_moments_match_node_quadrature(symbols, s_exp, count):
         vals = g(sample.points)
         z = (vals.mean() - nu @ g(x)) / (vals.std() / math.sqrt(vals.size))
         assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("symbols, M, s_exp", [
+    ((1, 2), None, 0.531280506277205),
+    ((1, 2, 3, 4, 5), None, 0.836829443681208),
+    ((1, 2), None, 0.6),
+    (None, 40, 1.0),
+    (None, 40, 0.75),
+    (None, 320, 1.0),
+    (None, 20, 2.0),
+], ids=["gauss12-dim", "gauss15-dim", "gauss12-raw", "gauss40-s1", "gauss40-s075",
+        "gauss320-s1", "gauss20-s2"])
+def test_chain_law_at_default_depth(symbols, M, s_exp):
+    # the chain's law after n steps from the midpoint, E g(Y_n) = (Q^n g)(mid) with
+    # Q = sum_i diag(p_i) E_i, is within 1e-12 of the Gibbs state's nu . (h g)
+    system, family = Q.gauss_system(symbols), Q.derivative_family(s_exp)
+    parts = qdim.pressure._operator_parts(system, family, M or system.size,
+                                          qdim.pressure._NODES)
+    F, _, E = parts
+    lam, h, nu, rho = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
+    depth = Q.sample_measure(system, family, 1, truncation=M, allow_deficit=True).depth
+    assert depth == qdim.measure._gap_depth(rho)
+    probs = np.exp(F) * (E @ h) / (lam * h)
+    chain = np.einsum("ij,ijk->jk", probs, E)
+    x, w = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
+    at_mid = qdim.pressure._barycentric_terms(x, w, np.array([system.midpoint]))[0]
+    law = at_mid / at_mid.sum() @ np.linalg.matrix_power(chain, depth)
+    for g in (lambda v: v, lambda v: v * v, lambda v: np.cos(7 * v),
+              lambda v: np.cos(2 * np.pi * v)):
+        assert abs(law @ g(x) - nu @ (h * g(x))) <= 1e-12
 
 
 def test_chain_matches_self_similar_moments():

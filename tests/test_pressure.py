@@ -306,15 +306,19 @@ def test_operator_eigen_triple(gauss12):
     parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
     F, D, E = parts
     for q, t in ((1.0, 0.0), (0.4, 0.9)):
-        lam, h, nu = qdim.pressure._operator_eigen(parts, q, t)
+        lam, h, nu, rho = qdim.pressure._operator_eigen(parts, q, t)
         L = np.einsum("ij,ijk->jk", np.exp(q * F + t * D), E)
+        # rho: the second eigenvalue modulus over lambda
+        moduli = np.sort(np.abs(np.linalg.eigvals(L)))
+        assert moduli[-1] == pytest.approx(lam, rel=1e-13)
+        assert rho == pytest.approx(moduli[-2] / lam, rel=1e-12) and 0.0 < rho < 1.0
         assert lam == pytest.approx(math.exp(Q.estimate_pressure(system, family, q, t).value),
                                     rel=1e-13)
         assert np.all(h > 0) and nu.sum() == pytest.approx(1.0) and nu @ h == pytest.approx(1.0)
         assert np.max(np.abs(L @ h - lam * h)) <= 1e-13 * np.max(h)
         assert np.max(np.abs(nu @ L - lam * nu)) <= 1e-13 * np.max(np.abs(nu))
     # the chain's step probabilities at the nodes sum to one
-    lam, h, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
+    lam, h, _, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     probs = np.exp(F) * (E @ h) / (lam * h)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-13
 

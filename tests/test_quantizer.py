@@ -87,6 +87,22 @@ def test_lloyd_general_r_median_and_golden(e1_sample):
     assert np.all(np.diff(run07.codebook.points) > 0)
 
 
+def test_cell_centers_match_loop_form():
+    # cells [0, 2), [2, 2) (empty), [2, 5), [5, 6), [6, 6) (empty, last)
+    pts = np.array([0.1, 0.2, 0.25, 0.4, 0.7, 0.8])
+    edges = np.array([0, 2, 2, 5, 6, 6])
+    medians, lo, hi = np.zeros(5), np.zeros(5), np.zeros(5)
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if b > a:
+            seg = pts[a:b]
+            medians[j] = 0.5 * (seg[(b - a - 1) // 2] + seg[(b - a) // 2])
+            lo[j], hi[j] = seg[0], seg[-1]
+    assert qdim.quantizer._cell_centers(pts, edges, 1.0, 0.0).tobytes() == medians.tobytes()
+    # a tolerance wider than every bracket returns the bracket midpoints untouched
+    golden = qdim.quantizer._golden_centers(pts, edges, 1.5, math.inf)
+    assert golden.tobytes() == (0.5 * (lo + hi)).tobytes()
+
+
 def test_lloyd_oversized_codebook_returns_zero():
     sample = Q.SampleSet(points=np.array([0.1, 0.2, 0.3]), seed=0, depth=1,
                          truncation=None, deficit=0.0)
