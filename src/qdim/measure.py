@@ -32,6 +32,7 @@ from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_e
                        is_multiplicative)
 
 _CHUNK = 65536
+_REACH = 64               # reachable cdf entries up to which counting beats a binary search
 _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
 _H_GRID = 2049            # grid points for the minimum of the eigenfunction's interpolant
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
@@ -155,50 +156,90 @@ def _default_depth(system: IfsSystem) -> int:
 # sampling
 
 
-def _apply_symbols(system: IfsSystem, syms: np.ndarray, x: np.ndarray, M: int) -> np.ndarray:
-    """x -> phi_{sym}(x) elementwise for a vector of symbols."""
+def _apply_symbols(system: IfsSystem, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x -> phi_{i+1}(x) elementwise for a vector of 0-based symbol indices i.
+
+    One sort groups the positions by symbol, then each symbol that occurs
+    gets one vectorized map call, so the cost does not grow with the
+    alphabet.
+    """
+    order = np.argsort(idx, kind="stable")
+    drawn = idx[order]
+    cuts = np.flatnonzero(drawn[1:] != drawn[:-1]) + 1
     out = np.empty_like(x)
-    for i in range(1, M + 1):
-        mask = syms == i
-        if mask.any():
-            out[mask] = system.map(i).value(x[mask])
+    for group in np.split(order, cuts):
+        out[group] = system.map(int(idx[group[0]]) + 1).value(x[group])
     return out
+
+
+def _symbol_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf that ``Generator.choice(M, p=probs)`` searches, after its checks on p."""
+    p_sum = float(np.sum(probs))
+    if math.isnan(p_sum):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(probs < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p_sum - 1.0) > math.sqrt(np.finfo(float).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, shape: tuple[int, int]
+                  ) -> np.ndarray:
+    """0-based symbols, equal to ``rng.choice(cdf.size, size=shape, p=probs)``.
+
+    Draws the same uniforms u as ``choice`` and returns
+    ``searchsorted(cdf, u, side="right")``: as a uint8 count of the cdf
+    entries <= u, over only the entries that some u reaches, when there
+    are at most _REACH of them, and by the binary search otherwise.
+    """
+    u = rng.random(shape)
+    reach = int(np.searchsorted(cdf, u.max(), side="right"))
+    if reach > _REACH:
+        return np.searchsorted(cdf, u, side="right")
+    idx = np.zeros(shape, np.uint8)
+    for c in cdf[:reach]:
+        idx += u >= c
+    return idx
 
 
 def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
                      depth: int, M: int, seed: int) -> np.ndarray:
+    """i.i.d. symbol words of length ``depth`` applied to the domain midpoint.
+
+    Chunks of _CHUNK words come from (seed, chunk) streams, and the draws
+    are bit-identical to ``rng.choice(M, size=(n, depth), p=probs)``
+    (``_draw_symbols``).  Similarity maps step as slope * x + offset with
+    slope = orientation * ratio, exact because the orientation is +-1.
+    """
     probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
-    probs = probs / probs.sum()
+    cdf = _symbol_cdf(probs / probs.sum())
     mid = system.midpoint
     all_sims = system.all_similarities
     if system.geometric_ratio is not None:
         # phi_i(x) = ratio**i (x + 2) in closed form: a ratio**i that underflows
         # to 0 only collapses a map of negligible weight onto 0
-        ratio = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
-        orient = np.ones(M)
-        offset = 2.0 * ratio
+        slope = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
+        offset = 2.0 * slope
     elif all_sims:
-        ratio = np.array([system.map(i).ratio for i in range(1, M + 1)])
-        orient = np.array([float(system.map(i).orientation) for i in range(1, M + 1)])
-        offset = np.array([system.map(i).offset for i in range(1, M + 1)])
+        maps = [system.map(i) for i in range(1, M + 1)]
+        slope = np.array([float(m.orientation) * m.ratio for m in maps])
+        offset = np.array([m.offset for m in maps])
     out = np.empty(count)
-    start = 0
-    chunk_idx = 0
-    while start < count:
+    for chunk_idx, start in enumerate(range(0, count, _CHUNK)):
         n = min(_CHUNK, count - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
-        syms = rng.choice(M, size=(n, depth), p=probs) + 1
+        # steps[k] holds the k-th symbol of every word, contiguous
+        steps = _draw_symbols(rng, cdf, (n, depth)).T.copy()
         x = np.full(n, mid)
-        for k in range(depth - 1, -1, -1):
-            col = syms[:, k]
+        for idx in steps[::-1]:
             if all_sims:
-                idx = col - 1
-                x = orient[idx] * ratio[idx] * x + offset[idx]
+                x = slope.take(idx) * x + offset.take(idx)
             else:
-                x = _apply_symbols(system, col, x, M)
+                x = _apply_symbols(system, idx, x)
         out[start:start + n] = x
-        start += n
-        chunk_idx += 1
     return out
 
 
@@ -244,8 +285,8 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
         for u in steps:
             num = _barycentric_terms(x, w, y) @ table
             cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
-            syms = (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1) + 1
-            y = _apply_symbols(system, syms, y, M)
+            idx = (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)
+            y = _apply_symbols(system, idx, y)
         terms = _barycentric_terms(x, w, y)
         y = y[accept * (terms @ h / terms.sum(axis=1)) <= h_min]
         kept.append(y)
@@ -291,7 +332,7 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
         pts = _sample_constant(system, family, count, depth, M, seed)
     else:
         pts, depth = _sample_chain(system, family, count, depth, M, seed)
-    return SampleSet(points=np.sort(pts), seed=seed, depth=depth, truncation=M,
+    return SampleSet(points=pts, seed=seed, depth=depth, truncation=M,
                      deficit=deficit)
 
 

@@ -30,8 +30,14 @@ class FiniteWeights:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values or any(v <= 0 for v in self.values):
+        if not self.values or not all(v > 0 for v in self.values):
             raise ValueError("weights must be positive")
+        try:  # normalization and sampling sum e^{log p_i} over the table
+            total = math.fsum(math.exp(self.log_p(i)) for i in range(1, self.size + 1))
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise ValueError("weights must have a finite sum")
 
     def log_p(self, i: int) -> float:
         return math.log(self.values[i - 1])

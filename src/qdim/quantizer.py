@@ -181,17 +181,22 @@ def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
 def _best_split(seg: np.ndarray) -> int:
     """Index splitting a sorted cell into two with the least summed squared error.
 
-    Prefix sums of seg - seg[0] give both halves' errors for every split
-    in one pass; splits between equal values are excluded.
+    For a split after the first k of L values, the summed squared error
+    about the two means is the total about the common mean less the
+    between-cells term (s_k L - k t)^2 / (L k (L - k)), s_k the sum of the
+    first k values and t the sum of all, so the split maximizes
+    (s_k L - k t)^2 / (k (L - k)) (Otsu, IEEE SMC 1979).  One prefix sum
+    of seg - seg[0] gives every term, with no s2 - s1^2/k cancellation;
+    splits between equal values are excluded.
     """
     y = seg - seg[0]
-    k = np.arange(1, y.size)
-    s1 = np.cumsum(y)[:-1]
-    s2 = np.cumsum(y * y)[:-1]
-    t1, t2 = s1[-1] + y[-1], s2[-1] + y[-1] * y[-1]
-    sse = s2 - s1 * s1 / k + (t2 - s2) - (t1 - s1) ** 2 / (y.size - k)
-    sse[y[1:] == y[:-1]] = np.inf
-    return 1 + int(np.argmin(sse))
+    L = y.size
+    s = np.cumsum(y)
+    k = np.arange(1, L, dtype=float)
+    d = s[:-1] * L - k * s[-1]
+    score = d * d / (k * (L - k))
+    score[y[1:] == y[:-1]] = -1.0
+    return 1 + int(np.argmax(score))
 
 
 class _SplitOrder:

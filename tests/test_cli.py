@@ -243,6 +243,22 @@ def test_nonfinite_spec_numbers_exit_one(doc, tmp_path, capsys):
     assert "non-finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "quantize", "verify"])
+def test_overflowing_weight_sum_exits_one(command, tmp_path):
+    # each weight is finite, but their sum is not
+    path = tmp_path / "big.json"
+    path.write_text(E1_DOC.replace('"weights": [0.5, 0.5]', '"weights": [1e308, 1e308]'))
+    args = [command, "--system", str(path), "--samples", "100",
+            "--out", str(tmp_path / "out")]
+    if command != "sample":
+        args += ["--r", "2", "--n-list", "4,8"]
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "spec error: weights must have a finite sum" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):
     # sampling a harshly truncated infinite measure without override
     out = tmp_path / "pts.csv"

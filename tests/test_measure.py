@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdim as Q
 import qdim.measure
@@ -231,6 +234,83 @@ def test_chain_sampler_deterministic_on_hull():
     left = (math.sqrt(45) - 5) / 10
     assert a.points.min() >= left - 1e-9
     assert a.points.max() <= 1 / (1 + left) + 1e-9
+
+
+def _weights(M):
+    return st.lists(st.floats(1e-6, 1.0), min_size=M, max_size=M)
+
+
+_TABLES = st.one_of(
+    st.sampled_from([2, 3, 20]).flatmap(_weights),
+    st.just([0.5 ** i for i in range(1, 701)]),  # geometric: few entries reachable
+    st.just([1.0] * 256),                          # flat: more than _REACH reachable
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_TABLES, st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 30))
+def test_symbol_draws_match_choice(weights, seed, n, depth):
+    probs = np.array(weights) / math.fsum(weights)
+    cdf = qdim.measure._symbol_cdf(probs)
+    idx = qdim.measure._draw_symbols(np.random.default_rng(seed), cdf, (n, depth))
+    u = np.random.default_rng(seed).random((n, depth))
+    assert np.array_equal(idx, np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(idx, np.random.default_rng(seed).choice(
+        len(weights), size=(n, depth), p=probs))
+
+
+def test_symbol_draws_cover_both_sides_of_the_reach():
+    rng = np.random.default_rng(0)
+    geometric = qdim.measure._symbol_cdf(np.array([0.5 ** i for i in range(1, 701)]) /
+                                         (1 - 0.5 ** 700))
+    flat = qdim.measure._symbol_cdf(np.full(256, 1 / 256))
+    # counted below the reach constant, binary-searched above it
+    assert qdim.measure._draw_symbols(rng, geometric, (1000, 26)).dtype == np.uint8
+    assert qdim.measure._draw_symbols(rng, flat, (1000, 26)).dtype == np.intp
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [-0.5, 1.5], [0.3, 0.3]],
+                         ids=["nan", "negative", "not-normalized"])
+def test_symbol_cdf_keeps_the_choice_checks(probs):
+    with pytest.raises(ValueError) as choice_error:
+        np.random.default_rng(0).choice(2, p=probs)
+    with pytest.raises(ValueError) as cdf_error:
+        qdim.measure._symbol_cdf(np.array(probs))
+    assert str(choice_error.value).startswith(str(cdf_error.value))
+
+
+# sha256 of sample_measure(...).points.tobytes(): the sample streams are part of
+# every verify report, so a kernel rewrite must reproduce them bit for bit
+_STREAM_SYSTEMS = {
+    "e2": (Q.similarity_system([1 / 3, 1 / 3], [0.0, 2 / 3]),
+           Q.log_weight_family([0.7, 0.3])),
+    "e3": (Q.geometric_similarity_system(1 / 3), Q.geometric_weight_family(0.5)),
+    "reversed": (Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]),
+                 Q.log_weight_family([0.5, 0.2, 0.3])),
+    "gauss-constant": (Q.gauss_system((1, 2, 3)), Q.log_weight_family([0.5, 0.3, 0.2])),
+    "gauss15-chain": (Q.gauss_system((1, 2, 3, 4, 5)),
+                      Q.derivative_family(0.836829443681208)),
+}
+
+
+@pytest.mark.parametrize("name, count, kwargs, digest", [
+    ("e2", 70_000, {"seed": 5},  # two chunks, the second partial
+     "2043a595c1f292bf7d8d99737d9d76924d1d1cd00e4685922511688fa61e243d"),
+    ("e3", 5000, {"seed": 6},  # the automatic truncation, M = 20
+     "5d29e619a8eb6c01b962c718374a0fefb2214a4f3ed0e60013e69b4f1d780938"),
+    ("e3", 5000, {"seed": 6, "truncation": 700},  # ratios underflow past i ~ 678
+     "ea1fc08b6d94bd2a4b6da934a67325b123caa48e0574bda919ca53fa0320dbe9"),
+    ("reversed", 20_000, {"seed": 8},
+     "76c7c907aba65b437f67b4824975b794fc8c729eeffca58fc2601b00cc120dc1"),
+    ("gauss-constant", 5000, {"seed": 2},  # constant weights on non-affine maps
+     "16722ac4c81ea15d37d2bdafefdbf477e3b3335a0ace4594156e54f90645c157"),
+    ("gauss15-chain", 3000, {"seed": 3},
+     "baf22633e6f78a53a11a75089804f3f86c5a4c8f45158c265d06155bfc10fa54"),
+], ids=["e2-two-chunks", "e3-auto", "e3-m700", "reversed-map", "gauss-constant",
+        "gauss15-chain"])
+def test_sample_streams_pinned(name, count, kwargs, digest):
+    sample = Q.sample_measure(*_STREAM_SYSTEMS[name], count, **kwargs)
+    assert hashlib.sha256(sample.points.tobytes()).hexdigest() == digest
 
 
 def test_sample_roundtrip(tmp_path, e1):

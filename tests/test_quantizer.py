@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qdim as Q
 import qdim.quantizer
@@ -141,6 +143,40 @@ def test_split_sequence_shared_across_n(e1_sample, ns, r, monkeypatch):
         alone = Q.lloyd_optimize(_fresh(e1_sample), n, r)
         assert np.array_equal(run.codebook.points, alone.codebook.points)
         assert run.V_hat == alone.V_hat
+
+
+def _sse(values: list[float]) -> float:
+    """Summed squared error about the mean, loop form."""
+    mean = math.fsum(values) / len(values)
+    return math.fsum((v - mean) ** 2 for v in values)
+
+
+_UNITS = st.floats(0.0, 1.0, allow_nan=False)
+_SEGMENTS = st.one_of(
+    st.lists(_UNITS, min_size=2, max_size=300),  # random
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.5, 0.52, 0.9]),  # clustered
+                       st.floats(0.0, 1e-3)), min_size=2, max_size=300
+             ).map(lambda pairs: [c + d for c, d in pairs]),
+    st.lists(st.integers(0, 4), min_size=2, max_size=300  # duplicate-heavy
+             ).map(lambda ints: [i / 3 for i in ints]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SEGMENTS)
+def test_best_split_is_least_sse(values):
+    seg = np.sort(np.array(values))
+    assume(seg[0] < seg[-1])
+    valid = [k for k in range(1, seg.size) if seg[k - 1] < seg[k]]
+    sse = {k: _sse(seg[:k].tolist()) + _sse(seg[k:].tolist()) for k in valid}
+    least = min(sse.values())
+    k = qdim.quantizer._best_split(seg)
+    assert k in sse  # never between equal values
+    # the argmin, up to splits whose errors agree within rounding
+    slack = 1e-9 * _sse(seg.tolist()) + 1e-300
+    assert sse[k] <= least + slack
+    if sum(v <= least + slack for v in sse.values()) == 1:
+        assert k == min(sse, key=sse.get)
 
 
 def test_split_cache_lets_go_of_the_sample(e1_sample):
