@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -184,11 +185,10 @@ def _cmd_sweep(args, system, family, meta) -> int:
 
 
 def _cmd_sample(args, system, family, meta) -> int:
+    _check_out(args)
     _check_depth(args)
     sample = sample_measure(system, family, args.samples, depth=args.depth,
                             truncation=args.m, seed=args.seed)
-    if not args.out:
-        raise SpecFormatError("sample needs --out for the CSV artifact")
     save_sample(sample, args.out)
     sys.stdout.write(_json_text({
         "command": "sample", "count": len(sample), "seed": sample.seed,
@@ -196,6 +196,26 @@ def _cmd_sample(args, system, family, meta) -> int:
         "deficit": sample.deficit, **meta,
     }))
     return _EXIT_OK
+
+
+def _check_numbers(args) -> None:
+    """Reject a bad --q, --t, --r or --tol before the spec is read or anything solved."""
+    for flag in ("q", "t"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise SpecFormatError(f"--{flag} {value} is not finite")
+    r = getattr(args, "r", None)
+    if r is not None and not (math.isfinite(r) and r > 0.0):
+        raise SpecFormatError(f"--r {r} is not a finite positive order")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise SpecFormatError(f"--tol {tol} is not a finite nonnegative tolerance")
+
+
+def _check_out(args) -> None:
+    """Reject a missing --out that would otherwise fail only after sampling."""
+    if not args.out:
+        raise SpecFormatError(f"{args.command} needs --out for the CSV artifact")
 
 
 def _check_depth(args) -> None:
@@ -224,6 +244,7 @@ def _run_quantize(args, system, family):
 
 
 def _cmd_quantize(args, system, family, meta) -> int:
+    _check_out(args)
     _check_n_list(args)
     _check_depth(args)
     sample, runs = _run_quantize(args, system, family)
@@ -305,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return _EXIT_SPEC if exc.code not in (0, None) else 0
     try:
+        _check_numbers(args)
         system, family, meta = load_spec(args.system)
         return _COMMANDS[args.command](args, system, family, meta)
     except SpecFormatError as exc:

@@ -12,6 +12,7 @@ workers; the operations are pure functions of their arguments.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -152,6 +153,7 @@ class IfsSystem:
     K: float = 1.0
     sup_grid_exact: bool = False
     geometric_ratio: float | None = None  # set when map i is a ratio**i similarity
+    gauss_digits: Sequence[int] | None = None  # set when map i is 1/(gauss_digits[i-1] + x)
     assumptions: tuple[str, ...] = ("closure-of-interior", "cone-condition")
 
     def __post_init__(self):
@@ -409,11 +411,12 @@ def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0) -> Ifs
     if symbols is None:
         return IfsSystem(domain=(0.0, 1.0),
                          alphabet=InfiniteAlphabet(_gauss_branch, PowerLawTail(1.0, 2.0)),
-                         s=1.0, K=K, sup_grid_exact=True)
+                         s=1.0, K=K, sup_grid_exact=True,
+                         gauss_digits=range(1, sys.maxsize))
     syms = tuple(int(i) for i in symbols)
     if any(i < 1 for i in syms):
         raise ValueError("continued-fraction symbols are positive integers")
     maps = tuple(_gauss_branch(i) for i in syms)
     s = min(1.0, max(m.deriv_sup for m in maps))
     return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps), s=s, K=K,
-                     sup_grid_exact=True)
+                     sup_grid_exact=True, gauss_digits=syms)

@@ -172,6 +172,33 @@ def _apply_symbols(system: IfsSystem, idx: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
+def _map_step(system: IfsSystem, M: int):
+    """(idx, x) -> phi_{idx+1}(x) for symbols 1..M, one vectorized call where it can.
+
+    Similarity maps step as slope * x + offset with slope = orientation *
+    ratio (exact, the orientation is +-1; a geometric ratio**i that
+    underflows to 0 only collapses a map of negligible weight onto 0), and
+    Gauss branches as 1 / (b + x) with b the branch integers (exact, an
+    integer converts exactly).  These give the maps' own values bit for
+    bit; any other family makes one map call per drawn symbol
+    (``_apply_symbols``).
+    """
+    if system.geometric_ratio is not None:
+        # phi_i(x) = ratio**i (x + 2) in closed form
+        slope = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
+        offset = 2.0 * slope
+    elif system.all_similarities:
+        maps = [system.map(i) for i in range(1, M + 1)]
+        slope = np.array([float(m.orientation) * m.ratio for m in maps])
+        offset = np.array([m.offset for m in maps])
+    elif system.gauss_digits is not None:
+        b = np.array(system.gauss_digits[:M], dtype=float)
+        return lambda idx, x: 1.0 / (b.take(idx) + x)
+    else:
+        return lambda idx, x: _apply_symbols(system, idx, x)
+    return lambda idx, x: slope.take(idx) * x + offset.take(idx)
+
+
 def _symbol_cdf(probs: np.ndarray) -> np.ndarray:
     """The cdf that ``Generator.choice(M, p=probs)`` searches, after its checks on p."""
     p_sum = float(np.sum(probs))
@@ -211,36 +238,72 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
 
     Chunks of _CHUNK words come from (seed, chunk) streams, and the draws
     are bit-identical to ``rng.choice(M, size=(n, depth), p=probs)``
-    (``_draw_symbols``).  Similarity maps step as slope * x + offset with
-    slope = orientation * ratio, exact because the orientation is +-1.
+    (``_draw_symbols``).  Each step maps the whole chunk by one
+    ``_map_step`` call.
     """
     probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
     cdf = _symbol_cdf(probs / probs.sum())
-    mid = system.midpoint
-    all_sims = system.all_similarities
-    if system.geometric_ratio is not None:
-        # phi_i(x) = ratio**i (x + 2) in closed form: a ratio**i that underflows
-        # to 0 only collapses a map of negligible weight onto 0
-        slope = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
-        offset = 2.0 * slope
-    elif all_sims:
-        maps = [system.map(i) for i in range(1, M + 1)]
-        slope = np.array([float(m.orientation) * m.ratio for m in maps])
-        offset = np.array([m.offset for m in maps])
+    step = _map_step(system, M)
     out = np.empty(count)
     for chunk_idx, start in enumerate(range(0, count, _CHUNK)):
         n = min(_CHUNK, count - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
         # steps[k] holds the k-th symbol of every word, contiguous
         steps = _draw_symbols(rng, cdf, (n, depth)).T.copy()
-        x = np.full(n, mid)
+        x = np.full(n, system.midpoint)
         for idx in steps[::-1]:
-            if all_sims:
-                x = slope.take(idx) * x + offset.take(idx)
-            else:
-                x = _apply_symbols(system, idx, x)
+            x = step(idx, x)
         out[start:start + n] = x
     return out
+
+
+def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.ndarray):
+    """(y, u) -> the chain's 0-based symbols at states y for uniforms u.
+
+    Bit for bit ``(cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)``, where
+    ``num = _barycentric_terms(x, w, y) @ table`` and ``cdf`` is the
+    running sum of ``max(num[:, :-1] / num[:, -1:], 0)`` over symbols, but
+    every array of more than one row lives in a buffer that is allocated
+    once and reused by every call.  The terms are built in ``terms`` (chains x nodes) against
+    a full copy of the nodes, since numpy's elementwise loops run several
+    times slower against a broadcast column, and the product keeps that
+    layout: BLAS rounds a transposed operand differently.  The
+    probabilities are then copied symbol-major (M x chains), so the
+    division, the running sum (one contiguous row added to the next),
+    the comparison and the count all run along contiguous rows.  Rows
+    whose denominator is not finite (a state on a node, or an overflowing
+    term) are redone by ``_barycentric_terms``, which takes a node's unit
+    vector there.  A state on a node divides by zero, and its infinite
+    term can meet zeros in the product (BLAS pads its blocks), so call it
+    under ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    chains = terms.shape[0]
+    M = table.shape[1] - 1
+    xs = np.tile(x, (chains, 1))
+    num = np.empty((chains, M + 1))
+    cdf = np.empty((M, chains))
+    below = np.empty((M, chains), dtype=bool)
+    bound = np.empty(chains)
+
+    def draw(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        np.copyto(terms, y[:, None])
+        np.subtract(terms, xs, out=terms)
+        np.divide(w, terms, out=terms)
+        np.matmul(terms, table, out=num)
+        bad = ~np.isfinite(num[:, -1])
+        if bad.any():
+            num[bad] = _barycentric_terms(x, w, y[bad]) @ table
+        np.copyto(cdf, num.T[:-1])
+        np.copyto(bound, num[:, -1])
+        np.divide(cdf, bound, out=cdf)
+        np.maximum(cdf, 0.0, out=cdf)
+        for k in range(1, M):
+            cdf[k] += cdf[k - 1]
+        np.multiply(u, cdf[-1], out=bound)
+        np.less_equal(cdf, bound, out=below)
+        return below.sum(axis=0)
+
+    return draw
 
 
 def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
@@ -259,8 +322,12 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     p_i are interpolated from their values at the operator's
     Chebyshev-Lobatto nodes, so each step is one product of
     (chains x nodes) barycentric terms with the (nodes x M) node
-    probabilities.  Chunks of chains run from (seed, chunk) streams until
-    ``count`` points are kept.  Returns the points and the depth used.
+    probabilities, drawn in buffers that every step reuses
+    (``_chain_drawer``), and one vectorized map call (``_map_step``).
+    Chunks of chains run from (seed, chunk) streams until ``count`` points
+    are kept; the streams and the points are those of the plain
+    ``cumsum`` formula, bit for bit.  Returns the points and the depth
+    used.
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
@@ -270,24 +337,24 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     x, w = _chebyshev_nodes(system.domain, _NODES)
     probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
     table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
-    grid = np.linspace(*system.domain, _H_GRID)
-    terms = _barycentric_terms(x, w, grid)
-    h_min = float(np.min(terms @ h / terms.sum(axis=1)))
+    at_grid = _barycentric_terms(x, w, np.linspace(*system.domain, _H_GRID))
+    h_min = float(np.min(at_grid @ h / at_grid.sum(axis=1)))
     if not h_min > 0.0:
         raise NumericalFailure("the interpolated eigenfunction is not positive")
 
+    terms = np.empty((_CHAIN_CHUNK, _NODES))  # every step's terms, then the rejection's
+    draw = _chain_drawer(x, w, table, terms)
+    step = _map_step(system, M)
     kept, total, chunk_idx = [], 0, 0
     while total < count:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
         steps = rng.random((depth, _CHAIN_CHUNK))
         accept = rng.random(_CHAIN_CHUNK)
         y = np.full(_CHAIN_CHUNK, system.midpoint)
-        for u in steps:
-            num = _barycentric_terms(x, w, y) @ table
-            cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
-            idx = (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)
-            y = _apply_symbols(system, idx, y)
-        terms = _barycentric_terms(x, w, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for u in steps:
+                y = step(draw(y, u), y)
+        _barycentric_terms(x, w, y, out=terms)
         y = y[accept * (terms @ h / terms.sum(axis=1)) <= h_min]
         kept.append(y)
         total += y.size

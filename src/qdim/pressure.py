@@ -157,16 +157,18 @@ def _chebyshev_nodes(domain: tuple[float, float],
     return x, w
 
 
-def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized barycentric terms w_j / (y - x_j) for points y (any shape).
 
     Dividing by their sum over j interpolates node values at y; where y is
-    itself a node the terms are that node's unit vector instead.
+    itself a node the terms are that node's unit vector instead.  ``out``,
+    of shape y.shape + x.shape, receives the terms if given.
     """
-    diff = y[..., None] - x
-    with np.errstate(divide="ignore"):
-        C = w / diff
+    diff = np.subtract(y[..., None], x, out=out)
     hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        C = np.divide(w, diff, out=diff)
     if hit.any():
         exact = hit.any(axis=-1)
         C[exact] = hit[exact]

@@ -275,6 +275,8 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
     """
     if n < 1:
         raise ValueError("codebook size must be >= 1")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"the order r must be finite and positive, got {r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     pts = sample.points

@@ -207,6 +207,44 @@ def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeyp
     assert f"spec error: --depth {depth} is not positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "quantize"])
+def test_out_checked_before_sampling(command, e1_spec, monkeypatch, capsys):
+    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    args = [command, "--system", e1_spec, "--samples", "100"]
+    if command == "quantize":
+        args += ["--r", "2", "--n-list", "4,8"]
+    assert main(args) == 1
+    assert f"spec error: {command} needs --out for the CSV artifact" in capsys.readouterr().err
+
+
+_SAMPLING = ["--n-list", "4,8", "--samples", "100"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["quantize", "--r", "0", *_SAMPLING], "--r 0.0 is not a finite positive order"),
+    (["quantize", "--r", "-1", *_SAMPLING], "--r -1.0 is not a finite positive order"),
+    (["quantize", "--r", "nan", *_SAMPLING], "--r nan is not a finite positive order"),
+    (["verify", "--r", "2", "--tol", "nan", *_SAMPLING],
+     "--tol nan is not a finite nonnegative tolerance"),
+    (["verify", "--r", "2", "--tol", "-1", *_SAMPLING],
+     "--tol -1.0 is not a finite nonnegative tolerance"),
+    (["qdim", "--r", "inf"], "--r inf is not a finite positive order"),
+    (["sweep", "--r", "nan", "--m-list", "2,3"], "--r nan is not a finite positive order"),
+    (["pressure", "--q", "0.5", "--t", "inf"], "--t inf is not finite"),
+    (["beta", "--q", "nan"], "--q nan is not finite"),
+], ids=["quantize-r0", "quantize-r-negative", "quantize-r-nan", "verify-tol-nan",
+        "verify-tol-negative", "qdim-r-inf", "sweep-r-nan", "pressure-t-inf", "beta-q-nan"])
+def test_bad_numeric_flags_exit_one(args, message, e1_spec, tmp_path):
+    out = tmp_path / "artifact"
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", args[0], "--system", e1_spec,
+                           *args[1:], "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert f"spec error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()
+
+
 def test_sample_reports_the_spectral_gap_depth(tmp_path, capsys):
     path = tmp_path / "gauss.json"
     path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))

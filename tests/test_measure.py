@@ -290,6 +290,8 @@ _STREAM_SYSTEMS = {
     "gauss-constant": (Q.gauss_system((1, 2, 3)), Q.log_weight_family([0.5, 0.3, 0.2])),
     "gauss15-chain": (Q.gauss_system((1, 2, 3, 4, 5)),
                       Q.derivative_family(0.836829443681208)),
+    "gauss12-chain": (Q.gauss_system((1, 2)), Q.derivative_family(0.531280506277205)),
+    "gauss-full-chain": (Q.gauss_system(None), Q.derivative_family(1.5)),
 }
 
 
@@ -306,11 +308,69 @@ _STREAM_SYSTEMS = {
      "16722ac4c81ea15d37d2bdafefdbf477e3b3335a0ace4594156e54f90645c157"),
     ("gauss15-chain", 3000, {"seed": 3},
      "baf22633e6f78a53a11a75089804f3f86c5a4c8f45158c265d06155bfc10fa54"),
+    ("gauss12-chain", 20_000, {"seed": 7},  # the conformal-verify sample, about 12 chunks
+     "af8e6aefaef686e2bfcefd34b4262dacb366bcd7a754c2a9939d31b1424e9dc1"),
+    ("gauss-full-chain", 3000, {"seed": 4, "truncation": 40, "allow_deficit": True},
+     "722c02cdb9b6050ac85dd34e0165766139d978e7c72fb32a35bfb07df42957ae"),
 ], ids=["e2-two-chunks", "e3-auto", "e3-m700", "reversed-map", "gauss-constant",
-        "gauss15-chain"])
+        "gauss15-chain", "gauss12-chain", "gauss-full-chain"])
 def test_sample_streams_pinned(name, count, kwargs, digest):
     sample = Q.sample_measure(*_STREAM_SYSTEMS[name], count, **kwargs)
     assert hashlib.sha256(sample.points.tobytes()).hexdigest() == digest
+
+
+def _chain_table(M, rng):
+    probs = rng.random((qdim.pressure._NODES, M))
+    return np.column_stack([probs / probs.sum(axis=1, keepdims=True),
+                            np.ones(qdim.pressure._NODES)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 5, 40]), st.integers(0, 2**32 - 1), st.integers(0, 64))
+def test_chain_drawer_matches_the_cumsum_formula(M, seed, on_nodes):
+    # the buffered step draws the symbols of the plain formula; states placed
+    # exactly on nodes take the unit-vector rows of _barycentric_terms
+    rng = np.random.default_rng(seed)
+    x, w = qdim.pressure._chebyshev_nodes((0.0, 1.0), qdim.pressure._NODES)
+    table = _chain_table(M, rng)
+    chains = 256
+    draw = qdim.measure._chain_drawer(x, w, table, np.empty((chains, x.size)))
+    for _ in range(3):
+        y = rng.random(chains)
+        y[rng.choice(chains, on_nodes, replace=False)] = rng.choice(x, on_nodes)
+        u = rng.random(chains)
+        num = qdim.pressure._barycentric_terms(x, w, y) @ table
+        cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            idx = draw(y, u)
+        assert np.array_equal(idx, (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1))
+
+
+def _unlabelled(system):
+    """The same branches as a generic analytic system, with no Gauss digits recorded."""
+    return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s,
+                       K=system.K, sup_grid_exact=system.sup_grid_exact)
+
+
+@pytest.mark.parametrize("system", [
+    Q.gauss_system((3, 1, 7)), Q.gauss_system(None), Q.geometric_similarity_system(0.2),
+    Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]),
+    _unlabelled(Q.gauss_system((3, 1, 7))),
+], ids=["gauss-subsystem", "gauss-full", "geometric", "reversed", "analytic"])
+def test_map_step_gives_the_maps_own_values(system):
+    M = system.truncated_size(12)
+    idx = np.random.default_rng(0).integers(0, M, 500)
+    x = np.random.default_rng(1).random(500)
+    expected = [system.map(int(i) + 1).value(v) for i, v in zip(idx, x)]
+    assert np.array_equal(qdim.measure._map_step(system, M)(idx, x), expected)
+
+
+def test_gauss_digits_and_generic_branches_sample_alike():
+    # the vectorized 1/(b + y) and one map call per drawn symbol give the same stream
+    system, family = Q.gauss_system((1, 2, 3)), Q.derivative_family(0.7)
+    a = Q.sample_measure(system, family, 2000, seed=9)
+    b = Q.sample_measure(_unlabelled(system), family, 2000, seed=9)
+    assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_sample_roundtrip(tmp_path, e1):

@@ -23,6 +23,12 @@ def e1_sample(e1):
 # error evaluation
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_lloyd_rejects_a_bad_order(e1_sample, r):
+    with pytest.raises(ValueError, match="the order r must be finite and positive"):
+        Q.lloyd_optimize(e1_sample, 4, r)
+
+
 def test_quant_error_variance_oracle(e1_sample):
     # Cantor measure: Var = 1/8 from the self-similar recursion V = V/9 + 1/9
     v = Q.quant_error(e1_sample, np.array([0.5]), 2.0)
