@@ -11,19 +11,16 @@ __version__ = "0.1.0"
 
 from .errors import (BracketError, DegenerateSystemError, NonSummableError,
                      NumericalFailure, QdimError, SpecFormatError)
-from .ifs import (AnalyticBranch1D, CylinderInfo, FiniteAlphabet, GeometricTail,
-                  IfsSystem, InfiniteAlphabet, PowerLawTail, Similarity1D, Word,
-                  cantor_system, check_distortion, compose_and_derivative,
-                  cylinder_geometry, cylinder_interval, derivative_sup_norm,
-                  gauss_system, geometric_similarity_system, similarity_system)
+from .ifs import (AnalyticBranch1D, FiniteAlphabet, GeometricTail, IfsSystem,
+                  InfiniteAlphabet, PowerLawTail, Similarity1D, Word, cantor_system,
+                  compose_and_derivative, cylinder_interval, gauss_system,
+                  geometric_similarity_system, similarity_system)
 from .measure import (SampleSet, cylinder_mass, load_sample, sample_measure,
                       save_sample, wasserstein_1d)
 from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
-                         GeometricWeights, HolderCertificate, PotentialFamily,
-                         RatioConstant, SummabilityReport, birkhoff_sum,
+                         GeometricWeights, PotentialFamily, birkhoff_sum,
                          derivative_family, geometric_weight_family,
-                         log_weight_family, normalize_pressure, ratio_bound,
-                         summability_and_holder, sup_norm_exp_birkhoff)
+                         log_weight_family, normalize_pressure)
 from .pressure import (FigureData, PressureEstimate, QdimSolution, SweepResult,
                        TemperatureSample, beta_of_q,
                        estimate_pressure, hausdorff_dim, is_multiplicative,

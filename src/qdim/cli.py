@@ -48,9 +48,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _emit_csv(rows, header, out: str | None) -> None:
-    if not out:
-        raise SpecFormatError("CSV-producing commands need --out")
+def _emit_csv(rows, header, out: str) -> None:
     with Path(out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -145,6 +143,7 @@ def _cmd_pressure(args, system, family, meta) -> int:
 
 def _cmd_beta(args, system, family, meta) -> int:
     if args.q is None:
+        _check_out(args)
         curve = temperature_curve(system, family, truncation=args.m)
         _emit_csv(zip(curve.qs, curve.betas), ["q", "beta_q"], args.out)
         return _EXIT_OK
@@ -171,6 +170,7 @@ def _cmd_dimh(args, system, family, meta) -> int:
 
 
 def _cmd_sweep(args, system, family, meta) -> int:
+    _check_out(args)
     result = truncation_sweep(system, family, args.r, args.m_list)
     rows = [(e.M, e.kappa) for e in result.entries]
     _emit_csv(rows, ["M", "kappa_rM"], args.out)
@@ -199,7 +199,7 @@ def _cmd_sample(args, system, family, meta) -> int:
 
 
 def _check_numbers(args) -> None:
-    """Reject a bad --q, --t, --r or --tol before the spec is read or anything solved."""
+    """Reject a bad --q, --t, --r, --tol, --m or --m-list before the spec is read."""
     for flag in ("q", "t"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
@@ -210,6 +210,12 @@ def _check_numbers(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise SpecFormatError(f"--tol {tol} is not a finite nonnegative tolerance")
+    m = getattr(args, "m", None)
+    if m is not None and m < 1:
+        raise SpecFormatError(f"--m {m} is not a positive truncation")
+    for M in getattr(args, "m_list", None) or ():
+        if M < 1:
+            raise SpecFormatError(f"--m-list truncation {M} is not positive")
 
 
 def _check_out(args) -> None:
@@ -292,6 +298,7 @@ def _cmd_verify(args, system, family, meta) -> int:
 
 
 def _cmd_figure1(args, system, family, meta) -> int:
+    _check_out(args)
     data = legendre_and_figure_data(system, family, args.r,
                                     q_grid=np.linspace(0.0, 1.0, args.grid),
                                     truncation=args.m)

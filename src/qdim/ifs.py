@@ -135,23 +135,14 @@ class IfsSystem:
 
     ``s`` is the uniform contraction bound.  It is allowed to equal 1.0
     for borderline families (continued-fraction branches have
-    sup|phi_1'| = 1 on [0, 1]); in that case the s**n diameter cap is
-    vacuous and only the per-word derivative norms carry information.
-
-    ``K`` is the bounded-distortion constant, user-asserted for analytic
-    branches and forced to 1 for pure similarity systems.  In one
-    dimension the mean value theorem lets K also bound cylinder diameters.
-
-    ``sup_grid_exact`` marks systems whose composed derivative magnitude
-    is monotone on the domain (Moebius families), so endpoint-including
-    grids attain sup norms exactly.
+    sup|phi_1'| = 1 on [0, 1]).  Bounded distortion is assumed, not
+    stored: the quantization dimension follows from the pressure alone,
+    and cylinders are measured exactly (``cylinder_interval``).
     """
 
     domain: tuple[float, float]
     alphabet: FiniteAlphabet | InfiniteAlphabet
     s: float
-    K: float = 1.0
-    sup_grid_exact: bool = False
     geometric_ratio: float | None = None  # set when map i is a ratio**i similarity
     gauss_digits: Sequence[int] | None = None  # set when map i is 1/(gauss_digits[i-1] + x)
     assumptions: tuple[str, ...] = ("closure-of-interior", "cone-condition")
@@ -162,8 +153,6 @@ class IfsSystem:
             raise ValueError("domain must be a nondegenerate interval [a, b]")
         if not 0.0 < self.s <= 1.0:
             raise ValueError("contraction bound s must lie in (0, 1]")
-        if self.K < 1.0:
-            raise ValueError("distortion constant K must be >= 1")
         if isinstance(self.alphabet, FiniteAlphabet):
             for i, m in enumerate(self.alphabet.maps, start=1):
                 if m.deriv_sup > self.s + 1e-12:
@@ -230,19 +219,6 @@ class IfsSystem:
 
 
 # ---------------------------------------------------------------------------
-# cylinder data
-
-
-@dataclass(frozen=True)
-class CylinderInfo:
-    word: Word
-    diameter: float          # upper bound for diam(phi_word(X))
-    point: float             # phi_word(midpoint of X)
-    deriv_norm: float        # grid/exact estimate of sup |phi_word'|
-    deriv_error: float       # sup lies in [deriv_norm, deriv_norm * deriv_error]
-
-
-# ---------------------------------------------------------------------------
 # word operations
 
 
@@ -266,75 +242,12 @@ def compose_and_derivative(system: IfsSystem, word: Sequence[int], x: float) -> 
     return value, deriv
 
 
-def derivative_sup_norm(system: IfsSystem, word: Sequence[int]) -> tuple[float, float]:
-    """Estimate ||phi_word'|| = sup over the domain of |phi_word'|.
-
-    Similarity words are exact ratio products with error factor 1.  For
-    analytic branches the chain-rule product is maximised over the
-    domain grid; bounded distortion makes the estimate two-sided:
-    norm <= ||phi_word'|| <= norm * error_factor.
-    """
-    w = system.check_word(word)
-    if not w:
-        raise ValueError("derivative sup norm needs a nonempty word")
-    maps = [system.map(sym) for sym in w]
-    if all(isinstance(m, Similarity1D) for m in maps):
-        norm = 1.0
-        for m in maps:
-            norm *= m.ratio
-        return norm, 1.0
-    y = np.array(system.grid, dtype=float)
-    logd = np.zeros_like(y)
-    for m in reversed(maps):
-        logd += np.log(m.abs_deriv(y))
-        y = m.value(y)
-    norm = float(np.exp(logd.max()))
-    err = 1.0 if system.sup_grid_exact else system.K
-    return norm, err
-
-
-def cylinder_geometry(system: IfsSystem, word: Sequence[int]) -> CylinderInfo:
-    """Diameter bound and representative point for a cylinder set."""
-    w = system.check_word(word)
-    if not w:
-        return CylinderInfo(w, system.diam, system.midpoint, 1.0, 1.0)
-    norm, err = derivative_sup_norm(system, w)
-    bound = norm * system.K * system.diam
-    cap = system.s ** len(w) * system.diam
-    point, _ = compose_and_derivative(system, w, system.midpoint)
-    return CylinderInfo(w, min(bound, cap), point, norm, err)
-
-
 def cylinder_interval(system: IfsSystem, word: Sequence[int]) -> tuple[float, float]:
     """Exact image interval phi_word([a, b]) (branches are monotone)."""
     w = system.check_word(word)
     lo, _ = compose_and_derivative(system, w, system.domain[0])
     hi, _ = compose_and_derivative(system, w, system.domain[1])
     return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def check_distortion(system: IfsSystem, depth: int = 5, samples: int = 200, seed: int = 0,
-                     max_symbol: int = 8) -> float:
-    """Sampled distortion diagnostic: max of sup/inf of |phi_word'| over a grid.
-
-    Can only falsify the stored K, never certify it.  Returns the worst
-    observed ratio; callers compare against system.K.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_sym = system.size or max_symbol
-    worst = 1.0
-    y0 = np.array(system.grid, dtype=float)
-    for _ in range(samples):
-        length = int(rng.integers(1, depth + 1))
-        word = tuple(int(v) + 1 for v in rng.integers(0, n_sym, size=length))
-        y = y0.copy()
-        logd = np.zeros_like(y)
-        for sym in reversed(word):
-            m = system.map(sym)
-            logd += np.log(m.abs_deriv(y))
-            y = m.value(y)
-        worst = max(worst, float(np.exp(logd.max() - logd.min())))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +257,7 @@ def check_distortion(system: IfsSystem, depth: int = 5, samples: int = 200, seed
 def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
                       orientations: Sequence[int] | None = None, *,
                       domain: tuple[float, float] = (0.0, 1.0),
-                      K: float = 1.0, s: float | None = None) -> IfsSystem:
+                      s: float | None = None) -> IfsSystem:
     """Finite system of affine contractions; validates images stay inside the domain."""
     if len(ratios) != len(offsets):
         raise ValueError("ratios and offsets must have equal length")
@@ -362,7 +275,7 @@ def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
     if s is None:
         s = max(m.ratio for m in maps)
     return IfsSystem(domain=(float(a), float(b)), alphabet=FiniteAlphabet(maps),
-                     s=float(s), K=K)
+                     s=float(s))
 
 
 def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
@@ -401,7 +314,7 @@ def _gauss_branch(i: int) -> AnalyticBranch1D:
     )
 
 
-def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0) -> IfsSystem:
+def gauss_system(symbols: Sequence[int] | None = None) -> IfsSystem:
     """Continued-fraction branches phi_i(x) = 1/(i + x) on [0, 1].
 
     ``symbols`` picks a finite subsystem; None gives the full countable
@@ -411,12 +324,11 @@ def gauss_system(symbols: Sequence[int] | None = None, *, K: float = 4.0) -> Ifs
     if symbols is None:
         return IfsSystem(domain=(0.0, 1.0),
                          alphabet=InfiniteAlphabet(_gauss_branch, PowerLawTail(1.0, 2.0)),
-                         s=1.0, K=K, sup_grid_exact=True,
-                         gauss_digits=range(1, sys.maxsize))
+                         s=1.0, gauss_digits=range(1, sys.maxsize))
     syms = tuple(int(i) for i in symbols)
     if any(i < 1 for i in syms):
         raise ValueError("continued-fraction symbols are positive integers")
     maps = tuple(_gauss_branch(i) for i in syms)
     s = min(1.0, max(m.deriv_sup for m in maps))
-    return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps), s=s, K=K,
-                     sup_grid_exact=True, gauss_digits=syms)
+    return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps), s=s,
+                     gauss_digits=syms)

@@ -79,15 +79,12 @@ class DerivativeFamily:
     """Potential family f_i(x) = g(x) + s_exp * log|phi_i'(x)|.
 
     ``g=None`` means the zero function.  ``g_sup`` bounds sup|g| and
-    feeds tail estimates; ``ratio_c`` optionally pins the Birkhoff ratio
-    constant when g is nonzero (otherwise a sampled estimate is used,
-    which can only falsify).
+    feeds the tail bounds of infinite alphabets.
     """
 
     s_exp: float
     g: Callable | None = None
     g_sup: float = 0.0
-    ratio_c: float | None = None
     shift: float = 0.0
     shift_error: float = 0.0
 
@@ -97,31 +94,6 @@ class DerivativeFamily:
 
 
 PotentialFamily = ConstantLogWeights | DerivativeFamily
-
-
-@dataclass(frozen=True)
-class HolderCertificate:
-    holder_order: float
-    v_beta: float
-    v_n: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class RatioConstant:
-    """sup over sampled (word, x, y) of exp(S_w(x) - S_w(y)); falsify-only."""
-
-    C: float
-    structural: float | None = None
-
-    def bound(self) -> float:
-        return self.structural if self.structural is not None else self.C
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    tail_sum: float
-    certificate: HolderCertificate
-    ratio: RatioConstant
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +109,8 @@ def geometric_weight_family(ratio: float) -> ConstantLogWeights:
 
 
 def derivative_family(s_exp: float, g: Callable | None = None, *,
-                      g_sup: float = 0.0, ratio_c: float | None = None) -> DerivativeFamily:
-    return DerivativeFamily(float(s_exp), g, g_sup, ratio_c)
+                      g_sup: float = 0.0) -> DerivativeFamily:
+    return DerivativeFamily(float(s_exp), g, g_sup)
 
 
 def f_value(family: PotentialFamily, system: IfsSystem, i: int, x):
@@ -171,36 +143,6 @@ def symbol_log_weight(family: PotentialFamily, system: IfsSystem, i: int) -> flo
     return family.s_exp * math.log(system.map(i).deriv_sup) - family.shift
 
 
-def ratio_bound(family: PotentialFamily, system: IfsSystem) -> float:
-    """The Birkhoff ratio constant C: exp(S_w(x))/exp(S_w(y)) <= C.
-
-    Constant families have C = 1 exactly.  For f_i = s*log|phi_i'| the
-    distortion property gives C = K**s_exp.  A nonzero g needs a
-    user-supplied ratio_c (a sampled diagnostic otherwise).
-    """
-    if isinstance(family, ConstantLogWeights):
-        return 1.0
-    if family.g is None:
-        return system.K ** family.s_exp
-    if family.ratio_c is not None:
-        return family.ratio_c
-    return _sampled_ratio(family, system)
-
-
-def _sampled_ratio(family: PotentialFamily, system: IfsSystem, depth: int = 5,
-                   samples: int = 300, seed: int = 1) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_sym = system.size or 8
-    grid = system.grid
-    worst = 1.0
-    for _ in range(samples):
-        length = int(rng.integers(1, depth + 1))
-        word = tuple(int(v) + 1 for v in rng.integers(0, n_sym, size=length))
-        s = _birkhoff_grid(family, system, word, grid)
-        worst = max(worst, float(np.exp(s.max() - s.min())))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Birkhoff sums
 
@@ -226,26 +168,6 @@ def birkhoff_sum(family: PotentialFamily, system: IfsSystem, word: Sequence[int]
     if not (a - 1e-12 <= x <= b + 1e-12):
         raise ValueError(f"x={x} outside the domain [{a}, {b}]")
     return float(_birkhoff_grid(family, system, w, np.asarray(float(x))))
-
-
-def sup_norm_exp_birkhoff(family: PotentialFamily, system: IfsSystem,
-                          word: Sequence[int]) -> tuple[float, float]:
-    """||exp(S_w(F))|| with a two-sided error factor.
-
-    Symbol-constant families are exact with factor 1.  Otherwise the
-    grid maximum is reported; the ratio constant makes it two-sided:
-    norm <= sup <= norm * error_factor.
-    """
-    w = system.check_word(word)
-    if not w:
-        raise ValueError("sup norms need a nonempty word")
-    if is_symbol_constant(family, system):
-        return math.exp(sum(symbol_log_weight(family, system, i) for i in w)), 1.0
-    vals = _birkhoff_grid(family, system, w, system.grid)
-    norm = float(np.exp(vals.max()))
-    if system.sup_grid_exact and family.g is None:
-        return norm, 1.0
-    return norm, ratio_bound(family, system)
 
 
 # ---------------------------------------------------------------------------
@@ -356,64 +278,6 @@ def _tail_exp_sum(family: PotentialFamily, system: IfsSystem) -> float:
         return _head_exp_sum(family, system, system.size)
     tail = _summable_tail(family, system)
     return _head_exp_sum(family, system, _HEAD) + tail
-
-
-# ---------------------------------------------------------------------------
-# summability / Hoelder diagnostics
-
-
-def summability_and_holder(family: PotentialFamily, system: IfsSystem,
-                           sample_depth: int = 6, *, pairs: int | None = None,
-                           holder_order: float | None = None,
-                           seed: int = 0) -> SummabilityReport:
-    """Summability tail sum plus sampled Hoelder-variation and ratio diagnostics.
-
-    The variation numbers v_n and the ratio constant C are estimated on
-    random word/point pairs; sampling can only falsify the family's
-    claims, never certify them.
-    """
-    tail_sum = _tail_exp_sum(family, system)
-
-    if pairs is None:
-        pairs = 10_000 // max(sample_depth, 1)  # ~1e4 sampled pairs overall
-    if holder_order is None:
-        holder_order = -math.log(system.s) if system.s < 1.0 else 0.35
-
-    if isinstance(family, ConstantLogWeights):
-        v_n = tuple(0.0 for _ in range(1, sample_depth + 1))
-        return SummabilityReport(
-            tail_sum,
-            HolderCertificate(holder_order, 0.0, v_n),
-            RatioConstant(1.0, structural=1.0),
-        )
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_sym = system.size or 16
-    grid = system.grid
-    v_n: list[float] = []
-    worst_ratio = 1.0
-    for n in range(1, sample_depth + 1):
-        v = 0.0
-        for _ in range(pairs):
-            word = tuple(int(t) + 1 for t in rng.integers(0, n_sym, size=n))
-            first = word[0]
-            if n == 1:
-                pts = grid
-            else:
-                pts = grid.copy()
-                for sym in reversed(word[1:]):
-                    pts = system.map(sym).value(pts)
-            fv = f_value(family, system, first, pts)
-            v = max(v, float(fv.max() - fv.min()) * math.exp(holder_order * (n - 1)))
-            s = _birkhoff_grid(family, system, word, grid)
-            worst_ratio = max(worst_ratio, float(np.exp(s.max() - s.min())))
-        v_n.append(v)
-    structural = system.K ** family.s_exp if family.g is None else family.ratio_c
-    return SummabilityReport(
-        tail_sum,
-        HolderCertificate(holder_order, max(v_n), tuple(v_n)),
-        RatioConstant(worst_ratio, structural=structural),
-    )
 
 
 # ---------------------------------------------------------------------------

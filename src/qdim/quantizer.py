@@ -8,11 +8,10 @@ a golden-section search on the convex 1-D objective otherwise.  It
 starts from one deterministic greedy split of the sorted sample into n
 contiguous cells; optimal 1-D cells are contiguous too.
 
-``antichain_codebook`` builds the prefix-free cylinder family whose
-weights (mass * ||phi'||^r)^eta straddle a size-n threshold; one
-representative point per retained word yields a codebook of cardinality
-at most n, and the scaled error series n * V^(kappa/r) along these
-codebooks stays bounded.
+``antichain_codebook`` splits cylinders heaviest first by the weight
+m_w |phi_w(X)|^r, with m_w the exact cylinder mass, until a further
+split would pass n words; one point per kept cylinder gives a codebook
+of at most n points, along which n * V^(kappa/r) stays bounded.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure
-from .ifs import (FiniteAlphabet, IfsSystem, Word, compose_and_derivative,
-                  derivative_sup_norm)
+from .errors import DegenerateSystemError
+from .ifs import IfsSystem, Word, compose_and_derivative, cylinder_interval
 from .measure import SampleSet, cylinder_mass
-from .potentials import PotentialFamily, ratio_bound
-from .pressure import solve_quantization_dim
+from .potentials import PotentialFamily
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,9 +64,7 @@ class QuantizationRun:
 class AntichainResult:
     r: float
     n: int
-    eta: float
-    L: float
-    rho_N: float
+    tau: float               # weight of the heaviest kept word
     words: tuple[Word, ...]
     codebook: Codebook
     cardinality: int
@@ -301,70 +296,39 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
 # the antichain codebook
 
 
-def _sorted_symbols(system: IfsSystem, N: int) -> list[int]:
-    norms = []
-    for i in range(1, N + 1):
-        norm, _ = derivative_sup_norm(system, (i,))
-        norms.append((i, norm))
-    norms.sort(key=lambda p: (-p[1], p[0]))
-    return [i for i, _ in norms]
-
-
 def antichain_codebook(system: IfsSystem, family: PotentialFamily, r: float, n: int,
-                       truncation: int | None = None,
-                       kappa_r: float | None = None) -> AntichainResult:
-    """Prefix-free cylinder codebook of cardinality at most n.
+                       truncation: int | None = None) -> AntichainResult:
+    """The threshold antichain of at most n cylinders, one code point in each.
 
-    Words are split while their weight (mass * ||phi'||^r)^eta exceeds
-    L/(n rho_N) and retained once it drops to the threshold, with the
-    exact m_F mass of the subsystem over symbols 1..N; their
-    parents stay above it, so the retained set is a finite maximal
-    antichain.  The threshold constants use eta = kappa_r/(r+kappa_r),
-    L = (C K^r)^eta and the conservative rho_N built from the smallest
-    depth-1 mass and the weakest contraction of the sorted subsystem.
+    A word w weighs m_w |I_w|^r, with m_w the exact mass of the
+    (truncated) system's measure and I_w = phi_w(X).  From the empty word
+    on, the heaviest word is split into its N children while the word
+    count stays at most n.  Children weigh no more than their parent, so
+    every kept word weighs at most tau, the heaviest kept weight, and
+    every split word weighed at least tau.  The code points are
+    phi_w(midpoint of X).
     """
     if n < 1:
         raise ValueError("codebook budget must be >= 1")
     N = system.truncated_size(truncation)
     if N is None:
         raise ValueError("infinite alphabets need a truncation for the antichain")
-    if kappa_r is None:
-        M_ref = None if isinstance(system.alphabet, FiniteAlphabet) else N
-        kappa_r = solve_quantization_dim(system, family, r, truncation=M_ref).kappa_r
+    if N == 1:
+        raise DegenerateSystemError("a one-symbol alphabet splits its cylinder forever")
 
-    order = _sorted_symbols(system, N)
-    eta = kappa_r / (r + kappa_r)
-    C = ratio_bound(family, system)
-    K = system.K
-    L = (C * K ** r) ** eta
-    level1 = {i: cylinder_mass(system, family, (i,), truncation=N) for i in order}
-    norm_last, _ = derivative_sup_norm(system, (order[-1],))
-    rho_N = (C ** -3 * K ** -r * min(level1.values()) * norm_last ** r) ** eta
-    log_tau = math.log(L) - math.log(n) - math.log(rho_N)
+    def entry(word: Word) -> tuple[float, Word]:
+        lo, hi = cylinder_interval(system, word)
+        mass = cylinder_mass(system, family, word, truncation=truncation)
+        return -mass * (hi - lo) ** r, word
 
-    def log_weight(word: Word) -> float:
-        mass = cylinder_mass(system, family, word, truncation=N)
-        dnorm, _ = derivative_sup_norm(system, word)
-        return eta * (math.log(mass) + r * math.log(dnorm))
-
-    words: list[Word] = []
-    stack: list[Word] = [(i,) for i in order]
-    while stack:
-        w = stack.pop()
-        if len(w) > 1000:
-            raise NumericalFailure("antichain expansion did not terminate")
-        if log_weight(w) <= log_tau + 1e-12:
-            words.append(w)
-        else:
-            stack.extend(w + (i,) for i in order)
-
-    if len(words) > n:
-        raise NumericalFailure(
-            f"antichain cardinality {len(words)} exceeded the budget {n}"
-        )
+    heap = [entry(())]
+    while len(heap) + N - 1 <= n:
+        _, w = heapq.heappop(heap)
+        for i in range(1, N + 1):
+            heapq.heappush(heap, entry(w + (i,)))
+    words = sorted(w for _, w in heap)
     points = np.array([compose_and_derivative(system, w, system.midpoint)[0] for w in words])
-    return AntichainResult(r=r, n=n, eta=eta, L=L, rho_N=rho_N,
-                           words=tuple(sorted(words)),
+    return AntichainResult(r=r, n=n, tau=-heap[0][0], words=tuple(words),
                            codebook=Codebook(points, n), cardinality=len(words))
 
 

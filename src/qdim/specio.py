@@ -8,7 +8,7 @@ A document bundles the map family and the potential:
      "symbols": [1, 2],                      # gauss subsystems
      "infinite": {"family": "geometric" | "gauss",
                   "ratio": ..},              # geometric similarity base
-     "K": .., "s": ..,
+     "s": ..,                                # an old spec's "K" is ignored
      "potential": {"kind": "logweights",
                    "weights": [..] | {"family": "geometric", "ratio": ..}}
                 | {"kind": "derivative", "s": .., "g": "zero"}}
@@ -51,20 +51,18 @@ def _build_system(doc: dict) -> IfsSystem:
                 [m["offset"] for m in maps],
                 [m.get("orientation", 1) for m in maps],
                 domain=(float(domain[0]), float(domain[1])),
-                K=float(doc.get("K", 1.0)),
                 s=None if s is None else float(s),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"bad similarity maps: {exc}") from exc
 
     if kind == "gauss":
-        K = float(doc.get("K", 4.0))
         if "infinite" in doc:
-            return gauss_system(None, K=K)
+            return gauss_system(None)
         symbols = doc.get("symbols")
         if not symbols:
             raise SpecFormatError("finite continued-fraction systems need symbols")
-        return gauss_system(symbols, K=K)
+        return gauss_system(symbols)
 
     raise SpecFormatError(f"unknown system kind {kind!r}")
 

@@ -178,14 +178,14 @@ def test_criterion_08_antichain_bound(e1, e1_sample_big):
     series = []
     cards_ok = True
     for n in (4, 8, 16, 32, 64, 128, 256):
-        res = Q.antichain_codebook(system, family, 2.0, n, kappa_r=kappa)
+        res = Q.antichain_codebook(system, family, 2.0, n)
         cards_ok = cards_ok and res.cardinality <= n
         v = Q.quant_error(e1_sample_big, res.codebook, 2.0)
         series.append(n * v ** (kappa / 2.0))
     ratio = max(series) / min(series)
     elapsed = time.perf_counter() - t0
     _report(8, "antichain cardinality and bounded series",
-            cards_ok and ratio <= 50.0 and elapsed < 60.0,
+            cards_ok and ratio <= 2.0 and elapsed < 60.0,
             f"(series ratio {ratio:.2f}, {elapsed:.1f}s)")
 
 

@@ -190,7 +190,7 @@ def test_verify_needs_two_sizes(e1_spec, monkeypatch, capsys):
 
 
 def _no_solve(*args, **kwargs):
-    raise AssertionError("solved before --depth was checked")
+    raise AssertionError("solved before the flags were checked")
 
 
 @pytest.mark.parametrize("command", ["sample", "quantize", "verify"])
@@ -207,13 +207,21 @@ def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeyp
     assert f"spec error: --depth {depth} is not positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["sample", "quantize"])
+_OUT_ARGS = {
+    "sample": ["--samples", "100"],
+    "quantize": ["--samples", "100", "--r", "2", "--n-list", "4,8"],
+    "beta": [],
+    "sweep": ["--r", "2", "--m-list", "2,3"],
+    "figure1": ["--r", "2"],
+}
+
+
+@pytest.mark.parametrize("command", ["sample", "quantize", "beta", "sweep", "figure1"])
 def test_out_checked_before_sampling(command, e1_spec, monkeypatch, capsys):
     monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
-    args = [command, "--system", e1_spec, "--samples", "100"]
-    if command == "quantize":
-        args += ["--r", "2", "--n-list", "4,8"]
-    assert main(args) == 1
+    for solver in ("temperature_curve", "truncation_sweep", "legendre_and_figure_data"):
+        monkeypatch.setattr(qdim.cli, solver, _no_solve)
+    assert main([command, "--system", e1_spec, *_OUT_ARGS[command]]) == 1
     assert f"spec error: {command} needs --out for the CSV artifact" in capsys.readouterr().err
 
 
@@ -243,6 +251,44 @@ def test_bad_numeric_flags_exit_one(args, message, e1_spec, tmp_path):
     assert f"spec error: {message}" in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    (GAUSS_FULL_DOC, ["dimh", "--m", "0"], "--m 0 is not a positive truncation"),
+    (GAUSS_FULL_DOC, ["pressure", "--q", "1", "--t", "0", "--m", "-2"],
+     "--m -2 is not a positive truncation"),
+    (GAUSS_FULL_DOC, ["sample", "--samples", "100", "--m", "0"],
+     "--m 0 is not a positive truncation"),
+    (GAUSS_DOC, ["qdim", "--r", "2", "--m", "0"], "--m 0 is not a positive truncation"),
+    (GAUSS_FULL_DOC, ["sweep", "--r", "2", "--m-list", "40,0"],
+     "--m-list truncation 0 is not positive"),
+], ids=["dimh-zero", "pressure-negative", "sample-zero", "qdim-zero", "sweep-list-zero"])
+def test_truncation_below_one_exits_one(doc, args, message, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    out = tmp_path / "artifact"
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", args[0], "--system", str(path),
+                           *args[1:], "--out", str(out)],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert f"spec error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("args", [["dimh", "--m", "2"], ["qdim", "--r", "2", "--m", "2"]],
+                         ids=["dimh", "qdim"])
+def test_legacy_distortion_key_is_ignored(args, tmp_path, capsys):
+    doc = json.loads(GAUSS_DOC)
+    assert doc.pop("K") == 4.0
+    reports = []
+    for name, text in (("with_k", GAUSS_DOC), ("without_k", json.dumps(doc))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main([args[0], "--system", str(path), *args[1:]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append({k: v for k, v in report.items() if k not in ("path", "system_digest")})
+    assert reports[0] == reports[1]
 
 
 def test_sample_reports_the_spectral_gap_depth(tmp_path, capsys):

@@ -37,42 +37,38 @@ def test_compose_rejects_bad_input(e1):
         Q.compose_and_derivative(system, (1,), 2.0)
 
 
+def _deriv_sup(system, word):
+    """sup |phi_word'| over the domain grid."""
+    return max(Q.compose_and_derivative(system, word, float(x))[1] for x in system.grid)
+
+
 def test_derivative_sup_norm_similarity(e1):
     system, _ = e1
-    norm, err = Q.derivative_sup_norm(system, (1, 2))
-    assert norm == pytest.approx(1 / 9, abs=1e-15)
-    assert err == 1.0
+    assert _deriv_sup(system, (1, 2)) == pytest.approx(1 / 9, abs=1e-15)
 
 
 @pytest.mark.parametrize("word, expected", [((2,), 1 / 4), ((1, 1), 1 / 4)])
 def test_derivative_sup_norm_gauss(gauss12, word, expected):
     # grid-sup oracle: |phi'| is monotone for these branches, max at x = 0
     system, _ = gauss12
-    norm, err = Q.derivative_sup_norm(system, word)
-    assert norm == pytest.approx(expected, rel=1e-12)
-    assert err <= system.K
-
-
-def test_derivative_sup_norm_empty_word(e1):
-    system, _ = e1
-    with pytest.raises(ValueError):
-        Q.derivative_sup_norm(system, ())
+    assert _deriv_sup(system, word) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cylinder_geometry_e1(e1):
     system, _ = e1
-    info = Q.cylinder_geometry(system, (1, 1, 2))
-    assert info.diameter <= 1 / 27 + 1e-15
-    point = Q.cylinder_geometry(system, (2,)).point
+    lo, hi = Q.cylinder_interval(system, (1, 1, 2))
+    assert (lo, hi) == (pytest.approx(2 / 27, abs=1e-15), pytest.approx(3 / 27, abs=1e-15))
+    point, _ = Q.compose_and_derivative(system, (2,), system.midpoint)
     assert point == pytest.approx(5 / 6, abs=1e-15)
 
 
 def test_cylinder_geometry_gauss(gauss12):
+    # oracle: phi_21(x) = 1/(2 + 1/(1+x)) = (1+x)/(3+2x) maps [0, 1] onto [1/3, 2/5]
     system, _ = gauss12
-    info = Q.cylinder_geometry(system, (2, 1))
-    norm, _ = Q.derivative_sup_norm(system, (2, 1))
-    assert info.diameter <= norm * system.K * system.diam + 1e-15
-    assert info.deriv_error <= system.K
+    lo, hi = Q.cylinder_interval(system, (2, 1))
+    assert (lo, hi) == (pytest.approx(1 / 3, abs=1e-15), pytest.approx(2 / 5, abs=1e-15))
+    # mean value theorem
+    assert hi - lo <= _deriv_sup(system, (2, 1)) * system.diam + 1e-15
 
 
 def _random_words(rng, n_sym, max_len, count):
@@ -96,26 +92,27 @@ def test_chain_rule_consistency(fixture, request):
         assert full_d == pytest.approx(outer_d * inner_d, rel=1e-12)
 
 
+# sup/inf of |phi_w'| over the domain: 1 for similarities; continued-fraction
+# words have |phi_w'(x)| = (q_n + q_{n-1} x)^-2 with q_{n-1} <= q_n, so at most 4
+_DISTORTION = {"e1": 1.0, "gauss12": 4.0}
+
+
 @pytest.mark.parametrize("fixture", ["e1", "gauss12"])
 def test_submultiplicativity_with_distortion(fixture, request):
     system, _ = request.getfixturevalue(fixture)
     rng = np.random.default_rng(13)
     for u in _random_words(rng, 2, 4, 30):
         v = tuple(int(w) + 1 for w in rng.integers(0, 2, size=rng.integers(1, 5)))
-        nu, eu = Q.derivative_sup_norm(system, u)
-        nv, ev = Q.derivative_sup_norm(system, v)
-        nuv, euv = Q.derivative_sup_norm(system, u + v)
-        # grid estimates may sit anywhere inside their error brackets
-        assert nuv <= nu * eu * nv * ev * (1 + 1e-12)
-        assert nuv * euv >= nu * nv / system.K * (1 - 1e-12)
+        nu, nv, nuv = (_deriv_sup(system, w) for w in (u, v, u + v))
+        assert nuv <= nu * nv * (1 + 1e-12)
+        assert nuv >= nu * nv / _DISTORTION[fixture] * (1 - 1e-12)
 
 
 def test_contraction_bound(e1):
     system, _ = e1
     rng = np.random.default_rng(3)
     for word in _random_words(rng, 2, 8, 40):
-        norm, _ = Q.derivative_sup_norm(system, word)
-        assert norm <= system.s ** len(word) + 1e-15
+        assert _deriv_sup(system, word) <= system.s ** len(word) + 1e-15
 
 
 @pytest.mark.parametrize("fixture", ["e1", "e3", "gauss12"])
@@ -129,9 +126,12 @@ def test_cylinder_nestedness(fixture, request):
             assert outer[0] - 1e-12 <= inner[0] and inner[1] <= outer[1] + 1e-12
 
 
-def test_distortion_diagnostic_respects_K(gauss12):
+def test_gauss_distortion_below_four(gauss12):
     system, _ = gauss12
-    assert Q.check_distortion(system, depth=6, samples=100) <= system.K
+    rng = np.random.default_rng(0)
+    for word in _random_words(rng, 2, 6, 100):
+        derivs = [Q.compose_and_derivative(system, word, float(x))[1] for x in system.grid]
+        assert max(derivs) <= _DISTORTION["gauss12"] * min(derivs)
 
 
 def test_infinite_alphabet_stays_lazy(e3):

@@ -348,8 +348,7 @@ def test_chain_drawer_matches_the_cumsum_formula(M, seed, on_nodes):
 
 def _unlabelled(system):
     """The same branches as a generic analytic system, with no Gauss digits recorded."""
-    return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s,
-                       K=system.K, sup_grid_exact=system.sup_grid_exact)
+    return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s)
 
 
 @pytest.mark.parametrize("system", [

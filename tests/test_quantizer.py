@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 import qdim as Q
 import qdim.quantizer
+from qdim.errors import DegenerateSystemError
 
 from conftest import LOG23
+
+DIM_GAUSS5 = 0.836829443681208  # dim E_{1..5}
 
 
 @pytest.fixture(scope="module")
@@ -276,22 +279,32 @@ def test_estimate_dr_input_validation():
 
 
 def test_antichain_depth_one_example(e1):
-    # with C = K = 1: L = 1 and rho = (m_1 * (1/3)^2)^eta = (1/18)^{q_r} = 1/2,
-    # so the n = 4 threshold is 1/2 and both depth-1 words qualify
+    # each depth-1 word weighs m_w |I_w|^2 = (1/2)(1/3)^2 = 1/18; splitting the
+    # empty word gives two words, and a further split would pass n = 2
     system, family = e1
-    result = Q.antichain_codebook(system, family, 2.0, 4)
-    assert result.rho_N == pytest.approx(0.5, rel=1e-9)
-    assert result.L == pytest.approx(1.0)
+    result = Q.antichain_codebook(system, family, 2.0, 2)
     assert result.words == ((1,), (2,))
     assert result.cardinality == 2
+    assert result.tau == pytest.approx(1 / 18, rel=1e-12)
+    assert np.allclose(result.codebook.points, [1 / 6, 5 / 6], atol=1e-15)
+
+
+def test_antichain_small_budgets(e1):
+    system, family = e1
+    assert Q.antichain_codebook(system, family, 2.0, 4).words == (
+        (1, 1), (1, 2), (2, 1), (2, 2))
+    root = Q.antichain_codebook(system, family, 2.0, 1)
+    assert root.words == ((),)
+    assert root.tau == pytest.approx(1.0, rel=1e-15)  # the whole unit interval
+    assert root.codebook.points.tolist() == [0.5]
 
 
 def test_antichain_cardinality_bound(e1):
     system, family = e1
-    kappa = Q.solve_quantization_dim(system, family, 2.0).kappa_r
-    for n in (4, 16, 64, 256):
-        result = Q.antichain_codebook(system, family, 2.0, n, kappa_r=kappa)
+    for n in (1, 3, 4, 16, 64, 256):
+        result = Q.antichain_codebook(system, family, 2.0, n)
         assert result.cardinality <= n
+        assert result.cardinality == n  # on two symbols each split adds one word
 
 
 def test_antichain_is_maximal(e1):
@@ -309,9 +322,43 @@ def test_antichain_is_maximal(e1):
 def test_antichain_on_truncated_infinite(e3):
     system, family = e3
     result = Q.antichain_codebook(system, family, 2.0, 32, truncation=6)
-    assert 1 <= result.cardinality <= 32
+    assert result.cardinality == 31  # 1 + 5 words per split
     pts = result.codebook.points
     assert np.all((pts >= 0) & (pts <= 1))
+
+
+def _weight(system, family, word, r):
+    lo, hi = Q.cylinder_interval(system, word)
+    return Q.cylinder_mass(system, family, word) * (hi - lo) ** r
+
+
+@pytest.fixture(scope="module")
+def gauss5_normalized():
+    system = Q.gauss_system((1, 2, 3, 4, 5))
+    return system, Q.normalize_pressure(Q.derivative_family(DIM_GAUSS5), system)
+
+
+def test_antichain_uses_its_budget_on_gauss(gauss5_normalized):
+    system, family = gauss5_normalized
+    for n, least in ((64, 60), (512, 508)):
+        result = Q.antichain_codebook(system, family, 2.0, n)
+        assert least <= result.cardinality <= n
+        assert len(set(result.codebook.points.tolist())) == result.cardinality
+
+
+def test_antichain_threshold_separates_kept_and_split(gauss5_normalized):
+    system, family = gauss5_normalized
+    result = Q.antichain_codebook(system, family, 2.0, 64)
+    kept = [_weight(system, family, w, 2.0) for w in result.words]
+    assert max(kept) == result.tau
+    split = {w[:-1] for w in result.words}
+    assert min(_weight(system, family, w, 2.0) for w in split) >= result.tau
+
+
+def test_antichain_one_symbol_alphabet_raises(e3):
+    system, family = e3
+    with pytest.raises(DegenerateSystemError, match="one-symbol"):
+        Q.antichain_codebook(system, family, 2.0, 8, truncation=1)
 
 
 def test_antichain_series_bounded(e1, e1_sample_big):
@@ -319,10 +366,10 @@ def test_antichain_series_bounded(e1, e1_sample_big):
     kappa = Q.solve_quantization_dim(system, family, 2.0).kappa_r
     series = []
     for n in (4, 8, 16, 32, 64):
-        res = Q.antichain_codebook(system, family, 2.0, n, kappa_r=kappa)
+        res = Q.antichain_codebook(system, family, 2.0, n)
         v = Q.quant_error(e1_sample_big, res.codebook, 2.0)
         series.append(n * v ** (kappa / 2.0))
-    assert max(series) / min(series) <= 50.0
+    assert max(series) / min(series) <= 2.0
 
 
 def test_truncation_comparison_invariant(e3):
