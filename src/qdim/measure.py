@@ -28,8 +28,8 @@ from .ifs import IfsSystem
 from .potentials import (ConstantLogWeights, PotentialFamily, _tail_exp_sum, f_value,
                          truncation_tail_bound)
 from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_eigen,
-                       _operator_parts, _pressure_callable, _symbol_logs,
-                       is_multiplicative)
+                       _operator_measure, _operator_parts, _pressure_callable,
+                       _symbol_logs, is_multiplicative)
 
 _CHUNK = 65536
 _REACH = 64               # reachable cdf entries up to which counting beats a binary search
@@ -96,8 +96,9 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
         a, d = _symbol_logs(system, family, M or max(w))
         k = np.array(w) - 1
         log_integral = float(np.sum(q * a[k] + t * d[k]))
+        pressure = P(q, t)
     else:
-        _, _, nu, _ = _operator_eigen(_operator_parts(system, family, M, _NODES), q, t)
+        nu, pressure = _operator_measure(system, family, M, q, t)
         y, _ = _chebyshev_nodes(system.domain, _NODES)
         log_g = np.zeros(_NODES)
         for sym in reversed(w):  # q S_w F + t log|phi_w'| along the suffix orbit
@@ -106,7 +107,7 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
             y = m.value(y)
         top = float(log_g.max())
         log_integral = top + math.log(float(nu @ np.exp(log_g - top)))
-    return math.exp(log_integral - len(w) * P(q, t))
+    return math.exp(log_integral - len(w) * pressure)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,21 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
+@lru_cache(maxsize=32)
+def _operator_measure(system: IfsSystem, family: PotentialFamily, M: int, q: float,
+                      t: float) -> tuple[np.ndarray, float]:
+    """(nu, P(q, t)) of the collocated operator over symbols 1..M.
+
+    The quadrature rule and the pressure that every cylinder mass at
+    (q, t) shares: one eigendecomposition and one pressure per argument
+    set, however many cylinders are weighed.
+    """
+    parts = _operator_parts(system, family, M, _NODES)
+    nu = _operator_eigen(parts, q, t)[2]
+    nu.flags.writeable = False
+    return nu, _operator_pressure(parts, q, t)
+
+
 def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: float,
                       truncation: int | None = None) -> PressureEstimate:
     """P(q, t) with its error indicator and the truncation tail bound.

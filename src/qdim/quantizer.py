@@ -4,9 +4,12 @@ The order-r quantization error of a codebook is the mean r-th power of
 the distance to the nearest code point.  ``lloyd_optimize`` alternates
 nearest-point partitions (contiguous cells on a sorted sample) with
 per-cell center minimization: the mean for r = 2, the median for r = 1,
-a golden-section search on the convex 1-D objective otherwise.  It
-starts from one deterministic greedy split of the sorted sample into n
-contiguous cells; optimal 1-D cells are contiguous too.
+for any other r > 1 the root of the increasing slope
+sum sign(c - x) |c - x|^(r - 1) by vectorized Illinois regula falsi, and
+for r < 1, where the objective is not convex, a golden-section search
+after a 64-point pre-scan.  It starts from one deterministic greedy split
+of the sorted sample into n contiguous cells; optimal 1-D cells are
+contiguous too.
 
 ``antichain_codebook`` splits cylinders heaviest first by the weight
 m_w |phi_w(X)|^r, with m_w the exact cylinder mass, until a further
@@ -102,11 +105,43 @@ def _cell_edges(pts: np.ndarray, code: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], inner, [pts.size]))
 
 
-def _segment_objective(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray,
+def _cell_starts(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty-cell mask of a partition and the start index of each nonempty cell.
+
+    Nonempty starts rise strictly and stay below the sample size, so
+    ``np.add.reduceat`` at them sums exactly each nonempty cell, also a
+    last one followed by empty cells, whose start (the size) it rejects.
+    """
+    full = np.diff(edges) > 0
+    return full, edges[:-1][full]
+
+
+def _cell_sums(values: np.ndarray, full: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-cell sums of per-point values, 0.0 for an empty cell."""
+    sums = np.zeros(full.size)
+    sums[full] = np.add.reduceat(values, starts)
+    return sums
+
+
+def _cell_index(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cell of each point, nonempty mask, nonempty starts), built once per center solve."""
+    return (np.repeat(np.arange(edges.size - 1), np.diff(edges)),) + _cell_starts(edges)
+
+
+def _segment_objective(pts: np.ndarray, cells: tuple, centers: np.ndarray,
                        r: float) -> np.ndarray:
-    cell_of = np.repeat(np.arange(centers.size), np.diff(edges))
-    costs = np.abs(pts - centers[cell_of]) ** r
-    return np.add.reduceat(costs, edges[:-1]) * (np.diff(edges) > 0)
+    """Per-cell sum of |x - c|^r about the cell's center c."""
+    index, full, starts = cells
+    return _cell_sums(np.abs(pts - centers[index]) ** r, full, starts)
+
+
+def _cell_slope(pts: np.ndarray, cells: tuple, centers: np.ndarray, r: float) -> np.ndarray:
+    """Per-cell slope sum_x sign(c - x) |c - x|^(r - 1) of the order-r objective, over r."""
+    index, full, starts = cells
+    d = centers[index] - pts
+    terms = np.abs(d)
+    terms **= r - 1.0
+    return _cell_sums(np.copysign(terms, d, out=terms), full, starts)
 
 
 def _cell_points(pts: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -114,47 +149,122 @@ def _cell_points(pts: np.ndarray, edges: np.ndarray, idx: np.ndarray) -> np.ndar
     return np.where(np.diff(edges) > 0, pts[np.clip(idx, 0, pts.size - 1)], 0.0)
 
 
+def _splittable(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Brackets with a float strictly inside; one down to adjacent floats cannot narrow."""
+    mid = 0.5 * (lo + hi)
+    return (lo < mid) & (mid < hi)
+
+
 def _golden_centers(pts: np.ndarray, edges: np.ndarray, r: float,
                     tol: float) -> np.ndarray:
     """Per-cell golden-section minimization of c -> sum |x - c|^r, vectorized.
 
-    Convex for r >= 1; for r < 1 a 64-point pre-scan narrows each
-    bracket before the local search.  Each bracket is the cell's span.
+    The objective is not convex for r < 1, so a 64-point pre-scan
+    narrows each bracket before the local search.  Each bracket is the
+    cell's span; the search stops when every bracket is at most tol wide
+    or down to adjacent floats.
     """
+    cells = _cell_index(edges)
     lo = _cell_points(pts, edges, edges[:-1])
     hi = _cell_points(pts, edges, edges[1:] - 1)
     if r < 1.0:
         best = lo.copy()
-        best_val = _segment_objective(pts, edges, best, r)
+        best_val = _segment_objective(pts, cells, best, r)
         for frac in np.linspace(0.0, 1.0, 64):
             cand = lo + frac * (hi - lo)
-            val = _segment_objective(pts, edges, cand, r)
+            val = _segment_objective(pts, cells, cand, r)
             better = val < best_val
             best[better] = cand[better]
             best_val[better] = val[better]
         width = (hi - lo) / 63.0
         lo = np.maximum(lo, best - width)
         hi = np.minimum(hi, best + width)
-    while np.max(hi - lo) > tol:
+    while np.max(hi - lo, where=_splittable(lo, hi), initial=0.0) > tol:
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        f1 = _segment_objective(pts, edges, x1, r)
-        f2 = _segment_objective(pts, edges, x2, r)
+        f1 = _segment_objective(pts, cells, x1, r)
+        f2 = _segment_objective(pts, cells, x2, r)
         take_left = f1 < f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
     return 0.5 * (lo + hi)
 
 
+def _slope_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> np.ndarray:
+    """Per-cell root of the increasing order-r slope, for r > 1, vectorized.
+
+    For r > 1 the objective c -> sum |x - c|^r is strictly convex, and its
+    minimizer is the one root of g(c) = sum sign(c - x) |c - x|^(r - 1)
+    (Graf-Luschgy, Foundations of Quantization, 2000).  g <= 0 at the
+    cell's first point and g >= 0 at its last, so that span brackets the
+    root in every cell.  Illinois regula falsi narrows all brackets at
+    once, as ``pressure._root_decreasing`` does for one: the secant through
+    the bracket ends, with the value kept at an end that survives twice
+    in a row halved; the midpoint when the secant is NaN or leaves the
+    bracket and after three steps in a row that did not halve it; a step
+    shorter than tol / 2 moves the nearer end by tol / 2 instead.  A cell
+    stops once its bracket is at most tol wide (or down to adjacent
+    floats).  Its center is the secant root through the last bracket's
+    ends, or a sample point inside the bracket where that has a lower
+    error: for r < 2 the slope is infinitely steep at a sample point, so
+    a root there is that point to within rounding.
+    """
+    cells = _cell_index(edges)
+    lo = _cell_points(pts, edges, edges[:-1])
+    hi = _cell_points(pts, edges, edges[1:] - 1)
+    g_lo = _cell_slope(pts, cells, lo, r)
+    g_hi = _cell_slope(pts, cells, hi, r)
+    w_lo, w_hi = g_lo, g_hi                 # secant weights
+    side = np.zeros(lo.size)                # +1 after hi moved, -1 after lo moved
+    width, slow = hi - lo, np.zeros(lo.size, dtype=int)
+    active, step = width > tol, 0.5 * tol
+    while active.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        x = np.where((slow >= 3) | ~((lo <= x) & (x <= hi)), 0.5 * (lo + hi), x)
+        x = np.minimum(np.maximum(x, lo + step), hi - step)
+        v = _cell_slope(pts, cells, x, r)
+        up = active & (v >= 0.0)            # the root lies at or below x
+        down = active & (v < 0.0)
+        w_lo = np.where(down, v, np.where(up & (side > 0), 0.5 * w_lo, w_lo))
+        w_hi = np.where(up, v, np.where(down & (side < 0), 0.5 * w_hi, w_hi))
+        lo, g_lo = np.where(down, x, lo), np.where(down, v, g_lo)
+        hi, g_hi = np.where(up, x, hi), np.where(up, v, g_hi)
+        side = np.where(up, 1.0, np.where(down, -1.0, side))
+        halved = hi - lo <= 0.5 * width
+        width = np.where(halved, hi - lo, width)
+        slow = np.where(halved, 0, slow + 1)
+        active &= (hi - lo > tol) & _splittable(lo, hi) & (v != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    centers = np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi))
+    point = pts[np.minimum(np.searchsorted(pts, lo), pts.size - 1)]
+    inside = cells[1] & (point <= hi)
+    if inside.any():
+        on_point = np.where(inside, point, centers)
+        lower = (_segment_objective(pts, cells, on_point, r)
+                 < _segment_objective(pts, cells, centers, r))
+        centers = np.where(lower, on_point, centers)
+    return centers
+
+
 def _cell_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> np.ndarray:
-    counts = np.diff(edges)
+    """The order-r center of each contiguous cell of the sorted sample, 0.0 if empty.
+
+    r = 2: the mean; r = 1: the median, the midpoint of the two middle
+    values; any other r > 1: the root of the increasing slope
+    (``_slope_centers``) and r < 1: a golden-section search after a
+    64-point pre-scan (``_golden_centers``), both to within tol.
+    """
     if r == 2.0:
-        sums = np.add.reduceat(pts, edges[:-1]) * (counts > 0)
-        return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+        return _cell_sums(pts, *_cell_starts(edges)) / np.maximum(np.diff(edges), 1)
     if r == 1.0:  # the medians
+        counts = np.diff(edges)
         start = edges[:-1]
         return 0.5 * (_cell_points(pts, edges, start + (counts - 1) // 2)
                       + _cell_points(pts, edges, start + counts // 2))
+    if r > 1.0:
+        return _slope_centers(pts, edges, r, tol)
     return _golden_centers(pts, edges, r, tol)
 
 
@@ -211,16 +321,22 @@ class _SplitOrder:
 
     def edges(self, pts: np.ndarray, n: int, r: float) -> np.ndarray:
         """Edges of the first n greedy cells; n must be below the distinct count."""
+        buf = np.empty(pts.size)
         while len(self.starts) < n:
             _, a, b = heapq.heappop(self.heap)
             seg = pts[a:b]
             split = _best_split(seg)
-            edges = np.array([0, split, b - a])
-            # the means; the center tolerance is unused at r = 2
-            costs = _segment_objective(seg, edges, _cell_centers(seg, edges, 2.0, 0.0), r)
-            for lo, hi, cost in zip(edges[:-1], edges[1:], costs):
-                key = -cost if seg[lo] < seg[hi - 1] else math.inf
-                heapq.heappush(self.heap, (key, a + int(lo), a + int(hi)))
+            halves = np.array([0, split])
+            means = np.add.reduceat(seg, halves) / np.array([split, b - a - split])
+            cost = buf[:b - a]
+            np.subtract(seg[:split], means[0], out=cost[:split])
+            np.subtract(seg[split:], means[1], out=cost[split:])
+            np.abs(cost, out=cost)
+            cost **= r
+            costs = np.add.reduceat(cost, halves)
+            for lo, hi, c in ((0, split, costs[0]), (split, b - a, costs[1])):
+                key = -c if seg[lo] < seg[hi - 1] else math.inf
+                heapq.heappush(self.heap, (key, a + lo, a + hi))
             self.starts.append(a + split)
         return np.array(sorted(self.starts[:n]) + [pts.size])
 

@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdim as Q
+import qdim.pressure
 import qdim.quantizer
 from qdim.errors import DegenerateSystemError
 
 from conftest import LOG23
 
+DIM_GAUSS2 = 0.531280506277205  # dim E_{1,2}
 DIM_GAUSS5 = 0.836829443681208  # dim E_{1..5}
 
 
@@ -98,17 +100,47 @@ def test_lloyd_general_r_median_and_golden(e1_sample):
     assert np.all(np.diff(run07.codebook.points) > 0)
 
 
+def _slope_root(seg: list[float], r: float) -> float:
+    """Root of c -> sum sign(c - x) |c - x|^(r - 1) by bisection to adjacent floats, loop form."""
+    lo, hi = seg[0], seg[-1]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if math.fsum(math.copysign(abs(mid - x) ** (r - 1), mid - x) for x in seg) > 0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def test_cell_centers_match_loop_form():
     # cells [0, 2), [2, 2) (empty), [2, 5), [5, 6), [6, 6) (empty, last)
     pts = np.array([0.1, 0.2, 0.25, 0.4, 0.7, 0.8])
     edges = np.array([0, 2, 2, 5, 6, 6])
-    medians, lo, hi = np.zeros(5), np.zeros(5), np.zeros(5)
+    cells = [pts[a:b].tolist() for a, b in zip(edges[:-1], edges[1:])]
+    medians, means, lo, hi = np.zeros(5), np.zeros(5), np.zeros(5), np.zeros(5)
     for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         if b > a:
             seg = pts[a:b]
             medians[j] = 0.5 * (seg[(b - a - 1) // 2] + seg[(b - a) // 2])
+            means[j] = sum(cells[j]) / len(cells[j])
             lo[j], hi[j] = seg[0], seg[-1]
     assert qdim.quantizer._cell_centers(pts, edges, 1.0, 0.0).tobytes() == medians.tobytes()
+    assert qdim.quantizer._cell_centers(pts, edges, 2.0, 0.0).tobytes() == means.tobytes()
+    tol = 1e-9
+    # r > 1: the slope's root; r < 1: the objective is concave between sample
+    # points, so some point of the cell is a minimizer
+    centers = qdim.quantizer._cell_centers(pts, edges, 1.5, tol)
+    for c, seg in zip(centers, cells):
+        assert c == 0.0 if not seg else abs(c - _slope_root(seg, 1.5)) <= tol
+    centers = qdim.quantizer._cell_centers(pts, edges, 0.7, tol)
+    for c, seg in zip(centers, cells):
+        if not seg:
+            assert c == 0.0
+            continue
+        cost = {x: math.fsum(abs(x - y) ** 0.7 for y in seg) for x in seg}
+        least = min(cost.values())
+        assert any(abs(c - x) <= tol for x in seg if cost[x] <= least * (1 + 1e-12))
     # a tolerance wider than every bracket returns the bracket midpoints untouched
     golden = qdim.quantizer._golden_centers(pts, edges, 1.5, math.inf)
     assert golden.tobytes() == (0.5 * (lo + hi)).tobytes()
@@ -169,6 +201,58 @@ _SEGMENTS = st.one_of(
     st.lists(st.integers(0, 4), min_size=2, max_size=300  # duplicate-heavy
              ).map(lambda ints: [i / 3 for i in ints]),
 )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SEGMENTS, st.sampled_from([1.01, 1.1, 1.5, 2.5, 3.0, 6.0]))
+def test_slope_centers_minimize_the_order_r_error(values, r):
+    # three cells; the first is empty when the segment has two points
+    seg = np.sort(np.array(values))
+    L = seg.size
+    edges = np.array([0, L // 3, (2 * L) // 3, L])
+    tol = 1e-12 * (float(seg[-1] - seg[0]) or 1.0)
+    q = qdim.quantizer
+    centers = q._cell_centers(seg, edges, r, tol)
+    cells = q._cell_index(edges)
+    golden = q._golden_centers(seg, edges, r, tol)
+    # the order-r error of the partition, which Lloyd lowers
+    error = math.fsum(q._segment_objective(seg, cells, centers, r))
+    assert error <= math.fsum(q._segment_objective(seg, cells, golden, r)) * (1.0 + 1e-12)
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if a == b:
+            assert centers[j] == 0.0
+            continue
+        c = centers[j]
+        assert seg[a] <= c <= seg[b - 1]
+        # the slope changes sign within tol, or within one float where tol is finer
+        dx = max(tol, float(np.spacing(c)))
+        around = np.full(3, c)
+        around[j] = c - dx
+        below = q._cell_slope(seg, cells, around, r)[j]
+        around[j] = c + dx
+        above = q._cell_slope(seg, cells, around, r)[j]
+        assert below <= 0.0 <= above
+
+
+def test_slope_centers_need_few_evaluations(monkeypatch):
+    # golden-section search takes 66-88 objective passes per call here
+    system = Q.gauss_system((1, 2))
+    sample = Q.sample_measure(system, Q.derivative_family(DIM_GAUSS2), 20_000, seed=3)
+    evals, per_call = [], []
+    slope, centers = qdim.quantizer._cell_slope, qdim.quantizer._cell_centers
+
+    def counted(*args):
+        start = len(evals)
+        out = centers(*args)
+        per_call.append(len(evals) - start)
+        return out
+
+    monkeypatch.setattr(qdim.quantizer, "_cell_slope", lambda *a: evals.append(1) or slope(*a))
+    monkeypatch.setattr(qdim.quantizer, "_cell_centers", counted)
+    for n in (4, 8, 16, 32, 64):
+        Q.lloyd_optimize(sample, n, 1.5)
+    assert len(per_call) >= 5
+    assert max(per_call) <= 25
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -353,6 +437,18 @@ def test_antichain_threshold_separates_kept_and_split(gauss5_normalized):
     assert max(kept) == result.tau
     split = {w[:-1] for w in result.words}
     assert min(_weight(system, family, w, 2.0) for w in split) >= result.tau
+
+
+def test_antichain_solves_the_operator_once(gauss5_normalized, monkeypatch):
+    # every cylinder mass shares one (nu, P) of the collocated operator
+    system, family = gauss5_normalized
+    qdim.pressure._operator_measure.cache_clear()
+    calls = []
+    eigen = qdim.pressure._operator_eigen
+    monkeypatch.setattr(qdim.pressure, "_operator_eigen",
+                        lambda *a: calls.append(a[1:]) or eigen(*a))
+    assert Q.antichain_codebook(system, family, 2.0, 64).cardinality >= 60
+    assert calls == [(1.0, 0.0)]
 
 
 def test_antichain_one_symbol_alphabet_raises(e3):
