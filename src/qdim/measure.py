@@ -38,6 +38,9 @@ _H_GRID = 2049            # grid points for the minimum of the eigenfunction's i
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
 _LAW_TOL = 1e-12          # the default depth takes the sampled law this close to its limit
+_TABLE_GRID = 1024        # grid cells of the chain's cdf table
+_TABLE_BYTES = 1 << 21    # at most this many bytes of cdf table; larger alphabets get fewer cells
+_ROUNDING = 1e-12         # rounding of the table, of the exact draw and of its normalization
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +262,10 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
 
 
 def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.ndarray):
-    """(y, u) -> the chain's 0-based symbols at states y for uniforms u.
+    """(y, u) -> the chain's 0-based symbols at states y for uniforms u, exactly.
 
+    The exact draw behind ``_filtered_drawer``, which calls it for a step
+    its table cannot decide, and the reference its tests compare with.
     Bit for bit ``(cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)``, where
     ``num = _barycentric_terms(x, w, y) @ table`` and ``cdf`` is the
     running sum of ``max(num[:, :-1] / num[:, -1:], 0)`` over symbols, but
@@ -307,6 +312,127 @@ def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.nda
     return draw
 
 
+def _chebyshev_magnitudes(values: np.ndarray) -> np.ndarray:
+    """|c_n| for the interpolant sum c_n T_n of each column of node values.
+
+    The rows of ``values`` are values at the Chebyshev-Lobatto nodes
+    (``_chebyshev_nodes`` order); the c_n come from a discrete cosine
+    transform.  With |T_n| <= 1 and |T_n''| <= n^2 (n^2 - 1) / 3 on
+    [-1, 1], they bound the interpolant and its second derivative.
+    """
+    n = np.arange(values.shape[0])
+    N = n[-1]
+    half = np.where((n == 0) | (n == N), 0.5, 1.0)
+    dct = (2.0 / N) * half[:, None] * half * np.cos(np.pi * np.outer(n, n) / N)
+    return np.abs(dct @ values)
+
+
+def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
+               domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, clear, margin): the chain's normalized cdf on a uniform grid, and its error.
+
+    R[j, k] = cdf_k(g_j) / cdf_{M-1}(g_j) at the G + 1 grid points g_j of
+    the domain, by the exact formula of ``_chain_drawer``, for the k < M - 1
+    that a bisection compares with u; the columns are padded with 1.0 to
+    2^ceil(log2 M) - 1, so every bisection step reads inside the table.  G
+    is _TABLE_GRID, or less where the table would pass _TABLE_BYTES.
+
+    clear[j] says that every interpolated probability p_k is positive on the
+    whole cell [g_j, g_{j+1}], so the drawer's max(p_k, 0) never acts there:
+    the smaller end value minus Delta^2 / 8 max |p_k''| is positive, with
+    Delta = (b - a) / G.  On a clear cell, linear interpolation of R_k is
+    off by at most
+
+        margin[k] = Delta^2 / 8 min(max |cdf_k''|, max |(S - cdf_k)''|)
+                    + 2 max |S - 1| + _ROUNDING + 2 M eps,
+
+    where S = cdf_{M-1} is the sum of all p_k, 1 up to the eigenvector's
+    residual (R_k = cdf_k / S = 1 - (S - cdf_k) / S is within max |S - 1|
+    of both cdf_k and 1 - (S - cdf_k)).  The second derivatives and
+    max |S - 1| are bounded from Chebyshev coefficients
+    (``_chebyshev_magnitudes``), with (2 / (b - a))^2 for the map onto the
+    domain; the tail form keeps the margin of the late, nearly flat R_k
+    as small as their spacing.  The last term covers the running sums of
+    M entries.  Needs M >= 2.
+    """
+    a, b = domain
+    M = table.shape[1] - 1
+    width = (1 << (M - 1).bit_length()) - 1
+    cells = max(1, min(_TABLE_GRID, _TABLE_BYTES // (16 * width)))
+    # einsum, not BLAS: a threaded gemm of this shape can stall for milliseconds, and
+    # the summation order only moves the table by rounding, which the margin covers
+    num = np.einsum("gj,jk->gk", _barycentric_terms(x, w, np.linspace(a, b, cells + 1)), table)
+    p = num[:, :-1] / num[:, -1:]
+    cdf = np.cumsum(np.maximum(p, 0.0), axis=1)
+    R = np.ones((cells + 1, width))
+    R[:, :M - 1] = cdf[:, :-1] / cdf[:, -1:]
+
+    probs = table[:, :-1]
+    n = np.arange(probs.shape[0])
+    # Delta^2 / 8 times the |f''| bound of each |c_n|, mapped onto the domain
+    curve = ((b - a) / cells) ** 2 / 8.0 * (2.0 / (b - a)) ** 2 * n ** 2 * (n ** 2 - 1) / 3.0
+    lows = curve @ _chebyshev_magnitudes(probs)
+    clear = np.all(np.minimum(p[:-1], p[1:]) > lows, axis=1)
+    head = curve @ _chebyshev_magnitudes(np.cumsum(probs, axis=1)[:, :-1])
+    tail = curve @ _chebyshev_magnitudes(np.cumsum(probs[:, :0:-1], axis=1)[:, ::-1])
+    s_off = float(_chebyshev_magnitudes(probs.sum(axis=1) - 1.0).sum())
+    margin = np.full(width, 2.0 * s_off + _ROUNDING + 2 * M * np.finfo(float).eps)
+    margin[:M - 1] += np.minimum(head, tail)
+    return R, clear, margin
+
+
+def _filtered_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.ndarray,
+                     domain: tuple[float, float]):
+    """``_chain_drawer`` with a certified table filter in front of it.
+
+    Each step interpolates the normalized cdf R_k linearly at every
+    chain's state from ``_cdf_table`` and finds the symbol by a vectorized
+    bisection over k: ceil(log2 M) comparisons of u with interpolated
+    R_k, among them the two R_k that bracket u.  When every chain's state
+    lies in the domain on a clear cell, every u is below 1 - _ROUNDING and
+    more than ``margin[k]`` away from each R_k it is compared with, every
+    comparison has the exact one's outcome and the symbols are the exact
+    draw's, bit for bit.  Otherwise the step calls ``_chain_drawer`` for
+    the whole chunk: the same rows of a smaller BLAS product can round
+    differently, so a subset of the chains cannot be redone alone.
+    """
+    exact = _chain_drawer(x, w, table, terms)
+    if table.shape[1] < 3:  # one symbol: nothing to decide
+        return exact
+    R, clear, margin = _cdf_table(x, w, table, domain)
+    if not clear.any():
+        return exact
+    a, b = domain
+    cells, width = clear.size, R.shape[1]
+    scale = cells / (b - a)
+    # each entry holds R_k at a cell's left end and its rise across the cell as one
+    # complex number, so a single gather fetches both
+    rises = (R[:-1] + 1j * (R[1:] - R[:-1])).ravel()
+    steps = [1 << i for i in reversed(range((table.shape[1] - 2).bit_length()))]
+    all_clear = bool(clear.all())
+
+    def draw(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        pos = (y - a) * scale
+        if not (pos.min() >= 0.0 and pos.max() <= cells and u.max() < 1.0 - _ROUNDING):
+            return exact(y, u)
+        cell = np.minimum(pos.astype(np.intp), cells - 1)
+        if not (all_clear or clear.take(cell).all()):
+            return exact(y, u)
+        frac = pos - cell
+        base = cell * width
+        k = 0  # the first step compares every chain with the same column
+        for step in steps:
+            col = k + (step - 1)
+            z = rises.take(base + col)
+            gap = u - (z.real + frac * z.imag)
+            if not (np.abs(gap) > margin.take(col)).all():
+                return exact(y, u)
+            k += (gap >= 0.0) * step
+        return k
+
+    return draw
+
+
 def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
                   depth: int | None, M: int, seed: int) -> tuple[np.ndarray, int]:
     """Exact draw for nonconstant families: an eigenfunction chain, then rejection.
@@ -321,14 +447,18 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     rho^n, rho the operator's subdominant eigenvalue ratio; a ``depth`` of
     None takes the fewest steps with rho^n <= 1e-12 (``_gap_depth``).  The
     p_i are interpolated from their values at the operator's
-    Chebyshev-Lobatto nodes, so each step is one product of
+    Chebyshev-Lobatto nodes.  Exactly, a step is one product of
     (chains x nodes) barycentric terms with the (nodes x M) node
-    probabilities, drawn in buffers that every step reuses
-    (``_chain_drawer``), and one vectorized map call (``_map_step``).
-    Chunks of chains run from (seed, chunk) streams until ``count`` points
-    are kept; the streams and the points are those of the plain
-    ``cumsum`` formula, bit for bit.  Returns the points and the depth
-    used.
+    probabilities (``_chain_drawer``); a table of the normalized cdf on a
+    uniform grid, built once per sample, decides the step instead by
+    linear interpolation and a bisection over the symbols wherever its
+    proven error bound separates every chain's uniform from the cdf
+    entries it is compared with, and the exact product runs only for a
+    step where it does not (``_filtered_drawer``).  Then one vectorized
+    map call (``_map_step``) moves the chains.  Chunks of chains run from
+    (seed, chunk) streams until ``count`` points are kept; the streams
+    and the points are those of the plain ``cumsum`` formula, bit for
+    bit.  Returns the points and the depth used.
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
@@ -343,8 +473,8 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     if not h_min > 0.0:
         raise NumericalFailure("the interpolated eigenfunction is not positive")
 
-    terms = np.empty((_CHAIN_CHUNK, _NODES))  # every step's terms, then the rejection's
-    draw = _chain_drawer(x, w, table, terms)
+    terms = np.empty((_CHAIN_CHUNK, _NODES))  # the exact draw's terms, then the rejection's
+    draw = _filtered_drawer(x, w, table, terms, system.domain)
     step = _map_step(system, M)
     kept, total, chunk_idx = [], 0, 0
     while total < count:

@@ -197,32 +197,65 @@ def _slope_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> 
     minimizer is the one root of g(c) = sum sign(c - x) |c - x|^(r - 1)
     (Graf-Luschgy, Foundations of Quantization, 2000).  g <= 0 at the
     cell's first point and g >= 0 at its last, so that span brackets the
-    root in every cell.  Illinois regula falsi narrows all brackets at
-    once, as ``pressure._root_decreasing`` does for one: the secant through
-    the bracket ends, with the value kept at an end that survives twice
-    in a row halved; the midpoint when the secant is NaN or leaves the
-    bracket and after three steps in a row that did not halve it; a step
-    shorter than tol / 2 moves the nearer end by tol / 2 instead.  A cell
-    stops once its bracket is at most tol wide (or down to adjacent
-    floats).  Its center is the secant root through the last bracket's
-    ends, or a sample point inside the bracket where that has a lower
-    error: for r < 2 the slope is infinitely steep at a sample point, so
-    a root there is that point to within rounding.
+    root in every cell.  For r < 2 the root usually lies between the
+    cell's median (the r = 1 center) and its mean (r = 2), so the bracket
+    starts there; where g has one sign on both, it runs from the nearer
+    of them to the span's end, whose slope is known only by its sign, so
+    the first step there is a bisection.
+
+    Illinois regula falsi narrows all brackets at once, as
+    ``pressure._root_decreasing`` does for one: the secant through the
+    bracket ends, with the value kept at an end that survives twice in a
+    row halved; the midpoint when the secant is NaN or leaves the bracket
+    and after four steps in a row that did not halve it; a step shorter
+    than tol / 2 moves the nearer end by tol / 2 instead.  For r < 2 the
+    slope is infinitely steep at every sample point, and near r = 1 it is
+    almost a step function, which secant steps approach slowly; so while a
+    bracket holds sample points, a step goes to the one nearest the secant
+    (and the midpoint to their middle one), and each step drops at least
+    one of them.  A cell stops once its bracket is at most tol wide (or
+    down to adjacent floats).  Its center is the secant root through the
+    last bracket's ends, or a sample point inside the bracket where that
+    has a lower error: a root at a sample point is that point to within
+    rounding.
     """
     cells = _cell_index(edges)
-    lo = _cell_points(pts, edges, edges[:-1])
-    hi = _cell_points(pts, edges, edges[1:] - 1)
+    first = _cell_points(pts, edges, edges[:-1])
+    last = _cell_points(pts, edges, edges[1:] - 1)
+    rough = r < 2.0
+    if rough:
+        median, mean = _cell_centers(pts, edges, 1.0, tol), _cell_centers(pts, edges, 2.0, tol)
+        lo, hi = np.minimum(median, mean), np.maximum(median, mean)
+    else:
+        lo, hi = first, last
     g_lo = _cell_slope(pts, cells, lo, r)
     g_hi = _cell_slope(pts, cells, hi, r)
+    below, above = g_lo > 0.0, g_hi < 0.0   # the root lies outside [lo, hi]
+    lo, hi, g_lo, g_hi = (np.where(below, first, np.where(above, hi, lo)),
+                          np.where(below, lo, np.where(above, last, hi)),
+                          np.where(below, np.nan, np.where(above, g_hi, g_lo)),
+                          np.where(below, g_lo, np.where(above, np.nan, g_hi)))
     w_lo, w_hi = g_lo, g_hi                 # secant weights
     side = np.zeros(lo.size)                # +1 after hi moved, -1 after lo moved
     width, slow = hi - lo, np.zeros(lo.size, dtype=int)
     active, step = width > tol, 0.5 * tol
+    top = pts.size - 1
     while active.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
-        x = np.where((slow >= 3) | ~((lo <= x) & (x <= hi)), 0.5 * (lo + hi), x)
+        # indices of the first and last sample point strictly inside each bracket
+        inner_lo = np.searchsorted(pts, lo, side="right")
+        inner_hi = np.searchsorted(pts, hi, side="left") - 1
+        inner = rough & (inner_lo <= inner_hi)
+        middle = np.where(inner, pts[np.minimum((inner_lo + inner_hi) // 2, top)],
+                          0.5 * (lo + hi))
+        x = np.where((slow >= 4) | ~((lo <= x) & (x <= hi)), middle, x)
         x = np.minimum(np.maximum(x, lo + step), hi - step)
+        if inner.any():
+            near = np.minimum(np.clip(np.searchsorted(pts, x), inner_lo, inner_hi), top)
+            left = np.minimum(np.maximum(near - 1, inner_lo), top)
+            near = np.where(x - pts[left] < pts[near] - x, left, near)
+            x = np.where(inner, pts[near], x)
         v = _cell_slope(pts, cells, x, r)
         up = active & (v >= 0.0)            # the root lies at or below x
         down = active & (v < 0.0)

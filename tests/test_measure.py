@@ -346,6 +346,129 @@ def test_chain_drawer_matches_the_cumsum_formula(M, seed, on_nodes):
         assert np.array_equal(idx, (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1))
 
 
+def _system_table(name, M):
+    """Node coordinates, weights and the chain's probability table, as the sampler builds them."""
+    system, family = _STREAM_SYSTEMS[name]
+    parts = qdim.pressure._operator_parts(system, family, M, qdim.pressure._NODES)
+    F, _, E = parts
+    lam, h, _, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
+    x, w = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
+    probs = np.exp(F) * (E @ h) / (lam * h)
+    return system.domain, x, w, np.column_stack([probs.T, np.ones(qdim.pressure._NODES)])
+
+
+def _normalized_cdf(x, w, table, y):
+    """R_k(y) = cdf_k(y) / cdf_{M-1}(y) by the exact formula, one row per state."""
+    num = qdim.pressure._barycentric_terms(x, w, y) @ table
+    cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
+    return cdf / cdf[:, -1:]
+
+
+_PINNED_TABLES = {"gauss12-chain": 2, "gauss15-chain": 5, "gauss-full-chain": 40}
+
+
+def _smooth_table(M, rng, x):
+    """Random positive node probabilities that vary smoothly in the state, as a chain's do."""
+    logits = rng.normal(size=(M, 3)) @ np.vstack([np.ones_like(x), x, x * x])
+    probs = np.exp(logits - logits.max(axis=0))
+    return np.column_stack([(probs / probs.sum(axis=0)).T, np.ones(x.size)])
+
+
+def _filter_table(source, rng):
+    """(domain, nodes, weights, table): smooth random tables with M = source symbols; in
+    "clipped" the first probability turns negative over part of the domain (mass moved
+    to the second keeps the sums at 1); otherwise a pinned chain system's table."""
+    if source in _PINNED_TABLES:
+        return _system_table(source, _PINNED_TABLES[source])
+    x, w = qdim.pressure._chebyshev_nodes((0.0, 1.0), qdim.pressure._NODES)
+    table = _smooth_table(5 if source == "clipped" else source, rng, x)
+    if source == "clipped":
+        shift = np.median(table[:, 0])
+        table[:, 0] -= shift
+        table[:, 1] += shift
+    return (0.0, 1.0), x, w, table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 5, 40, "clipped", *sorted(_PINNED_TABLES)]),
+       st.integers(0, 2**32 - 1), st.integers(0, 16), st.integers(0, 16),
+       st.integers(1, 16), st.integers(0, 2), st.integers(0, 8), st.booleans())
+def test_filtered_drawer_matches_the_exact_draw(source, seed, on_nodes, on_grid, clipped,
+                                                ends, near, outside):
+    # the table filter must give _chain_drawer's symbols for the whole chunk: for states
+    # on nodes, grid points and domain ends, in cells where a probability turns negative
+    # and is clipped, and outside the domain, and for uniforms so close to an
+    # interpolated R_k that the step falls back to the exact draw.  Each of the last
+    # three sends a step to the exact draw, so each gets a round of its own, where no
+    # other one can hide a wrong filtered symbol
+    rng = np.random.default_rng(seed)
+    domain, x, w, table = _filter_table(source, rng)
+    M = table.shape[1] - 1
+    clear = qdim.measure._cdf_table(x, w, table, domain)[1]
+    border = np.flatnonzero(~clear & (np.r_[False, clear[:-1]] | np.r_[clear[1:], False]))
+    grid = np.linspace(*domain, clear.size + 1)
+    chains = 256
+    exact = qdim.measure._chain_drawer(x, w, table, np.empty((chains, x.size)))
+    filtered = qdim.measure._filtered_drawer(x, w, table, np.empty((chains, x.size)), domain)
+    for round_ in ("clipped", "outside", "near"):
+        y = rng.uniform(*domain, chains)
+        kinds = np.split(rng.permutation(chains), np.cumsum([on_nodes, on_grid, ends, clipped]))
+        y[kinds[0]] = rng.choice(x, on_nodes)
+        y[kinds[1]] = rng.choice(grid, on_grid)
+        y[kinds[2]] = rng.choice(domain, ends)
+        u = rng.random(chains)
+        placed = rng.choice(chains, near, replace=False)
+        if round_ == "clipped" and border.size:  # where the clip sets in
+            cell = rng.choice(border, clipped)
+            placed = kinds[3]
+            y[placed] = grid[cell] + rng.random(clipped) * (grid[cell + 1] - grid[cell])
+        if round_ == "outside" and outside:
+            y[kinds[4][0]] = domain[1] + (domain[1] - domain[0]) * rng.uniform(0.5, 2.0)
+        if round_ != "outside" and M > 1:
+            R = _normalized_cdf(x, w, table, y[placed])
+            k = rng.integers(0, M - 1, placed.size)
+            offset = rng.choice([-1.0, 1.0], placed.size) * 10.0 ** rng.uniform(-15, -9,
+                                                                                  placed.size)
+            u[placed] = np.clip(R[np.arange(placed.size), k] + offset, 0.0,
+                                np.nextafter(1.0, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(filtered(y, u), exact(y, u))
+
+
+@pytest.mark.parametrize("name, M", sorted(_PINNED_TABLES.items()))
+def test_cdf_table_margin_covers_the_interpolation_error(name, M):
+    # on a grid 16 times finer than the table, linear interpolation of every R_k
+    # stays inside its certified margin
+    domain, x, w, table = _system_table(name, M)
+    R, clear, margin = qdim.measure._cdf_table(x, w, table, domain)
+    assert clear.all()
+    a, b = domain
+    cells = clear.size
+    y = np.linspace(a, b, 16 * cells + 1)
+    pos = (y - a) * (cells / (b - a))
+    cell = np.minimum(pos.astype(int), cells - 1)
+    frac = (pos - cell)[:, None]
+    lerp = R[cell, :M - 1] + frac * (R[cell + 1, :M - 1] - R[cell, :M - 1])
+    error = np.abs(lerp - _normalized_cdf(x, w, table, y)[:, :M - 1]).max(axis=0)
+    assert np.all(error < margin[:M - 1])
+    if name == "gauss12-chain":
+        assert margin.max() <= 1e-6  # narrow enough that the filter decides
+
+
+def test_filter_decides_every_step_of_the_conformal_verify_sample(monkeypatch):
+    # the benchmark's Gauss {1,2} sample never needs the exact draw
+    calls = []
+    exact = qdim.measure._chain_drawer
+
+    def counted(*args):
+        draw = exact(*args)
+        return lambda y, u: calls.append(1) or draw(y, u)
+
+    monkeypatch.setattr(qdim.measure, "_chain_drawer", counted)
+    Q.sample_measure(*_STREAM_SYSTEMS["gauss12-chain"], 20_000, seed=7)
+    assert calls == []
+
+
 def _unlabelled(system):
     """The same branches as a generic analytic system, with no Gauss digits recorded."""
     return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s)

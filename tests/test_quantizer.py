@@ -235,7 +235,8 @@ def test_slope_centers_minimize_the_order_r_error(values, r):
 
 
 def test_slope_centers_need_few_evaluations(monkeypatch):
-    # golden-section search takes 66-88 objective passes per call here
+    # golden-section search takes 66-88 objective passes per call here; near r = 1
+    # the slope is almost a step function, where a plain secant took 27-55
     system = Q.gauss_system((1, 2))
     sample = Q.sample_measure(system, Q.derivative_family(DIM_GAUSS2), 20_000, seed=3)
     evals, per_call = [], []
@@ -249,10 +250,12 @@ def test_slope_centers_need_few_evaluations(monkeypatch):
 
     monkeypatch.setattr(qdim.quantizer, "_cell_slope", lambda *a: evals.append(1) or slope(*a))
     monkeypatch.setattr(qdim.quantizer, "_cell_centers", counted)
-    for n in (4, 8, 16, 32, 64):
-        Q.lloyd_optimize(sample, n, 1.5)
-    assert len(per_call) >= 5
-    assert max(per_call) <= 25
+    for r in (1.01, 1.1, 1.5):
+        per_call.clear()
+        for n in (4, 8, 16, 32, 64):
+            Q.lloyd_optimize(sample, n, r)
+        assert len(per_call) >= 5
+        assert max(per_call) <= 25, r
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
