@@ -16,7 +16,15 @@ The temperature function beta(q) is the unique zero of t -> P(q, t)
 solves beta(q_r) = r * q_r and equals kappa_r = r * q_r / (1 - q_r).
 Since P decreases in t, q_r is also the single root of
 g(q) = P(q, r * q), which is found directly, without computing beta.
-Both roots come from one safeguarded regula falsi.
+A cold root (``beta_of_q``, ``solve_quantization_dim``) comes from one
+safeguarded regula falsi.  Along a q grid, ``temperature_curve`` solves
+the first point cold and continues from it: a secant predictor, then
+Newton on the operator's eigenpair (h, t) with e^P = 1, one small linear
+solve per step.  Each continued root is kept only if its h is positive
+and the leading eigenvalue there certifies |P| <= 1e-9; otherwise that
+point is solved cold.  ``legendre_and_figure_data`` continues the same
+way along the line t = r q from the grid cell where beta(q) - r q
+changes sign, and keeps that q_r only if it lies in the cell.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_valu
 
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
 _RESIDUAL = 1e-9          # largest |P| a root solve may return
+_NEWTON_STEPS = 6         # eigenpair Newton steps before a continued root falls back
+_NEWTON_TOL = 1e-12       # a last Newton step at most this (relative) size ends it
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,75 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
+def _operator_slope(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
+                    dq: float, dt: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(s, A, B): ``_operator_matrix`` at (q, t) and its derivative along (dq, dt).
+
+    B = sum_i diag((dq F_i + dt D_i) e^{q F_i + t D_i - s}) E_i, under the
+    same shift s as A.
+    """
+    F, D, E = parts
+    X = q * F + t * D
+    s = float(X.max())
+    W = np.exp(X - s)
+    A, B = np.einsum("aij,ijk->ajk", np.stack((W, (dq * F + dt * D) * W)), E)
+    return s, A, B
+
+
+def _eigen_newton(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
+                  dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(u, h) with P(q + u dq, t + u dt) = 0 and h > 0 its eigenvector, or None.
+
+    Newton on the eigenpair of the unshifted operator L = e^s A: from u = 0
+    and the warm start h, each step solves the bordered system
+
+        [[A - e^{-s} I, B h], [1^T, 0]] [dh; du] = [e^{-s} h - A h; 1 - 1^T h]
+
+    (``_operator_slope``; the rows are L h = h scaled by e^{-s}).  It ends
+    when a step moves u and h by at most ``_NEWTON_TOL``.  The root is kept
+    only if that happens within ``_NEWTON_STEPS`` steps, h > 0, and the
+    leading real eigenvalue there (``_operator_pressure``) gives
+    |P| <= ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach
+    fails that test.
+    """
+    n = h.size
+    J = np.zeros((n + 1, n + 1))
+    J[n, :n] = 1.0
+    rhs = np.zeros(n + 1)
+    diag = np.arange(n)
+    h = h / h.sum()
+    u = 0.0
+    with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
+        for _ in range(_NEWTON_STEPS):
+            s, A, B = _operator_slope(parts, q + u * dq, t + u * dt, dq, dt)
+            c = np.exp(-s)
+            J[:n, :n] = A
+            J[diag, diag] -= c
+            J[:n, n] = B @ h
+            rhs[:n] = c * h - A @ h
+            rhs[n] = 1.0 - h.sum()
+            try:
+                step = np.linalg.solve(J, rhs)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(step)):
+                return None
+            h = h + step[:n]
+            u += float(step[n])
+            if (abs(step[n]) <= _NEWTON_TOL * (1.0 + abs(u))
+                    and np.max(np.abs(step[:n])) <= _NEWTON_TOL * np.max(h)):
+                break
+        else:
+            return None
+    if not np.all(h > 0.0):
+        return None
+    try:
+        resid = _operator_pressure(parts, q + u * dq, t + u * dt)
+    except NumericalFailure:
+        return None
+    return (u, h) if abs(resid) <= _RESIDUAL else None
+
+
 @lru_cache(maxsize=32)
 def _operator_measure(system: IfsSystem, family: PotentialFamily, M: int, q: float,
                       t: float) -> tuple[np.ndarray, float]:
@@ -320,6 +399,15 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> float:
 # root finding
 
 
+def _collocated_parts(system: IfsSystem, family: PotentialFamily, truncation: int | None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_operator_parts`` of the (truncated) system at ``_NODES`` nodes."""
+    M = system.truncated_size(truncation)
+    if M is None:
+        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
+    return _operator_parts(system, family, M, _NODES)
+
+
 def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
                        ) -> tuple[Callable[[float, float], float],
                                   Callable[[float, float], float] | None]:
@@ -331,10 +419,8 @@ def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: i
     """
     if is_multiplicative(system, family):
         return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation), None
+    parts = _collocated_parts(system, family, truncation)
     M = system.truncated_size(truncation)
-    if M is None:
-        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
-    parts = _operator_parts(system, family, M, _NODES)
     return (lambda q, t: _operator_pressure(parts, q, t),
             lambda q, t: _operator_pressure(_operator_parts(system, family, M, _NODES // 2),
                                             q, t))
@@ -456,11 +542,50 @@ def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
     return beta_of_q(system, family, 0.0, truncation)
 
 
+def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray,
+                      truncation: int | None) -> tuple[list[float], list]:
+    """beta at each grid point, and the operator's eigenvector h at each root.
+
+    Closed forms solve every point with ``beta_of_q`` (h is None).  On the
+    collocated operator only the first point is solved that way, with h
+    from ``_operator_eigen``; each later point starts from the secant
+    through the last two roots (the last root after a single one) and the
+    last h, and ``_eigen_newton`` corrects along t.  A point it does not
+    certify is solved with ``beta_of_q`` again, and restarts the walk.
+    """
+    if is_multiplicative(system, family):
+        return [beta_of_q(system, family, float(q), truncation) for q in qs], [None] * len(qs)
+    parts = _collocated_parts(system, family, truncation)
+    betas: list[float] = []
+    hs: list = []
+    h = None
+    for k, q in enumerate(map(float, qs)):
+        root = None
+        if h is not None:
+            t = betas[-1]
+            if k >= 2 and qs[k - 1] != qs[k - 2]:
+                t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
+            root = _eigen_newton(parts, q, t, 0.0, 1.0, h)
+        if root is None:
+            t = beta_of_q(system, family, q, truncation)
+            try:
+                h = _operator_eigen(parts, q, t)[1]
+            except NumericalFailure:  # no positive h to start from: the next point is cold too
+                h = None
+        else:
+            t += root[0]
+            h = root[1]
+        betas.append(t)
+        hs.append(h)
+    return betas, hs
+
+
 def temperature_curve(system: IfsSystem, family: PotentialFamily,
                       q_grid: Sequence[float] | None = None,
                       truncation: int | None = None) -> TemperatureSample:
+    """beta on a q grid (21 points on [0, 1] by default), by ``_temperature_walk``."""
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
-    betas = [beta_of_q(system, family, float(q), truncation) for q in qs]
+    betas, _ = _temperature_walk(system, family, qs, truncation)
     b = np.asarray(betas)
     defect = 0.0
     if len(b) >= 3:
@@ -524,6 +649,33 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
     return SweepResult(r, tuple(entries), kappa_ref, gap)
 
 
+def _continued_fixed_point(system: IfsSystem, family: PotentialFamily, r: float,
+                           qs: np.ndarray, betas: np.ndarray, hs: list,
+                           truncation: int | None) -> float | None:
+    """q_r by eigenpair Newton along t = r q from the curve, or None.
+
+    The start is the first grid cell [q_k, q_k+1] where beta(q) - r q
+    changes sign: the chord's root in q and h at q_k.  ``_eigen_newton``
+    moves along the direction (1, r), and its root is kept only if it lies
+    in that cell.  None where there is no such cell, no h at q_k, or no
+    certified root in the cell.
+    """
+    d = betas - r * qs
+    for k in range(len(qs) - 1):
+        if d[k] > 0.0 >= d[k + 1]:
+            break
+    else:
+        return None
+    if hs[k] is None:
+        return None
+    q0 = float(qs[k] + d[k] * (qs[k + 1] - qs[k]) / (d[k] - d[k + 1]))
+    root = _eigen_newton(_collocated_parts(system, family, truncation), q0, r * q0,
+                         1.0, r, hs[k])
+    if root is None or not qs[k] <= q0 + root[0] <= qs[k + 1]:
+        return None
+    return q0 + root[0]
+
+
 def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: float,
                              q_grid: Sequence[float] | None = None,
                              truncation: int | None = None) -> FigureData:
@@ -537,9 +689,11 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
-    betas = np.array(temperature_curve(system, family, qs, truncation).betas)
-    sol = solve_quantization_dim(system, family, r, truncation)
-    q_r = sol.q_r
+    betas, hs = _temperature_walk(system, family, qs, truncation)
+    betas = np.array(betas)
+    q_r = _continued_fixed_point(system, family, r, qs, betas, hs, truncation)
+    if q_r is None:
+        q_r = solve_quantization_dim(system, family, r, truncation).q_r
     intercept = r * q_r / (1.0 - q_r)
 
     slopes = -np.diff(betas) / np.diff(qs)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSystemError
+from .errors import DegenerateSystemError, NumericalFailure
 from .ifs import IfsSystem, Word, compose_and_derivative, cylinder_interval
 from .measure import SampleSet, cylinder_mass
 from .potentials import PotentialFamily
@@ -81,6 +81,18 @@ def _nearest_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     mids = 0.5 * (code[1:] + code[:-1])
     idx = np.searchsorted(mids, pts)
     return np.abs(pts - code[idx]) ** r
+
+
+def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
+    """``_nearest_errors`` for a sorted sample, from one search per code point.
+
+    Point x takes the code point of index #{mids < x}, so the points of code
+    point j end at searchsorted(pts, mids[j], side="right"): the same
+    distances as the per-point search.
+    """
+    ends = np.searchsorted(pts, 0.5 * (code[1:] + code[:-1]), side="right")
+    counts = np.diff(ends, prepend=0, append=pts.size)
+    return np.abs(pts - np.repeat(code, counts)) ** r
 
 
 def quant_error(sample: SampleSet, codebook: Codebook | np.ndarray, r: float) -> float:
@@ -309,7 +321,7 @@ def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:
             return code
-        errs = _nearest_errors(pts, code, r)
+        errs = _sorted_errors(pts, code, r)
         code = code.copy()
         code[empty[0]] = pts[int(np.argmax(errs))]
         code = np.sort(code)
@@ -398,7 +410,7 @@ def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: floa
             centers = _cell_centers(pts, edges, r, center_tol)
         counts = np.diff(edges)
         new_code = np.sort(np.where(counts > 0, centers, code))
-        trace.append(float(np.mean(_nearest_errors(pts, new_code, r))))
+        trace.append(float(np.mean(_sorted_errors(pts, new_code, r))))
         done = np.max(np.abs(new_code - code)) <= center_tol
         code = new_code
         if done:
@@ -503,7 +515,9 @@ def estimate_Dr(runs: Sequence[QuantizationRun],
     if len(np.unique(ns)) < len(ns):
         raise ValueError("codebook sizes must be distinct")
     if np.any(vs <= 0):
-        raise ValueError("nonpositive error estimates cannot be regressed")
+        # a sample with no more distinct points than a codebook size: a
+        # numerical outcome, not bad input
+        raise NumericalFailure("nonpositive error estimates cannot be regressed")
     slope, intercept = np.polyfit(np.log(ns), np.log(vs), 1)
     D_hat = -r / slope
     diagnostics: dict = {

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdim as Q
@@ -131,6 +132,37 @@ def test_figure1_matches_qdim(e1_spec, tmp_path, capsys):
     assert abs(summary["intercept"] - report["D_r"]) <= 1e-6
     header = fig.read_text().splitlines()[0]
     assert header == "q,beta,line,legendre_alpha,legendre_f"
+
+
+def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
+    # the continued curve: one cold beta solve, one eigenvector, and one
+    # certifying eigenvalue solve per later point and for q_r (254 when every
+    # grid point was solved cold)
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    calls = []
+    for name in ("eigvals", "eig"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, solver=solver: calls.append(a) or solver(a))
+    fig = tmp_path / "fig.csv"
+    assert main(["figure1", "--system", str(path), "--r", "2", "--out", str(fig)]) == 0
+    assert 21 <= len(calls) <= 40
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["qdim", "--system", str(path), "--r", "2"]) == 0
+    assert abs(summary["q_r"] - json.loads(capsys.readouterr().out)["q_r"]) <= 1e-14
+    rows = [list(map(float, row.split(","))) for row in fig.read_text().splitlines()[1:]]
+    assert max(abs(b - 0.531280506277205 * (1.0 - q)) for q, b, *_ in rows) <= 1e-12
+
+
+def test_too_few_distinct_points_exit_two(tmp_path, capsys):
+    # depth 2 gives 4 distinct points, so V_hat = 0 from n = 4 on: the
+    # regression fails numerically, and the flags were fine
+    path = tmp_path / "e2.json"
+    path.write_text(E1_DOC.replace("[0.5, 0.5]", "[0.7, 0.3]"))
+    assert main(["verify", "--system", str(path), "--r", "2", "--n-list", "4,8,16,32,64",
+                 "--samples", "100", "--seed", "1", "--depth", "2"]) == 2
+    assert "numerical failure: nonpositive error estimates" in capsys.readouterr().err
 
 
 def test_verify_deterministic_and_exit_codes(e1_spec, tmp_path, capsys):

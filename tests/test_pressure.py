@@ -290,11 +290,21 @@ def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
 @pytest.mark.parametrize("s_exp", [0.6, 0.531280506277205])
 def test_beta_bracket_stays_at_small_t(s_exp, monkeypatch):
     # 32-node collocation drifts at large t on Gauss {1,2} (P(0.3, 25) is off
-    # by 3), so no root solve on q in [0, 1] may evaluate P out there
+    # by 3), so no root solve on q in [0, 1] may evaluate P out there, and no
+    # Newton iterate of the continued curve may build the operator there
     system, family = Q.gauss_system((1, 2)), Q.derivative_family(s_exp)
     ts = _record_t(monkeypatch)
+    slope = qdim.pressure._operator_slope
+    newton_ts = []
+
+    def recording(parts, q, t, dq, dt):
+        newton_ts.append(t)
+        return slope(parts, q, t, dq, dt)
+
+    monkeypatch.setattr(qdim.pressure, "_operator_slope", recording)
     curve = Q.temperature_curve(system, family)
     assert ts and max(ts) <= 4.0
+    assert len(newton_ts) >= len(curve.qs) - 1 and max(newton_ts) <= 4.0
     if s_exp != 0.6:  # f = delta log|phi'| gives beta(q) = delta (1 - q)
         exact = s_exp * (1.0 - np.array(curve.qs))
         assert np.max(np.abs(np.array(curve.betas) - exact)) <= 1e-12
@@ -396,6 +406,106 @@ def test_gauss_truncations_monotone_in_M(gauss_full):
     dims = [Q.hausdorff_dim(system, family, truncation=M) for M in (5, 10, 20, 40)]
     assert all(a < b for a, b in zip(dims, dims[1:]))
     assert abs(dims[0] - 0.836829443681208) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the continued temperature curve
+
+
+def _sin_family():
+    return Q.derivative_family(0.6, lambda x: 0.8 * np.sin(3.0 * x), g_sup=0.8)
+
+
+def _continuation_cases():
+    g317, full = Q.gauss_system((3, 1, 7)), Q.gauss_system(None)
+    return {
+        "gauss12-dim": (Q.gauss_system((1, 2)), Q.derivative_family(0.531280506277205), None),
+        "gauss12-0.6": (Q.gauss_system((1, 2)), Q.derivative_family(0.6), None),
+        "gauss317-normalized": (g317, Q.normalize_pressure(Q.derivative_family(0.6), g317),
+                                None),
+        "gauss-full-M40-normalized": (
+            full, Q.normalize_pressure(Q.derivative_family(0.75), full, truncation=40), 40),
+        "gauss12-sin": (Q.gauss_system((1, 2)), _sin_family(), None),
+    }
+
+
+@pytest.mark.parametrize("name", list(_continuation_cases()))
+def test_continued_curve_matches_pointwise_beta(name, monkeypatch):
+    # every point but the first comes from eigenpair Newton, certified; the
+    # nonlinear cases need several steps per point
+    system, family, M = _continuation_cases()[name]
+    cold = []
+    beta = qdim.pressure.beta_of_q
+
+    def counting(*args):
+        cold.append(args[2])
+        return beta(*args)
+
+    monkeypatch.setattr(qdim.pressure, "beta_of_q", counting)
+    curve = Q.temperature_curve(system, family, truncation=M)
+    assert cold == [0.0]
+    pointwise = [beta(system, family, q, M) for q in curve.qs]
+    assert np.max(np.abs(np.array(curve.betas) - pointwise)) <= 1e-14
+
+
+def test_failed_newton_falls_back_to_the_same_curve(gauss12, monkeypatch):
+    system, family = gauss12
+    continued = Q.temperature_curve(system, family)
+    data = Q.legendre_and_figure_data(system, family, 2.0)
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    cold = Q.temperature_curve(system, family)
+    assert cold.betas == tuple(Q.beta_of_q(system, family, q) for q in cold.qs)
+    assert np.max(np.abs(np.array(cold.betas) - continued.betas)) <= 1e-14
+    cold_data = Q.legendre_and_figure_data(system, family, 2.0)
+    assert cold_data.q_r == Q.solve_quantization_dim(system, family, 2.0).q_r
+    assert abs(cold_data.q_r - data.q_r) <= 1e-14
+
+
+def test_fixed_point_outside_its_cell_is_solved_cold(gauss12, monkeypatch):
+    # a Newton root along t = r q that leaves the sign-change cell is dropped
+    system, family = gauss12
+    newton = qdim.pressure._eigen_newton
+
+    def shifted(parts, q, t, dq, dt, h):
+        root = newton(parts, q, t, dq, dt, h)
+        return root if dq == 0.0 or root is None else (root[0] + 0.1, root[1])
+
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", shifted)
+    data = Q.legendre_and_figure_data(system, family, 2.0)
+    assert data.q_r == Q.solve_quantization_dim(system, family, 2.0).q_r
+
+
+def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
+    # the second real eigenvalue of Gauss {1,2} at q = 0.4 is 1 near t = -1.85;
+    # started there from its eigenvector, Newton reaches that eigenpair, whose
+    # h changes sign and whose leading eigenvalue gives P = 3.1: no certificate
+    system, family = gauss12
+    parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
+    q, t = 0.4, -1.85
+    F, D, E = parts
+    ev, V = np.linalg.eig(np.einsum("ij,ijk->jk", np.exp(q * F + t * D), E))
+    real = np.flatnonzero(ev.imag == 0.0)
+    second = real[np.argsort(ev.real[real])[-2]]
+    assert abs(ev.real[second] - 1.0) < 0.05
+    assert qdim.pressure._eigen_newton(parts, q, t, 0.0, 1.0, V[:, second].real) is None
+    # a positive start near beta(q) converges to it instead
+    beta = Q.beta_of_q(system, family, q)
+    u, h = qdim.pressure._eigen_newton(parts, q, beta + 0.05, 0.0, 1.0, np.ones(F.shape[1]))
+    assert abs(beta + 0.05 + u - beta) <= 1e-14 and np.all(h > 0.0)
+
+
+@pytest.mark.parametrize("name", list(_continuation_cases()))
+def test_figure_fixed_point_matches_the_cold_solve(name, monkeypatch):
+    system, family, M = _continuation_cases()[name]
+    rs = (0.7, 2.0, 3.0) if name != "gauss12-sin" else (2.0, 3.0)  # beta(1) > 0 there
+    solves = []
+    solve = qdim.pressure.solve_quantization_dim
+    monkeypatch.setattr(qdim.pressure, "solve_quantization_dim",
+                        lambda *args: solves.append(args) or solve(*args))
+    for r in rs:
+        data = Q.legendre_and_figure_data(system, family, r, truncation=M)
+        assert abs(data.q_r - solve(system, family, r, M).q_r) <= 1e-14
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------

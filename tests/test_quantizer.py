@@ -28,6 +28,21 @@ def e1_sample(e1):
 # error evaluation
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 400), st.integers(1, 12), st.sampled_from([0.7, 1.0, 1.5, 2.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_sorted_errors_equal_the_per_point_search(size, n, r, seed):
+    # code points on a coarse grid repeat; the sample holds their computed
+    # midpoints, where the two neighbours' distances differ by rounding, so
+    # a tie must go to the lower code point as in the per-point search
+    rng = np.random.default_rng(seed)
+    code = np.sort(rng.integers(0, 16, 2 * n) / 10.0)
+    mids = 0.5 * (code[1:] + code[:-1])
+    pts = np.sort(np.concatenate((rng.random(size) * 1.6, mids)))
+    assert np.array_equal(qdim.quantizer._sorted_errors(pts, code, r),
+                          qdim.quantizer._nearest_errors(pts, code, r))
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_lloyd_rejects_a_bad_order(e1_sample, r):
     with pytest.raises(ValueError, match="the order r must be finite and positive"):
