@@ -179,6 +179,8 @@ class IfsSystem:
 
         None keeps a finite alphabet whole and an infinite one untruncated.
         """
+        if truncation is not None and truncation < 1:
+            raise ValueError("truncations must be >= 1")
         n = self.alphabet.size
         if n is None:
             return truncation

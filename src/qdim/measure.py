@@ -261,53 +261,21 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     return out
 
 
-def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.ndarray):
+def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray):
     """(y, u) -> the chain's 0-based symbols at states y for uniforms u, exactly.
 
     The exact draw behind ``_filtered_drawer``, which calls it for a step
-    its table cannot decide, and the reference its tests compare with.
-    Bit for bit ``(cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)``, where
-    ``num = _barycentric_terms(x, w, y) @ table`` and ``cdf`` is the
-    running sum of ``max(num[:, :-1] / num[:, -1:], 0)`` over symbols, but
-    every array of more than one row lives in a buffer that is allocated
-    once and reused by every call.  The terms are built in ``terms`` (chains x nodes) against
-    a full copy of the nodes, since numpy's elementwise loops run several
-    times slower against a broadcast column, and the product keeps that
-    layout: BLAS rounds a transposed operand differently.  The
-    probabilities are then copied symbol-major (M x chains), so the
-    division, the running sum (one contiguous row added to the next),
-    the comparison and the count all run along contiguous rows.  Rows
-    whose denominator is not finite (a state on a node, or an overflowing
-    term) are redone by ``_barycentric_terms``, which takes a node's unit
-    vector there.  A state on a node divides by zero, and its infinite
-    term can meet zeros in the product (BLAS pads its blocks), so call it
-    under ``np.errstate(divide="ignore", invalid="ignore")``.
+    its table cannot decide: with ``num = _barycentric_terms(x, w, y) @ table``
+    (a state on a node takes that node's unit row), ``cdf`` is the running
+    sum of ``max(num[:, :-1] / num[:, -1:], 0)`` over symbols and the symbol
+    is the count of cdf entries <= u times its last entry.  The product
+    stays a BLAS product: another summation order would round differently
+    and change the streams.
     """
-    chains = terms.shape[0]
-    M = table.shape[1] - 1
-    xs = np.tile(x, (chains, 1))
-    num = np.empty((chains, M + 1))
-    cdf = np.empty((M, chains))
-    below = np.empty((M, chains), dtype=bool)
-    bound = np.empty(chains)
-
     def draw(y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        np.copyto(terms, y[:, None])
-        np.subtract(terms, xs, out=terms)
-        np.divide(w, terms, out=terms)
-        np.matmul(terms, table, out=num)
-        bad = ~np.isfinite(num[:, -1])
-        if bad.any():
-            num[bad] = _barycentric_terms(x, w, y[bad]) @ table
-        np.copyto(cdf, num.T[:-1])
-        np.copyto(bound, num[:, -1])
-        np.divide(cdf, bound, out=cdf)
-        np.maximum(cdf, 0.0, out=cdf)
-        for k in range(1, M):
-            cdf[k] += cdf[k - 1]
-        np.multiply(u, cdf[-1], out=bound)
-        np.less_equal(cdf, bound, out=below)
-        return below.sum(axis=0)
+        num = _barycentric_terms(x, w, y) @ table
+        cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
+        return (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1)
 
     return draw
 
@@ -381,7 +349,7 @@ def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
     return R, clear, margin
 
 
-def _filtered_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.ndarray,
+def _filtered_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray,
                      domain: tuple[float, float]):
     """``_chain_drawer`` with a certified table filter in front of it.
 
@@ -396,7 +364,7 @@ def _filtered_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray, terms: np.
     the whole chunk: the same rows of a smaller BLAS product can round
     differently, so a subset of the chains cannot be redone alone.
     """
-    exact = _chain_drawer(x, w, table, terms)
+    exact = _chain_drawer(x, w, table)
     if table.shape[1] < 3:  # one symbol: nothing to decide
         return exact
     R, clear, margin = _cdf_table(x, w, table, domain)
@@ -449,16 +417,17 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     p_i are interpolated from their values at the operator's
     Chebyshev-Lobatto nodes.  Exactly, a step is one product of
     (chains x nodes) barycentric terms with the (nodes x M) node
-    probabilities (``_chain_drawer``); a table of the normalized cdf on a
-    uniform grid, built once per sample, decides the step instead by
-    linear interpolation and a bisection over the symbols wherever its
-    proven error bound separates every chain's uniform from the cdf
-    entries it is compared with, and the exact product runs only for a
-    step where it does not (``_filtered_drawer``).  Then one vectorized
-    map call (``_map_step``) moves the chains.  Chunks of chains run from
-    (seed, chunk) streams until ``count`` points are kept; the streams
-    and the points are those of the plain ``cumsum`` formula, bit for
-    bit.  Returns the points and the depth used.
+    probabilities and a running sum over the symbols (``_chain_drawer``);
+    a table of the normalized cdf on a uniform grid, built once per
+    sample, decides the step instead by linear interpolation and a
+    bisection over the symbols wherever its proven error bound separates
+    every chain's uniform from the cdf entries it is compared with, and
+    the exact draw runs only for a step where it does not
+    (``_filtered_drawer``), with the same symbols either way.  Then one
+    vectorized map call (``_map_step``) moves the chains.  Chunks of
+    chains run from (seed, chunk) streams until ``count`` points are
+    kept, so the points are byte-identical per seed.  Returns the points
+    and the depth used.
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
@@ -473,8 +442,7 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     if not h_min > 0.0:
         raise NumericalFailure("the interpolated eigenfunction is not positive")
 
-    terms = np.empty((_CHAIN_CHUNK, _NODES))  # the exact draw's terms, then the rejection's
-    draw = _filtered_drawer(x, w, table, terms, system.domain)
+    draw = _filtered_drawer(x, w, table, system.domain)
     step = _map_step(system, M)
     kept, total, chunk_idx = [], 0, 0
     while total < count:
@@ -482,10 +450,9 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
         steps = rng.random((depth, _CHAIN_CHUNK))
         accept = rng.random(_CHAIN_CHUNK)
         y = np.full(_CHAIN_CHUNK, system.midpoint)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for u in steps:
-                y = step(draw(y, u), y)
-        _barycentric_terms(x, w, y, out=terms)
+        for u in steps:
+            y = step(draw(y, u), y)
+        terms = _barycentric_terms(x, w, y)
         y = y[accept * (terms @ h / terms.sum(axis=1)) <= h_min]
         kept.append(y)
         total += y.size
@@ -495,7 +462,7 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
 
 def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
                    depth: int | None = None, truncation: int | None = None,
-                   seed: int = 0, allow_deficit: bool = False) -> SampleSet:
+                   seed: int = 0) -> SampleSet:
     """Draw a deterministic empirical approximation of the conformal measure.
 
     Constant-weight families draw i.i.d. symbol strings with the
@@ -507,7 +474,8 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     chain the steps its transfer operator's spectral gap needs.  Infinite
     alphabets truncate at the smallest M whose relative tail mass is at
     most 1e-6 (at most 4096 symbols) unless an explicit truncation is
-    supplied; a larger deficit needs ``allow_deficit=True``.
+    supplied, which samples the truncated system's own measure whatever
+    its deficit; ``deficit`` reports that relative tail mass either way.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -519,11 +487,6 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     if M is None:
         M = _auto_truncation(system, family, total)
     deficit = _weight_deficit(system, family, M, total)
-    if deficit > _DEFICIT and not allow_deficit:
-        raise NumericalFailure(
-            f"truncation deficit {deficit:.3g} exceeds {_DEFICIT:.3g}; "
-            "pass allow_deficit=True to sample the truncated measure anyway"
-        )
 
     if isinstance(family, ConstantLogWeights):
         depth = _default_depth(system) if depth is None else depth

@@ -71,7 +71,6 @@ class ConstantLogWeights:
 
     weights: FiniteWeights | GeometricWeights
     shift: float = 0.0
-    shift_error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class DerivativeFamily:
     g: Callable | None = None
     g_sup: float = 0.0
     shift: float = 0.0
-    shift_error: float = 0.0
 
     def __post_init__(self):
         if self.s_exp <= 0:
@@ -292,8 +290,7 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
     the truncation, or over the whole alphabet (exact head plus the
     closed-form tail, itself exact for geometric tails).  Otherwise the
     shift is P(1, 0) of the collocated transfer operator, which needs a
-    truncation on an infinite alphabet, and the returned family keeps
-    its node-halving drift as shift_error.  A divergent tail raises
+    truncation on an infinite alphabet.  A divergent tail raises
     NonSummableError in either case; only the kept maps are built.
     """
     _summable_tail(family, system)
@@ -303,9 +300,9 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
             total = _tail_exp_sum(family, system)
         else:
             total = _head_exp_sum(family, system, system.truncated_size(truncation))
-        return replace(family, shift=family.shift + math.log(total), shift_error=0.0)
+        return replace(family, shift=family.shift + math.log(total))
 
-    from .pressure import estimate_pressure  # cycle kept local on purpose
+    from .pressure import _pressure_callable  # cycle kept local on purpose
 
-    est = estimate_pressure(system, family, 1.0, 0.0, truncation)
-    return replace(family, shift=family.shift + est.value, shift_error=est.error)
+    P, _ = _pressure_callable(system, family, truncation)
+    return replace(family, shift=family.shift + P(1.0, 0.0))

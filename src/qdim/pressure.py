@@ -146,8 +146,9 @@ def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
 
     Returns +inf when the untruncated series diverges.
     """
+    M = system.truncated_size(M)
     if isinstance(system.alphabet, FiniteAlphabet):
-        a, d = _symbol_logs(system, family, system.truncated_size(M))
+        a, d = _symbol_logs(system, family, M)
         return _lse(q * a + t * d)
     return _geometric_logsum(family, system, q, t, M)
 
@@ -167,15 +168,13 @@ def _chebyshev_nodes(domain: tuple[float, float],
     return x, w
 
 
-def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Unnormalized barycentric terms w_j / (y - x_j) for points y (any shape).
 
     Dividing by their sum over j interpolates node values at y; where y is
-    itself a node the terms are that node's unit vector instead.  ``out``,
-    of shape y.shape + x.shape, receives the terms if given.
+    itself a node the terms are that node's unit vector instead.
     """
-    diff = np.subtract(y[..., None], x, out=out)
+    diff = y[..., None] - x
     hit = diff == 0.0
     with np.errstate(divide="ignore"):
         C = np.divide(w, diff, out=diff)
@@ -633,8 +632,6 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
     """
     entries = []
     for M in M_list:
-        if M < 1:
-            raise ValueError("truncations must be >= 1")
         try:
             sol = solve_quantization_dim(system, family, r, truncation=int(M))
             entries.append(SweepEntry(int(M), sol.kappa_r, False))

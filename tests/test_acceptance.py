@@ -201,8 +201,7 @@ def test_criterion_09_measure_convergence(e3):
         ref = Q.sample_measure(system, family, N, seed=900 + j)
         e_ref = {n: Q.lloyd_optimize(ref, n, 2.0).e_hat for n in ns}
         for M in Ms:
-            part = Q.sample_measure(system, family, N, truncation=M,
-                                    seed=100 * j + M, allow_deficit=True)
+            part = Q.sample_measure(system, family, N, truncation=M, seed=100 * j + M)
             rho_j = Q.wasserstein_1d(2.0, part, ref)
             rho[M].append(rho_j)
             for n in ns:

@@ -375,11 +375,32 @@ def test_overflowing_weight_sum_exits_one(command, tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def test_numerical_failure_exits_two(e3_spec, tmp_path, capsys):
-    # sampling a harshly truncated infinite measure without override
+def test_sample_explicit_truncation_reports_its_deficit(e3_spec, tmp_path, capsys):
+    # --m samples the truncated system's own measure; the tail it leaves out,
+    # sum_{i > 3} 2^-i = 2^-3, is reported, not refused
     out = tmp_path / "pts.csv"
     assert main(["sample", "--system", e3_spec, "--samples", "100", "--m", "3",
-                 "--out", str(out)]) == 2
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["truncation"] == 3
+    assert report["deficit"] == pytest.approx(2.0 ** -3, rel=1e-12)
+    assert json.loads(Path(str(out) + ".json").read_text())["deficit"] == report["deficit"]
+
+
+def test_sample_full_gauss_below_the_automatic_reach(tmp_path, capsys):
+    # at s = 0.6 no truncation up to 4096 symbols reaches the 1e-6 deficit, but
+    # --m 40 samples the 40-symbol subsystem, the same points as the library call
+    path = tmp_path / "gauss_full.json"
+    path.write_text(GAUSS_FULL_DOC)
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--system", str(path), "--samples", "500", "--m", "40",
+                 "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    system, family = Q.gauss_system(None), Q.derivative_family(0.6)
+    ref = Q.sample_measure(system, family, 500, truncation=40, seed=5)
+    assert [float(v) for v in out.read_text().split()[1:]] == ref.points.tolist()
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
+    assert sidecar["truncation"] == 40 and sidecar["deficit"] == pytest.approx(0.4275, abs=5e-5)
 
 
 def test_sample_far_geometric_truncation(e3_spec, tmp_path, capsys):

@@ -144,3 +144,31 @@ def test_infinite_alphabet_stays_lazy(e3):
 def test_similarity_system_validates_containment():
     with pytest.raises(ValueError):
         Q.similarity_system([0.5], [0.9])
+
+
+_TRUNCATED_CALLS = {
+    "sample_measure-gauss-full": ("gauss_full", lambda s, f, M: Q.sample_measure(s, f, 10,
+                                                                                 truncation=M)),
+    "sample_measure-gauss12": ("gauss12", lambda s, f, M: Q.sample_measure(s, f, 10,
+                                                                           truncation=M)),
+    "sample_measure-e3": ("e3", lambda s, f, M: Q.sample_measure(s, f, 10, truncation=M)),
+    "hausdorff_dim-gauss-full": ("gauss_full", lambda s, f, M: Q.hausdorff_dim(s, f, M)),
+    "hausdorff_dim-e3": ("e3", lambda s, f, M: Q.hausdorff_dim(s, f, M)),
+    "cylinder_mass-gauss-full": ("gauss_full",
+                                 lambda s, f, M: Q.cylinder_mass(s, f, (1,), truncation=M)),
+    "estimate_pressure-e3": ("e3", lambda s, f, M: Q.estimate_pressure(s, f, 1.0, 0.0, M)),
+    "solve_quantization_dim-e3": ("e3",
+                                  lambda s, f, M: Q.solve_quantization_dim(s, f, 2.0, M)),
+    "normalize_pressure-e3": ("e3", lambda s, f, M: Q.normalize_pressure(f, s, M)),
+    "truncation_sweep-e3": ("e3", lambda s, f, M: Q.truncation_sweep(s, f, 2.0, [2, M])),
+}
+
+
+@pytest.mark.parametrize("M", [0, -3])
+@pytest.mark.parametrize("name", sorted(_TRUNCATED_CALLS))
+def test_truncations_below_one_are_refused(name, M, request):
+    # one check in IfsSystem.truncated_size, whatever the system and the entry point
+    fixture, call = _TRUNCATED_CALLS[name]
+    system, family = request.getfixturevalue(fixture)
+    with pytest.raises(ValueError, match="truncations must be >= 1"):
+        call(system, family, M)

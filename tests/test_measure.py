@@ -114,9 +114,7 @@ def test_sample_cylinder_frequency(e1):
 
 def test_sample_truncation_deficit_guard(e3):
     system, family = e3
-    with pytest.raises(NumericalFailure):
-        Q.sample_measure(system, family, 100, truncation=4)
-    sample = Q.sample_measure(system, family, 100, truncation=4, allow_deficit=True)
+    sample = Q.sample_measure(system, family, 100, truncation=4)
     assert sample.deficit == pytest.approx(2.0 ** -4)
     auto = Q.sample_measure(system, family, 100, seed=1)
     assert auto.deficit <= 1e-6
@@ -198,7 +196,7 @@ def test_chain_law_at_default_depth(symbols, M, s_exp):
                                           qdim.pressure._NODES)
     F, _, E = parts
     lam, h, nu, rho = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
-    depth = Q.sample_measure(system, family, 1, truncation=M, allow_deficit=True).depth
+    depth = Q.sample_measure(system, family, 1, truncation=M).depth
     assert depth == qdim.measure._gap_depth(rho)
     probs = np.exp(F) * (E @ h) / (lam * h)
     chain = np.einsum("ij,ijk->jk", probs, E)
@@ -310,7 +308,7 @@ _STREAM_SYSTEMS = {
      "baf22633e6f78a53a11a75089804f3f86c5a4c8f45158c265d06155bfc10fa54"),
     ("gauss12-chain", 20_000, {"seed": 7},  # the conformal-verify sample, about 12 chunks
      "af8e6aefaef686e2bfcefd34b4262dacb366bcd7a754c2a9939d31b1424e9dc1"),
-    ("gauss-full-chain", 3000, {"seed": 4, "truncation": 40, "allow_deficit": True},
+    ("gauss-full-chain", 3000, {"seed": 4, "truncation": 40},
      "722c02cdb9b6050ac85dd34e0165766139d978e7c72fb32a35bfb07df42957ae"),
 ], ids=["e2-two-chunks", "e3-auto", "e3-m700", "reversed-map", "gauss-constant",
         "gauss15-chain", "gauss12-chain", "gauss-full-chain"])
@@ -326,24 +324,29 @@ def _chain_table(M, rng):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 5, 40]), st.integers(0, 2**32 - 1), st.integers(0, 64))
-def test_chain_drawer_matches_the_cumsum_formula(M, seed, on_nodes):
-    # the buffered step draws the symbols of the plain formula; states placed
-    # exactly on nodes take the unit-vector rows of _barycentric_terms
+@given(st.sampled_from([2, 5, 40]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["plain", "clipped", "ties"]))
+def test_chain_drawer_matches_the_cumsum_formula(M, seed, kind):
+    # at a state exactly on node x_j the interpolated probabilities are row j of
+    # the table, so the exact draw is the search of u in that row's running sum
+    # (negative entries clipped to 0), scaled to its last entry.  In "ties" the
+    # rows are integers summing to 64, so every sum is exact and u can sit on
+    # an entry: the draw counts it, as choice's side="right" search does
     rng = np.random.default_rng(seed)
     x, w = qdim.pressure._chebyshev_nodes((0.0, 1.0), qdim.pressure._NODES)
     table = _chain_table(M, rng)
-    chains = 256
-    draw = qdim.measure._chain_drawer(x, w, table, np.empty((chains, x.size)))
-    for _ in range(3):
-        y = rng.random(chains)
-        y[rng.choice(chains, on_nodes, replace=False)] = rng.choice(x, on_nodes)
-        u = rng.random(chains)
-        num = qdim.pressure._barycentric_terms(x, w, y) @ table
-        cdf = np.cumsum(np.maximum(num[:, :-1] / num[:, -1:], 0.0), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = draw(y, u)
-        assert np.array_equal(idx, (cdf <= u[:, None] * cdf[:, -1:]).sum(axis=1))
+    if kind == "clipped":
+        table[rng.random(x.size) < 0.5, 0] *= -1.0
+    if kind == "ties":
+        table[:, :-1] = rng.multinomial(64 - M, np.full(M, 1.0 / M), size=x.size) + 1
+    draw = qdim.measure._chain_drawer(x, w, table)
+    j = rng.integers(0, x.size, 256)
+    cdf = np.cumsum(np.maximum(table[:, :-1], 0.0), axis=1)
+    u = rng.random(j.size)
+    if kind == "ties":
+        u[::2] = cdf[j[::2], rng.integers(0, M - 1, j[::2].size)] / 64.0  # below 1, as uniforms are
+    want = [np.searchsorted(cdf[k], v * cdf[k, -1], side="right") for k, v in zip(j, u)]
+    assert np.array_equal(draw(x[j], u), want)
 
 
 def _system_table(name, M):
@@ -408,8 +411,8 @@ def test_filtered_drawer_matches_the_exact_draw(source, seed, on_nodes, on_grid,
     border = np.flatnonzero(~clear & (np.r_[False, clear[:-1]] | np.r_[clear[1:], False]))
     grid = np.linspace(*domain, clear.size + 1)
     chains = 256
-    exact = qdim.measure._chain_drawer(x, w, table, np.empty((chains, x.size)))
-    filtered = qdim.measure._filtered_drawer(x, w, table, np.empty((chains, x.size)), domain)
+    exact = qdim.measure._chain_drawer(x, w, table)
+    filtered = qdim.measure._filtered_drawer(x, w, table, domain)
     for round_ in ("clipped", "outside", "near"):
         y = rng.uniform(*domain, chains)
         kinds = np.split(rng.permutation(chains), np.cumsum([on_nodes, on_grid, ends, clipped]))
@@ -431,7 +434,7 @@ def test_filtered_drawer_matches_the_exact_draw(source, seed, on_nodes, on_grid,
                                                                                   placed.size)
             u[placed] = np.clip(R[np.arange(placed.size), k] + offset, 0.0,
                                 np.nextafter(1.0, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # a state outside the domain
             assert np.array_equal(filtered(y, u), exact(y, u))
 
 
@@ -551,8 +554,8 @@ def test_weak_convergence_smoke(e3):
     system, family = e3
     N = 8000
     ref = Q.sample_measure(system, family, N, seed=77)
-    rho2 = Q.wasserstein_1d(2.0, Q.sample_measure(system, family, N, truncation=2,
-                                                  seed=7, allow_deficit=True), ref)
-    rho8 = Q.wasserstein_1d(2.0, Q.sample_measure(system, family, N, truncation=8,
-                                                  seed=7, allow_deficit=True), ref)
+    rho2 = Q.wasserstein_1d(2.0, Q.sample_measure(system, family, N, truncation=2, seed=7),
+                            ref)
+    rho8 = Q.wasserstein_1d(2.0, Q.sample_measure(system, family, N, truncation=8, seed=7),
+                            ref)
     assert rho8 < rho2

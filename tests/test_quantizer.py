@@ -492,8 +492,7 @@ def test_truncation_comparison_invariant(e3):
     N = 20_000
     full = Q.sample_measure(system, family, N, seed=3)
     for M in (2, 4, 8):
-        part = Q.sample_measure(system, family, N, truncation=M, seed=3,
-                                allow_deficit=True)
+        part = Q.sample_measure(system, family, N, truncation=M, seed=3)
         for n in (4, 16):
             v_m = Q.lloyd_optimize(part, n, 2.0).V_hat
             v_f = Q.lloyd_optimize(full, n, 2.0).V_hat
