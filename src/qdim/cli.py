@@ -265,6 +265,7 @@ def _cmd_quantize(args, system, family, meta) -> int:
     manifest = {
         "command": "quantize", "r": args.r, "seed": args.seed,
         "samples": len(sample), "depth": sample.depth, "truncation": sample.truncation,
+        "deficit": sample.deficit,
         "runs": [{"n": run.n, "V_hat": run.V_hat, "iterations": run.iterations,
                   "restarts": run.restarts, "converged": run.converged}
                  for run in runs],
@@ -286,6 +287,7 @@ def _cmd_verify(args, system, family, meta) -> int:
     report = {
         "command": "verify", "r": args.r, "seed": args.seed,
         "samples": len(sample), "depth": sample.depth, "truncation": sample.truncation,
+        "deficit": sample.deficit,
         "n_list": list(args.n_list), "kappa_r": sol.kappa_r, "q_r": sol.q_r, "D_hat": d_hat,
         "relative_gap": gap, "tolerance": args.tol, "passed": bool(gap <= args.tol),
         "diagnostics": diagnostics,

@@ -91,7 +91,7 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
     w = system.check_word(word)
     if not w:
         return 1.0
-    P, _ = _pressure_callable(system, family, truncation)
+    P = _pressure_callable(system, family, truncation)
     M = system.truncated_size(truncation)
     if M is not None and max(w) > M:
         raise ValueError(f"symbol {max(w)} beyond the truncation {M}")

@@ -9,7 +9,9 @@ depth-n sum is the n-th power of the single-symbol sum, so P is exact
 at every depth.  Otherwise P is the log of the leading eigenvalue of the
 transfer operator g -> sum_i exp(q f_i) |phi_i'|^t g o phi_i, collocated
 at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).
-``_pressure_callable`` is the one place that picks between the two.
+``is_multiplicative`` decides between the two; ``_pressure_callable``
+(every root solve), ``estimate_pressure``, ``_temperature_walk``,
+``truncation_sweep`` and ``measure.cylinder_mass`` each ask it.
 
 The temperature function beta(q) is the unique zero of t -> P(q, t)
 (P is strictly decreasing in t).  The quantization dimension of order r
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, DegenerateSystemError, NumericalFailure
-from .ifs import FiniteAlphabet, IfsSystem, InfiniteAlphabet
+from .ifs import FiniteAlphabet, IfsSystem
 from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_value,
                          is_symbol_constant, symbol_log_weight, truncation_tail_bound)
 
@@ -361,14 +363,17 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     """P(q, t) with its error indicator and the truncation tail bound.
 
     Closed forms are exact (error 0).  The transfer-operator value comes
-    with the drift |P_32 - P_16| between 32 and 16 collocation nodes.
+    with the drift |P_32 - P_16| between 32 and 16 collocation nodes.  That
+    drift is a heuristic, not a bound: on Gauss {1,2} at (q, t) = (0.3, 25)
+    it reads 3.0 while the 32-node value lies within 1e-5 of the truth
+    (ROADMAP item 3 replaces it by a certified bracket).
     """
-    P, coarse = _pressure_callable(system, family, truncation)
-    value = P(q, t)
-    error = 0.0 if coarse is None else abs(value - coarse(q, t))
-    tail = 0.0
-    if truncation is not None and isinstance(system.alphabet, InfiniteAlphabet):
-        tail = truncation_tail_bound(system, family, q, t, truncation)
+    value = _pressure_callable(system, family, truncation)(q, t)
+    error = 0.0
+    if not is_multiplicative(system, family):
+        coarse = _operator_parts(system, family, system.truncated_size(truncation), _NODES // 2)
+        error = abs(value - _operator_pressure(coarse, q, t))
+    tail = 0.0 if truncation is None else truncation_tail_bound(system, family, q, t, truncation)
     return PressureEstimate(q, t, truncation, value, error,
                             math.isfinite(value) and math.isfinite(tail), tail)
 
@@ -408,21 +413,13 @@ def _collocated_parts(system: IfsSystem, family: PotentialFamily, truncation: in
 
 
 def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
-                       ) -> tuple[Callable[[float, float], float],
-                                  Callable[[float, float], float] | None]:
-    """(q, t) -> P(q, t) and its coarse twin for the error indicator.
-
-    Multiplicative systems get the exact closed form and no twin.  Every
-    other system gets the collocated operator at ``_NODES`` nodes, twinned
-    with the same operator at half the nodes (built on first use).
-    """
+                       ) -> Callable[[float, float], float]:
+    """(q, t) -> P(q, t): the exact closed form on multiplicative systems,
+    else the collocated operator at ``_NODES`` nodes."""
     if is_multiplicative(system, family):
-        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation), None
+        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation)
     parts = _collocated_parts(system, family, truncation)
-    M = system.truncated_size(truncation)
-    return (lambda q, t: _operator_pressure(parts, q, t),
-            lambda q, t: _operator_pressure(_operator_parts(system, family, M, _NODES // 2),
-                                            q, t))
+    return lambda q, t: _operator_pressure(parts, q, t)
 
 
 def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
@@ -485,46 +482,31 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
               truncation: int | None = None) -> float:
     """The temperature function: the unique t with P(q, t) = 0.
 
-    Exploits strict decrease of t -> P(q, t); the returned t satisfies
-    |P(q, t)| <= 1e-9.  Raises BracketError when no sign change exists or
-    the residual is above that bound (irregular or degenerate truncations
-    are reported, never extrapolated over).
+    One bracket rule for every system, by the sign of P alone (strictly
+    decreasing in t, and +inf below theta(q) on an untruncated infinite
+    alphabet): walk down from t = 0 while P <= 0, then double
+    hi = max(2, lo + 1) while P >= 0, each hi with P > 0 becoming lo.
+    The returned t satisfies |P(q, t)| <= 1e-9.  Raises BracketError when
+    no sign change exists or the residual is above that bound.
     """
-    P, _ = _pressure_callable(system, family, truncation)
+    P = _pressure_callable(system, family, truncation)
 
     def fn(t: float) -> float:
         return P(q, t)
 
-    # truncated series converge for every t, so the finiteness threshold
-    # constrains the bracket only for untruncated infinite sums
-    theta = -math.inf
-    if truncation is None and isinstance(system.alphabet, InfiniteAlphabet):
-        theta = theta_of_q(system, family, q)
-    if math.isfinite(theta):
-        lo = theta + 1e-6
-        # regularity probe: P must become positive and finite just above theta
-        probes = [fn(u) for u in (lo, theta + 0.05, theta + 0.1)]
-        if not any(math.isfinite(v) and v > 0 for v in probes):
-            raise BracketError(
-                f"pressure never positive just above theta({q})={theta}; "
-                "system looks irregular at this truncation"
-            )
-        f_lo = probes[0]
-        while not math.isfinite(f_lo):
-            lo = 0.5 * (lo + theta + 0.2)
-            f_lo = fn(lo)
-    else:
-        lo, step = 0.0, 1.0
-        while (f_lo := fn(lo)) <= 0.0:
-            lo -= step
-            step *= 2.0
-            if lo < -1e4:
-                raise BracketError("no positive pressure found walking t downward")
+    lo, step = 0.0, 1.0
+    while (f_lo := fn(lo)) <= 0.0:
+        lo -= step
+        step *= 2.0
+        if lo < -1e4:
+            raise BracketError("no positive pressure found walking t downward")
 
     # a short first bracket: collocation degrades at large t on branches
     # with |phi'| = 1 at a point, so roots never evaluate far out there
     hi = max(2.0, lo + 1.0)
     while (f_hi := fn(hi)) >= 0.0:
+        if f_hi > 0.0:  # +inf below a finiteness threshold too
+            lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > 1e4:
             raise BracketError("pressure does not become negative for large t")
@@ -537,7 +519,7 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
 
 def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
                   truncation: int | None = None) -> float:
-    """Root of t -> P(0, t); coincides with beta(0) for regular systems."""
+    """Root of t -> P(0, t), that is beta(0)."""
     return beta_of_q(system, family, 0.0, truncation)
 
 
@@ -605,7 +587,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     """
     if r <= 0:
         raise ValueError("the order r must be positive")
-    P, _ = _pressure_callable(system, family, truncation)
+    P = _pressure_callable(system, family, truncation)
 
     p0 = P(0.0, 1e-9)
     if p0 <= 0.0:

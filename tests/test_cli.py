@@ -403,6 +403,27 @@ def test_sample_full_gauss_below_the_automatic_reach(tmp_path, capsys):
     assert sidecar["truncation"] == 40 and sidecar["deficit"] == pytest.approx(0.4275, abs=5e-5)
 
 
+@pytest.mark.parametrize("doc, m, code", [(GAUSS_FULL_DOC, 40, 3), (GAUSS_DOC, None, 0)],
+                         ids=["full-m40", "gauss12"])
+def test_verify_and_quantize_report_the_deficit(doc, m, code, tmp_path, capsys):
+    # the verify report and the quantize manifest carry the sampled measure's
+    # deficit: at --m 40 (s = 0.6) the kappa_{2,40} of the subsystem fails
+    # the check (exit 3) while 0.4275 of the child weight is cut
+    path = tmp_path / "system.json"
+    path.write_text(doc)
+    common = ["--system", str(path), "--r", "2", "--n-list", "4,8,16", "--samples", "2000",
+              "--seed", "3"] + ([] if m is None else ["--m", str(m)])
+    system, family, _ = Q.load_spec(str(path))
+    deficit = Q.sample_measure(system, family, 2000, truncation=m, seed=3).deficit
+    assert deficit == (0.0 if m is None else pytest.approx(0.4275, abs=5e-5))
+    report = tmp_path / "verify.json"
+    assert main(["verify", *common, "--out", str(report)]) == code
+    capsys.readouterr()
+    assert json.loads(report.read_text())["deficit"] == deficit
+    assert main(["quantize", *common, "--out", str(tmp_path / "runs.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["deficit"] == deficit
+
+
 def test_sample_far_geometric_truncation(e3_spec, tmp_path, capsys):
     # ratio**i underflows to 0 past i ~ 678; those maps carry no weight
     out = tmp_path / "pts.csv"

@@ -60,13 +60,16 @@ def test_untruncated_series_can_diverge(e3):
     assert _pressure(system, family, 0.0, -1.0) == math.inf
 
 
-def test_estimate_pressure_error_is_node_drift(gauss12):
+def test_estimate_pressure_error_is_node_drift(gauss12, e3):
     system, family = gauss12
     est = Q.estimate_pressure(system, family, 0.0, 0.6)
     assert not hasattr(est, "depth_values")
     assert est.finite
     assert 0.0 <= est.error <= 1e-12  # |P_32 - P_16| of the collocated operator
+    coarse = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES // 2)
+    assert est.error == abs(est.value - qdim.pressure._operator_pressure(coarse, 0.0, 0.6))
     assert est.tail_bound == 0.0  # finite alphabet
+    assert Q.estimate_pressure(*e3, 0.5, 0.5).error == 0.0  # closed form
 
 
 def test_truncation_tail_reported_separately(e3, gauss_full):
@@ -148,6 +151,19 @@ def test_beta_golden_ratio_truncation(e3):
     system, family = e3
     expected = math.log(GOLDEN) / math.log(3)
     assert Q.beta_of_q(system, family, 0.0, truncation=2) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("ratio, w", [(1 / 3, 0.5), (0.2, 0.9), (1 / 3, 0.05)])
+def test_beta_matches_geometric_closed_form(ratio, w):
+    # untruncated: maps ratio^i and weights w (1 - w)^(i - 1) give
+    # sum_i w^q (1 - w)^(q (i - 1)) ratio^(i t) = 1 in closed form; below the
+    # finiteness threshold (theta > 2 at q <= -0.8 for w = 0.05) P is +inf
+    system, family = Q.geometric_similarity_system(ratio), Q.geometric_weight_family(w)
+    for q in np.linspace(-1.0, 2.0, 31):
+        exact = -(math.log1p(((1 - w) / w) ** q) + q * math.log(w)) / math.log(ratio)
+        beta = Q.beta_of_q(system, family, float(q))
+        # relative to max(1, |beta|), as beta(1) = 0
+        assert abs(beta - exact) <= 4e-15 * max(1.0, abs(exact))
 
 
 def test_beta_monotone_convex(e1):
@@ -252,9 +268,17 @@ def test_operator_matches_closed_form(case, kind, r, q, s_exp, draws):
     assert not Q.is_multiplicative(branches, family)
     assert Q.beta_of_q(branches, family, q) == pytest.approx(
         Q.beta_of_q(system, family, q), abs=1e-12)
-    kappa = Q.solve_quantization_dim(system, family, r).kappa_r
-    assert Q.solve_quantization_dim(branches, family, r).kappa_r == pytest.approx(
-        kappa, rel=1e-12)
+    try:
+        kappa = Q.solve_quantization_dim(system, family, r).kappa_r
+    except BracketError:
+        # a derivative family with s + r below the dimension: g(1) = P(1, r) >= 0,
+        # so g(q) = P(q, r q) has no root in (0, 1), by either route
+        assert _pressure(system, family, 1.0, r) >= 0.0
+        with pytest.raises(BracketError):
+            Q.solve_quantization_dim(branches, family, r)
+    else:
+        assert Q.solve_quantization_dim(branches, family, r).kappa_r == pytest.approx(
+            kappa, rel=1e-12)
     # cylinder masses of m_F and of the auxiliary measure at t = r q
     word = tuple(k % system.size + 1 for k in draws)
     for qq, t in ((1.0, 0.0), (q, r * q)):
@@ -268,22 +292,28 @@ def _record_t(monkeypatch) -> list:
     ts = []
 
     def recording(*args):
-        P, coarse = make(*args)
+        P = make(*args)
 
         def wrapped(q, t):
             ts.append(t)
             return P(q, t)
-        return wrapped, coarse
+        return wrapped
 
     monkeypatch.setattr(qdim.pressure, "_pressure_callable", recording)
     return ts
 
 
-@pytest.mark.parametrize("name", ["e1", "gauss12"])
+@pytest.mark.parametrize("name", ["e1", "gauss12", "e3", "geometric w=0.05"])
 def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
-    system, family = request.getfixturevalue(name)
+    q = 0.4
+    if name == "geometric w=0.05":
+        # theta(-1) > 2, so P(-1, 2) = +inf: the first upper end becomes the lower one
+        system, family = Q.geometric_similarity_system(1 / 3), Q.geometric_weight_family(0.05)
+        q = -1.0
+    else:
+        system, family = request.getfixturevalue(name)
     ts = _record_t(monkeypatch)
-    Q.beta_of_q(system, family, 0.4)
+    Q.beta_of_q(system, family, q)
     assert ts and len(ts) == len(set(ts))
 
 

@@ -169,6 +169,19 @@ def test_lloyd_oversized_codebook_returns_zero():
     assert run.converged
 
 
+def test_lloyd_relocates_an_empty_cell():
+    # from the centers (-1, 5, 11) of the cells {-1}, {0, 10}, {11}, the
+    # nearest-center partition leaves 5 without a point; the farthest point,
+    # 0, takes its place, and one more step settles on (-1, 0, 10.5)
+    pts = np.array([-1.0, 0.0, 10.0, 11.0])
+    centers = np.array([-1.0, 5.0, 11.0])
+    assert qdim.quantizer._cell_edges(pts, centers).tolist() == [0, 2, 2, 4]
+    code, v, _, converged, _ = qdim.quantizer._lloyd_once(
+        pts, np.array([0, 1, 3, 4]), centers, 2.0, 60, 1e-10 * 12.0)
+    assert code.tolist() == [-1.0, 0.0, 10.5]
+    assert v == 0.125 and converged
+
+
 def test_lloyd_deterministic(e1_sample):
     a = Q.lloyd_optimize(e1_sample, 5, 2.0)
     b = Q.lloyd_optimize(e1_sample, 5, 2.0)
