@@ -21,10 +21,10 @@ from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
                          GeometricWeights, PotentialFamily, birkhoff_sum,
                          derivative_family, geometric_weight_family,
                          log_weight_family, normalize_pressure)
-from .pressure import (FigureData, PressureEstimate, QdimSolution, SweepResult,
-                       TemperatureSample, beta_of_q,
+from .pressure import (BetaSolution, FigureData, PressureEstimate, QdimSolution,
+                       SweepResult, TemperatureSample, beta_of_q,
                        estimate_pressure, hausdorff_dim, is_multiplicative,
-                       legendre_and_figure_data, solve_quantization_dim,
+                       legendre_and_figure_data, solve_beta, solve_quantization_dim,
                        temperature_curve, theta_of_q, truncation_sweep,
                        truncation_tail_bound)
 from .quantizer import (AntichainResult, Codebook, QuantizationRun,

@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import NumericalFailure, SpecFormatError
 from .measure import sample_measure, save_sample
-from .pressure import (beta_of_q, estimate_pressure, hausdorff_dim,
-                       legendre_and_figure_data, solve_quantization_dim,
-                       temperature_curve, truncation_sweep)
+from .pressure import (estimate_pressure, legendre_and_figure_data, solve_beta,
+                       solve_quantization_dim, temperature_curve, truncation_sweep)
 from .quantizer import estimate_Dr, lloyd_optimize
 from .specio import load_spec
 
@@ -147,9 +146,9 @@ def _cmd_beta(args, system, family, meta) -> int:
         curve = temperature_curve(system, family, truncation=args.m)
         _emit_csv(zip(curve.qs, curve.betas), ["q", "beta_q"], args.out)
         return _EXIT_OK
-    value = beta_of_q(system, family, args.q, args.m)
-    _emit_json({"command": "beta", "q": args.q, "beta": value,
-                "truncation": args.m, **meta}, args.out)
+    sol = solve_beta(system, family, args.q, args.m)
+    _emit_json({"command": "beta", "q": args.q, "beta": sol.beta, "truncation": args.m,
+                "solver": sol.solver, "iterations": len(sol.trace), **meta}, args.out)
     return _EXIT_OK
 
 
@@ -157,15 +156,15 @@ def _cmd_qdim(args, system, family, meta) -> int:
     sol = solve_quantization_dim(system, family, args.r, args.m)
     _emit_json({"command": "qdim", "r": sol.r, "q_r": sol.q_r,
                 "kappa_r": sol.kappa_r, "D_r": sol.D_r,
-                "truncation": sol.truncation, "iterations": len(sol.trace),
-                **meta}, args.out)
+                "truncation": sol.truncation, "solver": sol.solver,
+                "iterations": len(sol.trace), **meta}, args.out)
     return _EXIT_OK
 
 
 def _cmd_dimh(args, system, family, meta) -> int:
-    value = hausdorff_dim(system, family, args.m)
-    _emit_json({"command": "dimh", "dim_h": value, "truncation": args.m, **meta},
-               args.out)
+    sol = solve_beta(system, family, 0.0, args.m)
+    _emit_json({"command": "dimh", "dim_h": sol.beta, "truncation": args.m,
+                "solver": sol.solver, "iterations": len(sol.trace), **meta}, args.out)
     return _EXIT_OK
 
 

@@ -18,23 +18,27 @@ The temperature function beta(q) is the unique zero of t -> P(q, t)
 solves beta(q_r) = r * q_r and equals kappa_r = r * q_r / (1 - q_r).
 Since P decreases in t, q_r is also the single root of
 g(q) = P(q, r * q), which is found directly, without computing beta.
-A cold root (``beta_of_q``, ``solve_quantization_dim``) comes from one
-safeguarded regula falsi.  Along a q grid, ``temperature_curve`` solves
-the first point cold and continues from it: a secant predictor, then
-Newton on the operator's eigenpair (h, t) with e^P = 1, one small linear
-solve per step.  Each continued root is kept only if its h is positive
-and the leading eigenvalue there certifies |P| <= 1e-9; otherwise that
-point is solved cold.  ``legendre_and_figure_data`` continues the same
-way along the line t = r q from the grid cell where beta(q) - r q
-changes sign, and keeps that q_r only if it lies in the cell.
+On the collocated operator every root is first a Newton solve on the
+operator's eigenpair (h, t) with e^P = 1, one small linear solve per
+step (``_eigen_newton``), kept only if h stays positive and the
+leading eigenvalue there certifies |P| <= 1e-9.  A cold root
+(``solve_beta``, ``solve_quantization_dim``) starts from h = 1; when
+it is not certified, and on closed forms, one safeguarded regula falsi
+solves it (``_root_decreasing``).  Along a q grid,
+``temperature_curve`` solves the first point cold and continues from
+it: a secant predictor and the last h start Newton, and a point it
+does not certify is solved cold.  ``legendre_and_figure_data``
+continues the same way along the line t = r q from the grid cell where
+beta(q) - r q changes sign, and keeps that q_r only if it lies in the
+cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_valu
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
 _RESIDUAL = 1e-9          # largest |P| a root solve may return
 _NEWTON_STEPS = 6         # eigenpair Newton steps before a continued root falls back
+_COLD_STEPS = 16          # the same for a cold root, started from h = 1
 _NEWTON_TOL = 1e-12       # a last Newton step at most this (relative) size ends it
 
 
@@ -78,8 +83,19 @@ class QdimSolution:
     kappa_r: float
     D_r: float
     truncation: int | None
-    trace: tuple[tuple[float, float], ...]
+    trace: tuple[tuple[float, float], ...]  # one (q, residual) per dense solve
+    solver: str                     # "newton", "regula_falsi" or "closed_form"
     degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class BetaSolution:
+    q: float
+    beta: float
+    solver: str                     # "newton", "regula_falsi" or "closed_form"
+    trace: tuple[tuple[float, float], ...]  # one (t, residual) per dense solve
+    # the positive eigenvector at the nodes (sum 1) of a Newton root, else None
+    h: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -274,37 +290,64 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
-def _operator_slope(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
-                    dq: float, dt: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(s, A, B): ``_operator_matrix`` at (q, t) and its derivative along (dq, dt).
+@lru_cache(maxsize=32)
+def _node_major(system: IfsSystem, family: PotentialFamily,
+                M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_operator_parts`` at ``_NODES`` nodes, node-major for ``_operator_step``:
+    F^T and D^T (node x symbol), and E^T with E^T[j, i] = E[i, j]."""
+    major = tuple(np.ascontiguousarray(np.swapaxes(a, 0, 1))
+                  for a in _operator_parts(system, family, M, _NODES))
+    for arr in major:
+        arr.flags.writeable = False
+    return major
+
+
+def _operator_step(major: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
+                   dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(s, A, B h): ``_operator_matrix`` at (q, t), and its derivative along
+    (dq, dt) applied to h.
 
     B = sum_i diag((dq F_i + dt D_i) e^{q F_i + t D_i - s}) E_i, under the
-    same shift s as A.
+    same shift s as A.  One batched product over the node-major parts
+    (``_node_major``) reads E once and gives row j of A and of B together.
     """
-    F, D, E = parts
-    X = q * F + t * D
+    FT, DT, ET = major
+    X = q * FT + t * DT
     s = float(X.max())
-    W = np.exp(X - s)
-    A, B = np.einsum("aij,ijk->ajk", np.stack((W, (dq * F + dt * D) * W)), E)
-    return s, A, B
+    WV = np.empty((FT.shape[0], 2, FT.shape[1]))
+    np.exp(X - s, out=WV[:, 0])
+    np.multiply(dq * FT + dt * DT, WV[:, 0], out=WV[:, 1])
+    rows = WV @ ET
+    return s, rows[:, 0], rows[:, 1] @ h
 
 
-def _eigen_newton(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
-                  dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(u, h) with P(q + u dq, t + u dt) = 0 and h > 0 its eigenvector, or None.
+class _NewtonRoot(NamedTuple):
+    u: float
+    h: np.ndarray
+    # one (u, residual) per dense solve: each step's u and max|L h - h| there,
+    # then the root's u and P from the certificate
+    trace: tuple[tuple[float, float], ...]
 
-    Newton on the eigenpair of the unshifted operator L = e^s A: from u = 0
-    and the warm start h, each step solves the bordered system
+
+def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | None,
+                  q: float, t: float, dq: float, dt: float, h: np.ndarray,
+                  max_steps: int = _NEWTON_STEPS) -> _NewtonRoot | None:
+    """The root u of P(q + u dq, t + u dt) = 0 with h > 0 its eigenvector, or None.
+
+    Newton on the eigenpair of the unshifted collocated operator L = e^s A:
+    from u = 0 and the start h, each step solves the bordered system
 
         [[A - e^{-s} I, B h], [1^T, 0]] [dh; du] = [e^{-s} h - A h; 1 - 1^T h]
 
-    (``_operator_slope``; the rows are L h = h scaled by e^{-s}).  It ends
-    when a step moves u and h by at most ``_NEWTON_TOL``.  The root is kept
-    only if that happens within ``_NEWTON_STEPS`` steps, h > 0, and the
-    leading real eigenvalue there (``_operator_pressure``) gives
-    |P| <= ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach
-    fails that test.
+    (``_operator_step``; the rows are L h = h scaled by e^{-s}).  It gives
+    up as soon as a step leaves h > 0, and ends when a step moves u and h
+    by at most ``_NEWTON_TOL``.  The root is kept only if that happens
+    within ``max_steps`` steps and the leading real eigenvalue there
+    (``_operator_pressure``) gives |P| <= ``_RESIDUAL``; any other
+    eigenvalue 1 that Newton might reach fails that test.
     """
+    parts = _collocated_parts(system, family, truncation)
+    major = _node_major(system, family, system.truncated_size(truncation))
     n = h.size
     J = np.zeros((n + 1, n + 1))
     J[n, :n] = 1.0
@@ -312,15 +355,17 @@ def _eigen_newton(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t:
     diag = np.arange(n)
     h = h / h.sum()
     u = 0.0
+    trace = []
     with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
-        for _ in range(_NEWTON_STEPS):
-            s, A, B = _operator_slope(parts, q + u * dq, t + u * dt, dq, dt)
+        for _ in range(max_steps):
+            s, A, Bh = _operator_step(major, q + u * dq, t + u * dt, dq, dt, h)
             c = np.exp(-s)
             J[:n, :n] = A
             J[diag, diag] -= c
-            J[:n, n] = B @ h
+            J[:n, n] = Bh
             rhs[:n] = c * h - A @ h
             rhs[n] = 1.0 - h.sum()
+            trace.append((u, float(np.max(np.abs(rhs[:n])) / c)))
             try:
                 step = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
@@ -329,18 +374,19 @@ def _eigen_newton(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t:
                 return None
             h = h + step[:n]
             u += float(step[n])
+            if not np.all(h > 0.0):
+                return None
             if (abs(step[n]) <= _NEWTON_TOL * (1.0 + abs(u))
                     and np.max(np.abs(step[:n])) <= _NEWTON_TOL * np.max(h)):
                 break
         else:
             return None
-    if not np.all(h > 0.0):
-        return None
     try:
         resid = _operator_pressure(parts, q + u * dq, t + u * dt)
     except NumericalFailure:
         return None
-    return (u, h) if abs(resid) <= _RESIDUAL else None
+    trace.append((u, resid))
+    return _NewtonRoot(u, h, tuple(trace)) if abs(resid) <= _RESIDUAL else None
 
 
 @lru_cache(maxsize=32)
@@ -478,21 +524,35 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
-              truncation: int | None = None) -> float:
-    """The temperature function: the unique t with P(q, t) = 0.
+def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
+               truncation: int | None = None) -> BetaSolution:
+    """The temperature function: the unique t with P(q, t) = 0, and how it was found.
 
-    One bracket rule for every system, by the sign of P alone (strictly
-    decreasing in t, and +inf below theta(q) on an untruncated infinite
-    alphabet): walk down from t = 0 while P <= 0, then double
-    hi = max(2, lo + 1) while P >= 0, each hi with P > 0 becoming lo.
-    The returned t satisfies |P(q, t)| <= 1e-9.  Raises BracketError when
-    no sign change exists or the residual is above that bound.
+    On the collocated operator ``_eigen_newton`` runs first, from (q, 0)
+    along t with h = 1 and up to ``_COLD_STEPS`` steps; its certified root
+    is kept.  Otherwise, and on closed forms, one bracket rule serves every
+    system, by the sign of P alone (strictly decreasing in t, and +inf
+    below theta(q) on an untruncated infinite alphabet): walk down from
+    t = 0 while P <= 0, then double hi = max(2, lo + 1) while P >= 0,
+    each hi with P > 0 becoming lo, and ``_root_decreasing`` solves in
+    the bracket.  The returned t satisfies |P(q, t)| <= 1e-9.  Raises
+    BracketError when no sign change exists or the residual is above that
+    bound.  The trace holds every (t, P(q, t)) evaluation, or the Newton
+    root's trace.
     """
     P = _pressure_callable(system, family, truncation)
+    closed = is_multiplicative(system, family)
+    if not closed:
+        root = _eigen_newton(system, family, truncation, q, 0.0, 0.0, 1.0, np.ones(_NODES),
+                             _COLD_STEPS)
+        if root is not None:
+            return BetaSolution(q, root.u, "newton", root.trace, root.h)
+    trace: list[tuple[float, float]] = []
 
     def fn(t: float) -> float:
-        return P(q, t)
+        v = P(q, t)
+        trace.append((t, v))
+        return v
 
     lo, step = 0.0, 1.0
     while (f_lo := fn(lo)) <= 0.0:
@@ -514,7 +574,13 @@ def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
     t, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
     if not abs(resid) <= _RESIDUAL:
         raise BracketError(f"pressure residual {resid:.3g} at beta({q}) above tolerance")
-    return t
+    return BetaSolution(q, t, "closed_form" if closed else "regula_falsi", tuple(trace))
+
+
+def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
+              truncation: int | None = None) -> float:
+    """beta(q), the root of t -> P(q, t), by ``solve_beta``."""
+    return solve_beta(system, family, q, truncation).beta
 
 
 def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
@@ -528,15 +594,15 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     """beta at each grid point, and the operator's eigenvector h at each root.
 
     Closed forms solve every point with ``beta_of_q`` (h is None).  On the
-    collocated operator only the first point is solved that way, with h
-    from ``_operator_eigen``; each later point starts from the secant
-    through the last two roots (the last root after a single one) and the
-    last h, and ``_eigen_newton`` corrects along t.  A point it does not
-    certify is solved with ``beta_of_q`` again, and restarts the walk.
+    collocated operator only the first point is solved cold, by
+    ``solve_beta``, with h from its Newton root (from ``_operator_eigen``
+    when the regula falsi answered); each later point starts from the
+    secant through the last two roots (the last root after a single one)
+    and the last h, and ``_eigen_newton`` corrects along t.  A point it
+    does not certify is solved cold again, and restarts the walk.
     """
     if is_multiplicative(system, family):
         return [beta_of_q(system, family, float(q), truncation) for q in qs], [None] * len(qs)
-    parts = _collocated_parts(system, family, truncation)
     betas: list[float] = []
     hs: list = []
     h = None
@@ -546,16 +612,18 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
             t = betas[-1]
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
-            root = _eigen_newton(parts, q, t, 0.0, 1.0, h)
+            root = _eigen_newton(system, family, truncation, q, t, 0.0, 1.0, h)
         if root is None:
-            t = beta_of_q(system, family, q, truncation)
-            try:
-                h = _operator_eigen(parts, q, t)[1]
-            except NumericalFailure:  # no positive h to start from: the next point is cold too
-                h = None
+            cold = solve_beta(system, family, q, truncation)
+            t, h = cold.beta, cold.h
+            if h is None:
+                try:
+                    h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
+                except NumericalFailure:  # no positive h to start from: the next point is cold too
+                    pass
         else:
-            t += root[0]
-            h = root[1]
+            t += root.u
+            h = root.h
         betas.append(t)
         hs.append(h)
     return betas, hs
@@ -581,14 +649,21 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
 
     As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
     where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
-    g(0) > 0 when beta(0) > 0; its root is found directly.  The trace
-    holds every (q, g(q)) evaluation.  kappa_r = r q_r/(1-q_r) and
-    D_r = kappa_r = beta(q_r)/(1-q_r).
+    g(0) > 0 when beta(0) > 0; its root is found directly.  First
+    P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  On the
+    collocated operator ``_eigen_newton`` runs next, from (0, 0) along
+    (1, r) with h = 1 and up to ``_COLD_STEPS`` steps, and a certified
+    root with 0 < q_r < 1 is kept.  Otherwise, and on closed forms, the
+    bracket starts at lo = 0 and at hi = min(2 / r, 1 - 1e-6), where
+    r hi <= 2 keeps the operator at small t, hi doubles toward 1 - 1e-6
+    while g(hi) >= 0, each hi with g > 0 becoming lo, and
+    ``_root_decreasing`` solves in it.  The trace holds every (q, g(q))
+    evaluation, or the Newton root's trace (that check is in neither).
+    kappa_r = r q_r/(1-q_r) and D_r = kappa_r = beta(q_r)/(1-q_r).
     """
     if r <= 0:
         raise ValueError("the order r must be positive")
     P = _pressure_callable(system, family, truncation)
-
     p0 = P(0.0, 1e-9)
     if p0 <= 0.0:
         raise DegenerateSystemError(
@@ -596,13 +671,39 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
             "the (truncated) limit set carries no dimension"
         )
 
+    closed = is_multiplicative(system, family)
+    if not closed:
+        root = _eigen_newton(system, family, truncation, 0.0, 0.0, 1.0, r, np.ones(_NODES),
+                             _COLD_STEPS)
+        if root is not None and 0.0 < root.u < 1.0:
+            return _qdim_solution(r, root.u, truncation, root.trace, "newton")
+
     trace: list[tuple[float, float]] = []
-    q_r, check = _root_decreasing(lambda q: P(q, r * q), 1e-6, 1.0 - 1e-6, trace)
+
+    def g(q: float) -> float:
+        v = P(q, r * q)
+        trace.append((q, v))
+        return v
+
+    top = 1.0 - 1e-6
+    lo, f_lo = 0.0, g(0.0)  # P(0, 0) >= P(0, 1e-9) > 0, +inf included
+    hi = min(2.0 / r, top)
+    while (f_hi := g(hi)) >= 0.0 and hi < top:
+        if f_hi > 0.0:
+            lo, f_lo = hi, f_hi
+        hi = min(2.0 * hi, top)
+    q_r, check = _root_decreasing(g, lo, hi, ends=(f_lo, f_hi))
     if not abs(check) <= _RESIDUAL:
         raise BracketError(f"fixed-point residual {check:.3g} above tolerance")
+    return _qdim_solution(r, q_r, truncation, tuple(trace),
+                          "closed_form" if closed else "regula_falsi")
+
+
+def _qdim_solution(r: float, q_r: float, truncation: int | None, trace: tuple,
+                   solver: str) -> QdimSolution:
     kappa = r * q_r / (1.0 - q_r)
-    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa,
-                        truncation=truncation, trace=tuple(trace))
+    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
+                        trace=trace, solver=solver)
 
 
 def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
@@ -648,11 +749,10 @@ def _continued_fixed_point(system: IfsSystem, family: PotentialFamily, r: float,
     if hs[k] is None:
         return None
     q0 = float(qs[k] + d[k] * (qs[k + 1] - qs[k]) / (d[k] - d[k + 1]))
-    root = _eigen_newton(_collocated_parts(system, family, truncation), q0, r * q0,
-                         1.0, r, hs[k])
-    if root is None or not qs[k] <= q0 + root[0] <= qs[k + 1]:
+    root = _eigen_newton(system, family, truncation, q0, r * q0, 1.0, r, hs[k])
+    if root is None or not qs[k] <= q0 + root.u <= qs[k + 1]:
         return None
-    return q0 + root[0]
+    return q0 + root.u
 
 
 def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: float,

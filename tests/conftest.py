@@ -1,9 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import qdim as Q
 
 LOG23 = np.log(2.0) / np.log(3.0)
+
+
+def pytest_runtest_makereport(item, call):
+    """Import Hypothesis's patch writer before its plugin does, warnings muted.
+
+    For a failing property test the plugin imports hypothesis.extra._patching,
+    which (through libcst) raises a DeprecationWarning from mypy_extensions;
+    pyproject's filterwarnings turns it into an error, and pytest would end
+    with INTERNALERROR instead of printing the falsifying example.
+    """
+    if call.excinfo is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
 
 
 @pytest.fixture(scope="session")

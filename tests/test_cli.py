@@ -134,25 +134,79 @@ def test_figure1_matches_qdim(e1_spec, tmp_path, capsys):
     assert header == "q,beta,line,legendre_alpha,legendre_f"
 
 
-def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
-    # the continued curve: one cold beta solve, one eigenvector, and one
-    # certifying eigenvalue solve per later point and for q_r (254 when every
-    # grid point was solved cold)
-    path = tmp_path / "gauss.json"
-    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+def _count_eigensolves(monkeypatch) -> list:
     calls = []
     for name in ("eigvals", "eig"):
         solver = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda a, solver=solver: calls.append(a) or solver(a))
+    return calls
+
+
+def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
+    # the continued curve: one certifying eigenvalue solve for the cold
+    # Newton root at q = 0, per later point and for q_r (254 when every
+    # grid point was solved by the regula falsi)
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    calls = _count_eigensolves(monkeypatch)
     fig = tmp_path / "fig.csv"
     assert main(["figure1", "--system", str(path), "--r", "2", "--out", str(fig)]) == 0
-    assert 21 <= len(calls) <= 40
+    assert 21 <= len(calls) <= 25
     summary = json.loads(capsys.readouterr().out)
     assert main(["qdim", "--system", str(path), "--r", "2"]) == 0
     assert abs(summary["q_r"] - json.loads(capsys.readouterr().out)["q_r"]) <= 1e-14
     rows = [list(map(float, row.split(","))) for row in fig.read_text().splitlines()[1:]]
     assert max(abs(b - 0.531280506277205 * (1.0 - q)) for q, b, *_ in rows) <= 1e-12
+
+
+def test_dimh_takes_one_eigensolve(tmp_path, monkeypatch, capsys):
+    # eigenpair Newton from h = 1, certified by one eigenvalue solve
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    calls = _count_eigensolves(monkeypatch)
+    assert main(["dimh", "--system", str(path)]) == 0
+    assert len(calls) <= 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["solver"] == "newton"
+    assert abs(report["dim_h"] - 0.531280506277205) <= 1e-13
+
+
+@pytest.mark.parametrize("doc, m, solvers", [
+    (E1_DOC, [], ("closed_form",) * 3),
+    (GAUSS_DOC, [], ("newton",) * 3),
+    # from h = 1 at t = 0, Newton leaves h > 0 at q = 2 on Gauss M = 5 at s = 1
+    (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.0'), ["--m", "5"],
+     ("newton", "regula_falsi", "newton")),
+])
+def test_root_commands_name_their_solver(doc, m, solvers, tmp_path, capsys):
+    # each root reports how it was found; reruns are byte-identical
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    for args, solver in zip((["dimh"], ["beta", "--q", "2"], ["qdim", "--r", "2"]), solvers):
+        outputs = []
+        for _ in range(2):
+            assert main(args[:1] + ["--system", str(path), *m, *args[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["solver"] == solver and report["iterations"] >= 1
+
+
+def test_qdim_at_large_order_by_the_regula_falsi(tmp_path, monkeypatch, capsys):
+    # Gauss {1,2} at r = 1e4: the operator has no positive real eigenvalue at
+    # t = r (1 - 1e-6), so the fallback's upper end starts at r q = 2
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC)
+    reports = []
+    for args in (["qdim", "--r", "1e3"], ["qdim", "--r", "1e4"], ["dimh"]):
+        assert main(args[:1] + ["--system", str(path), *args[1:]]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        assert reports[-1]["solver"] == "regula_falsi"
+    kappa_1e3, kappa_1e4, dim_h = (reports[0]["kappa_r"], reports[1]["kappa_r"],
+                                   reports[2]["dim_h"])
+    assert kappa_1e3 <= kappa_1e4 <= dim_h
 
 
 def test_too_few_distinct_points_exit_two(tmp_path, capsys):

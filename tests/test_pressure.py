@@ -286,25 +286,36 @@ def test_operator_matches_closed_form(case, kind, r, q, s_exp, draws):
             Q.cylinder_mass(system, family, word, qq, t), rel=1e-12)
 
 
-def _record_t(monkeypatch) -> list:
-    """Every t at which the root solves evaluate P, in order."""
-    make = qdim.pressure._pressure_callable
-    ts = []
+def _record_t(monkeypatch) -> tuple[list, list]:
+    """Every t at which P is evaluated, in order: closed forms and dense
+    eigenvalue solves in the first list, eigenpair Newton steps in both."""
+    ts, newton_ts = [], []
+    closed = qdim.pressure._single_symbol_logsum
+    dense = qdim.pressure._operator_pressure
+    step = qdim.pressure._operator_step
 
-    def recording(*args):
-        P = make(*args)
+    def closed_rec(system, family, q, t, M):
+        ts.append(t)
+        return closed(system, family, q, t, M)
 
-        def wrapped(q, t):
-            ts.append(t)
-            return P(q, t)
-        return wrapped
+    def dense_rec(parts, q, t):
+        ts.append(t)
+        return dense(parts, q, t)
 
-    monkeypatch.setattr(qdim.pressure, "_pressure_callable", recording)
-    return ts
+    def step_rec(major, q, t, dq, dt, h):
+        ts.append(t)
+        newton_ts.append(t)
+        return step(major, q, t, dq, dt, h)
+
+    monkeypatch.setattr(qdim.pressure, "_single_symbol_logsum", closed_rec)
+    monkeypatch.setattr(qdim.pressure, "_operator_pressure", dense_rec)
+    monkeypatch.setattr(qdim.pressure, "_operator_step", step_rec)
+    return ts, newton_ts
 
 
 @pytest.mark.parametrize("name", ["e1", "gauss12", "e3", "geometric w=0.05"])
 def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
+    # the bracket walk and the regula falsi, with the Newton start disabled
     q = 0.4
     if name == "geometric w=0.05":
         # theta(-1) > 2, so P(-1, 2) = +inf: the first upper end becomes the lower one
@@ -312,7 +323,8 @@ def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
         q = -1.0
     else:
         system, family = request.getfixturevalue(name)
-    ts = _record_t(monkeypatch)
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    ts, _ = _record_t(monkeypatch)
     Q.beta_of_q(system, family, q)
     assert ts and len(ts) == len(set(ts))
 
@@ -321,17 +333,9 @@ def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
 def test_beta_bracket_stays_at_small_t(s_exp, monkeypatch):
     # 32-node collocation drifts at large t on Gauss {1,2} (P(0.3, 25) is off
     # by 3), so no root solve on q in [0, 1] may evaluate P out there, and no
-    # Newton iterate of the continued curve may build the operator there
+    # Newton iterate, cold or continued, may build the operator there
     system, family = Q.gauss_system((1, 2)), Q.derivative_family(s_exp)
-    ts = _record_t(monkeypatch)
-    slope = qdim.pressure._operator_slope
-    newton_ts = []
-
-    def recording(parts, q, t, dq, dt):
-        newton_ts.append(t)
-        return slope(parts, q, t, dq, dt)
-
-    monkeypatch.setattr(qdim.pressure, "_operator_slope", recording)
+    ts, newton_ts = _record_t(monkeypatch)
     curve = Q.temperature_curve(system, family)
     assert ts and max(ts) <= 4.0
     assert len(newton_ts) >= len(curve.qs) - 1 and max(newton_ts) <= 4.0
@@ -388,6 +392,27 @@ def test_single_map_truncation_degenerates(e3):
     system, family = e3
     with pytest.raises(DegenerateSystemError):
         Q.solve_quantization_dim(system, family, 2.0, truncation=1)
+
+
+@pytest.mark.parametrize("rounding", [None, 1e-16])
+def test_single_map_operator_truncation_degenerates(gauss_full, rounding, monkeypatch):
+    # Gauss with M = 1 on the collocated operator: g(0) = P(0, 0) = 0, and the
+    # cold Newton root is q = 0 up to rounding.  Were it to round positive,
+    # it would pass the certificate, so the degeneracy probe comes first
+    system, family = gauss_full
+    if rounding is not None:
+        newton = qdim.pressure._eigen_newton
+
+        def rounded(*args):
+            root = newton(*args)
+            return root if root is None or abs(root.u) > 1e-12 else root._replace(u=rounding)
+
+        monkeypatch.setattr(qdim.pressure, "_eigen_newton", rounded)
+    with pytest.raises(DegenerateSystemError):
+        Q.solve_quantization_dim(system, family, 2.0, truncation=1)
+    sweep = Q.truncation_sweep(system, family, 2.0, [1, 2])
+    assert sweep.entries[0].degenerate and sweep.entries[0].kappa == 0.0
+    assert not sweep.entries[1].degenerate and sweep.entries[1].kappa > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +490,16 @@ def test_continued_curve_matches_pointwise_beta(name, monkeypatch):
     # nonlinear cases need several steps per point
     system, family, M = _continuation_cases()[name]
     cold = []
-    beta = qdim.pressure.beta_of_q
+    solve = qdim.pressure.solve_beta
 
     def counting(*args):
         cold.append(args[2])
-        return beta(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(qdim.pressure, "beta_of_q", counting)
+    monkeypatch.setattr(qdim.pressure, "solve_beta", counting)
     curve = Q.temperature_curve(system, family, truncation=M)
     assert cold == [0.0]
-    pointwise = [beta(system, family, q, M) for q in curve.qs]
+    pointwise = [solve(system, family, q, M).beta for q in curve.qs]
     assert np.max(np.abs(np.array(curve.betas) - pointwise)) <= 1e-14
 
 
@@ -493,22 +518,26 @@ def test_failed_newton_falls_back_to_the_same_curve(gauss12, monkeypatch):
 
 def test_fixed_point_outside_its_cell_is_solved_cold(gauss12, monkeypatch):
     # a Newton root along t = r q that leaves the sign-change cell is dropped
+    # (the cold fixed-point solve starts at q = 0, the continued one inside a cell)
     system, family = gauss12
+    cold = Q.solve_quantization_dim(system, family, 2.0).q_r
     newton = qdim.pressure._eigen_newton
 
-    def shifted(parts, q, t, dq, dt, h):
-        root = newton(parts, q, t, dq, dt, h)
-        return root if dq == 0.0 or root is None else (root[0] + 0.1, root[1])
+    def shifted(system, family, truncation, q, t, dq, dt, h, *cap):
+        root = newton(system, family, truncation, q, t, dq, dt, h, *cap)
+        return (root if dq == 0.0 or q == 0.0 or root is None
+                else root._replace(u=root.u + 0.1))
 
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", shifted)
     data = Q.legendre_and_figure_data(system, family, 2.0)
-    assert data.q_r == Q.solve_quantization_dim(system, family, 2.0).q_r
+    assert data.q_r == Q.solve_quantization_dim(system, family, 2.0).q_r == cold
 
 
 def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
     # the second real eigenvalue of Gauss {1,2} at q = 0.4 is 1 near t = -1.85;
-    # started there from its eigenvector, Newton reaches that eigenpair, whose
-    # h changes sign and whose leading eigenvalue gives P = 3.1: no certificate
+    # started there from its eigenvector, which changes sign, Newton gives up
+    # at its first step (that eigenpair's leading eigenvalue gives P = 3.1, so
+    # it would fail the certificate too)
     system, family = gauss12
     parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
     q, t = 0.4, -1.85
@@ -517,11 +546,62 @@ def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
     real = np.flatnonzero(ev.imag == 0.0)
     second = real[np.argsort(ev.real[real])[-2]]
     assert abs(ev.real[second] - 1.0) < 0.05
-    assert qdim.pressure._eigen_newton(parts, q, t, 0.0, 1.0, V[:, second].real) is None
+    newton = qdim.pressure._eigen_newton
+    assert newton(system, family, None, q, t, 0.0, 1.0, V[:, second].real) is None
     # a positive start near beta(q) converges to it instead
     beta = Q.beta_of_q(system, family, q)
-    u, h = qdim.pressure._eigen_newton(parts, q, beta + 0.05, 0.0, 1.0, np.ones(F.shape[1]))
-    assert abs(beta + 0.05 + u - beta) <= 1e-14 and np.all(h > 0.0)
+    root = newton(system, family, None, q, beta + 0.05, 0.0, 1.0, np.ones(F.shape[1]))
+    assert abs(beta + 0.05 + root.u - beta) <= 1e-14 and np.all(root.h > 0.0)
+
+
+def _cold_cases():
+    cases = dict(_continuation_cases())
+    cases["gauss15-dim"] = (Q.gauss_system((1, 2, 3, 4, 5)),
+                            Q.derivative_family(0.836829443681208), None)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_cold_cases()))
+def test_cold_newton_matches_the_regula_falsi(name, monkeypatch):
+    # every cold root first tries eigenpair Newton from h = 1; with Newton
+    # disabled, the bracket walk and the regula falsi give the same roots
+    system, family, M = _cold_cases()[name]
+    rs = (0.5, 2.0, 3.0) if name != "gauss12-sin" else (2.0, 3.0)  # beta(1) > 0 there
+    betas = {q: Q.solve_beta(system, family, q, M) for q in (-1.0, 0.0, 0.3, 2.0)}
+    fixed = {r: Q.solve_quantization_dim(system, family, r, M) for r in rs}
+    assert betas[0.0].solver == "newton" and np.all(betas[0.0].h > 0.0)
+    assert all(sol.solver == "newton" and len(sol.trace) >= 2 for sol in fixed.values())
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    for q, sol in betas.items():
+        fallback = Q.solve_beta(system, family, q, M)
+        assert fallback.solver == "regula_falsi" and fallback.h is None
+        assert abs(sol.beta - fallback.beta) <= 1e-14
+    for r, sol in fixed.items():
+        fallback = Q.solve_quantization_dim(system, family, r, M)
+        assert fallback.solver == "regula_falsi"
+        assert abs(sol.kappa_r - fallback.kappa_r) <= 1e-14 * fallback.kappa_r
+
+
+@pytest.mark.parametrize("q", [-1.0, 2.0])
+def test_failed_cold_start_gives_the_regula_falsi_root(q, monkeypatch):
+    # Gauss M = 5 at s = 1: from h = 1 at t = 0, Newton leaves h > 0 at once
+    system, family = Q.gauss_system(None), Q.derivative_family(1.0)
+    sol = Q.solve_beta(system, family, q, 5)
+    assert sol.solver == "regula_falsi" and sol.h is None
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    assert sol == Q.solve_beta(system, family, q, 5)
+
+
+@pytest.mark.parametrize("r", [1e4, 1e6, 1e7])
+def test_qdim_e2_at_large_order(e2, r):
+    # q_r ~ 6e-7 at r = 1e6 lies below 1e-6, and r (1 - 1e-6) is far past beta
+    system, family = e2
+    q_oracle = brentq(lambda q: math.log(0.7 ** q + 0.3 ** q) - r * q * math.log(3),
+                      0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+    sol = Q.solve_quantization_dim(system, family, r)
+    assert sol.solver == "closed_form"
+    assert sol.q_r == pytest.approx(q_oracle, rel=1e-12)
+    assert sol.kappa_r == pytest.approx(r * q_oracle / (1.0 - q_oracle), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", list(_continuation_cases()))
