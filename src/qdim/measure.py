@@ -224,12 +224,18 @@ def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, shape: tuple[int, i
     Draws the same uniforms u as ``choice`` and returns
     ``searchsorted(cdf, u, side="right")``: as a uint8 count of the cdf
     entries <= u, over only the entries that some u reaches, when there
-    are at most _REACH of them, and by the binary search otherwise.
+    are at most _REACH of them, and by the binary search otherwise.  Every
+    u is below cdf[-1] = 1, so at most the first M - 1 entries are reached,
+    and a short cdf is counted whole without looking for the largest u.
     """
     u = rng.random(shape)
-    reach = int(np.searchsorted(cdf, u.max(), side="right"))
+    reach = cdf.size - 1
     if reach > _REACH:
-        return np.searchsorted(cdf, u, side="right")
+        reach = int(np.searchsorted(cdf, u.max(), side="right"))
+        if reach > _REACH:
+            return np.searchsorted(cdf, u, side="right")
+    if reach == 1:
+        return np.greater_equal(u, cdf[0]).view(np.uint8)
     idx = np.zeros(shape, np.uint8)
     for c in cdf[:reach]:
         idx += u >= c
@@ -242,20 +248,35 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
 
     Chunks of _CHUNK words come from (seed, chunk) streams, and the draws
     are bit-identical to ``rng.choice(M, size=(n, depth), p=probs)``
-    (``_draw_symbols``).  Each step maps the whole chunk by one
-    ``_map_step`` call.
+    (``_draw_symbols``).  The last k symbols of a word take the midpoint to
+    one of M^k points, tabulated once by the same ``_map_step`` calls, for
+    the largest k <= depth with M^k <= min(count, _CHUNK): a word looks up
+    its suffix by the base-M number of those symbols, and each of the
+    other depth - k steps maps the whole chunk by one ``_map_step`` call.
+    Every point is the one that stepping the whole word gives, bit for bit.
     """
     probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
     cdf = _symbol_cdf(probs / probs.sum())
     step = _map_step(system, M)
+    k, cap = 0, min(count, _CHUNK)
+    while k < depth and M ** (k + 1) <= cap:
+        k += 1
+    # suffix[c] = phi_{a_1} o ... o phi_{a_k}(midpoint) for c = sum a_j M^(k-j), 0-based a_j
+    suffix = np.array([system.midpoint])
+    for _ in range(k):
+        suffix = step(np.repeat(np.arange(M), suffix.size), np.tile(suffix, M))
     out = np.empty(count)
     for chunk_idx, start in enumerate(range(0, count, _CHUNK)):
         n = min(_CHUNK, count - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
-        # steps[k] holds the k-th symbol of every word, contiguous
+        # steps[j] holds the j-th symbol of every word, contiguous
         steps = _draw_symbols(rng, cdf, (n, depth)).T.copy()
-        x = np.full(n, system.midpoint)
-        for idx in steps[::-1]:
+        code = np.zeros(n, np.int32)  # codes stay below M^k <= _CHUNK
+        for idx in steps[depth - k:]:
+            code *= M
+            code += idx
+        x = suffix.take(code)
+        for idx in steps[:depth - k][::-1]:
             x = step(idx, x)
         out[start:start + n] = x
     return out

@@ -85,7 +85,6 @@ class QdimSolution:
     truncation: int | None
     trace: tuple[tuple[float, float], ...]  # one (q, residual) per dense solve
     solver: str                     # "newton", "regula_falsi" or "closed_form"
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)

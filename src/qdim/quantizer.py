@@ -83,6 +83,15 @@ def _nearest_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     return np.abs(pts - code[idx]) ** r
 
 
+def _power_in_place(d: np.ndarray, r: float) -> np.ndarray:
+    """|d|^r in d's own buffer; at r = 2 the square, which is what |d| ** 2 computes."""
+    if r == 2.0:
+        return np.square(d, out=d)
+    np.abs(d, out=d)
+    d **= r
+    return d
+
+
 def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     """``_nearest_errors`` for a sorted sample, from one search per code point.
 
@@ -91,8 +100,9 @@ def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     distances as the per-point search.
     """
     ends = np.searchsorted(pts, 0.5 * (code[1:] + code[:-1]), side="right")
-    counts = np.diff(ends, prepend=0, append=pts.size)
-    return np.abs(pts - np.repeat(code, counts)) ** r
+    err = np.repeat(code, np.diff(ends, prepend=0, append=pts.size))
+    np.subtract(pts, err, out=err)
+    return _power_in_place(err, r)
 
 
 def quant_error(sample: SampleSet, codebook: Codebook | np.ndarray, r: float) -> float:
@@ -313,19 +323,25 @@ def _cell_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> n
     return _golden_centers(pts, edges, r, tol)
 
 
-def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
-    """Relocate empty-cell centers onto the farthest sample point (deterministic)."""
+def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Relocate empty-cell centers onto the farthest sample point (deterministic).
+
+    Returns the code and its cell edges (``_cell_edges``).
+    """
     for _ in range(code.size):
         edges = _cell_edges(pts, code)
-        counts = np.diff(edges)
-        empty = np.flatnonzero(counts == 0)
+        empty = np.flatnonzero(np.diff(edges) == 0)
         if empty.size == 0:
-            return code
+            return code, edges
         errs = _sorted_errors(pts, code, r)
         code = code.copy()
         code[empty[0]] = pts[int(np.argmax(errs))]
         code = np.sort(code)
-    return code
+    return code, _cell_edges(pts, code)
+
+
+_RANKS = np.arange(1.0, 2.0)  # 1.0, 2.0, ...; grown to the longest split cell so far
 
 
 def _best_split(seg: np.ndarray) -> int:
@@ -337,16 +353,31 @@ def _best_split(seg: np.ndarray) -> int:
     first k values and t the sum of all, so the split maximizes
     (s_k L - k t)^2 / (k (L - k)) (Otsu, IEEE SMC 1979).  One prefix sum
     of seg - seg[0] gives every term, with no s2 - s1^2/k cancellation;
-    splits between equal values are excluded.
+    splits between equal values are excluded.  The score is built in the
+    prefix sum's buffer.  Scores are >= 0, so the first maximum is also
+    the first maximum away from equal values unless it lies between two;
+    only then are the splits between equal values masked out.
     """
-    y = seg - seg[0]
-    L = y.size
-    s = np.cumsum(y)
-    k = np.arange(1, L, dtype=float)
-    d = s[:-1] * L - k * s[-1]
-    score = d * d / (k * (L - k))
-    score[y[1:] == y[:-1]] = -1.0
-    return 1 + int(np.argmax(score))
+    global _RANKS
+    L = seg.size
+    if _RANKS.size < L - 1:
+        _RANKS = np.arange(1.0, float(L))
+    k = _RANKS[:L - 1]
+    low = seg[0]
+    s = seg - low
+    np.cumsum(s, out=s)
+    score = s[:-1]
+    score *= L
+    tmp = np.multiply(k, s[-1])
+    score -= tmp                               # d = s_k L - k t
+    np.square(score, out=score)
+    score /= np.multiply(k, k[::-1], out=tmp)  # k (L - k), exact integers
+    best = int(np.argmax(score))
+    if seg[best] - low == seg[best + 1] - low:  # a split between equal values of seg - low
+        y = seg - low
+        np.copyto(score, -1.0, where=y[1:] == y[:-1])
+        best = int(np.argmax(score))
+    return 1 + best
 
 
 class _SplitOrder:
@@ -363,22 +394,20 @@ class _SplitOrder:
     def __init__(self, size: int):
         self.heap = [(0.0, 0, size)]  # (-order-r cost, start, stop)
         self.starts = [0]
+        self.buf = np.empty(size)     # per-point costs of the cell being split
 
     def edges(self, pts: np.ndarray, n: int, r: float) -> np.ndarray:
         """Edges of the first n greedy cells; n must be below the distinct count."""
-        buf = np.empty(pts.size)
         while len(self.starts) < n:
             _, a, b = heapq.heappop(self.heap)
             seg = pts[a:b]
             split = _best_split(seg)
             halves = np.array([0, split])
             means = np.add.reduceat(seg, halves) / np.array([split, b - a - split])
-            cost = buf[:b - a]
+            cost = self.buf[:b - a]
             np.subtract(seg[:split], means[0], out=cost[:split])
             np.subtract(seg[split:], means[1], out=cost[split:])
-            np.abs(cost, out=cost)
-            cost **= r
-            costs = np.add.reduceat(cost, halves)
+            costs = np.add.reduceat(_power_in_place(cost, r), halves)
             for lo, hi, c in ((0, split, costs[0]), (split, b - a, costs[1])):
                 key = -c if seg[lo] < seg[hi - 1] else math.inf
                 heapq.heappush(self.heap, (key, a + lo, a + hi))
@@ -386,8 +415,17 @@ class _SplitOrder:
         return np.array(sorted(self.starts[:n]) + [pts.size])
 
 
-# sample -> {r: _SplitOrder}; an entry goes when its sample does
+# sample -> (distinct value count, {r: _SplitOrder}); an entry goes when its sample does
 _SPLIT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _split_orders(sample: SampleSet) -> tuple[int, dict]:
+    """The sample's distinct value count and its split sequences by order r."""
+    entry = _SPLIT_ORDERS.get(sample)
+    if entry is None:
+        pts = sample.points
+        entry = _SPLIT_ORDERS[sample] = (1 + int(np.count_nonzero(pts[1:] != pts[:-1])), {})
+    return entry
 
 
 def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: float,
@@ -403,8 +441,7 @@ def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: floa
     code = centers
     it = 0
     for it in range(1, max_iter + 1):
-        code = _fix_empty_cells(pts, code, r)
-        new_edges = _cell_edges(pts, code)
+        code, new_edges = _fix_empty_cells(pts, code, r)
         if not np.array_equal(new_edges, edges):
             edges = new_edges
             centers = _cell_centers(pts, edges, r, center_tol)
@@ -436,14 +473,16 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     pts = sample.points
-    rises = pts[1:] != pts[:-1]
-    if n > np.count_nonzero(rises):  # n >= the number of distinct values
-        code = Codebook(pts[np.concatenate(([True], rises))], n)
+    distinct, orders = _split_orders(sample)
+    if n >= distinct:
+        code = Codebook(pts[np.concatenate(([True], pts[1:] != pts[:-1]))], n)
         return QuantizationRun(n=n, r=r, V_hat=0.0, e_hat=0.0, codebook=code,
                                iterations=0, restarts=0, converged=True)
     span = float(pts[-1] - pts[0]) or 1.0
     center_tol = 1e-10 * span
-    order = _SPLIT_ORDERS.setdefault(sample, {}).setdefault(r, _SplitOrder(pts.size))
+    order = orders.get(r)
+    if order is None:
+        order = orders[r] = _SplitOrder(pts.size)
     edges = order.edges(pts, n, r)
     centers = _cell_centers(pts, edges, r, center_tol)
     code, v, iters, converged, trace = _lloyd_once(pts, edges, centers, r, max_iter,

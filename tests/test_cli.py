@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -235,6 +236,24 @@ def test_verify_deterministic_and_exit_codes(e1_spec, tmp_path, capsys):
     # an absurd tolerance forces the verification exit code
     capsys.readouterr()
     assert main(base + ["--tol", "1e-9"]) == 3
+
+
+E2_DOC = E1_DOC.replace("[0.5, 0.5]", "[0.7, 0.3]")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (7, "5afcf2fe66dd5cf0217e80f5846fbe4e39a92171ae735a1c072e7acf0cdfcf8f"),
+    (8, "b751ea7e4d87232ec818ce48a795fc9924bdd54ee12c5b5c102c7043fd11b204"),
+])
+def test_verify_reports_pinned(seed, digest, tmp_path, monkeypatch):
+    # the whole e2 verify report at r = 2, byte for byte: the sample stream,
+    # the greedy split start, the Lloyd codebooks and the regression.  The
+    # report records the spec's path, so the spec sits in the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("e2.json").write_text(E2_DOC)
+    assert main(["verify", "--system", "e2.json", "--r", "2", "--samples", "20000",
+                 "--n-list", "4,8,16,32,64", "--seed", str(seed), "--out", "v.json"]) == 0
+    assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
 
 
 def test_quantize_command(e1_spec, tmp_path, capsys):

@@ -317,6 +317,42 @@ def test_sample_streams_pinned(name, count, kwargs, digest):
     assert hashlib.sha256(sample.points.tobytes()).hexdigest() == digest
 
 
+def _constant_words(system, family, count, depth, M, seed):
+    """i.i.d. words from choice, mapped column by column, last symbol first."""
+    probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
+    step = qdim.measure._map_step(system, M)
+    chunk = qdim.measure._CHUNK
+    out = []
+    for chunk_idx, start in enumerate(range(0, count, chunk)):
+        n = min(chunk, count - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
+        words = rng.choice(M, size=(n, depth), p=probs / probs.sum())
+        x = np.full(n, system.midpoint)
+        for j in reversed(range(depth)):
+            x = step(words[:, j], x)
+        out.append(x)
+    return np.concatenate(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("e2", None), ("reversed", None), ("e3", 700), ("gauss-constant", None)]),
+       st.integers(1, 30), st.sampled_from(["one", "below", "full", "chunks"]),
+       st.integers(0, 2**32 - 1))
+def test_constant_sampler_matches_the_stepped_words(system_m, depth, size, seed):
+    # the suffix table holds the last k symbols' points for the largest k with
+    # M^k <= min(count, _CHUNK) and k <= depth; with K that k for a full chunk,
+    # M^K - 1 points take a table one symbol shorter, M^K the full one, and
+    # more than a chunk takes it into a second, partial chunk
+    name, truncation = system_m
+    system, family = _STREAM_SYSTEMS[name]
+    M = system.truncated_size(truncation)
+    K = int(math.log(qdim.measure._CHUNK) / math.log(M) + 1e-9)
+    count = {"one": 1, "below": M ** K - 1, "full": M ** K,
+             "chunks": qdim.measure._CHUNK + 1 + seed % 1000}[size]
+    got = qdim.measure._sample_constant(system, family, count, depth, M, seed)
+    assert np.array_equal(got, _constant_words(system, family, count, depth, M, seed))
+
+
 def _chain_table(M, rng):
     probs = rng.random((qdim.pressure._NODES, M))
     return np.column_stack([probs / probs.sum(axis=1, keepdims=True),

@@ -303,6 +303,25 @@ def test_best_split_is_least_sse(values):
         assert k == min(sse, key=sse.get)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_SEGMENTS, st.lists(st.sampled_from([-1.0, 1.0, 1.0 + 2.0 ** -52]),
+                                     min_size=2, max_size=40)))
+def test_best_split_equals_the_masked_score(values):
+    # every score formed, then the splits between equal values of seg - seg[0]
+    # masked: the same index.  With seg[0] = -1, 1 and 1 + 2^-52 differ but
+    # round to the same seg - seg[0]
+    seg = np.sort(np.array(values))
+    assume(seg[0] < seg[-1])
+    y = seg - seg[0]
+    L = y.size
+    s = np.cumsum(y)
+    k = np.arange(1, L, dtype=float)
+    d = s[:-1] * L - k * s[-1]
+    score = d * d / (k * (L - k))
+    score[y[1:] == y[:-1]] = -1.0
+    assert qdim.quantizer._best_split(seg) == 1 + int(np.argmax(score))
+
+
 def test_split_cache_lets_go_of_the_sample(e1_sample):
     sample = _fresh(e1_sample)
     alive = weakref.ref(sample)
