@@ -256,6 +256,131 @@ def test_verify_reports_pinned(seed, digest, tmp_path, monkeypatch):
     assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
 
 
+_THEORY_COMMANDS = (
+    ["dimh"], ["beta", "--q", "-1"], ["beta", "--q", "0.3"], ["beta", "--q", "2"],
+    ["qdim", "--r", "0.5"], ["qdim", "--r", "2"], ["qdim", "--r", "1e4"],
+    ["figure1", "--r", "2", "--out", "out.csv"], ["beta", "--out", "out.csv"],
+)
+
+_THEORY_SYSTEMS = {
+    "e2": (E2_DOC, []),
+    "e3": (E3_DOC, []),
+    "gauss12-dim": (GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'), []),
+    "gauss12-0.6": (GAUSS_DOC, []),
+    "gauss15-0.8": (GAUSS_DOC.replace("[1, 2]", "[1, 2, 3, 4, 5]").replace('"s": 0.6', '"s": 0.8'),
+                    []),
+    # from h = 1 at t = 0, the cold Newton start fails at q = 2 here
+    "gauss-full-1-m5": (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.0'), ["--m", "5"]),
+    "gauss-full-1.5-m40": (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.5'), ["--m", "40"]),
+}
+
+
+def _theory_digests(doc: str, m: list, capsys) -> list[str]:
+    """sha256 of stdout plus any --out file, one per ``_THEORY_COMMANDS``
+    entry.  Reports record the spec's path, so the spec sits in the working
+    directory."""
+    Path("spec.json").write_text(doc)
+    digests = []
+    for args in _THEORY_COMMANDS:
+        assert main(args[:1] + ["--system", "spec.json", *m, *args[1:]]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode())
+        out = Path("out.csv")
+        if out.exists():
+            digest.update(out.read_bytes())
+            out.unlink()
+        digests.append(digest.hexdigest())
+    return digests
+
+
+@pytest.mark.parametrize("name, digests", [
+    ("e2", (
+        "ee65c36915e6db932e134119258a75abdc1a8b4b2aab1b94dd71d002f48cd6be",
+        "15968aade7a25ffc894ced253cdcb447d2ced07fc1d265cdaa64bdbc1517b6e2",
+        "a8dc326f5df36c1ac71fb0ffdecaf640161cf6f0b837483fb2b4f8bc936a53e5",
+        "bcc7a8fe59a0d9c0d5662ae2b6501db93f0c403eaf49f9491df51edd831b5cf1",
+        "3c439d0f16119ee60d03d8b5633acd5cc4f6a751e8654fbcdaea6a874d324071",
+        "28e75c4fd3a31d16211c3c13b2f87b6d0fa936f07c0acb7d17d6f3d7f7d4bd4f",
+        "55ba53d7eaa57f8fcaef5ace14e2c1225c261e991df6cf8b3e78d38c4075ee43",
+        "349d75fbe24e096c64edfcbe853e23bad919511939dc37eddb91b880b45360a8",
+        "53bb6b66a2c4e5f4d3b5779edf5b872c1b8b21e48d8266960abd816b13bfd39d",
+    )),
+    ("e3", (
+        "2acfaa506711d6aefb42758bc4156523089fb775627b17019ce7c9596fae0ced",
+        "f3ccfbc78d6f4a28844b76f4bf211aa97d76bf3d69d01edff53295205479c547",
+        "63d20f474ef651fb12397aa6a248d16bd358b013df18c44cb650a379625ad5c3",
+        "61b49a50993c17af8442c65ad2caa7d29997979994e3c2a5759359ff9093a6b0",
+        "4b91c5197626004dbe56dc9eaf10d25113b099f61b414455688b74665c026d9b",
+        "445faaa41e40cd3f49409542e56f7c70f225882e47e4768b8879d1c9149ddf04",
+        "ee04ff7b3ebba9da2310adaf09cadb5715a25b090838adfdb7c585b09b9444c1",
+        "ba014d85a54be08d696939854beed196edd9aaf0aae9d5335cbf48244d46f0e6",
+        "43d0192891310143c17273eeebde32f0543d8276eef36ebc88f89547848d8784",
+    )),
+    ("gauss12-dim", (
+        "764c12a7ed01c1ca03bd676aaac11961aaad04fbad8a160b14e68f3b268917c9",
+        "6b1373265b288523e29feb7a12ede4e64de65dcceb29802f8096522deb01b905",
+        "8b7749861ed34cdf34aa82574f48fc7f1be30774177c602dcf8dced34c2b77dc",
+        "18ee3d588612362dcb4efffacb42587ce6d324abe248ba08936dd738d3ae7644",
+        "268452b95a1a9db2dffadcf8fbb8e1181d6cbdb3f64401bdcb5cf20cc4da2d08",
+        "3cf55dd4dd250cbe3460793a6e156c7b549a132e56e56b73317410b600346643",
+        "1e904200c80112de91520be6abae2f308d49dfca625640e1d02954a0606f4321",
+        "5aff163020e73105d4c224424f34d95022afb1c116ee3cccd87155caf3af57b2",
+        "9cc7becc56687eb2c54a10f5de5b00b70f560c837b838cd2bfc35f9d68961544",
+    )),
+    ("gauss12-0.6", (
+        "3b2468317bef2b70616c4b6eb53fdfca079a7684e6d3a3f32206d645ba6fb9e3",
+        "9ed582c9944ed7c092ef5cd55cc8eb3450c79eebb337af56d32eb55ee6ba0eb0",
+        "1ad59d1ed40e7e64cc187a5a04b3d57288978924688b949d373c8266ec7fa3bb",
+        "d006557197b990dba24660bf83d60570198922bcee1f40b798588a4ee8bc2e5c",
+        "8c5057952fc04347c172f0fed416b6ab8fb717af80bcb27e41c259ea8e85fbb9",
+        "1ddfc9ad7a577560aac6513791ee7459b8e5744cad6bd9c2acb9c43a3494a813",
+        "31916af00a20bdd2ae50dfd36bce66f20e3086d92b97046aad2e2392fb1bc3c9",
+        "2501524ccf7cd0097c3866ed02e99f672c8b18f5fc15fdb64be77228fc625e05",
+        "81adaa910865a3b0765fcdf258f78e54f7c40ac84a601060a745ee5bfd152cca",
+    )),
+    ("gauss15-0.8", (
+        "b918529f0f907ba77718741edc31d5826cca53b6bf123b616f9dada1683e1c42",
+        "19106a2e054b6ea86d57166afa339452c6f77eaf150d7a54e488e4226b00d449",
+        "35c188064e85af256528e5c691df4b29312a8508ff547fa9fe70ee2da23ef707",
+        "be29ac520899f268c6e2889e1c4eda5ed686b2b67ab69b88756a1c35ced0845e",
+        "3cf6de9f74b2aab8263f823b417b9dab3f05dcb411c8fbdbfd529b6f872f12a1",
+        "dca99198ef50f631a6ee4d2d9f0732e6708cf7a5e74bd6b552ad7df633f22633",
+        "5e1489e159dc2090bd0af22dc0d8dbb5e1c9bed94cce279341e6a9b3ea598b18",
+        "c781312f76f01dcf478ee591d6348e825ad15155b8dbda3030094dcf1429f67a",
+        "6202b1f88aa0a3657d326eef21ab70d83d9502d73dbf30f5e046720cd90f8e07",
+    )),
+    ("gauss-full-1-m5", (
+        "c0a0c0ab8f4e68135dc797911a5c0f0f771632e5b09beee3a1da5fcc8cadce4d",
+        "523b87fa7e5f9990298bff081940ad606ff8f384f49b1d17ccf8abdda460f2c5",
+        "b2492c620ff0a47548b4044e8c39b2a12d8e9427f6ec31575b66bc96c7bc148a",
+        "bdacb206bf526096558a6fc0c0322ab1524168be3a6f4abaf4d3b05dd909ee1b",
+        "e9241488185e52a5bc4892af88b40d81a387e26756d586db1ec9989c0c54d8d6",
+        "22436b4afd559983bc4ecc7d1124b658c75a7909c1d3df9b64c3088ae3fff26f",
+        "aaace54def3c19e70484d8e28caad09db87d2b9fda00998fdabfa00e2bc7fbd2",
+        "747776ccd4d43aeeb97a31acfebf8aa417a66a7ec551fa61b4fd0301c819eb38",
+        "562ad33ebbfa202c281180037175d63e04b73b598032bd877d7501c0676b59e4",
+    )),
+    ("gauss-full-1.5-m40", (
+        "32ab00cda2a568c202372380601f51bb22e1f3cf26eb0eb27c1283955817fb59",
+        "ffb5e5c135acfa1b48abce8b164daeb2ace56056ea96a4a9c7f2df21196be0a3",
+        "572439bc431b201af4174a39c42e4d752105db3d94b3d1a715956719b31ad643",
+        "bb66692d5106d121984e660f0f76b5f74fea32acb8cc67da9a31d0e836480ec1",
+        "2100a75f5ae30ded22849608bc8c4fd74846c0b2c82208a506cf6228f1931d02",
+        "0b7899fcfbd4b9556f4179d034204a5176f619e20ffca3257fd25d7fe7466100",
+        "1c5d5a4918aef1d4dc262a1e2db8494e2fb2d71d76e7fe000418147abde08c97",
+        "3c06ad36daf8a60c99f8f7b3dd7f2a7a546752970d5974eaa85b439b546f1591",
+        "eb56ded1685ce4353fb8278acd261c2032a0d474c1782cc113d8836417e61974",
+    )),
+])
+def test_theory_outputs_pinned(name, digests, tmp_path, monkeypatch, capsys):
+    # every theory command's report and artifact, byte for byte: dimh, beta
+    # at q = -1, 0.3 and 2, qdim at r = 0.5, 2 and 1e4, figure1 at r = 2 and
+    # the beta grid CSV, on closed forms, finite Gauss systems and
+    # truncations of the full Gauss system
+    monkeypatch.chdir(tmp_path)
+    doc, m = _THEORY_SYSTEMS[name]
+    assert _theory_digests(doc, m, capsys) == list(digests)
+
+
 def test_quantize_command(e1_spec, tmp_path, capsys):
     out = tmp_path / "quant.csv"
     assert main(["quantize", "--system", e1_spec, "--r", "2", "--n-list", "2,4,8",
