@@ -18,19 +18,19 @@ The temperature function beta(q) is the unique zero of t -> P(q, t)
 solves beta(q_r) = r * q_r and equals kappa_r = r * q_r / (1 - q_r).
 Since P decreases in t, q_r is also the single root of
 g(q) = P(q, r * q), which is found directly, without computing beta.
-On the collocated operator every root is first a Newton solve on the
-operator's eigenpair (h, t) with e^P = 1, one small linear solve per
-step (``_eigen_newton``), kept only if h stays positive and the
-leading eigenvalue there certifies |P| <= 1e-9.  A cold root
-(``solve_beta``, ``solve_quantization_dim``) starts from h = 1; when
-it is not certified, and on closed forms, one safeguarded regula falsi
-solves it (``_root_decreasing``).  Along a q grid,
-``temperature_curve`` solves the first point cold and continues from
-it: a secant predictor and the last h start Newton, and a point it
-does not certify is solved cold.  ``legendre_and_figure_data``
-continues the same way along the line t = r q from the grid cell where
-beta(q) - r q changes sign, and keeps that q_r only if it lies in the
-cell.
+Every root lies on a line u -> (q + u dq, t + u dt) along which P
+decreases: beta(q) on (q, 0) + u (0, 1), q_r on (0, 0) + u (1, r).  One
+loop finds them all (``_line_root``).  On the collocated operator it
+first runs a Newton solve on the operator's eigenpair (h, u) with
+e^P = 1, one small linear solve per step (``_eigen_newton``), from each
+of the caller's starts in turn, and keeps the first root where h stays
+positive, the leading eigenvalue certifies |P| <= 1e-9 and u lies in
+that start's window.  A cold start is h = 1 at u = 0.  Along a q grid,
+``temperature_curve`` puts the secant prediction and the last h ahead of
+it, and ``legendre_and_figure_data`` the chord root and h in the grid
+cell where beta(q) - r q changes sign, that cell as its window.  When no
+start is certified, and on closed forms, one bracket walk and a
+safeguarded regula falsi solve it (``_root_decreasing``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +49,7 @@ from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_valu
 
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
 _RESIDUAL = 1e-9          # largest |P| a root solve may return
-_NEWTON_STEPS = 6         # eigenpair Newton steps before a continued root falls back
-_COLD_STEPS = 16          # the same for a cold root, started from h = 1
+_NEWTON_STEPS = 16        # eigenpair Newton steps before a start is given up
 _NEWTON_TOL = 1e-12       # a last Newton step at most this (relative) size ends it
 
 
@@ -329,8 +328,8 @@ class _NewtonRoot(NamedTuple):
 
 
 def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | None,
-                  q: float, t: float, dq: float, dt: float, h: np.ndarray,
-                  max_steps: int = _NEWTON_STEPS) -> _NewtonRoot | None:
+                  q: float, t: float, dq: float, dt: float, h: np.ndarray
+                  ) -> _NewtonRoot | None:
     """The root u of P(q + u dq, t + u dt) = 0 with h > 0 its eigenvector, or None.
 
     Newton on the eigenpair of the unshifted collocated operator L = e^s A:
@@ -341,9 +340,10 @@ def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | 
     (``_operator_step``; the rows are L h = h scaled by e^{-s}).  It gives
     up as soon as a step leaves h > 0, and ends when a step moves u and h
     by at most ``_NEWTON_TOL``.  The root is kept only if that happens
-    within ``max_steps`` steps and the leading real eigenvalue there
-    (``_operator_pressure``) gives |P| <= ``_RESIDUAL``; any other
-    eigenvalue 1 that Newton might reach fails that test.
+    within ``_NEWTON_STEPS`` steps, one budget for every start, and the
+    leading real eigenvalue there (``_operator_pressure``) gives
+    |P| <= ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach
+    fails that test.
     """
     parts = _collocated_parts(system, family, truncation)
     major = _node_major(system, family, system.truncated_size(truncation))
@@ -356,7 +356,7 @@ def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | 
     u = 0.0
     trace = []
     with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
-        for _ in range(max_steps):
+        for _ in range(_NEWTON_STEPS):
             s, A, Bh = _operator_step(major, q + u * dq, t + u * dt, dq, dt, h)
             c = np.exp(-s)
             J[:n, :n] = A
@@ -523,57 +523,82 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
-               truncation: int | None = None) -> BetaSolution:
-    """The temperature function: the unique t with P(q, t) = 0, and how it was found.
+_ANYWHERE = (-math.inf, math.inf)
+_COLD_H = np.ones(_NODES)        # the eigenvector of a cold start
+_COLD_H.flags.writeable = False
 
-    On the collocated operator ``_eigen_newton`` runs first, from (q, 0)
-    along t with h = 1 and up to ``_COLD_STEPS`` steps; its certified root
-    is kept.  Otherwise, and on closed forms, one bracket rule serves every
-    system, by the sign of P alone (strictly decreasing in t, and +inf
-    below theta(q) on an untruncated infinite alphabet): walk down from
-    t = 0 while P <= 0, then double hi = max(2, lo + 1) while P >= 0,
-    each hi with P > 0 becoming lo, and ``_root_decreasing`` solves in
-    the bracket.  The returned t satisfies |P(q, t)| <= 1e-9.  Raises
-    BracketError when no sign change exists or the residual is above that
-    bound.  The trace holds every (t, P(q, t)) evaluation, or the Newton
-    root's trace.
+
+def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | None,
+               q: float, t: float, dq: float, dt: float,
+               starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], top: float
+               ) -> tuple[float, np.ndarray | None, tuple[tuple[float, float], ...], str]:
+    """(u, h, trace, solver) at the root of u -> P(q + u dq, t + u dt), decreasing in u.
+
+    The one root loop.  On the collocated operator ``_eigen_newton`` runs
+    from each start (u0, h0, (a, b)) in turn, at the point u0 with the
+    eigenvector h0, and the first certified root with a < u < b is kept
+    with its h.  Starts are drawn one at a time, on closed forms too
+    (where none runs), so a check a caller yields between two starts
+    always runs.  Otherwise, and on closed forms, the bracket walk decides
+    by the sign of P alone: from u = 0 it walks down by 1, 2, 4, ... while
+    P <= 0, to no lower than -top; the upper end starts at u = 2 / dt
+    (t = 2 on both lines, which start at t = 0; collocation on branches
+    with |phi'| = 1 at a point degrades at large t), capped at top, and
+    doubles toward top while P >= 0, each end with P > 0 (+inf too, below
+    a finiteness threshold) becoming the lower one.  ``_root_decreasing``
+    solves in the bracket, the root must give |P| <= ``_RESIDUAL``, and h
+    is None.  The trace holds every (u, P) of the walk and the regula
+    falsi, or the Newton root's.  Raises BracketError when P does not
+    change sign within [-top, top] or the residual is above its bound.
     """
-    P = _pressure_callable(system, family, truncation)
     closed = is_multiplicative(system, family)
-    if not closed:
-        root = _eigen_newton(system, family, truncation, q, 0.0, 0.0, 1.0, np.ones(_NODES),
-                             _COLD_STEPS)
-        if root is not None:
-            return BetaSolution(q, root.u, "newton", root.trace, root.h)
+    for u0, h0, (a, b) in starts:
+        root = None if closed else _eigen_newton(system, family, truncation, q + u0 * dq,
+                                                 t + u0 * dt, dq, dt, h0)
+        if root is not None and a < u0 + root.u < b:
+            return (u0 + root.u, root.h, tuple((u0 + u, v) for u, v in root.trace),
+                    "newton")
+    P = _pressure_callable(system, family, truncation)
     trace: list[tuple[float, float]] = []
 
-    def fn(t: float) -> float:
-        v = P(q, t)
-        trace.append((t, v))
+    def fn(u: float) -> float:
+        v = P(q + u * dq, t + u * dt)
+        trace.append((u, v))
         return v
 
     lo, step = 0.0, 1.0
     while (f_lo := fn(lo)) <= 0.0:
         lo -= step
         step *= 2.0
-        if lo < -1e4:
-            raise BracketError("no positive pressure found walking t downward")
-
-    # a short first bracket: collocation degrades at large t on branches
-    # with |phi'| = 1 at a point, so roots never evaluate far out there
-    hi = max(2.0, lo + 1.0)
+        if lo < -top:
+            raise BracketError(f"P stays <= 0 down to u = {-top:.6g} from ({q:.6g}, {t:.6g})")
+    hi = min(2.0 / dt, top)
     while (f_hi := fn(hi)) >= 0.0:
-        if f_hi > 0.0:  # +inf below a finiteness threshold too
+        if f_hi > 0.0:
             lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > 1e4:
-            raise BracketError("pressure does not become negative for large t")
-
-    t, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
+        if hi >= top:
+            raise BracketError(f"P stays >= 0 up to u = {top:.6g} from ({q:.6g}, {t:.6g})")
+        hi = min(2.0 * hi, top)
+    u, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
     if not abs(resid) <= _RESIDUAL:
-        raise BracketError(f"pressure residual {resid:.3g} at beta({q}) above tolerance")
-    return BetaSolution(q, t, "closed_form" if closed else "regula_falsi", tuple(trace))
+        raise BracketError(f"pressure residual {resid:.3g} at ({q + u * dq:.6g}, "
+                           f"{t + u * dt:.6g}) above tolerance")
+    return u, None, tuple(trace), "closed_form" if closed else "regula_falsi"
+
+
+def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
+               truncation: int | None = None) -> BetaSolution:
+    """The temperature function: the unique t with P(q, t) = 0, and how it was found.
+
+    ``_line_root`` along t from (q, 0), Newton from h = 1 there, and the
+    bracket walk between t = -1e4 and 1e4 (P is strictly decreasing in t,
+    and +inf below theta(q) on an untruncated infinite alphabet).  The
+    returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.  The
+    trace holds every (t, P(q, t)) evaluation, or the Newton root's trace.
+    """
+    u, h, trace, solver = _line_root(system, family, truncation, q, 0.0, 0.0, 1.0,
+                                     [(0.0, _COLD_H, _ANYWHERE)], 1e4)
+    return BetaSolution(q, u, solver, trace, h)
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
@@ -593,12 +618,11 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     """beta at each grid point, and the operator's eigenvector h at each root.
 
     Closed forms solve every point with ``beta_of_q`` (h is None).  On the
-    collocated operator only the first point is solved cold, by
-    ``solve_beta``, with h from its Newton root (from ``_operator_eigen``
-    when the regula falsi answered); each later point starts from the
-    secant through the last two roots (the last root after a single one)
-    and the last h, and ``_eigen_newton`` corrects along t.  A point it
-    does not certify is solved cold again, and restarts the walk.
+    collocated operator each point after the first puts a warm start
+    ahead of the cold one: the secant through the last two roots (the
+    last root after a single one) with the last h.  h comes from the
+    Newton root, or from ``_operator_eigen`` when the regula falsi
+    answered; without a positive h the next point starts cold only.
     """
     if is_multiplicative(system, family):
         return [beta_of_q(system, family, float(q), truncation) for q in qs], [None] * len(qs)
@@ -606,23 +630,18 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     hs: list = []
     h = None
     for k, q in enumerate(map(float, qs)):
-        root = None
+        starts = [(0.0, _COLD_H, _ANYWHERE)]
         if h is not None:
             t = betas[-1]
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
-            root = _eigen_newton(system, family, truncation, q, t, 0.0, 1.0, h)
-        if root is None:
-            cold = solve_beta(system, family, q, truncation)
-            t, h = cold.beta, cold.h
-            if h is None:
-                try:
-                    h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
-                except NumericalFailure:  # no positive h to start from: the next point is cold too
-                    pass
-        else:
-            t += root.u
-            h = root.h
+            starts.insert(0, (t, h, _ANYWHERE))
+        t, h, _, _ = _line_root(system, family, truncation, q, 0.0, 0.0, 1.0, starts, 1e4)
+        if h is None:
+            try:
+                h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
+            except NumericalFailure:  # no positive h to start from: the next point is cold
+                pass
         betas.append(t)
         hs.append(h)
     return betas, hs
@@ -642,6 +661,30 @@ def temperature_curve(system: IfsSystem, family: PotentialFamily,
     return TemperatureSample(tuple(map(float, qs)), tuple(map(float, betas)), defect)
 
 
+def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
+                            truncation: int | None, warm: Sequence = ()) -> QdimSolution:
+    """``solve_quantization_dim`` with the ``warm`` starts ahead of the
+    degeneracy check and the cold start."""
+    if r <= 0:
+        raise ValueError("the order r must be positive")
+
+    def starts():
+        yield from warm
+        p0 = _pressure_callable(system, family, truncation)(0.0, 1e-9)
+        if p0 <= 0.0:
+            raise DegenerateSystemError(
+                f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
+                "the (truncated) limit set carries no dimension"
+            )
+        yield 0.0, _COLD_H, (0.0, 1.0)
+
+    q_r, _, trace, solver = _line_root(system, family, truncation, 0.0, 0.0, 1.0, r,
+                                       starts(), 1.0 - 1e-6)
+    kappa = r * q_r / (1.0 - q_r)
+    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
+                        trace=trace, solver=solver)
+
+
 def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
                            truncation: int | None = None) -> QdimSolution:
     """Solve beta(q_r) = r * q_r and return (q_r, kappa_r, D_r).
@@ -649,60 +692,15 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
     where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
     g(0) > 0 when beta(0) > 0; its root is found directly.  First
-    P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  On the
-    collocated operator ``_eigen_newton`` runs next, from (0, 0) along
-    (1, r) with h = 1 and up to ``_COLD_STEPS`` steps, and a certified
-    root with 0 < q_r < 1 is kept.  Otherwise, and on closed forms, the
-    bracket starts at lo = 0 and at hi = min(2 / r, 1 - 1e-6), where
-    r hi <= 2 keeps the operator at small t, hi doubles toward 1 - 1e-6
-    while g(hi) >= 0, each hi with g > 0 becoming lo, and
-    ``_root_decreasing`` solves in it.  The trace holds every (q, g(q))
-    evaluation, or the Newton root's trace (that check is in neither).
+    P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  Then
+    ``_line_root`` along (1, r) from (0, 0): Newton from h = 1 there, kept
+    if 0 < q_r < 1, and the bracket walk from q = 0 with its first upper
+    end at min(2 / r, 1 - 1e-6), so that r q <= 2 keeps the operator at
+    small t, doubling toward 1 - 1e-6.  The trace holds every (q, g(q))
+    evaluation, or the Newton root's trace (the check is in neither).
     kappa_r = r q_r/(1-q_r) and D_r = kappa_r = beta(q_r)/(1-q_r).
     """
-    if r <= 0:
-        raise ValueError("the order r must be positive")
-    P = _pressure_callable(system, family, truncation)
-    p0 = P(0.0, 1e-9)
-    if p0 <= 0.0:
-        raise DegenerateSystemError(
-            f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
-            "the (truncated) limit set carries no dimension"
-        )
-
-    closed = is_multiplicative(system, family)
-    if not closed:
-        root = _eigen_newton(system, family, truncation, 0.0, 0.0, 1.0, r, np.ones(_NODES),
-                             _COLD_STEPS)
-        if root is not None and 0.0 < root.u < 1.0:
-            return _qdim_solution(r, root.u, truncation, root.trace, "newton")
-
-    trace: list[tuple[float, float]] = []
-
-    def g(q: float) -> float:
-        v = P(q, r * q)
-        trace.append((q, v))
-        return v
-
-    top = 1.0 - 1e-6
-    lo, f_lo = 0.0, g(0.0)  # P(0, 0) >= P(0, 1e-9) > 0, +inf included
-    hi = min(2.0 / r, top)
-    while (f_hi := g(hi)) >= 0.0 and hi < top:
-        if f_hi > 0.0:
-            lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, top)
-    q_r, check = _root_decreasing(g, lo, hi, ends=(f_lo, f_hi))
-    if not abs(check) <= _RESIDUAL:
-        raise BracketError(f"fixed-point residual {check:.3g} above tolerance")
-    return _qdim_solution(r, q_r, truncation, tuple(trace),
-                          "closed_form" if closed else "regula_falsi")
-
-
-def _qdim_solution(r: float, q_r: float, truncation: int | None, trace: tuple,
-                   solver: str) -> QdimSolution:
-    kappa = r * q_r / (1.0 - q_r)
-    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
-                        trace=trace, solver=solver)
+    return _solve_quantization_dim(system, family, r, truncation)
 
 
 def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
@@ -728,32 +726,6 @@ def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
     return SweepResult(r, tuple(entries), kappa_ref, gap)
 
 
-def _continued_fixed_point(system: IfsSystem, family: PotentialFamily, r: float,
-                           qs: np.ndarray, betas: np.ndarray, hs: list,
-                           truncation: int | None) -> float | None:
-    """q_r by eigenpair Newton along t = r q from the curve, or None.
-
-    The start is the first grid cell [q_k, q_k+1] where beta(q) - r q
-    changes sign: the chord's root in q and h at q_k.  ``_eigen_newton``
-    moves along the direction (1, r), and its root is kept only if it lies
-    in that cell.  None where there is no such cell, no h at q_k, or no
-    certified root in the cell.
-    """
-    d = betas - r * qs
-    for k in range(len(qs) - 1):
-        if d[k] > 0.0 >= d[k + 1]:
-            break
-    else:
-        return None
-    if hs[k] is None:
-        return None
-    q0 = float(qs[k] + d[k] * (qs[k + 1] - qs[k]) / (d[k] - d[k + 1]))
-    root = _eigen_newton(system, family, truncation, q0, r * q0, 1.0, r, hs[k])
-    if root is None or not qs[k] <= q0 + root.u <= qs[k + 1]:
-        return None
-    return q0 + root.u
-
-
 def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: float,
                              q_grid: Sequence[float] | None = None,
                              truncation: int | None = None) -> FigureData:
@@ -762,16 +734,26 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     The line through the intersection (q_r, r q_r) and (1, 0) meets the
     vertical axis at the quantization dimension; the spectrum is
     f(alpha) = inf over the grid of (q alpha + beta(q)) with alpha
-    ranging over the negated slopes of beta.
+    ranging over the negated slopes of beta.  q_r is found as by
+    ``solve_quantization_dim``, with a warm start ahead of its degeneracy
+    check and cold start: in the first grid cell where beta(q) - r q
+    changes sign, the chord's root and h at the cell's left end, its root
+    kept only inside that cell.
     """
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
     betas, hs = _temperature_walk(system, family, qs, truncation)
     betas = np.array(betas)
-    q_r = _continued_fixed_point(system, family, r, qs, betas, hs, truncation)
-    if q_r is None:
-        q_r = solve_quantization_dim(system, family, r, truncation).q_r
+    d = betas - r * qs
+    warm = []
+    for k in range(len(qs) - 1):
+        if d[k] > 0.0 >= d[k + 1]:
+            if hs[k] is not None:
+                q0 = float(qs[k] + d[k] * (qs[k + 1] - qs[k]) / (d[k] - d[k + 1]))
+                warm.append((q0, hs[k], (qs[k], qs[k + 1])))
+            break
+    q_r = _solve_quantization_dim(system, family, r, truncation, warm).q_r
     intercept = r * q_r / (1.0 - q_r)
 
     slopes = -np.diff(betas) / np.diff(qs)

@@ -484,22 +484,30 @@ def _continuation_cases():
     }
 
 
+def _cold_starts(monkeypatch) -> list:
+    """(q, dq) of every eigenpair Newton start from h = 1, in order."""
+    cold = []
+    newton = qdim.pressure._eigen_newton
+
+    def recording(system, family, truncation, q, t, dq, dt, h):
+        if np.all(h == 1.0):
+            cold.append((q, dq))
+        return newton(system, family, truncation, q, t, dq, dt, h)
+
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", recording)
+    return cold
+
+
 @pytest.mark.parametrize("name", list(_continuation_cases()))
 def test_continued_curve_matches_pointwise_beta(name, monkeypatch):
     # every point but the first comes from eigenpair Newton, certified; the
     # nonlinear cases need several steps per point
     system, family, M = _continuation_cases()[name]
-    cold = []
-    solve = qdim.pressure.solve_beta
-
-    def counting(*args):
-        cold.append(args[2])
-        return solve(*args)
-
-    monkeypatch.setattr(qdim.pressure, "solve_beta", counting)
+    starts = _cold_starts(monkeypatch)
     curve = Q.temperature_curve(system, family, truncation=M)
+    cold = [q for q, _ in starts]
     assert cold == [0.0]
-    pointwise = [solve(system, family, q, M).beta for q in curve.qs]
+    pointwise = [Q.solve_beta(system, family, q, M).beta for q in curve.qs]
     assert np.max(np.abs(np.array(curve.betas) - pointwise)) <= 1e-14
 
 
@@ -523,8 +531,8 @@ def test_fixed_point_outside_its_cell_is_solved_cold(gauss12, monkeypatch):
     cold = Q.solve_quantization_dim(system, family, 2.0).q_r
     newton = qdim.pressure._eigen_newton
 
-    def shifted(system, family, truncation, q, t, dq, dt, h, *cap):
-        root = newton(system, family, truncation, q, t, dq, dt, h, *cap)
+    def shifted(system, family, truncation, q, t, dq, dt, h):
+        root = newton(system, family, truncation, q, t, dq, dt, h)
         return (root if dq == 0.0 or q == 0.0 or root is None
                 else root._replace(u=root.u + 0.1))
 
@@ -592,6 +600,61 @@ def test_failed_cold_start_gives_the_regula_falsi_root(q, monkeypatch):
     assert sol == Q.solve_beta(system, family, q, 5)
 
 
+def _fallback_cases():
+    g12, full = Q.gauss_system((1, 2)), Q.gauss_system(None)
+    return {
+        "gauss12-0.6-normalized": (g12, Q.normalize_pressure(Q.derivative_family(0.6), g12),
+                                   None),
+        "gauss15-0.8": (Q.gauss_system((1, 2, 3, 4, 5)), Q.derivative_family(0.8), None),
+        "gauss-full-M40-0.75-normalized": (
+            full, Q.normalize_pressure(Q.derivative_family(0.75), full, truncation=40), 40),
+        "gauss-full-M645-1.5": (full, Q.derivative_family(1.5), 645),
+    }
+
+
+def _count_dense_solves(monkeypatch) -> dict:
+    """Calls of the eigenvalue solve, the eigendecomposition and the Newton step."""
+    counts = {}
+    for name in ("_operator_pressure", "_operator_eigen", "_operator_step"):
+        fn = getattr(qdim.pressure, name)
+        counts[name] = 0
+
+        def counting(*args, name=name, fn=fn):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(qdim.pressure, name, counting)
+    return counts
+
+
+# ceilings (eigenvalue solves, eigendecompositions, Newton steps): the counts
+# when a continued point had 6 Newton steps and a cold one 16, and a failed
+# continued point was solved again from h = 1 by solve_beta
+@pytest.mark.parametrize("name, cold_ceiling, walk_ceiling", [
+    ("gauss12-0.6-normalized", (56, 0, 152), (36, 1, 78)),
+    ("gauss15-0.8", (151, 0, 117), (35, 1, 31)),
+    ("gauss-full-M40-0.75-normalized", (237, 0, 99), (37, 1, 103)),
+    ("gauss-full-M645-1.5", (327, 0, 83), (60, 2, 32)),
+])
+def test_fallback_grid_dense_solves_under_their_ceilings(name, cold_ceiling, walk_ceiling,
+                                                        monkeypatch):
+    # on q = -2, -1.8, ..., 3 the cold start from h = 1 at t = 0 fails at 3
+    # to 20 of the 26 points, where beta(q) is far from 0, and the bracket
+    # walk answers; the roots stay those of the regula falsi
+    system, family, M = _fallback_cases()[name]
+    qs = [float(q) for q in np.round(np.linspace(-2.0, 3.0, 26), 1)]
+    counts = _count_dense_solves(monkeypatch)
+    cold = [Q.solve_beta(system, family, q, M).beta for q in qs]
+    assert all(n <= c for n, c in zip(counts.values(), cold_ceiling))
+    counts.update(dict.fromkeys(counts, 0))
+    walk = Q.temperature_curve(system, family, qs, M).betas
+    assert all(n <= c for n, c in zip(counts.values(), walk_ceiling))
+    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    bracketed = [Q.solve_beta(system, family, q, M).beta for q in qs]
+    assert np.max(np.abs(np.subtract(cold, bracketed))) <= 1e-14
+    assert np.max(np.abs(np.subtract(walk, bracketed))) <= 1e-14
+
+
 @pytest.mark.parametrize("r", [1e4, 1e6, 1e7])
 def test_qdim_e2_at_large_order(e2, r):
     # q_r ~ 6e-7 at r = 1e6 lies below 1e-6, and r (1 - 1e-6) is far past beta
@@ -608,14 +671,13 @@ def test_qdim_e2_at_large_order(e2, r):
 def test_figure_fixed_point_matches_the_cold_solve(name, monkeypatch):
     system, family, M = _continuation_cases()[name]
     rs = (0.7, 2.0, 3.0) if name != "gauss12-sin" else (2.0, 3.0)  # beta(1) > 0 there
-    solves = []
-    solve = qdim.pressure.solve_quantization_dim
-    monkeypatch.setattr(qdim.pressure, "solve_quantization_dim",
-                        lambda *args: solves.append(args) or solve(*args))
-    for r in rs:
-        data = Q.legendre_and_figure_data(system, family, r, truncation=M)
-        assert abs(data.q_r - solve(system, family, r, M).q_r) <= 1e-14
-    assert solves == []
+    starts = _cold_starts(monkeypatch)
+    figures = [Q.legendre_and_figure_data(system, family, r, truncation=M) for r in rs]
+    # the one cold start is the walk's, along t at q = 0: none along (1, r)
+    assert starts == [(0.0, 0.0)] * len(rs)
+    monkeypatch.undo()
+    for r, data in zip(rs, figures):
+        assert abs(data.q_r - Q.solve_quantization_dim(system, family, r, M).q_r) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
