@@ -34,7 +34,8 @@ from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_e
 _CHUNK = 65536
 _REACH = 64               # reachable cdf entries up to which counting beats a binary search
 _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
-_H_GRID = 2049            # grid points for the minimum of the eigenfunction's interpolant
+_CHAIN_BATCH = 4          # chunks per step call: 4 x 2048 float64 = 64 KB per per-step array
+_H_GRID = 2049            # grid points of the eigenfunction's table (its minimum, the rejection)
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
 _LAW_TOL = 1e-12          # the default depth takes the sampled law this close to its limit
@@ -199,7 +200,7 @@ def _map_step(system: IfsSystem, M: int):
         b = np.array(system.gauss_digits[:M], dtype=float)
         return lambda idx, x: 1.0 / (b.take(idx) + x)
     else:
-        return lambda idx, x: _apply_symbols(system, idx, x)
+        return lambda idx, x: _apply_symbols(system, idx.ravel(), x.ravel()).reshape(x.shape)
     return lambda idx, x: slope.take(idx) * x + offset.take(idx)
 
 
@@ -285,8 +286,8 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
 def _chain_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray):
     """(y, u) -> the chain's 0-based symbols at states y for uniforms u, exactly.
 
-    The exact draw behind ``_filtered_drawer``, which calls it for a step
-    its table cannot decide: with ``num = _barycentric_terms(x, w, y) @ table``
+    The exact draw behind ``_filtered_drawer``, which calls it for a chunk
+    whose step its table cannot decide: with ``num = _barycentric_terms(x, w, y) @ table``
     (a state on a node takes that node's unit row), ``cdf`` is the running
     sum of ``max(num[:, :-1] / num[:, -1:], 0)`` over symbols and the symbol
     is the count of cdf entries <= u times its last entry.  The product
@@ -316,6 +317,18 @@ def _chebyshev_magnitudes(values: np.ndarray) -> np.ndarray:
     return np.abs(dct @ values)
 
 
+def _lerp_curvature(nodes: int, cells: int) -> np.ndarray:
+    """Delta^2 / 8 times the |T_n''| bound, for n < ``nodes``, on a domain of ``cells`` cells.
+
+    Dotted with ``_chebyshev_magnitudes`` of node values it bounds the error
+    of linear interpolation of their interpolant between grid points
+    Delta = (b - a) / cells apart: Delta^2 / 8 max |f''|, with
+    (2 / (b - a))^2 for the map of [-1, 1] onto the domain [a, b].
+    """
+    n = np.arange(nodes)
+    return (2.0 / cells) ** 2 / 8.0 * n ** 2 * (n ** 2 - 1) / 3.0
+
+
 def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
                domain: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, clear, margin): the chain's normalized cdf on a uniform grid, and its error.
@@ -339,10 +352,9 @@ def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
     residual (R_k = cdf_k / S = 1 - (S - cdf_k) / S is within max |S - 1|
     of both cdf_k and 1 - (S - cdf_k)).  The second derivatives and
     max |S - 1| are bounded from Chebyshev coefficients
-    (``_chebyshev_magnitudes``), with (2 / (b - a))^2 for the map onto the
-    domain; the tail form keeps the margin of the late, nearly flat R_k
-    as small as their spacing.  The last term covers the running sums of
-    M entries.  Needs M >= 2.
+    (``_chebyshev_magnitudes``, ``_lerp_curvature``); the tail form keeps
+    the margin of the late, nearly flat R_k as small as their spacing.  The
+    last term covers the running sums of M entries.  Needs M >= 2.
     """
     a, b = domain
     M = table.shape[1] - 1
@@ -357,9 +369,7 @@ def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
     R[:, :M - 1] = cdf[:, :-1] / cdf[:, -1:]
 
     probs = table[:, :-1]
-    n = np.arange(probs.shape[0])
-    # Delta^2 / 8 times the |f''| bound of each |c_n|, mapped onto the domain
-    curve = ((b - a) / cells) ** 2 / 8.0 * (2.0 / (b - a)) ** 2 * n ** 2 * (n ** 2 - 1) / 3.0
+    curve = _lerp_curvature(probs.shape[0], cells)
     lows = curve @ _chebyshev_magnitudes(probs)
     clear = np.all(np.minimum(p[:-1], p[1:]) > lows, axis=1)
     head = curve @ _chebyshev_magnitudes(np.cumsum(probs, axis=1)[:, :-1])
@@ -370,56 +380,167 @@ def _cdf_table(x: np.ndarray, w: np.ndarray, table: np.ndarray,
     return R, clear, margin
 
 
+def _in_table(pos: np.ndarray, cells: int, fail):
+    """(pos, fail): rows with a table position outside [0, cells] join ``fail``.
+
+    ``fail`` is False or a mask over the rows of ``pos``.  The positions of
+    the rows that join it are set to 0, so every table lookup of the batch
+    stays inside the table; the caller redoes those rows exactly.
+    """
+    if not (pos.min() >= 0.0 and pos.max() <= cells):
+        out = ~((pos.min(axis=1) >= 0.0) & (pos.max(axis=1) <= cells))
+        pos[out] = 0.0
+        fail = fail | out
+    return pos, fail
+
+
+def _unsure(gap: np.ndarray, margin, fail):
+    """``fail`` joined by the rows with some |gap| <= margin, which the table cannot decide."""
+    sure = np.abs(gap) > margin
+    return fail if sure.all() else fail | ~sure.all(axis=1)
+
+
+def _redo_rows(exact, out: np.ndarray, fail, *args: np.ndarray) -> np.ndarray:
+    """out[r] = exact(*(a[r] for a in args)) for each row r that ``fail`` marks."""
+    if fail is not False:
+        for row in np.flatnonzero(fail):
+            out[row] = exact(*(a[row] for a in args))
+    return out
+
+
 def _filtered_drawer(x: np.ndarray, w: np.ndarray, table: np.ndarray,
                      domain: tuple[float, float]):
-    """``_chain_drawer`` with a certified table filter in front of it.
+    """(y, u) -> symbols: ``_chain_drawer`` with a certified table filter in front of it.
 
+    y and u are (rows, chains) arrays, one row per chunk of chains, and the
+    rows share every numpy call, which a step's cost is mostly made of.
     Each step interpolates the normalized cdf R_k linearly at every
     chain's state from ``_cdf_table`` and finds the symbol by a vectorized
     bisection over k: ceil(log2 M) comparisons of u with interpolated
-    R_k, among them the two R_k that bracket u.  When every chain's state
-    lies in the domain on a clear cell, every u is below 1 - _ROUNDING and
-    more than ``margin[k]`` away from each R_k it is compared with, every
-    comparison has the exact one's outcome and the symbols are the exact
-    draw's, bit for bit.  Otherwise the step calls ``_chain_drawer`` for
-    the whole chunk: the same rows of a smaller BLAS product can round
-    differently, so a subset of the chains cannot be redone alone.
+    R_k, among them the two R_k that bracket u.  Where every chain of a
+    row lies in the domain on a clear cell, every u is below 1 - _ROUNDING
+    and more than ``margin[k]`` away from each R_k it is compared with,
+    every comparison has the exact one's outcome and the row's symbols are
+    the exact draw's, bit for bit.  Each other row is redone alone by
+    ``_chain_drawer``, which is that chunk's exact draw: the chains in
+    another product shape could round differently, so a row is redone
+    whole or not at all.
     """
     exact = _chain_drawer(x, w, table)
+
+    def every_row(y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _redo_rows(exact, np.empty(y.shape, np.intp), np.ones(len(y), bool), y, u)
+
     if table.shape[1] < 3:  # one symbol: nothing to decide
-        return exact
+        return every_row
     R, clear, margin = _cdf_table(x, w, table, domain)
     if not clear.any():
-        return exact
+        return every_row
     a, b = domain
     cells, width = clear.size, R.shape[1]
     scale = cells / (b - a)
-    # each entry holds R_k at a cell's left end and its rise across the cell as one
-    # complex number, so a single gather fetches both
-    rises = (R[:-1] + 1j * (R[1:] - R[:-1])).ravel()
+    # R_k at each grid point and its rise to the next, point-major; the last point
+    # rises by 0, so a state at b reads R_k there from a cell of its own
+    rises = np.vstack([np.diff(R, axis=0), np.zeros(width)])
+    clear = np.append(clear, clear[-1])
     steps = [1 << i for i in reversed(range((table.shape[1] - 2).bit_length()))]
+    first = steps[0] - 1  # the first comparison reads the same column for every chain
+    left0, rise0, margin0 = R[:, first].copy(), rises[:, first].copy(), margin[first]
+    left, rise = R.ravel(), rises.ravel()
     all_clear = bool(clear.all())
 
     def draw(y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        pos = (y - a) * scale
-        if not (pos.min() >= 0.0 and pos.max() <= cells and u.max() < 1.0 - _ROUNDING):
-            return exact(y, u)
-        cell = np.minimum(pos.astype(np.intp), cells - 1)
-        if not (all_clear or clear.take(cell).all()):
-            return exact(y, u)
+        fail = False
+        if not u.max() < 1.0 - _ROUNDING:
+            fail = ~(u.max(axis=1) < 1.0 - _ROUNDING)
+        pos, fail = _in_table((y - a) * scale, cells, fail)
+        cell = pos.astype(np.intp)
+        if not all_clear:
+            inside = clear.take(cell)
+            if not inside.all():
+                fail = fail | ~inside.all(axis=1)
         frac = pos - cell
-        base = cell * width
-        k = 0  # the first step compares every chain with the same column
-        for step in steps:
-            col = k + (step - 1)
-            z = rises.take(base + col)
-            gap = u - (z.real + frac * z.imag)
-            if not (np.abs(gap) > margin.take(col)).all():
-                return exact(y, u)
-            k += (gap >= 0.0) * step
-        return k
+        gap = u - (left0.take(cell) + frac * rise0.take(cell))
+        fail = _unsure(gap, margin0, fail)
+        k = (gap >= 0.0) * steps[0]
+        if len(steps) > 1:
+            base = cell * width
+            for step in steps[1:]:
+                col = k + (step - 1)
+                idx = base + col
+                gap = u - (left.take(idx) + frac * rise.take(idx))
+                fail = _unsure(gap, margin.take(col), fail)
+                k += (gap >= 0.0) * step
+        return _redo_rows(exact, k, fail, y, u)
 
     return draw
+
+
+def _h_table(x: np.ndarray, w: np.ndarray, h: np.ndarray,
+             domain: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """(values, margin): the eigenfunction's interpolant on _H_GRID grid points, and its error.
+
+    values[j] = h(g_j) by the barycentric formula of the exact rejection
+    (``_exact_rejection``).  Linear interpolation between them is off from
+    that formula by at most
+
+        margin = Delta^2 / 8 max |h''| + _ROUNDING max |h|,
+
+    Delta = (b - a) / (_H_GRID - 1), with max |h''| bounded from the
+    Chebyshev coefficients of h (``_chebyshev_magnitudes``,
+    ``_lerp_curvature``); the last term covers the rounding of both
+    evaluations and of the products with the acceptance uniforms.
+    """
+    terms = _barycentric_terms(x, w, np.linspace(*domain, _H_GRID))
+    values = terms @ h / terms.sum(axis=1)
+    curve = _lerp_curvature(h.size, _H_GRID - 1)
+    margin = float(curve @ _chebyshev_magnitudes(h)) + _ROUNDING * float(np.abs(values).max())
+    return values, margin
+
+
+def _exact_rejection(x: np.ndarray, w: np.ndarray, h: np.ndarray, h_min: float):
+    """(y, accept) -> which chains of one chunk the rejection keeps, exactly.
+
+    A chain is kept where accept * h(y) <= h_min, with h(y) by the
+    barycentric formula: the terms' product with h over their sum.  The
+    product stays a BLAS product, as in ``_chain_drawer``.
+    """
+    def keep(y: np.ndarray, accept: np.ndarray) -> np.ndarray:
+        terms = _barycentric_terms(x, w, y)
+        return accept * (terms @ h / terms.sum(axis=1)) <= h_min
+
+    return keep
+
+
+def _filtered_rejection(x: np.ndarray, w: np.ndarray, h: np.ndarray,
+                        domain: tuple[float, float]):
+    """(y, accept) -> kept mask of (rows, chains) states: the rejection with a table filter.
+
+    h_min is the smallest h on the grid of ``_h_table``, as it always was.
+    Each chain's h(y) is interpolated linearly from that table; where every
+    chain of a row lies in the domain and has accept * h(y) more than
+    accept * margin away from h_min, the kept set is the exact one's.  Each
+    other row runs ``_exact_rejection`` whole, for the reason
+    ``_filtered_drawer`` redoes a row whole.
+    """
+    values, margin = _h_table(x, w, h, domain)
+    h_min = float(np.min(values))
+    if not h_min > 0.0:
+        raise NumericalFailure("the interpolated eigenfunction is not positive")
+    exact = _exact_rejection(x, w, h, h_min)
+    a, b = domain
+    cells = values.size - 1
+    scale = cells / (b - a)
+    rise = np.append(np.diff(values), 0.0)  # a state at b reads h(b) from a cell of its own
+
+    def keep(y: np.ndarray, accept: np.ndarray) -> np.ndarray:
+        pos, fail = _in_table((y - a) * scale, cells, False)
+        cell = pos.astype(np.intp)
+        gap = accept * (values.take(cell) + (pos - cell) * rise.take(cell)) - h_min
+        fail = _unsure(gap, accept * margin, fail)
+        return _redo_rows(exact, gap <= 0.0, fail, y, accept)
+
+    return keep
 
 
 def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
@@ -443,12 +564,28 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     sample, decides the step instead by linear interpolation and a
     bisection over the symbols wherever its proven error bound separates
     every chain's uniform from the cdf entries it is compared with, and
-    the exact draw runs only for a step where it does not
+    the exact draw runs only for a chunk where it does not
     (``_filtered_drawer``), with the same symbols either way.  Then one
-    vectorized map call (``_map_step``) moves the chains.  Chunks of
-    chains run from (seed, chunk) streams until ``count`` points are
-    kept, so the points are byte-identical per seed.  Returns the points
-    and the depth used.
+    vectorized map call (``_map_step``) moves the chains.  The rejection
+    reads h from a table on a uniform grid in the same way, with the exact
+    product only for a chunk with a chain inside the table's error bound
+    (``_filtered_rejection``).
+
+    Chunks of chains run from (seed, chunk) streams until ``count`` points
+    are kept, so the points are byte-identical per seed.  Up to
+    _CHAIN_BATCH chunks step together as the rows of one array, so each
+    numpy call serves them all.  Each row's stream fills that row's
+    uniforms one step at a time and then its acceptance uniforms, which
+    continues the stream exactly as one draw of all a chunk's steps
+    would.  At 4 x 2048 chains every per-step float64 array holds 64 KB,
+    half of glibc's 128 KB mmap threshold, so a step's temporaries come
+    from the heap instead of fresh mappings; and no array of a batch's
+    whole depth is held, whose release would raise that (dynamic)
+    threshold for the rest of the process.  The first batch has at most
+    the chunks that ``count`` needs if every chain were kept, each later
+    one as many as the acceptance rate so far needs; chunks past the last
+    one needed only add points past ``count``.  Returns the points and the
+    depth used.
     """
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
@@ -458,26 +595,27 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     x, w = _chebyshev_nodes(system.domain, _NODES)
     probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
     table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
-    at_grid = _barycentric_terms(x, w, np.linspace(*system.domain, _H_GRID))
-    h_min = float(np.min(at_grid @ h / at_grid.sum(axis=1)))
-    if not h_min > 0.0:
-        raise NumericalFailure("the interpolated eigenfunction is not positive")
-
+    keep = _filtered_rejection(x, w, h, system.domain)
     draw = _filtered_drawer(x, w, table, system.domain)
     step = _map_step(system, M)
+    rows = min(_CHAIN_BATCH, -(-count // _CHAIN_CHUNK))
     kept, total, chunk_idx = [], 0, 0
     while total < count:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
-        steps = rng.random((depth, _CHAIN_CHUNK))
-        accept = rng.random(_CHAIN_CHUNK)
-        y = np.full(_CHAIN_CHUNK, system.midpoint)
-        for u in steps:
+        streams = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx + row)))
+                   for row in range(rows)]
+        u = np.empty((rows, _CHAIN_CHUNK))
+        y = np.full((rows, _CHAIN_CHUNK), system.midpoint)
+        for _ in range(depth):
+            for rng, row in zip(streams, u):
+                rng.random(out=row)
             y = step(draw(y, u), y)
-        terms = _barycentric_terms(x, w, y)
-        y = y[accept * (terms @ h / terms.sum(axis=1)) <= h_min]
+        for rng, row in zip(streams, u):  # each stream's acceptance uniforms follow its steps'
+            rng.random(out=row)
+        y = y[keep(y, u)]
         kept.append(y)
         total += y.size
-        chunk_idx += 1
+        chunk_idx += rows
+        rows = min(_CHAIN_BATCH, -(-(count - total) * chunk_idx // total)) if total else _CHAIN_BATCH
     return np.concatenate(kept)[:count], depth
 
 
@@ -523,13 +661,14 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
 
 
 def save_sample(sample: SampleSet, path: str | Path) -> None:
-    """CSV with a single `point` column plus a JSON sidecar of the draw metadata."""
+    """CSV with a single `point` column plus a JSON sidecar of the draw metadata.
+
+    The rows are joined in one string: a float's repr needs no quoting, so
+    these are the bytes of ``csv.writer`` (rows ended by CRLF) row by row.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point"])
-        for p in sample.points:
-            writer.writerow([repr(float(p))])
+    rows = "".join(repr(v) + "\r\n" for v in sample.points.tolist())
+    path.write_text("point\r\n" + rows, newline="")
     sidecar = {
         "count": len(sample),
         "seed": sample.seed,

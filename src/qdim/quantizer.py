@@ -146,21 +146,24 @@ def _cell_sums(values: np.ndarray, full: np.ndarray, starts: np.ndarray) -> np.n
 
 
 def _cell_index(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cell of each point, nonempty mask, nonempty starts), built once per center solve."""
-    return (np.repeat(np.arange(edges.size - 1), np.diff(edges)),) + _cell_starts(edges)
+    """(points per cell, nonempty mask, nonempty starts), built once per center solve.
+
+    ``np.repeat(centers, counts)`` gives each point its cell's center.
+    """
+    return (np.diff(edges),) + _cell_starts(edges)
 
 
 def _segment_objective(pts: np.ndarray, cells: tuple, centers: np.ndarray,
                        r: float) -> np.ndarray:
     """Per-cell sum of |x - c|^r about the cell's center c."""
-    index, full, starts = cells
-    return _cell_sums(np.abs(pts - centers[index]) ** r, full, starts)
+    counts, full, starts = cells
+    return _cell_sums(np.abs(pts - np.repeat(centers, counts)) ** r, full, starts)
 
 
 def _cell_slope(pts: np.ndarray, cells: tuple, centers: np.ndarray, r: float) -> np.ndarray:
     """Per-cell slope sum_x sign(c - x) |c - x|^(r - 1) of the order-r objective, over r."""
-    index, full, starts = cells
-    d = centers[index] - pts
+    counts, full, starts = cells
+    d = np.repeat(centers, counts) - pts
     terms = np.abs(d)
     terms **= r - 1.0
     return _cell_sums(np.copysign(terms, d, out=terms), full, starts)

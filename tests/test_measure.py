@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -428,18 +431,58 @@ def _filter_table(source, rng):
     return (0.0, 1.0), x, w, table
 
 
+def _counting(name, calls):
+    """A stand-in for the exact-path factory ``name`` whose functions log their first argument."""
+    exact = getattr(qdim.measure, name)
+
+    def factory(*args):
+        run = exact(*args)
+        return lambda y, *rest: calls.append(y.copy()) or run(y, *rest)
+
+    return factory
+
+
+def _decided_row(rng, domain, x, w, table, chains, on_nodes, on_grid, ends):
+    """States (on nodes, grid points and domain ends among them) and uniforms that the table
+    decides: states in clear cells, uniforms more than twice the margin from every exact R_k."""
+    _, clear, margin = qdim.measure._cdf_table(x, w, table, domain)
+    apart = 2.0 * margin.max()
+    a, b = domain
+    cells = clear.size
+    grid = np.linspace(a, b, cells + 1)
+    y = rng.uniform(a, b, chains)
+    kinds = np.split(rng.permutation(chains), np.cumsum([on_nodes, on_grid, ends]))
+    y[kinds[0]] = rng.choice(x, on_nodes)
+    y[kinds[1]] = rng.choice(grid, on_grid)
+    y[kinds[2]] = rng.choice(domain, ends)
+    # the drawer's own cell of each state
+    cell = np.minimum(((y - a) * (cells / (b - a))).astype(int), cells - 1)
+    moved = ~clear[cell]
+    inner = rng.choice(np.flatnonzero(clear), moved.sum())
+    y[moved] = grid[inner] + rng.uniform(0.25, 0.75, inner.size) * (grid[1] - grid[0])
+    M = table.shape[1] - 1
+    u = rng.random(chains)
+    exact_R = _normalized_cdf(x, w, table, y)[:, :M - 1]
+    while True:
+        close = (np.abs(u[:, None] - exact_R) <= apart).any(axis=1)
+        if not close.any():
+            return y, u
+        u[close] = rng.random(close.sum())
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 5, 40, "clipped", *sorted(_PINNED_TABLES)]),
        st.integers(0, 2**32 - 1), st.integers(0, 16), st.integers(0, 16),
-       st.integers(1, 16), st.integers(0, 2), st.integers(0, 8), st.booleans())
+       st.integers(1, 16), st.integers(0, 2), st.integers(0, 8), st.booleans(),
+       st.integers(2, 4))
 def test_filtered_drawer_matches_the_exact_draw(source, seed, on_nodes, on_grid, clipped,
-                                                ends, near, outside):
-    # the table filter must give _chain_drawer's symbols for the whole chunk: for states
-    # on nodes, grid points and domain ends, in cells where a probability turns negative
-    # and is clipped, and outside the domain, and for uniforms so close to an
+                                                ends, near, outside, rows):
+    # the table filter must give _chain_drawer's symbols for every row (chunk) of a batch:
+    # for states on nodes, grid points and domain ends, in cells where a probability turns
+    # negative and is clipped, and outside the domain, and for uniforms so close to an
     # interpolated R_k that the step falls back to the exact draw.  Each of the last
-    # three sends a step to the exact draw, so each gets a round of its own, where no
-    # other one can hide a wrong filtered symbol
+    # three sends a row to the exact draw, so each gets a round of its own, in one row of
+    # the batch; the table decides the other rows, and the exact draw never sees them
     rng = np.random.default_rng(seed)
     domain, x, w, table = _filter_table(source, rng)
     M = table.shape[1] - 1
@@ -448,30 +491,138 @@ def test_filtered_drawer_matches_the_exact_draw(source, seed, on_nodes, on_grid,
     grid = np.linspace(*domain, clear.size + 1)
     chains = 256
     exact = qdim.measure._chain_drawer(x, w, table)
-    filtered = qdim.measure._filtered_drawer(x, w, table, domain)
+    calls = []
+    with patch.object(qdim.measure, "_chain_drawer", _counting("_chain_drawer", calls)):
+        filtered = qdim.measure._filtered_drawer(x, w, table, domain)
     for round_ in ("clipped", "outside", "near"):
-        y = rng.uniform(*domain, chains)
-        kinds = np.split(rng.permutation(chains), np.cumsum([on_nodes, on_grid, ends, clipped]))
-        y[kinds[0]] = rng.choice(x, on_nodes)
-        y[kinds[1]] = rng.choice(grid, on_grid)
-        y[kinds[2]] = rng.choice(domain, ends)
-        u = rng.random(chains)
+        y, u = np.empty((rows, chains)), np.empty((rows, chains))
+        for row in range(rows):
+            y[row], u[row] = _decided_row(rng, domain, x, w, table, chains, on_nodes, on_grid,
+                                          ends)
+        special = rng.integers(rows)
+        ys, us = y[special], u[special]
         placed = rng.choice(chains, near, replace=False)
         if round_ == "clipped" and border.size:  # where the clip sets in
             cell = rng.choice(border, clipped)
-            placed = kinds[3]
-            y[placed] = grid[cell] + rng.random(clipped) * (grid[cell + 1] - grid[cell])
+            placed = rng.choice(chains, clipped, replace=False)
+            ys[placed] = grid[cell] + rng.random(clipped) * (grid[cell + 1] - grid[cell])
         if round_ == "outside" and outside:
-            y[kinds[4][0]] = domain[1] + (domain[1] - domain[0]) * rng.uniform(0.5, 2.0)
+            ys[rng.integers(chains)] = domain[1] + (domain[1] - domain[0]) * rng.uniform(0.5, 2.0)
         if round_ != "outside" and M > 1:
-            R = _normalized_cdf(x, w, table, y[placed])
+            R = _normalized_cdf(x, w, table, ys[placed])
             k = rng.integers(0, M - 1, placed.size)
             offset = rng.choice([-1.0, 1.0], placed.size) * 10.0 ** rng.uniform(-15, -9,
                                                                                   placed.size)
-            u[placed] = np.clip(R[np.arange(placed.size), k] + offset, 0.0,
-                                np.nextafter(1.0, 0.0))
+            us[placed] = np.clip(R[np.arange(placed.size), k] + offset, 0.0,
+                                 np.nextafter(1.0, 0.0))
+        calls.clear()
         with np.errstate(divide="ignore", invalid="ignore"):  # a state outside the domain
-            assert np.array_equal(filtered(y, u), exact(y, u))
+            assert np.array_equal(filtered(y, u), [exact(*row) for row in zip(y, u)])
+        assert all(np.array_equal(c, ys) for c in calls)
+
+
+def _system_h(name, M):
+    """Node coordinates, weights and eigenfunction of a pinned chain system, as the sampler
+    builds them."""
+    system, family = _STREAM_SYSTEMS[name]
+    parts = qdim.pressure._operator_parts(system, family, M, qdim.pressure._NODES)
+    h = qdim.pressure._operator_eigen(parts, 1.0, 0.0)[1]
+    x, w = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
+    return system.domain, x, w, h
+
+
+def _h_at(x, w, h, y):
+    """h(y) by the barycentric formula of the exact rejection."""
+    terms = qdim.pressure._barycentric_terms(x, w, y)
+    return terms @ h / terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("name, M", sorted(_PINNED_TABLES.items()))
+def test_h_table_margin_covers_the_interpolation_error(name, M):
+    # on a grid 16 times finer than the eigenfunction's table, linear interpolation in it
+    # stays inside its certified margin
+    domain, x, w, h = _system_h(name, M)
+    values, margin = qdim.measure._h_table(x, w, h, domain)
+    a, b = domain
+    cells = values.size - 1
+    y = np.linspace(a, b, 16 * cells + 1)
+    pos = (y - a) * (cells / (b - a))
+    cell = np.minimum(pos.astype(int), cells - 1)
+    lerp = values[cell] + (pos - cell) * (values[cell + 1] - values[cell])
+    assert np.abs(lerp - _h_at(x, w, h, y)).max() < margin
+    assert margin <= 1e-6  # narrow enough that the table decides
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_PINNED_TABLES)), st.integers(0, 2**32 - 1),
+       st.integers(2, 4), st.integers(1, 8), st.sampled_from(["near", "outside", "node"]))
+def test_filtered_rejection_matches_the_exact_rejection(name, seed, rows, near, kind):
+    # the kept set of every row of a batch is the exact rejection's: one row has chains
+    # whose accept * h(y) lies within 1e-15..1e-9 of h_min ("near", falling back to the
+    # exact product), a state outside the domain ("outside"), or states on nodes and at
+    # the domain ends ("node", decided by the table); the other rows are decided by the
+    # table, and the exact product never sees them
+    rng = np.random.default_rng(seed)
+    domain, x, w, h = _system_h(name, _PINNED_TABLES[name])
+    h_min = float(qdim.measure._h_table(x, w, h, domain)[0].min())
+    chains = 256
+    y = rng.uniform(*domain, (rows, chains))
+    accept = rng.random((rows, chains))
+    for row in range(rows):  # keep every other row's acceptance uniforms off the threshold
+        while True:
+            close = np.abs(accept[row] * _h_at(x, w, h, y[row]) - h_min) <= 1e-6
+            if not close.any():
+                break
+            accept[row, close] = rng.random(close.sum())
+    special = rng.integers(rows)
+    ys, accepts = y[special], accept[special]
+    placed = rng.choice(chains, near, replace=False)
+    if kind == "near":
+        offset = rng.choice([-1.0, 1.0], near) * 10.0 ** rng.uniform(-15, -9, near)
+        accepts[placed] = np.clip((h_min + offset) / _h_at(x, w, h, ys[placed]), 0.0, 1.0)
+    if kind == "outside":
+        ys[placed[0]] = domain[1] + (domain[1] - domain[0]) * rng.uniform(0.5, 2.0)
+    if kind == "node":
+        ys[placed] = rng.choice(np.r_[x, domain], near)
+    exact = qdim.measure._exact_rejection(x, w, h, h_min)
+    calls = []
+    with patch.object(qdim.measure, "_exact_rejection", _counting("_exact_rejection", calls)):
+        keep = qdim.measure._filtered_rejection(x, w, h, domain)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a state outside the domain
+        assert np.array_equal(keep(y, accept), [exact(*row) for row in zip(y, accept)])
+    assert all(np.array_equal(c, ys) for c in calls)
+    if kind == "outside":
+        assert len(calls) == 1
+
+
+def test_chain_batches_match_the_chunk_by_chunk_draw():
+    # batches of chunks, a last batch sized from the acceptance rate, and the table
+    # filters give the points of stepping each chunk alone by the exact draw and keeping
+    # its chains by the exact rejection, for counts within one chunk, across batches
+    # and ending inside a batch
+    system, family = _STREAM_SYSTEMS["gauss15-chain"]
+    domain, x, w, table = _system_table("gauss15-chain", 5)
+    h = _system_h("gauss15-chain", 5)[3]
+    h_min = float(qdim.measure._h_table(x, w, h, domain)[0].min())
+    draw = qdim.measure._chain_drawer(x, w, table)
+    keep = qdim.measure._exact_rejection(x, w, h, h_min)
+    step = qdim.measure._map_step(system, 5)
+    depth, chunk = 4, qdim.measure._CHAIN_CHUNK
+    for count, seed in [(1, 0), (chunk, 1), (5 * chunk, 2), (11 * chunk + 7, 3)]:
+        kept, total, chunk_idx = [], 0, 0
+        while total < count:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
+            steps = rng.random((depth, chunk))
+            accept = rng.random(chunk)
+            y = np.full(chunk, system.midpoint)
+            for u in steps:
+                y = step(draw(y, u), y)
+            kept.append(y[keep(y, accept)])
+            total += kept[-1].size
+            chunk_idx += 1
+        want = np.concatenate(kept)[:count]
+        got, _ = qdim.measure._sample_chain(system, family, count, depth, 5, seed)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, M", sorted(_PINNED_TABLES.items()))
@@ -495,17 +646,15 @@ def test_cdf_table_margin_covers_the_interpolation_error(name, M):
 
 
 def test_filter_decides_every_step_of_the_conformal_verify_sample(monkeypatch):
-    # the benchmark's Gauss {1,2} sample never needs the exact draw
-    calls = []
-    exact = qdim.measure._chain_drawer
-
-    def counted(*args):
-        draw = exact(*args)
-        return lambda y, u: calls.append(1) or draw(y, u)
-
-    monkeypatch.setattr(qdim.measure, "_chain_drawer", counted)
+    # the benchmark's Gauss {1,2} sample never needs the exact draw, nor the exact
+    # rejection product
+    draws, rejections = [], []
+    monkeypatch.setattr(qdim.measure, "_chain_drawer", _counting("_chain_drawer", draws))
+    monkeypatch.setattr(qdim.measure, "_exact_rejection",
+                        _counting("_exact_rejection", rejections))
     Q.sample_measure(*_STREAM_SYSTEMS["gauss12-chain"], 20_000, seed=7)
-    assert calls == []
+    assert draws == []
+    assert rejections == []
 
 
 def _unlabelled(system):
@@ -542,6 +691,23 @@ def test_sample_roundtrip(tmp_path, e1):
     back = Q.load_sample(path)
     assert np.array_equal(back.points, sample.points)
     assert back.seed == sample.seed and back.depth == sample.depth
+
+
+def test_save_sample_writes_the_csv_writer_bytes(tmp_path):
+    # the joined rows are the bytes of a csv.writer row loop, and load back bit for bit
+    points = np.r_[np.random.default_rng(3).random(2000), 0.0, -0.0, 5e-324, 1e-300, 1.0,
+                   1e300, 0.1, 2.0 / 3.0]
+    sample = qdim.measure.SampleSet(points=points, seed=1, depth=2, truncation=None,
+                                    deficit=0.0)
+    path = tmp_path / "points.csv"
+    Q.save_sample(sample, path)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["point"])
+    for p in sample.points:
+        writer.writerow([repr(float(p))])
+    assert path.read_bytes() == reference.getvalue().encode()
+    assert Q.load_sample(path).points.tobytes() == sample.points.tobytes()
 
 
 # ---------------------------------------------------------------------------
