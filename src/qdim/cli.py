@@ -11,7 +11,6 @@ re-running a command reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -20,12 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, measure, quantizer
 from .errors import NumericalFailure, SpecFormatError
-from .measure import sample_measure, save_sample
 from .pressure import (estimate_pressure, legendre_and_figure_data, solve_beta,
                        solve_quantization_dim, temperature_curve, truncation_sweep)
-from .quantizer import estimate_Dr, lloyd_optimize
 from .specio import load_spec
 
 _EXIT_OK = 0
@@ -48,6 +45,8 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _emit_csv(rows, header, out: str) -> None:
+    import csv  # imported at first use: the JSON-only commands never need it
+
     with Path(out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -186,9 +185,9 @@ def _cmd_sweep(args, system, family, meta) -> int:
 def _cmd_sample(args, system, family, meta) -> int:
     _check_out(args)
     _check_depth(args)
-    sample = sample_measure(system, family, args.samples, depth=args.depth,
-                            truncation=args.m, seed=args.seed)
-    save_sample(sample, args.out)
+    sample = measure.sample_measure(system, family, args.samples, depth=args.depth,
+                                    truncation=args.m, seed=args.seed)
+    measure.save_sample(sample, args.out)
     sys.stdout.write(_json_text({
         "command": "sample", "count": len(sample), "seed": sample.seed,
         "depth": sample.depth, "truncation": sample.truncation,
@@ -212,7 +211,10 @@ def _check_numbers(args) -> None:
     m = getattr(args, "m", None)
     if m is not None and m < 1:
         raise SpecFormatError(f"--m {m} is not a positive truncation")
-    for M in getattr(args, "m_list", None) or ():
+    m_list = getattr(args, "m_list", None)
+    if m_list is not None and not m_list:
+        raise SpecFormatError("--m-list is empty")
+    for M in m_list or ():
         if M < 1:
             raise SpecFormatError(f"--m-list truncation {M} is not positive")
 
@@ -231,6 +233,8 @@ def _check_depth(args) -> None:
 
 def _check_n_list(args) -> None:
     """Reject codebook sizes that would otherwise fail only after sampling."""
+    if not args.n_list:
+        raise SpecFormatError("--n-list is empty")
     seen = set()
     for n in args.n_list:
         if n < 1:
@@ -243,9 +247,9 @@ def _check_n_list(args) -> None:
 
 
 def _run_quantize(args, system, family):
-    sample = sample_measure(system, family, args.samples, depth=args.depth,
-                            truncation=args.m, seed=args.seed)
-    return sample, [lloyd_optimize(sample, n, args.r) for n in args.n_list]
+    sample = measure.sample_measure(system, family, args.samples, depth=args.depth,
+                                    truncation=args.m, seed=args.seed)
+    return sample, [quantizer.lloyd_optimize(sample, n, args.r) for n in args.n_list]
 
 
 def _cmd_quantize(args, system, family, meta) -> int:
@@ -256,7 +260,7 @@ def _cmd_quantize(args, system, family, meta) -> int:
     rows = []
     for k, run in enumerate(runs):
         if k >= 1:
-            d_running, _ = estimate_Dr(runs[: k + 1])
+            d_running, _ = quantizer.estimate_Dr(runs[: k + 1])
         else:
             d_running = float("nan")
         rows.append((run.n, run.r, run.V_hat, run.e_hat, d_running))
@@ -281,7 +285,7 @@ def _cmd_verify(args, system, family, meta) -> int:
         raise SpecFormatError("verify needs at least two --n-list sizes")
     sol = solve_quantization_dim(system, family, args.r, truncation=args.m)
     sample, runs = _run_quantize(args, system, family)
-    d_hat, diagnostics = estimate_Dr(runs, kappa_hint=sol.kappa_r)
+    d_hat, diagnostics = quantizer.estimate_Dr(runs, kappa_hint=sol.kappa_r)
     gap = abs(d_hat - sol.kappa_r) / sol.kappa_r
     report = {
         "command": "verify", "r": args.r, "seed": args.seed,

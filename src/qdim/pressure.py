@@ -55,10 +55,13 @@ _NEWTON_TOL = 1e-12       # a last Newton step at most this (relative) size ends
 
 # ---------------------------------------------------------------------------
 # result types
+#
+# Records that are only read are NamedTuples, which cost far less than
+# frozen dataclasses to define at import.  BetaSolution stays a dataclass:
+# its h array is left out of equality.
 
 
-@dataclass(frozen=True)
-class PressureEstimate:
+class PressureEstimate(NamedTuple):
     q: float
     t: float
     truncation: int | None          # None means the untruncated alphabet
@@ -68,15 +71,13 @@ class PressureEstimate:
     tail_bound: float = 0.0         # single-symbol mass beyond the truncation
 
 
-@dataclass(frozen=True)
-class TemperatureSample:
+class TemperatureSample(NamedTuple):
     qs: tuple[float, ...]
     betas: tuple[float, ...]
     convexity_defect: float         # max(0, -min second difference)
 
 
-@dataclass(frozen=True)
-class QdimSolution:
+class QdimSolution(NamedTuple):
     r: float
     q_r: float
     kappa_r: float
@@ -96,23 +97,20 @@ class BetaSolution:
     h: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     M: int
     kappa: float
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     r: float
     entries: tuple[SweepEntry, ...]
     kappa_ref: float | None
     final_gap: float | None
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(NamedTuple):
     r: float
     qs: tuple[float, ...]
     betas: tuple[float, ...]

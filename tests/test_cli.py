@@ -404,17 +404,18 @@ def _no_sampling(*args, **kwargs):
     ("4,-2", "--n-list size -2 is not positive"),
     ("4,8,4", "--n-list size 4 is repeated"),
     ("4,8,16", "--n-list size 16 is not below --samples 10"),
-], ids=["zero", "negative", "repeated", "not-below-samples"])
+    (",", "--n-list is empty"),
+], ids=["zero", "negative", "repeated", "not-below-samples", "empty"])
 def test_n_list_checked_before_sampling(command, n_list, message, e1_spec, tmp_path,
                                         monkeypatch, capsys):
-    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    monkeypatch.setattr(qdim.measure, "sample_measure", _no_sampling)
     assert main([command, "--system", e1_spec, "--r", "2", "--n-list", n_list,
                  "--samples", "10", "--out", str(tmp_path / "out")]) == 1
     assert f"spec error: {message}" in capsys.readouterr().err
 
 
 def test_verify_needs_two_sizes(e1_spec, monkeypatch, capsys):
-    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    monkeypatch.setattr(qdim.measure, "sample_measure", _no_sampling)
     assert main(["verify", "--system", e1_spec, "--r", "2", "--n-list", "8"]) == 1
     assert "spec error: verify needs at least two --n-list sizes" in capsys.readouterr().err
 
@@ -427,7 +428,7 @@ def _no_solve(*args, **kwargs):
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeypatch,
                                       capsys):
-    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    monkeypatch.setattr(qdim.measure, "sample_measure", _no_sampling)
     monkeypatch.setattr(qdim.cli, "solve_quantization_dim", _no_solve)
     args = [command, "--system", e1_spec, "--depth", depth, "--samples", "100",
             "--out", str(tmp_path / "out")]
@@ -448,7 +449,7 @@ _OUT_ARGS = {
 
 @pytest.mark.parametrize("command", ["sample", "quantize", "beta", "sweep", "figure1"])
 def test_out_checked_before_sampling(command, e1_spec, monkeypatch, capsys):
-    monkeypatch.setattr(qdim.cli, "sample_measure", _no_sampling)
+    monkeypatch.setattr(qdim.measure, "sample_measure", _no_sampling)
     for solver in ("temperature_curve", "truncation_sweep", "legendre_and_figure_data"):
         monkeypatch.setattr(qdim.cli, solver, _no_solve)
     assert main([command, "--system", e1_spec, *_OUT_ARGS[command]]) == 1
@@ -492,7 +493,9 @@ def test_bad_numeric_flags_exit_one(args, message, e1_spec, tmp_path):
     (GAUSS_DOC, ["qdim", "--r", "2", "--m", "0"], "--m 0 is not a positive truncation"),
     (GAUSS_FULL_DOC, ["sweep", "--r", "2", "--m-list", "40,0"],
      "--m-list truncation 0 is not positive"),
-], ids=["dimh-zero", "pressure-negative", "sample-zero", "qdim-zero", "sweep-list-zero"])
+    (GAUSS_FULL_DOC, ["sweep", "--r", "2", "--m-list", ","], "--m-list is empty"),
+], ids=["dimh-zero", "pressure-negative", "sample-zero", "qdim-zero", "sweep-list-zero",
+        "sweep-list-empty"])
 def test_truncation_below_one_exits_one(doc, args, message, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(doc)
@@ -689,6 +692,65 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# every public name of the package, including those it serves from its lazy modules
+_PUBLIC_NAMES = """
+AnalyticBranch1D AntichainResult BetaSolution BracketError Codebook ConstantLogWeights
+DegenerateSystemError DerivativeFamily FigureData FiniteAlphabet FiniteWeights
+GeometricTail GeometricWeights IfsSystem InfiniteAlphabet NonSummableError
+NumericalFailure PotentialFamily PowerLawTail PressureEstimate QdimError QdimSolution
+QuantizationRun SampleSet Similarity1D SpecFormatError SweepResult TemperatureSample Word
+antichain_codebook beta_of_q birkhoff_sum cantor_system compose_and_derivative
+cylinder_interval cylinder_mass derivative_family errors estimate_Dr estimate_pressure
+gauss_system geometric_similarity_system geometric_weight_family hausdorff_dim ifs
+is_multiplicative legendre_and_figure_data lloyd_optimize load_sample load_spec
+log_weight_family measure normalize_pressure potentials pressure quant_error quantizer
+sample_measure save_sample similarity_system solve_beta solve_quantization_dim specio
+temperature_curve theta_of_q truncation_sweep truncation_tail_bound wasserstein_1d
+""".split()
+
+_STARTUP_PROBE = """
+import json, sys, types
+import qdim, qdim.cli
+
+def executed(name):  # reads the module's type, which does not load it
+    return type(sys.modules[name]) is types.ModuleType
+
+specs, out = json.loads(sys.argv[1]), sys.argv[2]
+for k, spec in enumerate(specs):
+    for argv in (["dimh"], ["qdim", "--r", "2"],
+                 ["figure1", "--r", "2", "--out", f"{out}/fig{k}.csv"],
+                 ["sweep", "--r", "2", "--m-list", "1,2", "--out", f"{out}/sweep{k}.csv"]):
+        assert qdim.cli.main([argv[0], "--system", spec, *argv[1:]]) == 0, argv
+print(json.dumps({
+    "theory": [executed("qdim.measure"), executed("qdim.quantizer")],
+    "verify": qdim.cli.main(["verify", "--system", specs[0], "--r", "2", "--n-list",
+                             "4,16,64", "--samples", "20000", "--seed", "7"]),
+    "same": qdim.lloyd_optimize is qdim.quantizer.lloyd_optimize,
+    "dir": dir(qdim),
+}))
+try:
+    qdim.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("qdim.no_such_name did not raise AttributeError")
+"""
+
+
+def test_theory_commands_leave_the_sampling_stack_unloaded(e1_spec, tmp_path):
+    gauss = tmp_path / "gauss12.json"
+    gauss.write_text(GAUSS_DOC)
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                           json.dumps([e1_spec, str(gauss)]), str(tmp_path)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["theory"] == [False, False]
+    assert report["verify"] == 0
+    assert report["same"]
+    assert set(_PUBLIC_NAMES) <= set(report["dir"])
 
 
 @pytest.mark.parametrize("s_exp", ["1.0", "0.6"])
