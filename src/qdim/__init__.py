@@ -35,14 +35,14 @@ from .pressure import (BetaSolution, FigureData, PressureEstimate, QdimSolution,
                        truncation_tail_bound)
 from .specio import load_spec
 
-# the names each lazily loaded module re-exports here
-_LAZY_EXPORTS = {
-    "measure": ("SampleSet", "cylinder_mass", "load_sample", "sample_measure",
-                "save_sample", "wasserstein_1d"),
-    "quantizer": ("AntichainResult", "Codebook", "QuantizationRun",
-                  "antichain_codebook", "estimate_Dr", "lloyd_optimize", "quant_error"),
+# each name a lazily loaded module re-exports here -> that module
+_LAZY_OWNER = {
+    **dict.fromkeys(("SampleSet", "cylinder_mass", "load_sample", "sample_measure",
+                     "save_sample", "wasserstein_1d"), "measure"),
+    **dict.fromkeys(("AntichainResult", "Codebook", "QuantizationRun",
+                     "antichain_codebook", "estimate_Dr", "lloyd_optimize", "quant_error"),
+                    "quantizer"),
 }
-_LAZY_OWNER = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}
 
 
 def _lazy_submodule(name: str):
