@@ -34,6 +34,13 @@ GAUSS_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "symbols": [1, 2], "K": 4
  "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
 """
 
+# four similarities with unequal ratios and unequal weights
+SIM4_DOC = """{"domain": [0.0, 1.0], "kind": "similarity",
+ "maps": [{"ratio": 0.1, "offset": 0.0}, {"ratio": 0.2, "offset": 0.15},
+          {"ratio": 0.25, "offset": 0.4}, {"ratio": 0.3, "offset": 0.7}],
+ "potential": {"kind": "logweights", "weights": [0.1, 0.2, 0.3, 0.4]}}
+"""
+
 GAUSS_FULL_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "infinite": {"family": "gauss"},
  "K": 4.0, "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
 """
@@ -272,16 +279,26 @@ _THEORY_SYSTEMS = {
     # from h = 1 at t = 0, the cold Newton start fails at q = 2 here
     "gauss-full-1-m5": (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.0'), ["--m", "5"]),
     "gauss-full-1.5-m40": (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.5'), ["--m", "40"]),
+    "sim4": (SIM4_DOC, []),
+}
+
+# systems pinned on other commands than ``_THEORY_COMMANDS``: the truncated
+# geometric sums of every M up to 20, and a finite sweep below and at the size
+_THEORY_EXTRA = {
+    "e3-sweep": (E3_DOC, (["sweep", "--r", "2", "--m-list", ",".join(map(str, range(1, 21))),
+                           "--out", "out.csv"],)),
+    "sim4-sweep": (SIM4_DOC, (["sweep", "--r", "2", "--m-list", "1,2,3,4", "--out", "out.csv"],
+                              ["sweep", "--r", "0.5", "--m-list", "2,4", "--out", "out.csv"])),
 }
 
 
-def _theory_digests(doc: str, m: list, capsys) -> list[str]:
-    """sha256 of stdout plus any --out file, one per ``_THEORY_COMMANDS``
-    entry.  Reports record the spec's path, so the spec sits in the working
+def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> list[str]:
+    """sha256 of stdout plus any --out file, one per entry of ``commands``.
+    Reports record the spec's path, so the spec sits in the working
     directory."""
     Path("spec.json").write_text(doc)
     digests = []
-    for args in _THEORY_COMMANDS:
+    for args in commands:
         assert main(args[:1] + ["--system", "spec.json", *m, *args[1:]]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode())
         out = Path("out.csv")
@@ -370,15 +387,37 @@ def _theory_digests(doc: str, m: list, capsys) -> list[str]:
         "3c06ad36daf8a60c99f8f7b3dd7f2a7a546752970d5974eaa85b439b546f1591",
         "eb56ded1685ce4353fb8278acd261c2032a0d474c1782cc113d8836417e61974",
     )),
+    ("sim4", (
+        "7d9c51589827dba0500ff79687f2691777d31e81eca795b043dbde9f201420c8",
+        "882b4b683349edf60663a225869170a1f8b21f7abd09f83346ad2284d8a251d4",
+        "0528f8415a422968c33205ba2bf4cd640c57dae92551e6c250e7e3a45a556024",
+        "392d09e718e47dedd64ea1e6c704c85ccf6019542b08462387dcf08f810e85ec",
+        "93073d9d3b8d04b55b9f59d4f2a10b089c6f0fcb5a7c725c769dfbe77c571917",
+        "77b2115e6adefc06412fa9c01a01ae0a2d31ff2af8d623ccb612a9f89b90a82f",
+        "df61b708a6d17bddccf37ca3a6e54b51df7b7e89531f93bebb2a467307dbb67c",
+        "520fed839b0d5efe4685c81aa10e61851e36b3dffd017c59e48bd6486d1de3d8",
+        "ec5babb85b24d194534f34b52d9ce32e95bd679cf8af87d3f9271fa8136a18bb",
+    )),
+    ("e3-sweep", (
+        "b09d28afb89bed1d3743a6777966eb0bfdb8748ea1c416311c0c76e757445d30",
+    )),
+    ("sim4-sweep", (
+        "838ec61625083b651b53753227586e58b48d69df0b629024dff578d59b8bbfda",
+        "f65c7da261e79f8806c6757e9bd41a454312eb787407d130d32df53ff9a8b0cd",
+    )),
 ])
 def test_theory_outputs_pinned(name, digests, tmp_path, monkeypatch, capsys):
     # every theory command's report and artifact, byte for byte: dimh, beta
     # at q = -1, 0.3 and 2, qdim at r = 0.5, 2 and 1e4, figure1 at r = 2 and
     # the beta grid CSV, on closed forms, finite Gauss systems and
-    # truncations of the full Gauss system
+    # truncations of the full Gauss system; sweeps on e3 and on sim4
     monkeypatch.chdir(tmp_path)
-    doc, m = _THEORY_SYSTEMS[name]
-    assert _theory_digests(doc, m, capsys) == list(digests)
+    if name in _THEORY_EXTRA:
+        doc, commands = _THEORY_EXTRA[name]
+        assert _theory_digests(doc, [], capsys, commands) == list(digests)
+    else:
+        doc, m = _THEORY_SYSTEMS[name]
+        assert _theory_digests(doc, m, capsys) == list(digests)
 
 
 def test_quantize_command(e1_spec, tmp_path, capsys):
