@@ -31,10 +31,31 @@ _EXIT_NUMERIC = 2
 _EXIT_VERIFY = 3
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: str as is, float, int, bool and None
+    as their JSON text (inf as "Infinity"); anything else is a TypeError."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _plain(value):
+    """``value`` with non-finite floats as None, tuples as lists and dict keys
+    as strings: what a JSON round trip would give back."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {_json_key(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _json_text(payload: dict) -> str:
     """Sorted, indented JSON; non-finite floats become null, as JSON has no inf/nan."""
-    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -331,10 +352,30 @@ _COMMANDS = {
 }
 
 
+_FLOAT_FLAGS = frozenset({"--q", "--t", "--r", "--tol"})
+
+
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """``--q -1e-1`` as ``--q=-1e-1``: argparse takes a negative number in
+    exponent form (or -inf) for an option, not for the flag's value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return _EXIT_SPEC if exc.code not in (0, None) else 0
     try:

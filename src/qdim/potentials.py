@@ -205,16 +205,45 @@ def _tail_decay(family: PotentialFamily, tail: TailDecay,
     return c, (b0, 0.0), (e0 * tail.power, tail.power)
 
 
-def _geometric_logsum(family: PotentialFamily, system: IfsSystem, q: float, t: float,
-                      M: int | None) -> float:
-    """log sum over i <= M of ||e^{f_i}||^q ||phi_i'||^t on a geometric similarity system.
+def _geometric_pressure(family: PotentialFamily, system: IfsSystem,
+                        M: int | None) -> Callable[[float, float], float]:
+    """(q, t) -> log sum over i <= M of ||e^{f_i}||^q ||phi_i'||^t on a geometric
+    similarity system.
 
     There a symbol-constant family meets its tail model with equality:
-    the terms are e^{A + B i} with A = log c and B = log b.  M = None sums
-    the whole alphabet and gives +inf where that series diverges.
+    the terms are e^{A + B i} with A = log c and B = log b
+    (``_tail_decay``).  The logs that do not depend on q are taken once
+    here; each call repeats the rest of ``_tail_decay``'s operations in
+    its order, so every value is the one that model gives, to the bit.
+    M = None sums the whole alphabet and gives +inf where that series
+    diverges.
     """
-    (c0, c1), (b0, b1), _ = _tail_decay(family, system.alphabet.tail, q)
-    A, B = c0 + c1 * t, b0 + b1 * t
+    tail = system.alphabet.tail
+    log_coef, log_base = math.log(tail.coef), math.log(tail.base)
+    if isinstance(family, ConstantLogWeights):
+        w = family.weights
+        if isinstance(w, FiniteWeights):
+            raise ValueError("finite weight table on an infinite alphabet")
+        kc = math.log1p(-w.ratio) - math.log(w.ratio) - family.shift
+        kb = math.log(w.ratio)
+        zc, zb = 0.0 * log_coef, 0.0 * log_base  # e0 = 0: ||phi_i'|| enters with the exponent t
+
+        def logsum(q: float, t: float) -> float:
+            return _log_geometric_series(q * kc + zc + log_coef * t,
+                                         q * kb + zb + log_base * t, M)
+        return logsum
+    kc = (0.0 if family.g is None else family.g_sup) - family.shift
+    s_exp = family.s_exp
+
+    def logsum(q: float, t: float) -> float:
+        e0 = q * s_exp
+        return _log_geometric_series(q * kc + e0 * log_coef + log_coef * t,
+                                     0.0 + e0 * log_base + log_base * t, M)
+    return logsum
+
+
+def _log_geometric_series(A: float, B: float, M: int | None) -> float:
+    """log sum over 1 <= i <= M of e^{A + B i}; M = None sums to infinity."""
     if M is None:
         if B >= 0.0:
             return math.inf
@@ -258,7 +287,7 @@ def _head_exp_sum(family: PotentialFamily, system: IfsSystem, M: int) -> float:
     """sum over i <= M of ||e^{f_i}||; in closed form on geometric similarity
     systems, whose far maps underflow to zero ratios (ratio 0.05 at i = 249)."""
     if system.geometric_ratio is not None and is_symbol_constant(family, system):
-        return math.exp(_geometric_logsum(family, system, 1.0, 0.0, M))
+        return math.exp(_geometric_pressure(family, system, M)(1.0, 0.0))
     return math.fsum(single_exp_sup(family, system, i) for i in range(1, M + 1))
 
 

@@ -13,6 +13,13 @@ at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).
 (every root solve), ``estimate_pressure``, ``_temperature_walk``,
 ``truncation_sweep`` and ``measure.cylinder_mass`` each ask it.
 
+Each solve builds its P once (``_pressure_callable``).  On multiplicative
+systems that is a scalar kernel (``_closed_form``): it reads the symbol
+logs, or the geometric tail model, when it is built, and each evaluation
+is then float arithmetic with one ``np.exp`` on finite alphabets.  The
+kernel gives the array formula's values bit for bit; it is not kept
+across calls.
+
 The temperature function beta(q) is the unique zero of t -> P(q, t)
 (P is strictly decreasing in t).  The quantization dimension of order r
 solves beta(q_r) = r * q_r and equals kappa_r = r * q_r / (1 - q_r).
@@ -44,7 +51,7 @@ import numpy as np
 
 from .errors import BracketError, DegenerateSystemError, NumericalFailure
 from .ifs import FiniteAlphabet, IfsSystem
-from .potentials import (PotentialFamily, _geometric_logsum, _tail_decay, f_value,
+from .potentials import (PotentialFamily, _geometric_pressure, _tail_decay, f_value,
                          is_symbol_constant, symbol_log_weight, truncation_tail_bound)
 
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
@@ -130,14 +137,6 @@ class FigureData(NamedTuple):
 # closed forms for multiplicative systems
 
 
-def _lse(v: np.ndarray) -> float:
-    """log(sum(exp(v))), shifted by the maximum; +inf or nan pass through."""
-    m = float(np.max(v, initial=-math.inf))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
 @lru_cache(maxsize=16)
 def _symbol_logs(system: IfsSystem, family: PotentialFamily,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,17 +153,40 @@ def is_multiplicative(system: IfsSystem, family: PotentialFamily) -> bool:
     return is_symbol_constant(family, system) and system.all_similarities
 
 
-def _single_symbol_logsum(system: IfsSystem, family: PotentialFamily, q: float,
-                          t: float, M: int | None) -> float:
-    """log sum_i ||e^{f_i}||^q * ||phi_i'||^t with geometric closed forms.
+def _finite_logsum(a: np.ndarray, d: np.ndarray) -> Callable[[float, float], float]:
+    """(q, t) -> log sum_i e^{q a_i + t d_i}, shifted by the largest exponent.
 
-    Returns +inf when the untruncated series diverges.
+    The exponents v_i and the shift m = max v are Python floats; the
+    shifted terms take one ``np.exp`` on an array and its ``sum``, so the
+    value is m + log(sum(exp(v - m))) of the array formula, to the bit.  A
+    largest exponent of +inf or -inf passes through, and any NaN exponent
+    gives NaN.
     """
-    M = system.truncated_size(M)
+    terms = tuple(zip(a.tolist(), d.tolist()))
+
+    def logsum(q: float, t: float) -> float:
+        v = [q * ai + t * di for ai, di in terms]
+        m = max(v)
+        if not math.isfinite(m):
+            # Python's max may skip a NaN that np.max would return
+            return math.nan if any(x != x for x in v) else m
+        return m + math.log(np.exp(np.array([x - m for x in v])).sum())
+    return logsum
+
+
+def _closed_form(system: IfsSystem, family: PotentialFamily,
+                 truncation: int | None) -> Callable[[float, float], float]:
+    """(q, t) -> log sum_i ||e^{f_i}||^q * ||phi_i'||^t over the (truncated)
+    alphabet, the exact pressure of a multiplicative system.
+
+    A finite alphabet reads its symbol logs once (``_finite_logsum``), a
+    geometric one its tail model (``_geometric_pressure``); +inf where the
+    untruncated series diverges.
+    """
+    M = system.truncated_size(truncation)
     if isinstance(system.alphabet, FiniteAlphabet):
-        a, d = _symbol_logs(system, family, M)
-        return _lse(q * a + t * d)
-    return _geometric_logsum(family, system, q, t, M)
+        return _finite_logsum(*_symbol_logs(system, family, M))
+    return _geometric_pressure(family, system, M)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +480,14 @@ def _collocated_parts(system: IfsSystem, family: PotentialFamily, truncation: in
 def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
                        ) -> Callable[[float, float], float]:
     """(q, t) -> P(q, t): the exact closed form on multiplicative systems,
-    else the collocated operator at ``_NODES`` nodes."""
+    else the collocated operator at ``_NODES`` nodes.
+
+    Built once per solve: the closed form (``_closed_form``) reads the
+    system and family here, so each evaluation is float arithmetic (and
+    one ``np.exp`` on a finite alphabet).  It is not kept across calls.
+    """
     if is_multiplicative(system, family):
-        return lambda q, t: _single_symbol_logsum(system, family, q, t, truncation)
+        return _closed_form(system, family, truncation)
     parts = _collocated_parts(system, family, truncation)
     return lambda q, t: _operator_pressure(parts, q, t)
 
@@ -527,7 +554,7 @@ _COLD_H.flags.writeable = False
 
 
 def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | None,
-               q: float, t: float, dq: float, dt: float,
+               P: Callable[[float, float], float], q: float, t: float, dq: float, dt: float,
                starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], top: float
                ) -> tuple[float, np.ndarray | None, tuple[tuple[float, float], ...], str]:
     """(u, h, trace, solver) at the root of u -> P(q + u dq, t + u dt), decreasing in u.
@@ -548,6 +575,7 @@ def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | Non
     is None.  The trace holds every (u, P) of the walk and the regula
     falsi, or the Newton root's.  Raises BracketError when P does not
     change sign within [-top, top] or the residual is above its bound.
+    P is the caller's ``_pressure_callable`` of the same system.
     """
     closed = is_multiplicative(system, family)
     for u0, h0, (a, b) in starts:
@@ -556,7 +584,6 @@ def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | Non
         if root is not None and a < u0 + root.u < b:
             return (u0 + root.u, root.h, tuple((u0 + u, v) for u, v in root.trace),
                     "newton")
-    P = _pressure_callable(system, family, truncation)
     trace: list[tuple[float, float]] = []
 
     def fn(u: float) -> float:
@@ -594,8 +621,9 @@ def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
     returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.  The
     trace holds every (t, P(q, t)) evaluation, or the Newton root's trace.
     """
-    u, h, trace, solver = _line_root(system, family, truncation, q, 0.0, 0.0, 1.0,
-                                     [(0.0, _COLD_H, _ANYWHERE)], 1e4)
+    u, h, trace, solver = _line_root(system, family, truncation,
+                                     _pressure_callable(system, family, truncation),
+                                     q, 0.0, 0.0, 1.0, [(0.0, _COLD_H, _ANYWHERE)], 1e4)
     return BetaSolution(q, u, solver, trace, h)
 
 
@@ -616,14 +644,16 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     """beta at each grid point, and the operator's eigenvector h at each root.
 
     Closed forms solve every point with ``beta_of_q`` (h is None).  On the
-    collocated operator each point after the first puts a warm start
-    ahead of the cold one: the secant through the last two roots (the
-    last root after a single one) with the last h.  h comes from the
-    Newton root, or from ``_operator_eigen`` when the regula falsi
-    answered; without a positive h the next point starts cold only.
+    collocated operator one P serves the walk, and each point after the
+    first puts a warm start ahead of the cold one: the secant through the
+    last two roots (the last root after a single one) with the last h.
+    h comes from the Newton root, or from ``_operator_eigen`` when the
+    regula falsi answered; without a positive h the next point starts
+    cold only.
     """
     if is_multiplicative(system, family):
         return [beta_of_q(system, family, float(q), truncation) for q in qs], [None] * len(qs)
+    P = _pressure_callable(system, family, truncation)
     betas: list[float] = []
     hs: list = []
     h = None
@@ -634,7 +664,7 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
             starts.insert(0, (t, h, _ANYWHERE))
-        t, h, _, _ = _line_root(system, family, truncation, q, 0.0, 0.0, 1.0, starts, 1e4)
+        t, h, _, _ = _line_root(system, family, truncation, P, q, 0.0, 0.0, 1.0, starts, 1e4)
         if h is None:
             try:
                 h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
@@ -662,13 +692,15 @@ def temperature_curve(system: IfsSystem, family: PotentialFamily,
 def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
                             truncation: int | None, warm: Sequence = ()) -> QdimSolution:
     """``solve_quantization_dim`` with the ``warm`` starts ahead of the
-    degeneracy check and the cold start."""
+    degeneracy check and the cold start; the check and the root loop
+    share one P."""
     if r <= 0:
         raise ValueError("the order r must be positive")
+    P = _pressure_callable(system, family, truncation)
 
     def starts():
         yield from warm
-        p0 = _pressure_callable(system, family, truncation)(0.0, 1e-9)
+        p0 = P(0.0, 1e-9)
         if p0 <= 0.0:
             raise DegenerateSystemError(
                 f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
@@ -676,7 +708,7 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
             )
         yield 0.0, _COLD_H, (0.0, 1.0)
 
-    q_r, _, trace, solver = _line_root(system, family, truncation, 0.0, 0.0, 1.0, r,
+    q_r, _, trace, solver = _line_root(system, family, truncation, P, 0.0, 0.0, 1.0, r,
                                        starts(), 1.0 - 1e-6)
     kappa = r * q_r / (1.0 - q_r)
     return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,

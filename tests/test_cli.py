@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdim as Q
 import qdim.cli
@@ -510,8 +512,14 @@ _SAMPLING = ["--n-list", "4,8", "--samples", "100"]
     (["sweep", "--r", "nan", "--m-list", "2,3"], "--r nan is not a finite positive order"),
     (["pressure", "--q", "0.5", "--t", "inf"], "--t inf is not finite"),
     (["beta", "--q", "nan"], "--q nan is not finite"),
+    # negative values in exponent form, and -inf, reach the checks as values
+    (["qdim", "--r", "-1e-1"], "--r -0.1 is not a finite positive order"),
+    (["verify", "--r", "2", "--tol", "-2E-1", *_SAMPLING],
+     "--tol -0.2 is not a finite nonnegative tolerance"),
+    (["beta", "--q", "-inf"], "--q -inf is not finite"),
 ], ids=["quantize-r0", "quantize-r-negative", "quantize-r-nan", "verify-tol-nan",
-        "verify-tol-negative", "qdim-r-inf", "sweep-r-nan", "pressure-t-inf", "beta-q-nan"])
+        "verify-tol-negative", "qdim-r-inf", "sweep-r-nan", "pressure-t-inf", "beta-q-nan",
+        "qdim-r-exponent", "verify-tol-exponent", "beta-q-minus-inf"])
 def test_bad_numeric_flags_exit_one(args, message, e1_spec, tmp_path):
     out = tmp_path / "artifact"
     done = subprocess.run([sys.executable, "-m", "qdim.cli", args[0], "--system", e1_spec,
@@ -715,6 +723,64 @@ def test_parser_built_once(e1_spec, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["n_list"] == [4, 8, 16, 32, 64, 128, 256, 512]
+
+
+@pytest.mark.parametrize("exponent, decimal", [
+    (["beta", "--q", "-1e-1"], ["beta", "--q", "-0.1"]),
+    (["pressure", "--q", "-1.5e0", "--t", "-2e-1"], ["pressure", "--q", "-1.5", "--t", "-0.2"]),
+    (["qdim", "--r", "2e0"], ["qdim", "--r", "2"]),
+], ids=["beta", "pressure", "qdim"])
+def test_negative_exponent_values(exponent, decimal, tmp_path, monkeypatch, capsys):
+    # argparse reads "-1e-1" as an option unless it is attached to its flag
+    monkeypatch.chdir(tmp_path)
+    Path("e2.json").write_text(E2_DOC)
+    reports = []
+    for args in (exponent, decimal):
+        assert main([args[0], "--system", "e2.json", *args[1:]]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def _json_text_reference(payload: dict) -> str:
+    """The JSON text as a round trip through the parser gives it."""
+    plain = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_JSON_KEYS = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.integers(-3, 12),
+                       st.floats(width=16))
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                         st.floats(), st.floats().map(np.float64),
+                         st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=6))
+def test_json_text_matches_the_round_trip(payload):
+    assert qdim.cli._json_text(payload) == _json_text_reference(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": (1.0, [math.inf, {"b": (-math.inf, math.nan)}])},
+    {"x": np.float64(0.1), "y": [np.float64(math.nan)], "z": {"w": (np.float64(-0.0),)}},
+    {True: 1, False: 2, None: 3, 10: 4, 2: 5, 1.5: 6, math.inf: 7, "true": 8},
+], ids=["nested-nonfinite", "numpy-floats", "key-conversion"])
+def test_json_text_examples(payload):
+    assert qdim.cli._json_text(payload) == _json_text_reference(payload)
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): 0}, {"a": {"b": {b"c": 0}}}, {"n": np.int64(3)}],
+                         ids=["tuple-key", "bytes-key", "numpy-int"])
+def test_json_text_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        _json_text_reference(payload)
+    with pytest.raises(TypeError):
+        qdim.cli._json_text(payload)
 
 
 def _src_env() -> dict:

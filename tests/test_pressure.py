@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import brentq
 import qdim as Q
 import qdim.pressure
 from qdim.errors import BracketError, DegenerateSystemError
-from qdim.potentials import single_exp_sup
+from qdim.potentials import _geometric_pressure, _tail_decay, single_exp_sup
 from qdim.pressure import _root_decreasing
 
 from conftest import LOG23
@@ -88,6 +89,107 @@ def test_truncation_tail_reported_separately(e3, gauss_full):
     # integral bound for sum_{i>50} i^{-1.4}
     assert tail == pytest.approx(50 ** -0.4 / 0.4, rel=1e-12)
     assert Q.truncation_tail_bound(gsystem, gfamily, 0.0, 0.4, 50) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernels, bit for bit against the array formulas they replace
+
+
+def _lse_reference(a: np.ndarray, d: np.ndarray, q: float, t: float) -> float:
+    """log(sum(exp(v))) at v = q a + t d, shifted by np.max; +inf, -inf and
+    nan pass through."""
+    with np.errstate(all="ignore"):  # overflow to +-inf and inf - inf are the cases
+        v = q * a + t * d
+        m = float(np.max(v, initial=-math.inf))
+        if not math.isfinite(m):
+            return m
+        return m + math.log(float(np.sum(np.exp(v - m))))
+
+
+def _geometric_reference(family, system, q, t, M):
+    """log sum over i <= M of e^{A + B i} from ``_tail_decay`` at (q, t)."""
+    (c0, c1), (b0, b1), _ = _tail_decay(family, system.alphabet.tail, q)
+    A, B = c0 + c1 * t, b0 + b1 * t
+    if M is None:
+        if B >= 0.0:
+            return math.inf
+        return A + B - math.log1p(-math.exp(B))
+    if abs(B) < 1e-300:
+        return A + math.log(M)
+    if B > 0:
+        return A + B * M + math.log1p(-math.exp(-B * M)) - math.log1p(-math.exp(-B))
+    return A + B + math.log1p(-math.exp(B * M)) - math.log1p(-math.exp(B))
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives, comparable to the bit: the exception type, "nan"
+    for any NaN, else the value's type and float.hex (which keeps -0.0)."""
+    try:
+        value = fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    if math.isnan(value):
+        return "nan"
+    return type(value), float.hex(value)
+
+
+# wide arguments: moderate values, and any float at all (nan, +-inf, huge, subnormal)
+_WIDE = st.one_of(st.floats(-60.0, 60.0), st.floats())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(-50.0, 10.0), min_size=n, max_size=n),
+           st.lists(st.floats(-50.0, 0.0), min_size=n, max_size=n))),
+       _WIDE, _WIDE)
+def test_finite_kernel_matches_array_formula(logs, q, t):
+    a, d = (np.array(x) for x in logs)
+    assert (_outcome(qdim.pressure._finite_logsum(a, d), q, t)
+            == _outcome(_lse_reference, a, d, q, t))
+
+
+@pytest.mark.parametrize("a, d, q, t", [
+    ([0.0, -1.0], [-1.0, -1.0], math.inf, 0.0),       # exponents (nan, -inf)
+    ([-1.0, 0.0], [-1.0, -1.0], math.inf, 0.0),       # (-inf, nan): max skips the nan
+    ([10.0, 0.0], [-10.0, 0.0], 1e308, 1e308),        # (nan, 0)
+    ([0.0, 10.0], [0.0, -10.0], 1e308, 1e308),        # (0, nan): a finite max
+    ([10.0, 0.0, 1.0], [0.0, -10.0, 0.0], 1e308, 1e308),  # (inf, -inf, inf)
+    ([1.0, 10.0, 0.0], [0.0, -10.0, -10.0], 1e308, 1e308),  # (inf, nan, -inf)
+    ([-1.0, -2.0], [-1.0, -1.0], math.inf, 0.0),      # all -inf
+    ([0.0], [0.0], 0.0, 0.0),
+], ids=["nan-first", "nan-after-inf", "nan-then-finite", "finite-then-nan", "inf",
+        "inf-then-nan", "all-minus-inf", "single-zero"])
+def test_finite_kernel_passes_nan_and_inf(a, d, q, t):
+    a, d = np.array(a), np.array(d)
+    assert (_outcome(qdim.pressure._finite_logsum(a, d), q, t)
+            == _outcome(_lse_reference, a, d, q, t))
+
+
+def _geometric_family(kind, value, shift):
+    base = Q.geometric_weight_family(value) if kind == "weights" else Q.derivative_family(value)
+    return replace(base, shift=shift)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.01, 1 / 3), st.sampled_from(["weights", "derivative"]),
+       st.floats(0.01, 0.99), st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       st.one_of(st.none(), st.integers(1, 300), st.integers(1, 10 ** 9)), _WIDE, _WIDE)
+def test_geometric_kernel_matches_tail_model(ratio, kind, value, shift, M, q, t):
+    system = Q.geometric_similarity_system(ratio)
+    family = _geometric_family(kind, value, shift)
+    assert (_outcome(_geometric_pressure(family, system, M), q, t)
+            == _outcome(_geometric_reference, family, system, q, t, M))
+
+
+def test_geometric_kernel_diverges_untruncated(e3):
+    # e3 at q = -1: the terms are e^{A + B i} with B = log 2 - t log 3, so the
+    # untruncated series is +inf for t <= log 2 / log 3 and finite above
+    system, family = e3
+    P = _geometric_pressure(family, system, None)
+    assert P(-1.0, 0.0) == math.inf == _geometric_reference(family, system, -1.0, 0.0, None)
+    assert math.isfinite(P(-1.0, 1.0))
+    assert _outcome(P, -1.0, 1.0) == _outcome(_geometric_reference, family, system, -1.0, 1.0,
+                                              None)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +392,17 @@ def _record_t(monkeypatch) -> tuple[list, list]:
     """Every t at which P is evaluated, in order: closed forms and dense
     eigenvalue solves in the first list, eigenpair Newton steps in both."""
     ts, newton_ts = [], []
-    closed = qdim.pressure._single_symbol_logsum
+    closed = qdim.pressure._closed_form
     dense = qdim.pressure._operator_pressure
     step = qdim.pressure._operator_step
 
-    def closed_rec(system, family, q, t, M):
-        ts.append(t)
-        return closed(system, family, q, t, M)
+    def closed_rec(system, family, truncation):
+        P = closed(system, family, truncation)
+
+        def rec(q, t):
+            ts.append(t)
+            return P(q, t)
+        return rec
 
     def dense_rec(parts, q, t):
         ts.append(t)
@@ -307,7 +413,7 @@ def _record_t(monkeypatch) -> tuple[list, list]:
         newton_ts.append(t)
         return step(major, q, t, dq, dt, h)
 
-    monkeypatch.setattr(qdim.pressure, "_single_symbol_logsum", closed_rec)
+    monkeypatch.setattr(qdim.pressure, "_closed_form", closed_rec)
     monkeypatch.setattr(qdim.pressure, "_operator_pressure", dense_rec)
     monkeypatch.setattr(qdim.pressure, "_operator_step", step_rec)
     return ts, newton_ts
