@@ -186,7 +186,10 @@ def _map_step(system: IfsSystem, M: int):
     Gauss branches as 1 / (b + x) with b the branch integers (exact, an
     integer converts exactly).  These give the maps' own values bit for
     bit; any other family makes one map call per drawn symbol
-    (``_apply_symbols``).
+    (``_apply_symbols``).  The vectorized steps convert the indices (the
+    uint8 draws of ``_draw_symbols``) to intp once and build the result in
+    the buffer that the first ``take`` returns, with the same two float
+    operations per point.
     """
     if system.geometric_ratio is not None:
         # phi_i(x) = ratio**i (x + 2) in closed form
@@ -198,10 +201,24 @@ def _map_step(system: IfsSystem, M: int):
         offset = np.array([m.offset for m in maps])
     elif system.gauss_digits is not None:
         b = np.array(system.gauss_digits[:M], dtype=float)
-        return lambda idx, x: 1.0 / (b.take(idx) + x)
+
+        def gauss_step(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+            out = b.take(idx.astype(np.intp, copy=False))
+            out += x
+            return np.divide(1.0, out, out=out)
+
+        return gauss_step
     else:
         return lambda idx, x: _apply_symbols(system, idx.ravel(), x.ravel()).reshape(x.shape)
-    return lambda idx, x: slope.take(idx) * x + offset.take(idx)
+
+    def affine_step(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        i = idx.astype(np.intp, copy=False)
+        out = slope.take(i)
+        out *= x
+        out += offset.take(i)
+        return out
+
+    return affine_step
 
 
 def _symbol_cdf(probs: np.ndarray) -> np.ndarray:

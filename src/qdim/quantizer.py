@@ -344,10 +344,8 @@ def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float
     return code, _cell_edges(pts, code)
 
 
-_RANKS = np.arange(1.0, 2.0)  # 1.0, 2.0, ...; grown to the longest split cell so far
-
-
-def _best_split(seg: np.ndarray) -> int:
+def _best_split(seg: np.ndarray, prefix: np.ndarray | None = None,
+                work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> int:
     """Index splitting a sorted cell into two with the least summed squared error.
 
     For a split after the first k of L values, the summed squared error
@@ -356,30 +354,32 @@ def _best_split(seg: np.ndarray) -> int:
     first k values and t the sum of all, so the split maximizes
     (s_k L - k t)^2 / (k (L - k)) (Otsu, IEEE SMC 1979).  One prefix sum
     of seg - seg[0] gives every term, with no s2 - s1^2/k cancellation;
-    splits between equal values are excluded.  The score is built in the
-    prefix sum's buffer.  Scores are >= 0, so the first maximum is also
-    the first maximum away from equal values unless it lies between two;
-    only then are the splits between equal values masked out.
+    splits between equal values are excluded.  ``prefix`` is that prefix
+    sum when the caller holds it (it is only read), and ``work`` the
+    buffers (score, scratch, ranks 1.0, 2.0, ...) of at least L entries
+    (L - 1 for the ranks); either is made here when None.  Scores are
+    >= 0, so the first maximum is also the first maximum away from equal
+    values unless it lies between two; only then are the splits between
+    equal values masked out.
     """
-    global _RANKS
     L = seg.size
-    if _RANKS.size < L - 1:
-        _RANKS = np.arange(1.0, float(L))
-    k = _RANKS[:L - 1]
     low = seg[0]
-    s = seg - low
-    np.cumsum(s, out=s)
-    score = s[:-1]
-    score *= L
-    tmp = np.multiply(k, s[-1])
+    if prefix is None:
+        prefix = np.cumsum(seg - low)
+    if work is None:
+        work = np.empty(L), np.empty(L), np.arange(1.0, float(L))
+    score_buf, tmp_buf, ranks = work
+    k = ranks[:L - 1]
+    score = np.multiply(prefix[:-1], L, out=score_buf[:L - 1])
+    tmp = np.multiply(k, prefix[-1], out=tmp_buf[:L - 1])
     score -= tmp                               # d = s_k L - k t
     np.square(score, out=score)
     score /= np.multiply(k, k[::-1], out=tmp)  # k (L - k), exact integers
-    best = int(np.argmax(score))
+    best = int(score.argmax())
     if seg[best] - low == seg[best + 1] - low:  # a split between equal values of seg - low
-        y = seg - low
+        y = np.subtract(seg, low, out=tmp_buf[:L])
         np.copyto(score, -1.0, where=y[1:] == y[:-1])
-        best = int(np.argmax(score))
+        best = int(score.argmax())
     return 1 + best
 
 
@@ -392,28 +392,41 @@ class _SplitOrder:
     is kept as ``starts``: the start index of each cell in the order the
     splits create it (the whole sample's cell, at 0, first).  The greedy
     partition into n cells is the cells that begin at ``starts[:n]``.
+
+    ``prefix`` has one entry per point; the slice [a, b) of a live cell
+    whose heap entry says so holds cumsum(pts[a:b] - pts[a]).  A left
+    half starts where its parent starts, and the cumulative sum adds in
+    order, so its prefix sum is the first part of its parent's, bit for
+    bit; only the whole sample and a right half get a fresh one, when
+    popped.
     """
 
     def __init__(self, size: int):
-        self.heap = [(0.0, 0, size)]  # (-order-r cost, start, stop)
+        self.heap = [(0.0, 0, size, False)]  # (-order-r cost, start, stop, prefix valid)
         self.starts = [0]
-        self.buf = np.empty(size)     # per-point costs of the cell being split
+        self.prefix = np.empty(size)
+        # the cell's scores, then its per-point costs; scratch; the ranks 1.0, 2.0, ...
+        self.work = np.empty(size), np.empty(size), np.arange(1.0, float(size))
 
     def edges(self, pts: np.ndarray, n: int, r: float) -> np.ndarray:
         """Edges of the first n greedy cells; n must be below the distinct count."""
         while len(self.starts) < n:
-            _, a, b = heapq.heappop(self.heap)
+            _, a, b, valid = heapq.heappop(self.heap)
             seg = pts[a:b]
-            split = _best_split(seg)
+            prefix = self.prefix[a:b]
+            if not valid:
+                np.subtract(seg, seg[0], out=prefix)
+                prefix.cumsum(out=prefix)
+            split = _best_split(seg, prefix, self.work)
             halves = np.array([0, split])
-            means = np.add.reduceat(seg, halves) / np.array([split, b - a - split])
-            cost = self.buf[:b - a]
-            np.subtract(seg[:split], means[0], out=cost[:split])
-            np.subtract(seg[split:], means[1], out=cost[split:])
-            costs = np.add.reduceat(_power_in_place(cost, r), halves)
+            sums = np.add.reduceat(seg, halves).tolist()
+            cost = self.work[0][:b - a]
+            np.subtract(seg[:split], sums[0] / split, out=cost[:split])
+            np.subtract(seg[split:], sums[1] / (b - a - split), out=cost[split:])
+            costs = np.add.reduceat(_power_in_place(cost, r), halves).tolist()
             for lo, hi, c in ((0, split, costs[0]), (split, b - a, costs[1])):
                 key = -c if seg[lo] < seg[hi - 1] else math.inf
-                heapq.heappush(self.heap, (key, a + lo, a + hi))
+                heapq.heappush(self.heap, (key, a + lo, a + hi, lo == 0))
             self.starts.append(a + split)
         return np.array(sorted(self.starts[:n]) + [pts.size])
 

@@ -265,6 +265,20 @@ def test_verify_reports_pinned(seed, digest, tmp_path, monkeypatch):
     assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("r, digest", [
+    ("2", "bdbc2f1a50e30d1cc63b92dd5c751ab2dfda1a501441995255e12aace28ef393"),
+    ("1.5", "139ab8a8d4de24fa09ea26b5bec865956d31a46007189d06615ae78c485200a1"),
+])
+def test_verify_reports_pinned_at_benchmark_shape(r, digest, tmp_path, monkeypatch):
+    # the selfsimilar-verify shape: 200 000 points are three full sampling
+    # chunks and a partial one, and n up to 512 grows a 511-cut split tree
+    monkeypatch.chdir(tmp_path)
+    Path("e2.json").write_text(E2_DOC)
+    assert main(["verify", "--system", "e2.json", "--r", r, "--samples", "200000",
+                 "--n-list", "4,8,16,32,64,128,256,512", "--seed", "7", "--out", "v.json"]) == 0
+    assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
+
+
 _THEORY_COMMANDS = (
     ["dimh"], ["beta", "--q", "-1"], ["beta", "--q", "0.3"], ["beta", "--q", "2"],
     ["qdim", "--r", "0.5"], ["qdim", "--r", "2"], ["qdim", "--r", "1e4"],

@@ -662,17 +662,39 @@ def _unlabelled(system):
     return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s)
 
 
-@pytest.mark.parametrize("system", [
-    Q.gauss_system((3, 1, 7)), Q.gauss_system(None), Q.geometric_similarity_system(0.2),
-    Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]),
-    _unlabelled(Q.gauss_system((3, 1, 7))),
-], ids=["gauss-subsystem", "gauss-full", "geometric", "reversed", "analytic"])
-def test_map_step_gives_the_maps_own_values(system):
-    M = system.truncated_size(12)
-    idx = np.random.default_rng(0).integers(0, M, 500)
-    x = np.random.default_rng(1).random(500)
-    expected = [system.map(int(i) + 1).value(v) for i, v in zip(idx, x)]
-    assert np.array_equal(qdim.measure._map_step(system, M)(idx, x), expected)
+def _own_value(system, i: int, v: float) -> float:
+    """phi_i(v) by the map itself; a geometric ratio**i that underflows to 0 maps onto 0."""
+    if system.geometric_ratio is not None and system.geometric_ratio ** i == 0.0:
+        return 0.0
+    return system.map(i).value(v)
+
+
+@pytest.mark.parametrize("system, truncation", [
+    (Q.gauss_system((3, 1, 7)), 12), (Q.gauss_system(None), 12),
+    (Q.geometric_similarity_system(0.2), 12),
+    (Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]), 12),
+    (_unlabelled(Q.gauss_system((3, 1, 7))), 12),
+    # 0.05**i is subnormal from i = 237 and 0 from i = 249
+    (Q.geometric_similarity_system(0.05), 256),
+], ids=["gauss-subsystem", "gauss-full", "geometric", "reversed", "analytic",
+        "geometric-underflow"])
+def test_map_step_gives_the_maps_own_values(system, truncation):
+    # the uint8 draws of _draw_symbols, the intp ones of its binary search and
+    # int64, over the 1-D words of the i.i.d. sampler and the 2-D chain rows
+    M = system.truncated_size(truncation)
+    step = qdim.measure._map_step(system, M)
+    rng = np.random.default_rng(0)
+    for shape in [(500,), (4, 125)]:
+        symbols = rng.integers(0, M, shape)
+        x = rng.random(shape)
+        kept = x.copy()
+        expected = np.reshape([_own_value(system, int(i) + 1, v)
+                               for i, v in zip(symbols.ravel(), x.ravel())], shape)
+        for dtype in (np.uint8, np.intp, np.int64):
+            out = step(symbols.astype(dtype), x)
+            assert out.shape == shape
+            assert out.tobytes() == expected.tobytes(), (shape, dtype)
+        assert x.tobytes() == kept.tobytes()
 
 
 def test_gauss_digits_and_generic_branches_sample_alike():

@@ -1,4 +1,5 @@
 import gc
+import heapq
 import math
 import weakref
 
@@ -202,7 +203,7 @@ def test_split_sequence_shared_across_n(e1_sample, ns, r, monkeypatch):
     sizes = []
     best_split = qdim.quantizer._best_split
     monkeypatch.setattr(qdim.quantizer, "_best_split",
-                        lambda seg: sizes.append(seg.size) or best_split(seg))
+                        lambda seg, *buffers: sizes.append(seg.size) or best_split(seg, *buffers))
     sample = _fresh(e1_sample)
     runs = [Q.lloyd_optimize(sample, n, r) for n in ns]
     # 63 splits give the 64-cell start, and every smaller start is on the way
@@ -320,6 +321,48 @@ def test_best_split_equals_the_masked_score(values):
     score = d * d / (k * (L - k))
     score[y[1:] == y[:-1]] = -1.0
     assert qdim.quantizer._best_split(seg) == 1 + int(np.argmax(score))
+
+
+def _reference_starts(pts: np.ndarray, n: int, r: float) -> list[int]:
+    """The greedy split order cell by cell, with a fresh prefix sum of seg - seg[0] per cell."""
+    heap, starts = [(0.0, 0, pts.size)], [0]
+    while len(starts) < n:
+        _, a, b = heapq.heappop(heap)
+        seg = pts[a:b]
+        L = seg.size
+        y = seg - seg[0]
+        s = np.cumsum(y)
+        k = np.arange(1.0, L)
+        d = s[:-1] * L - k * s[-1]
+        score = d * d / (k * (L - k))
+        score[y[1:] == y[:-1]] = -1.0
+        split = 1 + int(np.argmax(score))
+        means = np.add.reduceat(seg, [0, split]) / np.array([split, L - split])
+        costs = np.add.reduceat(np.abs(seg - np.repeat(means, [split, L - split])) ** r,
+                                [0, split])
+        for lo, hi, c in ((0, split, costs[0]), (split, L, costs[1])):
+            heapq.heappush(heap, (-c if seg[lo] < seg[hi - 1] else math.inf, a + lo, a + hi))
+        starts.append(a + split)
+    return starts
+
+
+@pytest.mark.parametrize("grow", ["ascending", "shuffled"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_SEGMENTS, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+       st.lists(st.integers(1, 64), min_size=1, max_size=6))
+def test_split_order_equals_the_per_cell_reference(grow, values, r, ns):
+    # left halves read their parent's prefix sum; every cut and heap key is unchanged
+    pts = np.sort(np.array(values))
+    distinct = 1 + int(np.count_nonzero(pts[1:] != pts[:-1]))
+    assume(distinct > 1)
+    ns = [min(n, distinct - 1) for n in ns]
+    if grow == "ascending":
+        ns.sort()
+    order = qdim.quantizer._SplitOrder(pts.size)
+    for n in ns:
+        edges = order.edges(pts, n, r)
+        assert edges.tolist() == sorted(_reference_starts(pts, n, r)) + [pts.size]
+    assert order.starts == _reference_starts(pts, max(ns), r)
 
 
 def test_split_cache_lets_go_of_the_sample(e1_sample):
