@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,7 @@ from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_e
                        _symbol_logs, is_multiplicative)
 
 _CHUNK = 65536
+_THREADS = 4              # most threads of the constant-weight sampler, one row range each
 _REACH = 64               # reachable cdf entries up to which counting beats a binary search
 _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
 _CHAIN_BATCH = 4          # chunks per step call: 4 x 2048 float64 = 64 KB per per-step array
@@ -245,6 +247,9 @@ def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, shape: tuple[int, i
     are at most _REACH of them, and by the binary search otherwise.  Every
     u is below cdf[-1] = 1, so at most the first M - 1 entries are reached,
     and a short cdf is counted whole without looking for the largest u.
+    The sampler calls it once per row range of a chunk, so the largest u,
+    and with it the dtype, can differ between the ranges of one chunk; the
+    symbols cannot.
     """
     u = rng.random(shape)
     reach = cdf.size - 1
@@ -260,6 +265,14 @@ def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, shape: tuple[int, i
     return idx
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
                      depth: int, M: int, seed: int) -> np.ndarray:
     """i.i.d. symbol words of length ``depth`` applied to the domain midpoint.
@@ -270,8 +283,19 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     one of M^k points, tabulated once by the same ``_map_step`` calls, for
     the largest k <= depth with M^k <= min(count, _CHUNK): a word looks up
     its suffix by the base-M number of those symbols, and each of the
-    other depth - k steps maps the whole chunk by one ``_map_step`` call.
+    other depth - k steps maps the rows at once by one ``_map_step`` call.
     Every point is the one that stepping the whole word gives, bit for bit.
+
+    Each chunk is cut into one contiguous row range per thread, with
+    threads = min(_cpu_count(), _THREADS) and no empty range.  A range
+    [lo, hi) starts its chunk's stream and jumps it ahead by lo * depth
+    outputs (``PCG64.advance``): ``Generator.random`` takes one 64-bit
+    output per double and fills rows in C order, so the range draws rows
+    lo:hi of the chunk's uniforms exactly.  The ranges run on a thread pool
+    (the draws and the array loops release the GIL) and write disjoint
+    slices of the result, so the sample is the same bytes whatever the
+    CPU count; with one range in all (one CPU, or a single word) they run
+    inline, without a pool.
     """
     probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
     cdf = _symbol_cdf(probs / probs.sum())
@@ -284,19 +308,36 @@ def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
     for _ in range(k):
         suffix = step(np.repeat(np.arange(M), suffix.size), np.tile(suffix, M))
     out = np.empty(count)
-    for chunk_idx, start in enumerate(range(0, count, _CHUNK)):
-        n = min(_CHUNK, count - start)
+
+    def words(chunk_idx: int, lo: int, hi: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
+        if lo:
+            rng.bit_generator.advance(lo * depth)
         # steps[j] holds the j-th symbol of every word, contiguous
-        steps = _draw_symbols(rng, cdf, (n, depth)).T.copy()
-        code = np.zeros(n, np.int32)  # codes stay below M^k <= _CHUNK
+        steps = _draw_symbols(rng, cdf, (hi - lo, depth)).T.copy()
+        code = np.zeros(hi - lo, np.int32)  # codes stay below M^k <= _CHUNK
         for idx in steps[depth - k:]:
             code *= M
             code += idx
         x = suffix.take(code)
         for idx in steps[:depth - k][::-1]:
             x = step(idx, x)
-        out[start:start + n] = x
+        out[chunk_idx * _CHUNK + lo:chunk_idx * _CHUNK + hi] = x
+
+    threads = min(_cpu_count(), _THREADS)
+    ranges = []
+    for chunk_idx, start in enumerate(range(0, count, _CHUNK)):
+        n = min(_CHUNK, count - start)
+        cuts = [n * j // threads for j in range(threads + 1)]
+        ranges += [(chunk_idx, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    workers = min(threads, len(ranges))
+    if workers == 1:
+        for args in ranges:
+            words(*args)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda args: words(*args), ranges))
     return out
 
 

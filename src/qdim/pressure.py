@@ -264,11 +264,21 @@ def _leading_real(ev: np.ndarray, q: float, t: float) -> int:
     return k
 
 
+def _lapack(routine, q: float, t: float, *args):
+    """``routine(*args)``, with LAPACK's failure (a NaN or inf entry, no
+    convergence, a singular system) raised as the numerical failure it is."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"collocated operator at (q, t) = ({q:.6g}, {t:.6g}): "
+                               f"{exc}") from exc
+
+
 def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
                        q: float, t: float) -> float:
     """s + log of the leading real eigenvalue of the collocated operator."""
     s, A = _operator_matrix(parts, q, t)
-    ev = np.linalg.eigvals(A)
+    ev = _lapack(np.linalg.eigvals, q, t, A)
     return s + math.log(float(ev.real[_leading_real(ev, q, t)]))
 
 
@@ -290,7 +300,7 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     matrix is not (its condition number reaches 1e13).
     """
     s, A = _operator_matrix(parts, q, t)
-    ev, V = np.linalg.eig(A)
+    ev, V = _lapack(np.linalg.eig, q, t, A)
     k = _leading_real(ev, q, t)
     mu = float(ev.real[k])
     h = V[:, k].real
@@ -302,7 +312,7 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     bordered = np.zeros((n + 1, n + 1))
     bordered[:n, :n] = A.T - mu * np.eye(n)
     bordered[:n, n] = bordered[n, :n] = h
-    nu = np.linalg.solve(bordered, np.eye(n + 1)[n])[:n]
+    nu = _lapack(np.linalg.solve, q, t, bordered, np.eye(n + 1)[n])[:n]
     total = float(nu.sum())
     rho = float(np.max(np.abs(np.delete(ev, k)))) / mu
     return math.exp(s) * mu, h * total, nu / total, rho

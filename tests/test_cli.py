@@ -637,6 +637,21 @@ def test_overflowing_weight_sum_exits_one(command, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_lapack_failure_exits_two(tmp_path):
+    # q F + t D overflows to inf - inf = NaN in the collocated operator, and
+    # eigvals raises LinAlgError, a ValueError subclass: a numerical failure
+    # of a valid spec, not a spec error
+    path = tmp_path / "gauss12.json"
+    path.write_text(GAUSS_DOC)
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", "pressure", "--system", str(path),
+                           "--q", "1e308", "--t", "-1e308"], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert ("numerical failure: collocated operator at (q, t) = (1e+308, -1e+308): "
+            "Array must not contain infs or NaNs") in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 def test_sample_explicit_truncation_reports_its_deficit(e3_spec, tmp_path, capsys):
     # --m samples the truncated system's own measure; the tail it leaves out,
     # sum_{i > 3} 2^-i = 2^-3, is reported, not refused

@@ -356,6 +356,75 @@ def test_constant_sampler_matches_the_stepped_words(system_m, depth, size, seed)
     assert np.array_equal(got, _constant_words(system, family, count, depth, M, seed))
 
 
+# 100 equal weights: a range whose largest uniform passes cdf[63] takes the
+# binary search, and the other ranges of its chunk count the cdf entries
+_WIDE = (Q.similarity_system([1 / 200] * 100, [i / 100 for i in range(100)]),
+         Q.log_weight_family([1.0] * 100))
+
+
+@pytest.mark.parametrize("name, count, depth", [
+    ("e2", 1, 26),                               # one word: no pool at any CPU count
+    ("e2", 2, 26),                               # fewer words than three workers
+    ("e2", qdim.measure._CHUNK + 1, 26),         # a second chunk of one word
+    ("reversed", 5000, 7),
+    ("wide", 3, 1),                              # one uniform per range
+    ("wide", 5000, 2),
+], ids=["one", "two", "chunk-plus-one", "reversed", "wide-three", "wide"])
+def test_constant_sampler_bytes_do_not_depend_on_the_cpu_count(name, count, depth,
+                                                               monkeypatch):
+    system, family = _WIDE if name == "wide" else _STREAM_SYSTEMS[name]
+    M = system.truncated_size(None)
+    want = _constant_words(system, family, count, depth, M, 9).tobytes()
+    draw = qdim.measure._draw_symbols
+    for cpus in (1, 2, 3):
+        calls = []
+
+        def recording_draw(rng, cdf, shape):
+            calls.append(draw(rng, cdf, shape))
+            return calls[-1]
+
+        monkeypatch.setattr(qdim.measure, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(qdim.measure, "_draw_symbols", recording_draw)
+        got = qdim.measure._sample_constant(system, family, count, depth, M, 9)
+        assert got.tobytes() == want
+        # one nonempty range per worker and chunk, never more ranges than words
+        chunks = [min(qdim.measure._CHUNK, count - s)
+                  for s in range(0, count, qdim.measure._CHUNK)]
+        assert sorted(len(idx) for idx in calls) == sorted(
+            n * (j + 1) // cpus - n * j // cpus
+            for n in chunks for j in range(cpus) if n * (j + 1) // cpus > n * j // cpus)
+        if (name, count) == ("wide", 3) and cpus > 1:
+            # the ranges of one chunk took both sides of the reach
+            assert {idx.dtype for idx in calls} == {np.dtype(np.uint8), np.dtype(np.intp)}
+
+
+@pytest.mark.parametrize("count, cpus", [(1, 2), (5, 1)])
+def test_constant_sampler_runs_one_range_without_a_pool(count, cpus, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a single range")
+
+    system, family = _STREAM_SYSTEMS["e2"]
+    monkeypatch.setattr(qdim.measure, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    got = qdim.measure._sample_constant(system, family, count, 26, 2, 4)
+    assert got.tobytes() == _constant_words(system, family, count, 26, 2, 4).tobytes()
+
+
+@pytest.mark.parametrize("n, depth, lo", [(10, 26, 3), (qdim.measure._CHUNK, 26, 21845),
+                                          (7, 1, 6), (5, 60, 1)])
+def test_jump_ahead_reproduces_the_later_rows(n, depth, lo):
+    # Generator.random takes one PCG64 output per double, in C order
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence(entropy=(5, 2)))
+
+    whole = stream().random((n, depth))
+    rng = stream()
+    rng.bit_generator.advance(lo * depth)
+    assert rng.random((n - lo, depth)).tobytes() == whole[lo:].tobytes()
+
+
 def _chain_table(M, rng):
     probs = rng.random((qdim.pressure._NODES, M))
     return np.column_stack([probs / probs.sum(axis=1, keepdims=True),
