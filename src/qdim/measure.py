@@ -651,7 +651,8 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     if depth is None:
         depth = _gap_depth(rho)
     x, w = _chebyshev_nodes(system.domain, _NODES)
-    probs = np.exp(F) * (E @ h) / (lam * h)               # probs[i, j] = p_{i+1}(x_j)
+    # symbol-major views of the node-major parts; probs[i, j] = p_{i+1}(x_j)
+    probs = np.exp(F.T) * (E.transpose(1, 0, 2) @ h) / (lam * h)
     table = np.column_stack([probs.T, np.ones(_NODES)])  # the last column gives the denominator
     keep = _filtered_rejection(x, w, h, system.domain)
     draw = _filtered_drawer(x, w, table, system.domain)

@@ -8,7 +8,9 @@ Symbol-constant families on similarity systems are multiplicative: the
 depth-n sum is the n-th power of the single-symbol sum, so P is exact
 at every depth.  Otherwise P is the log of the leading eigenvalue of the
 transfer operator g -> sum_i exp(q f_i) |phi_i'|^t g o phi_i, collocated
-at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).
+at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).  Its
+parts are kept once, node-major (``_operator_parts``): the operator
+matrix, the Newton step and the sampler all read that one copy.
 ``is_multiplicative`` decides between the two; ``_pressure_callable``
 (every root solve), ``estimate_pressure``, ``_temperature_walk``,
 ``truncation_sweep`` and ``measure.cylinder_mass`` each ask it.
@@ -225,16 +227,17 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
                     nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, D, E) of the transfer operator over symbols 1..M at ``nodes`` points.
 
-    At the Chebyshev-Lobatto nodes x_j of the domain, F[i, j] = f_i(x_j),
-    D[i, j] = log|phi_i'(x_j)|, and E[i] is the barycentric interpolation
-    matrix from values at the nodes to values at phi_i(x_j); its row is a
-    unit vector where phi_i(x_j) is itself a node.
+    Node-major: at the Chebyshev-Lobatto nodes x_j of the domain,
+    F[j, i] = f_i(x_j), D[j, i] = log|phi_i'(x_j)|, and E[j, i] is the
+    barycentric interpolation row from values at the nodes to the value
+    at phi_i(x_j), a unit vector where phi_i(x_j) is itself a node.  The
+    sampler reads the symbol-major views ``F.T`` and ``E.transpose(1, 0, 2)``.
     """
     x, w = _chebyshev_nodes(system.domain, nodes)
     maps = [system.map(i) for i in range(1, M + 1)]
-    F = np.array([f_value(family, system, i, x) for i in range(1, M + 1)])
-    D = np.log([m.abs_deriv(x) for m in maps])
-    E = _barycentric_terms(x, w, np.array([m.value(x) for m in maps]))
+    F = np.column_stack([f_value(family, system, i, x) for i in range(1, M + 1)])
+    D = np.log(np.column_stack([m.abs_deriv(x) for m in maps]))
+    E = _barycentric_terms(x, w, np.column_stack([m.value(x) for m in maps]))
     E /= E.sum(axis=2, keepdims=True)
     for arr in (F, D, E):
         arr.flags.writeable = False
@@ -243,11 +246,16 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
 
 def _operator_matrix(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
                      q: float, t: float) -> tuple[float, np.ndarray]:
-    """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent."""
+    """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent.
+
+    Overflow and NaN in the exponents pass through silently: the
+    eigenvalue solve reports them as a numerical failure.
+    """
     F, D, E = parts
-    X = q * F + t * D
-    s = float(X.max())
-    return s, np.einsum("ij,ijk->jk", np.exp(X - s), E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = q * F + t * D
+        s = float(X.max())
+        return s, np.einsum("ji,jik->jk", np.exp(X - s), E)
 
 
 def _leading_real(ev: np.ndarray, q: float, t: float) -> int:
@@ -318,34 +326,23 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
-@lru_cache(maxsize=32)
-def _node_major(system: IfsSystem, family: PotentialFamily,
-                M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_operator_parts`` at ``_NODES`` nodes, node-major for ``_operator_step``:
-    F^T and D^T (node x symbol), and E^T with E^T[j, i] = E[i, j]."""
-    major = tuple(np.ascontiguousarray(np.swapaxes(a, 0, 1))
-                  for a in _operator_parts(system, family, M, _NODES))
-    for arr in major:
-        arr.flags.writeable = False
-    return major
-
-
-def _operator_step(major: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
+def _operator_step(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
                    dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(s, A, B h): ``_operator_matrix`` at (q, t), and its derivative along
     (dq, dt) applied to h.
 
     B = sum_i diag((dq F_i + dt D_i) e^{q F_i + t D_i - s}) E_i, under the
-    same shift s as A.  One batched product over the node-major parts
-    (``_node_major``) reads E once and gives row j of A and of B together.
+    same shift s as A.  One batched product over the node-major parts reads
+    E once and gives row j of A and of B together; it rounds differently
+    from ``_operator_matrix``'s einsum, which the certificate reads.
     """
-    FT, DT, ET = major
-    X = q * FT + t * DT
+    F, D, E = parts
+    X = q * F + t * D
     s = float(X.max())
-    WV = np.empty((FT.shape[0], 2, FT.shape[1]))
+    WV = np.empty((F.shape[0], 2, F.shape[1]))
     np.exp(X - s, out=WV[:, 0])
-    np.multiply(dq * FT + dt * DT, WV[:, 0], out=WV[:, 1])
-    rows = WV @ ET
+    np.multiply(dq * F + dt * D, WV[:, 0], out=WV[:, 1])
+    rows = WV @ E
     return s, rows[:, 0], rows[:, 1] @ h
 
 
@@ -367,16 +364,16 @@ def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | 
 
         [[A - e^{-s} I, B h], [1^T, 0]] [dh; du] = [e^{-s} h - A h; 1 - 1^T h]
 
-    (``_operator_step``; the rows are L h = h scaled by e^{-s}).  It gives
-    up as soon as a step leaves h > 0, and ends when a step moves u and h
-    by at most ``_NEWTON_TOL``.  The root is kept only if that happens
-    within ``_NEWTON_STEPS`` steps, one budget for every start, and the
-    leading real eigenvalue there (``_operator_pressure``) gives
-    |P| <= ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach
-    fails that test.
+    (``_operator_step``, which reads the node-major parts as they are
+    cached; the rows are L h = h scaled by e^{-s}).  It gives up as soon
+    as a step leaves h > 0, and ends when a step moves u and h by at most
+    ``_NEWTON_TOL``.  The root is kept only if that happens within
+    ``_NEWTON_STEPS`` steps, one budget for every start, and the leading
+    real eigenvalue there (``_operator_pressure``) gives |P| <=
+    ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach fails
+    that test.
     """
     parts = _collocated_parts(system, family, truncation)
-    major = _node_major(system, family, system.truncated_size(truncation))
     n = h.size
     J = np.zeros((n + 1, n + 1))
     J[n, :n] = 1.0
@@ -387,7 +384,7 @@ def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | 
     trace = []
     with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
         for _ in range(_NEWTON_STEPS):
-            s, A, Bh = _operator_step(major, q + u * dq, t + u * dt, dq, dt, h)
+            s, A, Bh = _operator_step(parts, q + u * dq, t + u * dt, dq, dt, h)
             c = np.exp(-s)
             J[:n, :n] = A
             J[diag, diag] -= c
@@ -503,8 +500,7 @@ def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: i
 
 
 def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
-                     trace: list | None = None,
-                     ends: tuple[float, float] | None = None) -> tuple[float, float]:
+                     ends: tuple[float, float]) -> tuple[float, float]:
     """(x, fn(x)) at the root of a decreasing fn with fn(lo) > 0 > fn(hi).
 
     Illinois regula falsi: the secant through the bracket ends, with the
@@ -513,16 +509,10 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
     the bracket, and any step after three in a row that did not halve
     the bracket, so it never needs more than four times the steps of
     bisection.  Stops when the bracket is a few ulps wide and returns
-    the end with the smaller |fn|.  Every evaluation made here goes to
-    ``trace``; ``ends`` are fn(lo) and fn(hi) when the caller has them.
+    the end with the smaller |fn|.  ``ends`` are fn(lo) and fn(hi), which
+    the caller has already evaluated.
     """
-    def f(x: float) -> float:
-        v = fn(x)
-        if trace is not None:
-            trace.append((x, v))
-        return v
-
-    f_lo, f_hi = (f(lo), f(hi)) if ends is None else ends
+    f_lo, f_hi = ends
     if not f_lo > 0.0 > f_hi:
         raise BracketError(f"no sign change on [{lo:.6g}, {hi:.6g}]: "
                            f"values {f_lo:.3g}, {f_hi:.3g}")
@@ -538,7 +528,7 @@ def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
             x = 0.5 * (lo + hi)
         # a step shorter than `step` moves the nearer end by `step` instead
         x = min(max(x, lo + step), hi - step)
-        v = f(x)
+        v = fn(x)
         if abs(v) < abs(best[1]):
             best = (x, v)
         if v == 0.0:
@@ -614,7 +604,7 @@ def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | Non
         if hi >= top:
             raise BracketError(f"P stays >= 0 up to u = {top:.6g} from ({q:.6g}, {t:.6g})")
         hi = min(2.0 * hi, top)
-    u, resid = _root_decreasing(fn, lo, hi, ends=(f_lo, f_hi))
+    u, resid = _root_decreasing(fn, lo, hi, (f_lo, f_hi))
     if not abs(resid) <= _RESIDUAL:
         raise BracketError(f"pressure residual {resid:.3g} at ({q + u * dq:.6g}, "
                            f"{t + u * dt:.6g}) above tolerance")
@@ -653,16 +643,15 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
                       truncation: int | None) -> tuple[list[float], list]:
     """beta at each grid point, and the operator's eigenvector h at each root.
 
-    Closed forms solve every point with ``beta_of_q`` (h is None).  On the
-    collocated operator one P serves the walk, and each point after the
-    first puts a warm start ahead of the cold one: the secant through the
-    last two roots (the last root after a single one) with the last h.
-    h comes from the Newton root, or from ``_operator_eigen`` when the
-    regula falsi answered; without a positive h the next point starts
-    cold only.
+    One P serves the walk, and each point after the first puts a warm
+    start ahead of the cold one: the secant through the last two roots
+    (the last root after a single one) with the last h.  h comes from the
+    Newton root, or on the collocated operator from ``_operator_eigen``
+    when the regula falsi answered; without a positive h the next point
+    starts cold only.  Closed forms run no Newton, so their h stays None
+    and every point is solved by the bracket walk alone.
     """
-    if is_multiplicative(system, family):
-        return [beta_of_q(system, family, float(q), truncation) for q in qs], [None] * len(qs)
+    closed = is_multiplicative(system, family)
     P = _pressure_callable(system, family, truncation)
     betas: list[float] = []
     hs: list = []
@@ -675,7 +664,7 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
             starts.insert(0, (t, h, _ANYWHERE))
         t, h, _, _ = _line_root(system, family, truncation, P, q, 0.0, 0.0, 1.0, starts, 1e4)
-        if h is None:
+        if h is None and not closed:
             try:
                 h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
             except NumericalFailure:  # no positive h to start from: the next point is cold

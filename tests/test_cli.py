@@ -650,6 +650,19 @@ def test_lapack_failure_exits_two(tmp_path):
     assert ("numerical failure: collocated operator at (q, t) = (1e+308, -1e+308): "
             "Array must not contain infs or NaNs") in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
+    assert "RuntimeWarning" not in done.stderr
+
+
+def test_overflow_exits_two_in_process(tmp_path, capsys):
+    # the same failure under pytest's error::RuntimeWarning filter: the overflow
+    # and the NaN it makes raise no warning out of main
+    path = tmp_path / "gauss12.json"
+    path.write_text(GAUSS_DOC)
+    assert main(["pressure", "--system", str(path), "--q", "1e308", "--t", "-1e308"]) == 2
+    captured = capsys.readouterr()
+    assert ("numerical failure: collocated operator at (q, t) = (1e+308, -1e+308): "
+            "Array must not contain infs or NaNs") in captured.err
+    assert captured.out == ""
 
 
 def test_sample_explicit_truncation_reports_its_deficit(e3_spec, tmp_path, capsys):

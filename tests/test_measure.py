@@ -197,7 +197,7 @@ def test_chain_law_at_default_depth(symbols, M, s_exp):
     system, family = Q.gauss_system(symbols), Q.derivative_family(s_exp)
     parts = qdim.pressure._operator_parts(system, family, M or system.size,
                                           qdim.pressure._NODES)
-    F, _, E = parts
+    F, E = parts[0].T, parts[2].transpose(1, 0, 2)  # symbol-major
     lam, h, nu, rho = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     depth = Q.sample_measure(system, family, 1, truncation=M).depth
     assert depth == qdim.measure._gap_depth(rho)
@@ -461,11 +461,37 @@ def _system_table(name, M):
     """Node coordinates, weights and the chain's probability table, as the sampler builds them."""
     system, family = _STREAM_SYSTEMS[name]
     parts = qdim.pressure._operator_parts(system, family, M, qdim.pressure._NODES)
-    F, _, E = parts
+    F, E = parts[0].T, parts[2].transpose(1, 0, 2)  # symbol-major
     lam, h, _, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
     x, w = qdim.pressure._chebyshev_nodes(system.domain, qdim.pressure._NODES)
     probs = np.exp(F) * (E @ h) / (lam * h)
     return system.domain, x, w, np.column_stack([probs.T, np.ones(qdim.pressure._NODES)])
+
+
+class _TableSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, M", [("gauss12-chain", 2), ("gauss15-chain", 5),
+                                     ("gauss-full-chain", 40), ("gauss-full-chain", 645)])
+def test_chain_probs_match_the_contiguous_formula(name, M):
+    # the sampler's node probabilities, read through symbol-major views of the node-major
+    # parts, equal the formula on contiguous symbol-major copies, bit for bit
+    system, family = _STREAM_SYSTEMS[name]
+    seen = []
+
+    def capture(x, w, table, domain):
+        seen.append(table)
+        raise _TableSeen
+
+    with patch.object(qdim.measure, "_filtered_drawer", capture), pytest.raises(_TableSeen):
+        Q.sample_measure(system, family, 1, truncation=M)
+    parts = qdim.pressure._operator_parts(system, family, M, qdim.pressure._NODES)
+    F = np.ascontiguousarray(parts[0].T)
+    E = np.ascontiguousarray(parts[2].transpose(1, 0, 2))
+    lam, h, _, _ = qdim.pressure._operator_eigen(parts, 1.0, 0.0)
+    probs = np.exp(F) * (E @ h) / (lam * h)
+    assert np.array_equal(seen[0][:, :-1], probs.T)
 
 
 def _normalized_cdf(x, w, table, y):

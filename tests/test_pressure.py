@@ -454,7 +454,7 @@ def test_operator_eigen_triple(gauss12):
     # L h = lambda h and nu L = lambda nu at the nodes, h > 0, lambda = e^{P(q, t)}
     system, family = gauss12
     parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
-    F, D, E = parts
+    F, D, E = parts[0].T, parts[1].T, parts[2].transpose(1, 0, 2)  # symbol-major
     for q, t in ((1.0, 0.0), (0.4, 0.9)):
         lam, h, nu, rho = qdim.pressure._operator_eigen(parts, q, t)
         L = np.einsum("ij,ijk->jk", np.exp(q * F + t * D), E)
@@ -473,19 +473,57 @@ def test_operator_eigen_triple(gauss12):
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-13
 
 
+_OPERATOR_SYSTEMS = {
+    "gauss12": (Q.gauss_system((1, 2)), Q.derivative_family(0.6), 2),
+    "gauss15-g": (Q.gauss_system((1, 2, 3, 4, 5)),
+                  Q.derivative_family(0.8, lambda x: -4.0 * x, g_sup=4.0), 5),
+    "gauss-full-M7": (Q.gauss_system(None), Q.derivative_family(1.0), 7),
+    "gauss-full-M645": (Q.gauss_system(None), Q.derivative_family(1.5), 645),
+    "similarity3-sin": (Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]),
+                        Q.derivative_family(0.6, lambda x: 0.8 * np.sin(3.0 * x), g_sup=0.8),
+                        3),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_OPERATOR_SYSTEMS)), st.sampled_from([16, 32]),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 30.0))
+def test_operator_matrix_matches_the_symbol_major_einsum(name, nodes, q, t):
+    # the node-major parts give the matrix of the symbol-major formula, bit for bit
+    system, family, M = _OPERATOR_SYSTEMS[name]
+    parts = qdim.pressure._operator_parts(system, family, M, nodes)
+    F, D, E = (np.ascontiguousarray(np.swapaxes(a, 0, 1)) for a in parts)  # F[i, j] = f_i(x_j)
+    X = q * F + t * D
+    s = float(X.max())
+    want = np.einsum("ij,ijk->jk", np.exp(X - s), E)
+    got_s, got = qdim.pressure._operator_matrix(parts, q, t)
+    assert got_s == s and np.array_equal(got, want)
+
+
+def _traced(fn, trace):
+    """fn, with every evaluation appended to trace as (x, fn(x))."""
+    def f(x):
+        v = fn(x)
+        trace.append((x, v))
+        return v
+    return f
+
+
 def test_root_finder_safeguards():
     # +inf at the left end makes the secant step NaN: the midpoint takes over
     trace = []
-    x, v = _root_decreasing(lambda t: math.inf if t < 0.1 else 0.5 - t, 0.0, 2.0, trace)
+    f = _traced(lambda t: math.inf if t < 0.1 else 0.5 - t, trace)
+    x, v = _root_decreasing(f, 0.0, 2.0, (f(0.0), f(2.0)))
     assert x == pytest.approx(0.5, abs=1e-15) and abs(v) <= 1e-15
     assert len(trace) <= 10
     # a flat root stalls plain regula falsi; forced bisection bounds the steps
     trace = []
-    x, _ = _root_decreasing(lambda t: -(t - 0.3) ** 9, -1.0, 2.0, trace)
+    f = _traced(lambda t: -(t - 0.3) ** 9, trace)
+    x, _ = _root_decreasing(f, -1.0, 2.0, (f(-1.0), f(2.0)))
     assert x == pytest.approx(0.3, abs=1e-15)
     assert len(trace) <= 4 * 64
     with pytest.raises(BracketError):
-        _root_decreasing(lambda t: 1.0 - t, 2.0, 3.0)
+        _root_decreasing(lambda t: 1.0 - t, 2.0, 3.0, (1.0 - 2.0, 1.0 - 3.0))
 
 
 def test_qdim_rejects_bad_order(e1):
@@ -655,7 +693,7 @@ def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
     system, family = gauss12
     parts = qdim.pressure._operator_parts(system, family, 2, qdim.pressure._NODES)
     q, t = 0.4, -1.85
-    F, D, E = parts
+    F, D, E = parts[0].T, parts[1].T, parts[2].transpose(1, 0, 2)  # symbol-major
     ev, V = np.linalg.eig(np.einsum("ij,ijk->jk", np.exp(q * F + t * D), E))
     real = np.flatnonzero(ev.imag == 0.0)
     second = real[np.argsort(ev.real[real])[-2]]
