@@ -287,8 +287,7 @@ def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
     return similarity_system([1 / 3, 1 / 3], [a + 0.0, a + 2 * span / 3], domain=domain)
 
 
-def geometric_similarity_system(ratio: float = 1 / 3,
-                                domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
+def geometric_similarity_system(ratio: float = 1 / 3) -> IfsSystem:
     """Countable system phi_i(x) = ratio**i * (x + 2) with disjoint images.
 
     Images are [2*ratio**i, 3*ratio**i]; disjointness and containment in
@@ -296,8 +295,6 @@ def geometric_similarity_system(ratio: float = 1 / 3,
     """
     if not 0.0 < ratio <= 1 / 3:
         raise ValueError("geometric systems need ratio in (0, 1/3]")
-    if domain != (0.0, 1.0):
-        raise ValueError("geometric systems are built on the unit interval")
 
     def gen(i: int, _r: float = ratio) -> Similarity1D:
         return Similarity1D(_r ** i, 2.0 * _r ** i)

@@ -77,12 +77,6 @@ class AntichainResult:
 # error evaluation
 
 
-def _nearest_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
-    mids = 0.5 * (code[1:] + code[:-1])
-    idx = np.searchsorted(mids, pts)
-    return np.abs(pts - code[idx]) ** r
-
-
 def _power_in_place(d: np.ndarray, r: float) -> np.ndarray:
     """|d|^r in d's own buffer; at r = 2 the square, which is what |d| ** 2 computes."""
     if r == 2.0:
@@ -93,11 +87,12 @@ def _power_in_place(d: np.ndarray, r: float) -> np.ndarray:
 
 
 def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
-    """``_nearest_errors`` for a sorted sample, from one search per code point.
+    """|x - nearest code point|^r for each x of a sorted sample, from one
+    search per code point.
 
-    Point x takes the code point of index #{mids < x}, so the points of code
-    point j end at searchsorted(pts, mids[j], side="right"): the same
-    distances as the per-point search.
+    Point x takes the code point of index #{mids < x} (a tie at a midpoint
+    goes to the lower one), so the points of code point j end at
+    searchsorted(pts, mids[j], side="right").
     """
     ends = np.searchsorted(pts, 0.5 * (code[1:] + code[:-1]), side="right")
     err = np.repeat(code, np.diff(ends, prepend=0, append=pts.size))
@@ -107,13 +102,13 @@ def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
 
 def quant_error(sample: SampleSet, codebook: Codebook | np.ndarray, r: float) -> float:
     """Mean over the sample of (distance to the nearest code point)^r."""
-    pts = sample.points if isinstance(sample, SampleSet) else np.asarray(sample, float)
+    pts = sample.points if isinstance(sample, SampleSet) else np.sort(np.asarray(sample, float))
     code = codebook.points if isinstance(codebook, Codebook) else np.sort(np.asarray(codebook, float))
     if code.size == 0:
         raise ValueError("empty codebook")
     if pts.size == 0:
         raise ValueError("empty sample")
-    return float(np.mean(_nearest_errors(pts, code, r)))
+    return float(np.mean(_sorted_errors(pts, code, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +339,8 @@ def _fix_empty_cells(pts: np.ndarray, code: np.ndarray, r: float
     return code, _cell_edges(pts, code)
 
 
-def _best_split(seg: np.ndarray, prefix: np.ndarray | None = None,
-                work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> int:
+def _best_split(seg: np.ndarray, prefix: np.ndarray,
+                work: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
     """Index splitting a sorted cell into two with the least summed squared error.
 
     For a split after the first k of L values, the summed squared error
@@ -355,19 +350,14 @@ def _best_split(seg: np.ndarray, prefix: np.ndarray | None = None,
     (s_k L - k t)^2 / (k (L - k)) (Otsu, IEEE SMC 1979).  One prefix sum
     of seg - seg[0] gives every term, with no s2 - s1^2/k cancellation;
     splits between equal values are excluded.  ``prefix`` is that prefix
-    sum when the caller holds it (it is only read), and ``work`` the
-    buffers (score, scratch, ranks 1.0, 2.0, ...) of at least L entries
-    (L - 1 for the ranks); either is made here when None.  Scores are
-    >= 0, so the first maximum is also the first maximum away from equal
-    values unless it lies between two; only then are the splits between
-    equal values masked out.
+    sum (it is only read), and ``work`` the buffers (score, scratch, ranks
+    1.0, 2.0, ...) of at least L entries (L - 1 for the ranks).  Scores
+    are >= 0, so the first maximum is also the first maximum away from
+    equal values unless it lies between two; only then are the splits
+    between equal values masked out.
     """
     L = seg.size
     low = seg[0]
-    if prefix is None:
-        prefix = np.cumsum(seg - low)
-    if work is None:
-        work = np.empty(L), np.empty(L), np.arange(1.0, float(L))
     score_buf, tmp_buf, ranks = work
     k = ranks[:L - 1]
     score = np.multiply(prefix[:-1], L, out=score_buf[:L - 1])

@@ -36,6 +36,9 @@ GAUSS_DOC = """{"domain": [0.0, 1.0], "kind": "gauss", "symbols": [1, 2], "K": 4
  "potential": {"kind": "derivative", "s": 0.6, "g": "zero"}}
 """
 
+# Gauss {1,2} at its dimension dim E_2; the spec keeps the legacy "K": 4.0
+GAUSS12_DIM_DOC = GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205')
+
 # four similarities with unequal ratios and unequal weights
 SIM4_DOC = """{"domain": [0.0, 1.0], "kind": "similarity",
  "maps": [{"ratio": 0.1, "offset": 0.0}, {"ratio": 0.2, "offset": 0.15},
@@ -158,7 +161,7 @@ def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
     # Newton root at q = 0, per later point and for q_r (254 when every
     # grid point was solved by the regula falsi)
     path = tmp_path / "gauss.json"
-    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    path.write_text(GAUSS12_DIM_DOC)
     calls = _count_eigensolves(monkeypatch)
     fig = tmp_path / "fig.csv"
     assert main(["figure1", "--system", str(path), "--r", "2", "--out", str(fig)]) == 0
@@ -173,7 +176,7 @@ def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
 def test_dimh_takes_one_eigensolve(tmp_path, monkeypatch, capsys):
     # eigenpair Newton from h = 1, certified by one eigenvalue solve
     path = tmp_path / "gauss.json"
-    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    path.write_text(GAUSS12_DIM_DOC)
     calls = _count_eigensolves(monkeypatch)
     assert main(["dimh", "--system", str(path)]) == 0
     assert len(calls) <= 1
@@ -249,19 +252,40 @@ def test_verify_deterministic_and_exit_codes(e1_spec, tmp_path, capsys):
 
 E2_DOC = E1_DOC.replace("[0.5, 0.5]", "[0.7, 0.3]")
 
+_VERIFY_SPECS = {"e2": E2_DOC, "gauss12-dim": GAUSS12_DIM_DOC}
 
-@pytest.mark.parametrize("seed, digest", [
-    (7, "5afcf2fe66dd5cf0217e80f5846fbe4e39a92171ae735a1c072e7acf0cdfcf8f"),
-    (8, "b751ea7e4d87232ec818ce48a795fc9924bdd54ee12c5b5c102c7043fd11b204"),
+
+@pytest.mark.parametrize("spec, r, samples, n_list, seed, digest", [
+    # e2 at r = 2: the mean centers from the greedy split start
+    pytest.param("e2", "2", "20000", "4,8,16,32,64", 7,
+                 "5afcf2fe66dd5cf0217e80f5846fbe4e39a92171ae735a1c072e7acf0cdfcf8f",
+                 id="7-5afcf2fe66dd5cf0217e80f5846fbe4e39a92171ae735a1c072e7acf0cdfcf8f"),
+    pytest.param("e2", "2", "20000", "4,8,16,32,64", 8,
+                 "b751ea7e4d87232ec818ce48a795fc9924bdd54ee12c5b5c102c7043fd11b204",
+                 id="8-b751ea7e4d87232ec818ce48a795fc9924bdd54ee12c5b5c102c7043fd11b204"),
+    # e2 at r = 1.5: the slope-root centers; 2024 is the default seed
+    pytest.param("e2", "1.5", "20000", "4,8,16,32,64", 2024,
+                 "b7592ff8b75748e8f5ed9683a97d1b3f8f730d90bacc81b38216a123fc7fe9d9", id="e2-r1.5"),
+    # Gauss {1,2} through the eigenfunction chain: the slope-root centers
+    # below and above r = 2, and the golden-section search at r = 0.7
+    pytest.param("gauss12-dim", "1.5", "4000", "4,8,16", 2024,
+                 "5668e4e564c61dbc92afe51568d002e101a0898bbd0d2d0c408c7434a409e3cf",
+                 id="gauss12-r1.5"),
+    pytest.param("gauss12-dim", "3", "4000", "4,8,16", 2024,
+                 "81f48a5eafd7ff0a88ec3c6ca0fe39a7898295ab8fafdf9403e6bbb8a7d2e1da",
+                 id="gauss12-r3"),
+    pytest.param("gauss12-dim", "0.7", "4000", "4,8,16", 2024,
+                 "49a47de94367428022c73a7a17e2e7627b2e61ad93b7491f1a853124d4be6903",
+                 id="gauss12-r0.7"),
 ])
-def test_verify_reports_pinned(seed, digest, tmp_path, monkeypatch):
-    # the whole e2 verify report at r = 2, byte for byte: the sample stream,
-    # the greedy split start, the Lloyd codebooks and the regression.  The
-    # report records the spec's path, so the spec sits in the working directory
+def test_verify_reports_pinned(spec, r, samples, n_list, seed, digest, tmp_path, monkeypatch):
+    # the whole verify report, byte for byte: the sample stream, the greedy
+    # split start, the Lloyd codebooks and the regression.  The report
+    # records the spec's path, so the spec sits in the working directory
     monkeypatch.chdir(tmp_path)
-    Path("e2.json").write_text(E2_DOC)
-    assert main(["verify", "--system", "e2.json", "--r", "2", "--samples", "20000",
-                 "--n-list", "4,8,16,32,64", "--seed", str(seed), "--out", "v.json"]) == 0
+    Path(f"{spec}.json").write_text(_VERIFY_SPECS[spec])
+    assert main(["verify", "--system", f"{spec}.json", "--r", r, "--samples", samples,
+                 "--n-list", n_list, "--seed", str(seed), "--out", "v.json"]) == 0
     assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
 
 
@@ -279,6 +303,22 @@ def test_verify_reports_pinned_at_benchmark_shape(r, digest, tmp_path, monkeypat
     assert hashlib.sha256(Path("v.json").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_verify_on_one_cpu_writes_the_pinned_report(tmp_path):
+    # a child confined to one CPU reads that mask in _cpu_count and draws each
+    # chunk's words inline, without a thread pool: the r = 2 report pinned above
+    (tmp_path / "e2.json").write_text(E2_DOC)
+    cpu = min(os.sched_getaffinity(0))
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", "verify", "--system", "e2.json",
+                           "--r", "2", "--samples", "200000", "--n-list",
+                           "4,8,16,32,64,128,256,512", "--seed", "7", "--out", "v.json"],
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+                          timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert done.returncode == 0, done.stderr
+    assert (hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest()
+            == "bdbc2f1a50e30d1cc63b92dd5c751ab2dfda1a501441995255e12aace28ef393")
+
+
 _THEORY_COMMANDS = (
     ["dimh"], ["beta", "--q", "-1"], ["beta", "--q", "0.3"], ["beta", "--q", "2"],
     ["qdim", "--r", "0.5"], ["qdim", "--r", "2"], ["qdim", "--r", "1e4"],
@@ -288,7 +328,7 @@ _THEORY_COMMANDS = (
 _THEORY_SYSTEMS = {
     "e2": (E2_DOC, []),
     "e3": (E3_DOC, []),
-    "gauss12-dim": (GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'), []),
+    "gauss12-dim": (GAUSS12_DIM_DOC, []),
     "gauss12-0.6": (GAUSS_DOC, []),
     "gauss15-0.8": (GAUSS_DOC.replace("[1, 2]", "[1, 2, 3, 4, 5]").replace('"s": 0.6', '"s": 0.8'),
                     []),
@@ -299,12 +339,16 @@ _THEORY_SYSTEMS = {
 }
 
 # systems pinned on other commands than ``_THEORY_COMMANDS``: the truncated
-# geometric sums of every M up to 20, and a finite sweep below and at the size
+# geometric sums of every M up to 20, a finite sweep below and at the size,
+# and the cold start alone on the 40-symbol Gauss subsystem at s = 0.6 (an
+# unnormalized potential)
 _THEORY_EXTRA = {
     "e3-sweep": (E3_DOC, (["sweep", "--r", "2", "--m-list", ",".join(map(str, range(1, 21))),
                            "--out", "out.csv"],)),
     "sim4-sweep": (SIM4_DOC, (["sweep", "--r", "2", "--m-list", "1,2,3,4", "--out", "out.csv"],
                               ["sweep", "--r", "0.5", "--m-list", "2,4", "--out", "out.csv"])),
+    "gauss-full-0.6-m40": (GAUSS_FULL_DOC, (["dimh", "--m", "40"],
+                                            ["qdim", "--m", "40", "--r", "2"])),
 }
 
 
@@ -421,12 +465,17 @@ def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> lis
         "838ec61625083b651b53753227586e58b48d69df0b629024dff578d59b8bbfda",
         "f65c7da261e79f8806c6757e9bd41a454312eb787407d130d32df53ff9a8b0cd",
     )),
+    ("gauss-full-0.6-m40", (
+        "4af0f93f15058dba524813cc67d13e64ec0ddccc7bb71159842bf0ed04d1be56",
+        "aeaff2cd3db199d42c366997981cd6b66b3d69ddbeead1107e4ef7053bea6544",
+    )),
 ])
 def test_theory_outputs_pinned(name, digests, tmp_path, monkeypatch, capsys):
     # every theory command's report and artifact, byte for byte: dimh, beta
     # at q = -1, 0.3 and 2, qdim at r = 0.5, 2 and 1e4, figure1 at r = 2 and
     # the beta grid CSV, on closed forms, finite Gauss systems and
-    # truncations of the full Gauss system; sweeps on e3 and on sim4
+    # truncations of the full Gauss system; sweeps on e3 and on sim4; dimh
+    # and qdim on the full Gauss system at s = 0.6 with --m 40
     monkeypatch.chdir(tmp_path)
     if name in _THEORY_EXTRA:
         doc, commands = _THEORY_EXTRA[name]
@@ -570,6 +619,51 @@ def test_truncation_below_one_exits_one(doc, args, message, tmp_path):
     assert done.stdout == "" and not out.exists()
 
 
+_GAUSS12_LOGWEIGHTS = GAUSS_DOC.replace('{"kind": "derivative", "s": 0.6, "g": "zero"}',
+                                        '{"kind": "logweights", "weights": [0.7]}')
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    (E2_DOC.replace("[0.7, 0.3]", "[0.7]"), [], "a weight list of length 1 for 2 maps"),
+    (_GAUSS12_LOGWEIGHTS, [], "a weight list of length 1 for 2 maps"),
+    (E2_DOC.replace("[0.7, 0.3]", "[0.7, 0.3, 0.5]"), [], "a weight list of length 3 for 2 maps"),
+    (GAUSS_DOC.replace("[1, 2]", "[1.5, 2]"), [],
+     "continued-fraction symbols must be distinct positive integers"),
+    (GAUSS_DOC.replace("[1, 2]", "[1, 1]"), [],
+     "continued-fraction symbols must be distinct positive integers"),
+    (E2_DOC.replace('"offset": 0.0}', '"offset": 0.0, "orientation": 1.5}'), [],
+     "map orientations must be 1 or -1"),
+    (GAUSS_DOC.replace("[0.0, 1.0]", "[0, 2]"), [], "continued-fraction systems live on [0, 1]"),
+    (E3_DOC.replace("[0.0, 1.0]", "[0, 2]"), [], "geometric systems live on [0, 1]"),
+    (GAUSS_DOC.replace("[1, 2]", "5"), [], "finite continued-fraction systems need a symbols list"),
+    (E2_DOC.replace("[0.0, 1.0]", "5"), [], "domain must be [a, b]"),
+    (E3_DOC.replace('{"family": "geometric", "ratio": 0.3333333333333333}', "3"), [],
+     "infinite must be an object, got 3"),
+    (GAUSS_FULL_DOC.replace('{"family": "gauss"}', "3"), ["--m", "5"],
+     "infinite must be an object, got 3"),
+    (GAUSS_FULL_DOC.replace('{"family": "gauss"}', '{"family": "geometric", "ratio": 0.3}'),
+     ["--m", "5"], "infinite continued-fraction systems must be gauss"),
+    (E2_DOC.replace('{"kind": "logweights", "weights": [0.7, 0.3]}', "3"), [],
+     "potential must be an object, got 3"),
+    (E3_DOC.replace('{"family": "geometric", "ratio": 0.5}', '{"family": "geometric"}'), [],
+     "geometric weights need a ratio"),
+], ids=["one-weight", "gauss-one-weight", "three-weights", "symbols-fraction",
+        "symbols-repeated", "orientation-fraction", "gauss-domain", "geometric-domain",
+        "symbols-number", "domain-number", "infinite-number", "gauss-infinite-number",
+        "gauss-infinite-geometric",
+        "potential-number", "geometric-weights-without-ratio"])
+def test_malformed_spec_exits_one_with_a_spec_error(doc, args, message, tmp_path):
+    # neither a traceback nor a silent coercion to another system
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    done = subprocess.run([sys.executable, "-m", "qdim.cli", "dimh", "--system", str(path),
+                           *args], env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert f"spec error: {message}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("args", [["dimh", "--m", "2"], ["qdim", "--r", "2", "--m", "2"]],
                          ids=["dimh", "qdim"])
 def test_legacy_distortion_key_is_ignored(args, tmp_path, capsys):
@@ -587,7 +681,7 @@ def test_legacy_distortion_key_is_ignored(args, tmp_path, capsys):
 
 def test_sample_reports_the_spectral_gap_depth(tmp_path, capsys):
     path = tmp_path / "gauss.json"
-    path.write_text(GAUSS_DOC.replace('"s": 0.6', '"s": 0.531280506277205'))
+    path.write_text(GAUSS12_DIM_DOC)
     out = tmp_path / "pts.csv"
     assert main(["sample", "--system", str(path), "--samples", "50", "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["depth"] == 24

@@ -293,6 +293,7 @@ _STREAM_SYSTEMS = {
                       Q.derivative_family(0.836829443681208)),
     "gauss12-chain": (Q.gauss_system((1, 2)), Q.derivative_family(0.531280506277205)),
     "gauss-full-chain": (Q.gauss_system(None), Q.derivative_family(1.5)),
+    "gauss-full-0.6": (Q.gauss_system(None), Q.derivative_family(0.6)),
 }
 
 
@@ -313,8 +314,16 @@ _STREAM_SYSTEMS = {
      "af8e6aefaef686e2bfcefd34b4262dacb366bcd7a754c2a9939d31b1424e9dc1"),
     ("gauss-full-chain", 3000, {"seed": 4, "truncation": 40},
      "722c02cdb9b6050ac85dd34e0165766139d978e7c72fb32a35bfb07df42957ae"),
+    # the automatic truncation M = 645: the table filter falls back to the
+    # exact draw on some steps
+    ("gauss-full-chain", 2000, {"seed": 2024},
+     "ab5616959c3ce59cab6e0157164fbba9afce5b2d79f299e52a134d2fe2eec6c4"),
+    # no automatic truncation reaches the deficit at s = 0.6: the 40-symbol subsystem
+    ("gauss-full-0.6", 2000, {"seed": 2024, "truncation": 40},
+     "b690d8b9dd27ac6fa2420b8f6b66e11d6169253aa0fd7a9f9b161fe7b2eb9a5b"),
 ], ids=["e2-two-chunks", "e3-auto", "e3-m700", "reversed-map", "gauss-constant",
-        "gauss15-chain", "gauss12-chain", "gauss-full-chain"])
+        "gauss15-chain", "gauss12-chain", "gauss-full-chain", "gauss-full-auto",
+        "gauss-full-0.6-m40"])
 def test_sample_streams_pinned(name, count, kwargs, digest):
     sample = Q.sample_measure(*_STREAM_SYSTEMS[name], count, **kwargs)
     assert hashlib.sha256(sample.points.tobytes()).hexdigest() == digest

@@ -29,6 +29,13 @@ def e1_sample(e1):
 # error evaluation
 
 
+def _per_point_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
+    """|x - nearest code point|^r by one search per sample point."""
+    mids = 0.5 * (code[1:] + code[:-1])
+    idx = np.searchsorted(mids, pts)
+    return np.abs(pts - code[idx]) ** r
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 400), st.integers(1, 12), st.sampled_from([0.7, 1.0, 1.5, 2.0]),
        st.integers(0, 2 ** 32 - 1))
@@ -41,7 +48,20 @@ def test_sorted_errors_equal_the_per_point_search(size, n, r, seed):
     mids = 0.5 * (code[1:] + code[:-1])
     pts = np.sort(np.concatenate((rng.random(size) * 1.6, mids)))
     assert np.array_equal(qdim.quantizer._sorted_errors(pts, code, r),
-                          qdim.quantizer._nearest_errors(pts, code, r))
+                          _per_point_errors(pts, code, r))
+
+
+@pytest.mark.parametrize("name", ["e2", "gauss12"])
+def test_quant_error_equals_the_per_point_mean(name, request):
+    # Lloyd and random codebooks of 1 to 64 points at orders 0.5 to 3
+    sample = Q.sample_measure(*request.getfixturevalue(name), 5000, seed=4)
+    rng = np.random.default_rng(9)
+    for r in (0.5, 1.0, 1.5, 2.0, 3.0):
+        for n in (1, 3, 16, 64):
+            for code in (Q.lloyd_optimize(sample, n, r).codebook, np.sort(rng.random(n))):
+                points = code.points if isinstance(code, Q.Codebook) else code
+                assert (Q.quant_error(sample, code, r)
+                        == float(np.mean(_per_point_errors(sample.points, points, r))))
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
@@ -287,6 +307,13 @@ def test_slope_centers_need_few_evaluations(monkeypatch):
         assert max(per_call) <= 25, r
 
 
+def _best_split(seg: np.ndarray) -> int:
+    """``_best_split`` of a cell with its own prefix sum and buffers."""
+    L = seg.size
+    return qdim.quantizer._best_split(seg, np.cumsum(seg - seg[0]),
+                                      (np.empty(L), np.empty(L), np.arange(1.0, float(L))))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_SEGMENTS)
 def test_best_split_is_least_sse(values):
@@ -295,7 +322,7 @@ def test_best_split_is_least_sse(values):
     valid = [k for k in range(1, seg.size) if seg[k - 1] < seg[k]]
     sse = {k: _sse(seg[:k].tolist()) + _sse(seg[k:].tolist()) for k in valid}
     least = min(sse.values())
-    k = qdim.quantizer._best_split(seg)
+    k = _best_split(seg)
     assert k in sse  # never between equal values
     # the argmin, up to splits whose errors agree within rounding
     slack = 1e-9 * _sse(seg.tolist()) + 1e-300
@@ -320,7 +347,7 @@ def test_best_split_equals_the_masked_score(values):
     d = s[:-1] * L - k * s[-1]
     score = d * d / (k * (L - k))
     score[y[1:] == y[:-1]] = -1.0
-    assert qdim.quantizer._best_split(seg) == 1 + int(np.argmax(score))
+    assert _best_split(seg) == 1 + int(np.argmax(score))
 
 
 def _reference_starts(pts: np.ndarray, n: int, r: float) -> list[int]:
