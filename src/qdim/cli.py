@@ -261,7 +261,7 @@ def _cmd_sample(args, system, family, meta) -> int:
 
 
 def _check_numbers(args) -> None:
-    """Reject a bad --q, --t, --r, --tol, --m or --m-list before the spec is read."""
+    """Reject a bad --q, --t, --r, --tol, --m, --m-list or --grid before the spec is read."""
     for flag in ("q", "t"):
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
@@ -281,6 +281,8 @@ def _check_numbers(args) -> None:
     for M in m_list or ():
         if M < 1:
             raise SpecFormatError(f"--m-list truncation {M} is not positive")
+    if getattr(args, "grid", 3) < 3:
+        raise SpecFormatError(f"--grid {args.grid} is not a q grid of at least 3 points")
 
 
 def _check_out(args) -> None:

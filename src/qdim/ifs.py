@@ -65,7 +65,6 @@ class AnalyticBranch1D:
     fn: Callable
     deriv: Callable
     deriv_sup: float
-    label: str = ""
 
     def value(self, x):
         return self.fn(x)
@@ -145,7 +144,6 @@ class IfsSystem:
     s: float
     geometric_ratio: float | None = None  # set when map i is a ratio**i similarity
     gauss_digits: Sequence[int] | None = None  # set when map i is 1/(gauss_digits[i-1] + x)
-    assumptions: tuple[str, ...] = ("closure-of-interior", "cone-condition")
 
     def __post_init__(self):
         a, b = self.domain
@@ -311,7 +309,6 @@ def _gauss_branch(i: int) -> AnalyticBranch1D:
         fn=lambda x, i=i: 1.0 / (i + x),
         deriv=lambda x, i=i: -1.0 / (i + x) ** 2,
         deriv_sup=1.0 / i ** 2,
-        label=f"1/({i}+x)",
     )
 
 

@@ -29,8 +29,7 @@ from .ifs import IfsSystem
 from .potentials import (ConstantLogWeights, PotentialFamily, _tail_exp_sum, f_value,
                          truncation_tail_bound)
 from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_eigen,
-                       _operator_measure, _operator_parts, _pressure_callable,
-                       _symbol_logs, is_multiplicative)
+                       _operator_measure, _operator_parts, _pressure_callable, _symbol_logs)
 
 _CHUNK = 65536
 _THREADS = 4              # most threads of the constant-weight sampler, one row range each
@@ -94,11 +93,11 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
     w = system.check_word(word)
     if not w:
         return 1.0
-    P = _pressure_callable(system, family, truncation)
+    P, parts = _pressure_callable(system, family, truncation)
     M = system.truncated_size(truncation)
     if M is not None and max(w) > M:
         raise ValueError(f"symbol {max(w)} beyond the truncation {M}")
-    if is_multiplicative(system, family):
+    if parts is None:  # a closed form
         a, d = _symbol_logs(system, family, M or max(w))
         k = np.array(w) - 1
         log_integral = float(np.sum(q * a[k] + t * d[k]))

@@ -333,5 +333,5 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
 
     from .pressure import _pressure_callable  # cycle kept local on purpose
 
-    P = _pressure_callable(system, family, truncation)
+    P, _ = _pressure_callable(system, family, truncation)
     return replace(family, shift=family.shift + P(1.0, 0.0))

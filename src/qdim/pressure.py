@@ -11,9 +11,9 @@ transfer operator g -> sum_i exp(q f_i) |phi_i'|^t g o phi_i, collocated
 at Chebyshev-Lobatto nodes (Jenkinson-Pollicott; Falk-Nussbaum).  Its
 parts are kept once, node-major (``_operator_parts``): the operator
 matrix, the Newton step and the sampler all read that one copy.
-``is_multiplicative`` decides between the two; ``_pressure_callable``
-(every root solve), ``estimate_pressure``, ``_temperature_walk``,
-``truncation_sweep`` and ``measure.cylinder_mass`` each ask it.
+``is_multiplicative`` decides between the two once per solve, in
+``_pressure_callable``, which passes P and the parts (None on a closed
+form) down; only ``truncation_sweep`` asks again, for its reference.
 
 Each solve builds its P once (``_pressure_callable``).  On multiplicative
 systems that is a scalar kernel (``_closed_form``): it reads the symbol
@@ -222,9 +222,12 @@ def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarra
     return C
 
 
+_Parts = tuple[np.ndarray, np.ndarray, np.ndarray]  # (F, D, E) of ``_operator_parts``
+
+
 @lru_cache(maxsize=32)
 def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
-                    nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    nodes: int) -> _Parts:
     """(F, D, E) of the transfer operator over symbols 1..M at ``nodes`` points.
 
     Node-major: at the Chebyshev-Lobatto nodes x_j of the domain,
@@ -232,6 +235,10 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
     barycentric interpolation row from values at the nodes to the value
     at phi_i(x_j), a unit vector where phi_i(x_j) is itself a node.  The
     sampler reads the symbol-major views ``F.T`` and ``E.transpose(1, 0, 2)``.
+
+    The cache serves in-process repeats of one spec (two loads of the full
+    Gauss spec compare equal, two of Gauss {1,2} do not: per-load lambdas)
+    and, in one command, ``verify``'s sample and ``figure1``'s fixed point.
     """
     x, w = _chebyshev_nodes(system.domain, nodes)
     maps = [system.map(i) for i in range(1, M + 1)]
@@ -244,8 +251,7 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
     return F, D, E
 
 
-def _operator_matrix(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                     q: float, t: float) -> tuple[float, np.ndarray]:
+def _operator_matrix(parts: _Parts, q: float, t: float) -> tuple[float, np.ndarray]:
     """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent.
 
     Overflow and NaN in the exponents pass through silently: the
@@ -282,16 +288,15 @@ def _lapack(routine, q: float, t: float, *args):
                                f"{exc}") from exc
 
 
-def _operator_pressure(parts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                       q: float, t: float) -> float:
+def _operator_pressure(parts: _Parts, q: float, t: float) -> float:
     """s + log of the leading real eigenvalue of the collocated operator."""
     s, A = _operator_matrix(parts, q, t)
     ev = _lapack(np.linalg.eigvals, q, t, A)
     return s + math.log(float(ev.real[_leading_real(ev, q, t)]))
 
 
-def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
-                    t: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _operator_eigen(parts: _Parts, q: float, t: float
+                    ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(lambda, h, nu, rho) of the collocated operator at (q, t).
 
     lambda is the leading real eigenvalue (as in ``_operator_pressure``),
@@ -326,7 +331,7 @@ def _operator_eigen(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float,
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
-def _operator_step(parts: tuple[np.ndarray, np.ndarray, np.ndarray], q: float, t: float,
+def _operator_step(parts: _Parts, q: float, t: float,
                    dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(s, A, B h): ``_operator_matrix`` at (q, t), and its derivative along
     (dq, dt) applied to h.
@@ -354,13 +359,13 @@ class _NewtonRoot(NamedTuple):
     trace: tuple[tuple[float, float], ...]
 
 
-def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | None,
-                  q: float, t: float, dq: float, dt: float, h: np.ndarray
-                  ) -> _NewtonRoot | None:
+def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float,
+                  h: np.ndarray) -> _NewtonRoot | None:
     """The root u of P(q + u dq, t + u dt) = 0 with h > 0 its eigenvector, or None.
 
-    Newton on the eigenpair of the unshifted collocated operator L = e^s A:
-    from u = 0 and the start h, each step solves the bordered system
+    Newton on the eigenpair of the unshifted collocated operator L = e^s A
+    whose ``parts`` the solve's ``_pressure_callable`` built: from u = 0
+    and the start h, each step solves the bordered system
 
         [[A - e^{-s} I, B h], [1^T, 0]] [dh; du] = [e^{-s} h - A h; 1 - 1^T h]
 
@@ -373,7 +378,6 @@ def _eigen_newton(system: IfsSystem, family: PotentialFamily, truncation: int | 
     ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach fails
     that test.
     """
-    parts = _collocated_parts(system, family, truncation)
     n = h.size
     J = np.zeros((n + 1, n + 1))
     J[n, :n] = 1.0
@@ -440,10 +444,11 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     it reads 3.0 while the 32-node value lies within 1e-5 of the truth
     (ROADMAP item 3 replaces it by a certified bracket).
     """
-    value = _pressure_callable(system, family, truncation)(q, t)
+    P, parts = _pressure_callable(system, family, truncation)
+    value = P(q, t)
     error = 0.0
-    if not is_multiplicative(system, family):
-        coarse = _operator_parts(system, family, system.truncated_size(truncation), _NODES // 2)
+    if parts is not None:  # the 16-node twin over the parts' M symbols
+        coarse = _operator_parts(system, family, parts[0].shape[1], _NODES // 2)
         error = abs(value - _operator_pressure(coarse, q, t))
     tail = 0.0 if truncation is None else truncation_tail_bound(system, family, q, t, truncation)
     return PressureEstimate(q, t, truncation, value, error,
@@ -475,28 +480,23 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> float:
 # root finding
 
 
-def _collocated_parts(system: IfsSystem, family: PotentialFamily, truncation: int | None
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_operator_parts`` of the (truncated) system at ``_NODES`` nodes."""
+def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
+                       ) -> tuple[Callable[[float, float], float], _Parts | None]:
+    """(P, parts): (q, t) -> P(q, t), and the collocated operator's parts or None.
+
+    A solve's one choice between the two, built once and passed down.
+    Multiplicative systems get the exact closed form (``_closed_form``,
+    float arithmetic per evaluation) and parts None; others get
+    ``_operator_parts`` at ``_NODES`` nodes and its leading eigenvalue,
+    which needs a truncation on an infinite alphabet (ValueError).
+    """
+    if is_multiplicative(system, family):
+        return _closed_form(system, family, truncation), None
     M = system.truncated_size(truncation)
     if M is None:
         raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
-    return _operator_parts(system, family, M, _NODES)
-
-
-def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
-                       ) -> Callable[[float, float], float]:
-    """(q, t) -> P(q, t): the exact closed form on multiplicative systems,
-    else the collocated operator at ``_NODES`` nodes.
-
-    Built once per solve: the closed form (``_closed_form``) reads the
-    system and family here, so each evaluation is float arithmetic (and
-    one ``np.exp`` on a finite alphabet).  It is not kept across calls.
-    """
-    if is_multiplicative(system, family):
-        return _closed_form(system, family, truncation)
-    parts = _collocated_parts(system, family, truncation)
-    return lambda q, t: _operator_pressure(parts, q, t)
+    parts = _operator_parts(system, family, M, _NODES)
+    return (lambda q, t: _operator_pressure(parts, q, t)), parts
 
 
 def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
@@ -553,8 +553,8 @@ _COLD_H = np.ones(_NODES)        # the eigenvector of a cold start
 _COLD_H.flags.writeable = False
 
 
-def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | None,
-               P: Callable[[float, float], float], q: float, t: float, dq: float, dt: float,
+def _line_root(P: Callable[[float, float], float], parts: _Parts | None,
+               q: float, t: float, dq: float, dt: float,
                starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], top: float
                ) -> tuple[float, np.ndarray | None, tuple[tuple[float, float], ...], str]:
     """(u, h, trace, solver) at the root of u -> P(q + u dq, t + u dt), decreasing in u.
@@ -575,12 +575,12 @@ def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | Non
     is None.  The trace holds every (u, P) of the walk and the regula
     falsi, or the Newton root's.  Raises BracketError when P does not
     change sign within [-top, top] or the residual is above its bound.
-    P is the caller's ``_pressure_callable`` of the same system.
+    P and parts are the caller's ``_pressure_callable`` pair; parts is
+    None on a closed form.
     """
-    closed = is_multiplicative(system, family)
     for u0, h0, (a, b) in starts:
-        root = None if closed else _eigen_newton(system, family, truncation, q + u0 * dq,
-                                                 t + u0 * dt, dq, dt, h0)
+        root = (None if parts is None
+                else _eigen_newton(parts, q + u0 * dq, t + u0 * dt, dq, dt, h0))
         if root is not None and a < u0 + root.u < b:
             return (u0 + root.u, root.h, tuple((u0 + u, v) for u, v in root.trace),
                     "newton")
@@ -608,7 +608,7 @@ def _line_root(system: IfsSystem, family: PotentialFamily, truncation: int | Non
     if not abs(resid) <= _RESIDUAL:
         raise BracketError(f"pressure residual {resid:.3g} at ({q + u * dq:.6g}, "
                            f"{t + u * dt:.6g}) above tolerance")
-    return u, None, tuple(trace), "closed_form" if closed else "regula_falsi"
+    return u, None, tuple(trace), "closed_form" if parts is None else "regula_falsi"
 
 
 def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
@@ -621,8 +621,7 @@ def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
     returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.  The
     trace holds every (t, P(q, t)) evaluation, or the Newton root's trace.
     """
-    u, h, trace, solver = _line_root(system, family, truncation,
-                                     _pressure_callable(system, family, truncation),
+    u, h, trace, solver = _line_root(*_pressure_callable(system, family, truncation),
                                      q, 0.0, 0.0, 1.0, [(0.0, _COLD_H, _ANYWHERE)], 1e4)
     return BetaSolution(q, u, solver, trace, h)
 
@@ -646,13 +645,12 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     One P serves the walk, and each point after the first puts a warm
     start ahead of the cold one: the secant through the last two roots
     (the last root after a single one) with the last h.  h comes from the
-    Newton root, or on the collocated operator from ``_operator_eigen``
-    when the regula falsi answered; without a positive h the next point
-    starts cold only.  Closed forms run no Newton, so their h stays None
-    and every point is solved by the bracket walk alone.
+    Newton root, or from ``_operator_eigen`` of the walk's own parts when
+    the regula falsi answered; without a positive h the next point starts
+    cold only.  Closed forms have no parts and run no Newton, so their h
+    stays None and every point is solved by the bracket walk alone.
     """
-    closed = is_multiplicative(system, family)
-    P = _pressure_callable(system, family, truncation)
+    P, parts = _pressure_callable(system, family, truncation)
     betas: list[float] = []
     hs: list = []
     h = None
@@ -663,10 +661,10 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
             starts.insert(0, (t, h, _ANYWHERE))
-        t, h, _, _ = _line_root(system, family, truncation, P, q, 0.0, 0.0, 1.0, starts, 1e4)
-        if h is None and not closed:
+        t, h, _, _ = _line_root(P, parts, q, 0.0, 0.0, 1.0, starts, 1e4)
+        if h is None and parts is not None:
             try:
-                h = _operator_eigen(_collocated_parts(system, family, truncation), q, t)[1]
+                h = _operator_eigen(parts, q, t)[1]
             except NumericalFailure:  # no positive h to start from: the next point is cold
                 pass
         betas.append(t)
@@ -695,7 +693,7 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
     share one P."""
     if r <= 0:
         raise ValueError("the order r must be positive")
-    P = _pressure_callable(system, family, truncation)
+    P, parts = _pressure_callable(system, family, truncation)
 
     def starts():
         yield from warm
@@ -707,8 +705,7 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
             )
         yield 0.0, _COLD_H, (0.0, 1.0)
 
-    q_r, _, trace, solver = _line_root(system, family, truncation, P, 0.0, 0.0, 1.0, r,
-                                       starts(), 1.0 - 1e-6)
+    q_r, _, trace, solver = _line_root(P, parts, 0.0, 0.0, 1.0, r, starts(), 1.0 - 1e-6)
     kappa = r * q_r / (1.0 - q_r)
     return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
                         trace=trace, solver=solver)

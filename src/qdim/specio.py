@@ -165,6 +165,6 @@ def load_spec(path: str | Path) -> tuple[IfsSystem, PotentialFamily, dict]:
     meta = {
         "system_digest": hashlib.sha256(raw).hexdigest(),
         "path": str(path),
-        "assumptions": list(system.assumptions),
+        "assumptions": ["closure-of-interior", "cone-condition"],
     }
     return system, family, meta

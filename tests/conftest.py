@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,13 @@ import pytest
 import qdim as Q
 
 LOG23 = np.log(2.0) / np.log(3.0)
+
+
+def pytest_report_header(config):
+    """Name the qdim under test: pyproject's ``pythonpath`` puts this
+    checkout's ``src`` ahead of ``PYTHONPATH``, so a run meant for another
+    tree shows here which one it imported."""
+    return f"qdim under test: {Path(Q.__file__).parent}"
 
 
 def pytest_runtest_makereport(item, call):

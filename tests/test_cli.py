@@ -187,6 +187,37 @@ def test_dimh_takes_one_eigensolve(tmp_path, monkeypatch, capsys):
     assert abs(report["dim_h"] - 0.531280506277205) <= 1e-13
 
 
+def _count_operator_lookups(monkeypatch) -> list:
+    # measure binds the name at import, so its binding is wrapped too
+    calls = []
+    lookup = qdim.pressure._operator_parts
+    for module in (qdim.pressure, qdim.measure):
+        monkeypatch.setattr(module, "_operator_parts",
+                            lambda *args: calls.append(args) or lookup(*args))
+    return calls
+
+
+@pytest.mark.parametrize("args, lookups", [
+    (["dimh"], 1),
+    (["qdim", "--r", "2"], 1),
+    (["beta", "--q", "0.5"], 1),
+    (["beta", "--out", "beta.csv"], 1),
+    (["figure1", "--r", "2", "--out", "fig.csv"], 2),   # the walk, then the fixed point
+    (["pressure", "--q", "0.5", "--t", "0.3"], 2),      # and the 16-node twin
+    (["verify", "--r", "2", "--n-list", "4,8", "--samples", "500", "--out", "v.json"], 2),
+    (["sample", "--samples", "500", "--out", "s.csv"], 1),
+], ids=["dimh", "qdim", "beta-q", "beta-grid", "figure1", "pressure", "verify", "sample"])
+def test_one_operator_lookup_per_solve(args, lookups, tmp_path, monkeypatch, capsys):
+    # each solve looks its collocated operator up once and passes the parts
+    # down to every Newton start, regula falsi and eigenvector it needs
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS12_DIM_DOC)
+    monkeypatch.chdir(tmp_path)
+    calls = _count_operator_lookups(monkeypatch)
+    assert main([args[0], "--system", str(path), *args[1:]]) == 0
+    assert len(calls) == lookups
+
+
 @pytest.mark.parametrize("doc, m, solvers", [
     (E1_DOC, [], ("closed_form",) * 3),
     (GAUSS_DOC, [], ("newton",) * 3),
@@ -582,9 +613,12 @@ _SAMPLING = ["--n-list", "4,8", "--samples", "100"]
     (["verify", "--r", "2", "--tol", "-2E-1", *_SAMPLING],
      "--tol -0.2 is not a finite nonnegative tolerance"),
     (["beta", "--q", "-inf"], "--q -inf is not finite"),
+    (["figure1", "--r", "2", "--grid", "-1"], "--grid -1 is not a q grid of at least 3 points"),
+    (["figure1", "--r", "2", "--grid", "2"], "--grid 2 is not a q grid of at least 3 points"),
 ], ids=["quantize-r0", "quantize-r-negative", "quantize-r-nan", "verify-tol-nan",
         "verify-tol-negative", "qdim-r-inf", "sweep-r-nan", "pressure-t-inf", "beta-q-nan",
-        "qdim-r-exponent", "verify-tol-exponent", "beta-q-minus-inf"])
+        "qdim-r-exponent", "verify-tol-exponent", "beta-q-minus-inf", "figure1-grid-negative",
+        "figure1-grid-two"])
 def test_bad_numeric_flags_exit_one(args, message, e1_spec, tmp_path):
     out = tmp_path / "artifact"
     done = subprocess.run([sys.executable, "-m", "qdim.cli", args[0], "--system", e1_spec,

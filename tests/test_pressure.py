@@ -633,10 +633,10 @@ def _cold_starts(monkeypatch) -> list:
     cold = []
     newton = qdim.pressure._eigen_newton
 
-    def recording(system, family, truncation, q, t, dq, dt, h):
+    def recording(parts, q, t, dq, dt, h):
         if np.all(h == 1.0):
             cold.append((q, dq))
-        return newton(system, family, truncation, q, t, dq, dt, h)
+        return newton(parts, q, t, dq, dt, h)
 
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", recording)
     return cold
@@ -675,8 +675,8 @@ def test_fixed_point_outside_its_cell_is_solved_cold(gauss12, monkeypatch):
     cold = Q.solve_quantization_dim(system, family, 2.0).q_r
     newton = qdim.pressure._eigen_newton
 
-    def shifted(system, family, truncation, q, t, dq, dt, h):
-        root = newton(system, family, truncation, q, t, dq, dt, h)
+    def shifted(parts, q, t, dq, dt, h):
+        root = newton(parts, q, t, dq, dt, h)
         return (root if dq == 0.0 or q == 0.0 or root is None
                 else root._replace(u=root.u + 0.1))
 
@@ -699,10 +699,10 @@ def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
     second = real[np.argsort(ev.real[real])[-2]]
     assert abs(ev.real[second] - 1.0) < 0.05
     newton = qdim.pressure._eigen_newton
-    assert newton(system, family, None, q, t, 0.0, 1.0, V[:, second].real) is None
+    assert newton(parts, q, t, 0.0, 1.0, V[:, second].real) is None
     # a positive start near beta(q) converges to it instead
     beta = Q.beta_of_q(system, family, q)
-    root = newton(system, family, None, q, beta + 0.05, 0.0, 1.0, np.ones(F.shape[1]))
+    root = newton(parts, q, beta + 0.05, 0.0, 1.0, np.ones(F.shape[1]))
     assert abs(beta + 0.05 + root.u - beta) <= 1e-14 and np.all(root.h > 0.0)
 
 
