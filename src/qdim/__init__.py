@@ -23,8 +23,7 @@ from .ifs import (AnalyticBranch1D, FiniteAlphabet, GeometricTail, IfsSystem,
                   InfiniteAlphabet, PowerLawTail, Similarity1D, Word, cantor_system,
                   compose_and_derivative, cylinder_interval, gauss_system,
                   geometric_similarity_system, similarity_system)
-from .potentials import (ConstantLogWeights, DerivativeFamily, FiniteWeights,
-                         GeometricWeights, PotentialFamily, birkhoff_sum,
+from .potentials import (FiniteWeights, GeometricWeights, PotentialFamily, birkhoff_sum,
                          derivative_family, geometric_weight_family,
                          log_weight_family, normalize_pressure)
 from .pressure import (BetaSolution, FigureData, PressureEstimate, QdimSolution,

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .ifs import IfsSystem
-from .potentials import (ConstantLogWeights, PotentialFamily, _tail_exp_sum, f_value,
-                         truncation_tail_bound)
-from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _operator_eigen,
-                       _operator_measure, _operator_parts, _pressure_callable, _symbol_logs)
+from .potentials import PotentialFamily, _tail_exp_sum, f_value, truncation_tail_bound
+from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _closed_form,
+                       _operator_eigen, _operator_measure, _operator_parts, _symbol_logs,
+                       is_multiplicative)
 
 _CHUNK = 65536
 _THREADS = 4              # most threads of the constant-weight sampler, one row range each
@@ -93,15 +93,14 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
     w = system.check_word(word)
     if not w:
         return 1.0
-    P, parts = _pressure_callable(system, family, truncation)
     M = system.truncated_size(truncation)
     if M is not None and max(w) > M:
         raise ValueError(f"symbol {max(w)} beyond the truncation {M}")
-    if parts is None:  # a closed form
+    if is_multiplicative(system, family):
         a, d = _symbol_logs(system, family, M or max(w))
         k = np.array(w) - 1
         log_integral = float(np.sum(q * a[k] + t * d[k]))
-        pressure = P(q, t)
+        pressure = _closed_form(system, family, truncation)(q, t)
     else:
         nu, pressure = _operator_measure(system, family, M, q, t)
         y, _ = _chebyshev_nodes(system.domain, _NODES)
@@ -272,7 +271,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_constant(system: IfsSystem, family: ConstantLogWeights, count: int,
+def _sample_constant(system: IfsSystem, family: PotentialFamily, count: int,
                      depth: int, M: int, seed: int) -> np.ndarray:
     """i.i.d. symbol words of length ``depth`` applied to the domain midpoint.
 
@@ -705,7 +704,7 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
         M = _auto_truncation(system, family, total)
     deficit = _weight_deficit(system, family, M, total)
 
-    if isinstance(family, ConstantLogWeights):
+    if family.is_log_weights:
         depth = _default_depth(system) if depth is None else depth
         pts = _sample_constant(system, family, count, depth, M, seed)
     else:

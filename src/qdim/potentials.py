@@ -1,13 +1,11 @@
 """Summable potential families over an IFS alphabet.
 
-Two families are shipped.  ``ConstantLogWeights`` assigns f_i = log p_i
-(the self-similar / Bernoulli case).  ``DerivativeFamily`` assigns
-f_i(x) = g(x) + s_exp * log|phi_i'(x)|, the standard summable class on
-hereditarily regular systems.  Arbitrary potentials enter through the
-same evaluation-oracle interface by supplying g.
-
-Families carry a normalization ``shift``: the effective potential is
-f_i - shift, chosen so the topological pressure of the family vanishes.
+One family, f_i(x) = log p_i + g(x) + s_exp * log|phi_i'(x)| - shift,
+with each of its three terms optional: log p_i from a finite or
+geometric weight list (the self-similar / Bernoulli case), a base
+function g, and the derivative term of the standard summable class on
+hereditarily regular systems.  The ``shift`` normalizes the family so
+that its topological pressure vanishes.
 """
 
 from __future__ import annotations
@@ -66,79 +64,83 @@ class GeometricWeights:
 
 
 @dataclass(frozen=True)
-class ConstantLogWeights:
-    """Potential family f_i = log p_i (x-independent)."""
+class PotentialFamily:
+    """Potential family f_i(x) = log p_i + g(x) + s_exp * log|phi_i'(x)| - shift.
 
-    weights: FiniteWeights | GeometricWeights
-    shift: float = 0.0
-
-
-@dataclass(frozen=True)
-class DerivativeFamily:
-    """Potential family f_i(x) = g(x) + s_exp * log|phi_i'(x)|.
-
-    ``g=None`` means the zero function.  ``g_sup`` bounds sup|g| and
-    feeds the tail bounds of infinite alphabets.
+    ``weights=None`` drops the log p_i term, ``g=None`` the base
+    function and ``s_exp=0`` the derivative term; an absent term is
+    skipped, never formed as zero (0 * log|phi_i'| is NaN where phi_i'
+    underflows).  ``g_sup`` bounds sup|g| and feeds the tail bounds of
+    infinite alphabets.
     """
 
-    s_exp: float
+    weights: FiniteWeights | GeometricWeights | None = None
+    s_exp: float = 0.0
     g: Callable | None = None
     g_sup: float = 0.0
     shift: float = 0.0
 
     def __post_init__(self):
-        if self.s_exp <= 0:
+        if self.s_exp < 0:
             raise ValueError("derivative exponent must be positive")
 
-
-PotentialFamily = ConstantLogWeights | DerivativeFamily
+    @property
+    def is_log_weights(self) -> bool:
+        """f_i = log p_i alone: the self-similar case sampled by i.i.d. symbols."""
+        return self.weights is not None and self.g is None and not self.s_exp
 
 
 # ---------------------------------------------------------------------------
 # families as functions on symbols
 
 
-def log_weight_family(weights: Sequence[float]) -> ConstantLogWeights:
-    return ConstantLogWeights(FiniteWeights(tuple(float(w) for w in weights)))
+def log_weight_family(weights: Sequence[float]) -> PotentialFamily:
+    return PotentialFamily(FiniteWeights(tuple(float(w) for w in weights)))
 
 
-def geometric_weight_family(ratio: float) -> ConstantLogWeights:
-    return ConstantLogWeights(GeometricWeights(float(ratio)))
+def geometric_weight_family(ratio: float) -> PotentialFamily:
+    return PotentialFamily(GeometricWeights(float(ratio)))
 
 
 def derivative_family(s_exp: float, g: Callable | None = None, *,
-                      g_sup: float = 0.0) -> DerivativeFamily:
-    return DerivativeFamily(float(s_exp), g, g_sup)
+                      g_sup: float = 0.0) -> PotentialFamily:
+    if s_exp <= 0:
+        raise ValueError("derivative exponent must be positive")
+    return PotentialFamily(None, float(s_exp), g, g_sup)
+
+
+def _log_p(family: PotentialFamily, i: int) -> float:
+    return 0.0 if family.weights is None else family.weights.log_p(i)
 
 
 def f_value(family: PotentialFamily, system: IfsSystem, i: int, x):
     """Shift-adjusted potential f_i(x); broadcasts over numpy arrays."""
-    if isinstance(family, ConstantLogWeights):
-        return family.weights.log_p(i) - family.shift + 0.0 * x
-    m = system.map(i)
-    base = 0.0 if family.g is None else family.g(x)
-    return base + family.s_exp * np.log(m.abs_deriv(x)) - family.shift
+    if family.g is None and not family.s_exp:
+        return _log_p(family, i) - family.shift + 0.0 * x
+    value = _log_p(family, i) + (0.0 if family.g is None else family.g(x))
+    if family.s_exp:
+        value = value + family.s_exp * np.log(system.map(i).abs_deriv(x))
+    return value - family.shift
 
 
 def single_exp_sup(family: PotentialFamily, system: IfsSystem, i: int) -> float:
-    """||e^{f_i}|| over the domain (grid estimate for nonconstant g)."""
-    if isinstance(family, ConstantLogWeights):
-        return math.exp(family.weights.log_p(i) - family.shift)
+    """||e^{f_i}|| over the domain (grid estimate for an x-dependent f_i)."""
+    if family.g is None and not family.s_exp:
+        return math.exp(_log_p(family, i) - family.shift)
     return float(np.exp(np.max(f_value(family, system, i, system.grid))))
 
 
 def is_symbol_constant(family: PotentialFamily, system: IfsSystem) -> bool:
     """True when every f_i is constant on the domain (exact sup norms)."""
-    if isinstance(family, ConstantLogWeights):
-        return True
-    return family.g is None and system.all_similarities
+    return family.g is None and (not family.s_exp or system.all_similarities)
 
 
 def symbol_log_weight(family: PotentialFamily, system: IfsSystem, i: int) -> float:
     """log||e^{f_i}|| for symbol-constant families (exact)."""
-    if isinstance(family, ConstantLogWeights):
-        return family.weights.log_p(i) - family.shift
-    return family.s_exp * math.log(system.map(i).deriv_sup) - family.shift
+    value = _log_p(family, i)
+    if family.s_exp:
+        value = value + family.s_exp * math.log(system.map(i).deriv_sup)
+    return value - family.shift
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +177,36 @@ def birkhoff_sum(family: PotentialFamily, system: IfsSystem, word: Sequence[int]
 _HEAD = 256  # symbols summed exactly before the tail bound takes over
 
 
+def _tail_constants(family: PotentialFamily) -> tuple[float, float | None]:
+    """(kc, kb) with log||e^{f_i}|| <= kc + kb i + s_exp log||phi_i'||.
+
+    Geometric weights give kc + kb i = log p_i - shift exactly, and g adds
+    g_sup to kc; kb is None without weights.
+    """
+    w = family.weights
+    if isinstance(w, FiniteWeights):
+        raise ValueError("finite weight table on an infinite alphabet")
+    kc = 0.0 if family.g is None else family.g_sup  # exact for a zero g
+    kb = None
+    if w is not None:
+        kc = math.log1p(-w.ratio) - math.log(w.ratio) + kc
+        kb = math.log(w.ratio)
+    return kc - family.shift, kb
+
+
 def _tail_decay(family: PotentialFamily, tail: TailDecay,
                 q: float) -> tuple[tuple[float, float], ...]:
     """((c0, c1), (b0, b1), (p0, p1)): the decay of the single-symbol terms.
 
     For q >= 0, every t and i >= 1,  ||e^{f_i}||^q ||phi_i'||^t <= c * b**i * i**(-p)
     with log c = c0 + c1 t, log b = b0 + b1 t and p = p0 + p1 t.  This is
-    the one place that reads a tail descriptor.  Geometric weights give
-    ||e^{f_i}|| exactly; a derivative family is bounded by
-    e^{g_sup - shift} ||phi_i'||^s_exp.
+    the one place that reads a tail descriptor; the family enters through
+    ``_tail_constants``, with ||phi_i'|| at the exponent q s_exp + t.
     """
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        c0 = q * (math.log1p(-w.ratio) - math.log(w.ratio) - family.shift)
-        b0 = q * math.log(w.ratio)
-        e0 = 0.0  # ||phi_i'|| enters with the exponent e0 + t
-    else:
-        g_sup = 0.0 if family.g is None else family.g_sup  # exact for a zero g
-        c0 = q * (g_sup - family.shift)
-        b0 = 0.0
-        e0 = q * family.s_exp
+    kc, kb = _tail_constants(family)
+    c0 = q * kc
+    b0 = 0.0 if kb is None else q * kb
+    e0 = q * family.s_exp if family.s_exp else 0.0  # ||phi_i'|| enters with the exponent e0 + t
     log_coef = math.log(tail.coef)
     c = (c0 + e0 * log_coef, log_coef)
     if isinstance(tail, GeometricTail):
@@ -220,25 +230,14 @@ def _geometric_pressure(family: PotentialFamily, system: IfsSystem,
     """
     tail = system.alphabet.tail
     log_coef, log_base = math.log(tail.coef), math.log(tail.base)
-    if isinstance(family, ConstantLogWeights):
-        w = family.weights
-        if isinstance(w, FiniteWeights):
-            raise ValueError("finite weight table on an infinite alphabet")
-        kc = math.log1p(-w.ratio) - math.log(w.ratio) - family.shift
-        kb = math.log(w.ratio)
-        zc, zb = 0.0 * log_coef, 0.0 * log_base  # e0 = 0: ||phi_i'|| enters with the exponent t
-
-        def logsum(q: float, t: float) -> float:
-            return _log_geometric_series(q * kc + zc + log_coef * t,
-                                         q * kb + zb + log_base * t, M)
-        return logsum
-    kc = (0.0 if family.g is None else family.g_sup) - family.shift
+    kc, kb = _tail_constants(family)
     s_exp = family.s_exp
 
     def logsum(q: float, t: float) -> float:
-        e0 = q * s_exp
+        e0 = q * s_exp if s_exp else 0.0
+        b0 = 0.0 if kb is None else q * kb
         return _log_geometric_series(q * kc + e0 * log_coef + log_coef * t,
-                                     0.0 + e0 * log_base + log_base * t, M)
+                                     b0 + e0 * log_base + log_base * t, M)
     return logsum
 
 

@@ -226,7 +226,7 @@ _Parts = tuple[np.ndarray, np.ndarray, np.ndarray]  # (F, D, E) of ``_operator_p
 
 
 @lru_cache(maxsize=32)
-def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
+def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int | None,
                     nodes: int) -> _Parts:
     """(F, D, E) of the transfer operator over symbols 1..M at ``nodes`` points.
 
@@ -239,7 +239,10 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int,
     The cache serves in-process repeats of one spec (two loads of the full
     Gauss spec compare equal, two of Gauss {1,2} do not: per-load lambdas)
     and, in one command, ``verify``'s sample and ``figure1``'s fixed point.
+    An infinite alphabet needs a truncation: M = None raises ValueError.
     """
+    if M is None:
+        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
     x, w = _chebyshev_nodes(system.domain, nodes)
     maps = [system.map(i) for i in range(1, M + 1)]
     F = np.column_stack([f_value(family, system, i, x) for i in range(1, M + 1)])
@@ -420,8 +423,8 @@ def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float,
 
 
 @lru_cache(maxsize=32)
-def _operator_measure(system: IfsSystem, family: PotentialFamily, M: int, q: float,
-                      t: float) -> tuple[np.ndarray, float]:
+def _operator_measure(system: IfsSystem, family: PotentialFamily, M: int | None,
+                      q: float, t: float) -> tuple[np.ndarray, float]:
     """(nu, P(q, t)) of the collocated operator over symbols 1..M.
 
     The quadrature rule and the pressure that every cylinder mass at
@@ -492,10 +495,7 @@ def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: i
     """
     if is_multiplicative(system, family):
         return _closed_form(system, family, truncation), None
-    M = system.truncated_size(truncation)
-    if M is None:
-        raise ValueError("the transfer operator of an infinite alphabet needs a truncation")
-    parts = _operator_parts(system, family, M, _NODES)
+    parts = _operator_parts(system, family, system.truncated_size(truncation), _NODES)
     return (lambda q, t: _operator_pressure(parts, q, t)), parts
 
 

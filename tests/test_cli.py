@@ -218,6 +218,18 @@ def test_one_operator_lookup_per_solve(args, lookups, tmp_path, monkeypatch, cap
     assert len(calls) == lookups
 
 
+def test_one_operator_lookup_for_many_cylinder_masses(monkeypatch):
+    # cylinder masses at one (q, t) share the operator's nu and pressure: the
+    # first word looks the operator up and every later word reuses the pair
+    system, family = Q.gauss_system((1, 2)), Q.derivative_family(0.531280506277205)
+    calls = _count_operator_lookups(monkeypatch)
+    words = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+    masses = [Q.cylinder_mass(system, family, word).hex() for word in words]
+    assert len(calls) == 1
+    assert masses == ["0x1.42969d3e865bcp-1", "0x1.7ad2c582f349dp-2", "0x1.7ad2c582f34a3p-2",
+                      "0x1.0a5a74fa196e4p-2", "0x1.c9e2299c89a09p-3", "0x1.2bc361695cf40p-3"]
+
+
 @pytest.mark.parametrize("doc, m, solvers", [
     (E1_DOC, [], ("closed_form",) * 3),
     (GAUSS_DOC, [], ("newton",) * 3),
@@ -1084,8 +1096,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 # every public name of the package, including those it serves from its lazy modules
 _PUBLIC_NAMES = """
-AnalyticBranch1D AntichainResult BetaSolution BracketError Codebook ConstantLogWeights
-DegenerateSystemError DerivativeFamily FigureData FiniteAlphabet FiniteWeights
+AnalyticBranch1D AntichainResult BetaSolution BracketError Codebook
+DegenerateSystemError FigureData FiniteAlphabet FiniteWeights
 GeometricTail GeometricWeights IfsSystem InfiniteAlphabet NonSummableError
 NumericalFailure PotentialFamily PowerLawTail PressureEstimate QdimError QdimSolution
 QuantizationRun SampleSet Similarity1D SpecFormatError SweepResult TemperatureSample Word

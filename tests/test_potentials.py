@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import qdim as Q
 from qdim.errors import NonSummableError
@@ -188,3 +189,64 @@ def test_normalize_nonconstant_family_builds_only_the_kept_maps():
     family = Q.derivative_family(0.8, g=lambda x: 0.1 * x, g_sup=0.1)
     out = Q.normalize_pressure(family, system, truncation=5)
     assert abs(Q.estimate_pressure(system, out, 1.0, 0.0, truncation=5).value) <= 1e-12
+
+
+def test_beta_at_zero_does_not_see_the_base_function():
+    # beta(0) is the dimension of the limit set whatever the potential:
+    # dim E_{1..5} with g(x) = -4x, normalized on the operator route
+    system = Q.gauss_system((1, 2, 3, 4, 5))
+    family = Q.derivative_family(0.6, g=lambda x: -4.0 * x, g_sup=4.0)
+    family = Q.normalize_pressure(family, system)
+    assert abs(Q.hausdorff_dim(system, family) - 0.836829443681208) <= 1e-12
+
+
+def test_constant_base_function_normalizes_away(gauss12):
+    # g = 0.7 only moves the shift by 0.7, so every normalized output of
+    # g = 0 comes back to rounding
+    system, family = gauss12
+    plain = Q.normalize_pressure(family, system)
+    raised = Q.normalize_pressure(Q.derivative_family(0.6, g=lambda x: 0.7 + 0.0 * x,
+                                                      g_sup=0.7), system)
+    assert raised.shift - plain.shift == pytest.approx(0.7, abs=1e-13)
+    for r in (0.5, 2.0):
+        kappa = Q.solve_quantization_dim(system, plain, r).kappa_r
+        assert abs(Q.solve_quantization_dim(system, raised, r).kappa_r - kappa) <= 1e-13
+
+
+def test_weighted_derivative_family_closed_form(e2):
+    # f_i = log p_i + s log|phi_i'|: P(q, t) = log sum_i p_i^q r_i^(q s + t)
+    # on a similarity system, and kappa_r solves P(q, r q) = 0 once normalized
+    system, _ = e2
+    p, ratio, s_exp = np.array([0.7, 0.3]), 1 / 3, 0.5
+    family = Q.PotentialFamily(Q.FiniteWeights((0.7, 0.3)), s_exp)
+    assert Q.is_multiplicative(system, family)
+
+    def pressure(q, t, shift=0.0):
+        return math.log(np.sum(p ** q * ratio ** (q * s_exp + t))) - q * shift
+
+    for q, t in ((1.0, 0.0), (0.3, 2.0), (-1.0, 0.5), (2.0, -1.0)):
+        assert abs(Q.estimate_pressure(system, family, q, t).value - pressure(q, t)) <= 1e-12
+    x = np.linspace(0.0, 1.0, 5)
+    assert np.allclose(Q.potentials.f_value(family, system, 2, x),
+                       math.log(0.3) + s_exp * math.log(ratio), rtol=0.0, atol=1e-15)
+
+    normalized = Q.normalize_pressure(family, system)
+    assert abs(normalized.shift - pressure(1.0, 0.0)) <= 1e-12
+    for r in (0.5, 2.0, 5.0):
+        q_r = brentq(lambda q: pressure(q, r * q, normalized.shift), 1e-9, 1.0 - 1e-9,
+                     xtol=1e-15)
+        kappa = Q.solve_quantization_dim(system, normalized, r).kappa_r
+        assert abs(kappa - r * q_r / (1.0 - q_r)) <= 1e-12
+
+
+def test_absent_derivative_term_is_not_formed():
+    # a branch whose |phi'| underflows to 0 gives log|phi'| = -inf, so
+    # 0 * log|phi'| would be NaN; a weight-only family never forms it
+    flat = Q.AnalyticBranch1D(lambda x: 1e-300 * x, lambda x: 1e-300 * 1e-300 + 0.0 * x, 1e-300)
+    system = Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.5), flat)), 0.5)
+    assert not np.any(flat.abs_deriv(system.grid))
+    family = Q.log_weight_family([0.7, 0.3])
+    value = Q.potentials.f_value(family, system, 2, system.grid)
+    assert np.all(value == math.log(0.3))
+    assert Q.potentials.single_exp_sup(family, system, 2) == pytest.approx(0.3, rel=1e-15)
+    assert Q.normalize_pressure(family, system).shift == pytest.approx(0.0, abs=1e-15)
