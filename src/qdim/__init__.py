@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 from .errors import (BracketError, DegenerateSystemError, NonSummableError,
                      NumericalFailure, QdimError, SpecFormatError)
-from .ifs import (AnalyticBranch1D, FiniteAlphabet, GeometricTail, IfsSystem,
-                  InfiniteAlphabet, PowerLawTail, Similarity1D, Word, cantor_system,
-                  compose_and_derivative, cylinder_interval, gauss_system,
+from .ifs import (AnalyticBranch1D, FiniteAlphabet, GaussBranch1D, GeometricTail,
+                  IfsSystem, InfiniteAlphabet, PowerLawTail, Similarity1D, Word,
+                  cantor_system, compose_and_derivative, cylinder_interval, gauss_system,
                   geometric_similarity_system, similarity_system)
 from .potentials import (FiniteWeights, GeometricWeights, PotentialFamily, birkhoff_sum,
                          derivative_family, geometric_weight_family,

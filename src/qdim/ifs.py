@@ -12,7 +12,6 @@ workers; the operations are pure functions of their arguments.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -73,7 +72,24 @@ class AnalyticBranch1D:
         return np.abs(self.deriv(x))
 
 
-ContractionMap = Similarity1D | AnalyticBranch1D
+@dataclass(frozen=True)
+class GaussBranch1D:
+    """Continued-fraction branch x -> 1 / (digit + x) on [0, 1], digit >= 1."""
+
+    digit: int
+
+    def value(self, x):
+        return 1.0 / (self.digit + x)
+
+    def abs_deriv(self, x):
+        return 1.0 / (self.digit + x) ** 2
+
+    @property
+    def deriv_sup(self) -> float:
+        return 1.0 / self.digit ** 2
+
+
+ContractionMap = Similarity1D | AnalyticBranch1D | GaussBranch1D
 
 
 # ---------------------------------------------------------------------------
@@ -130,40 +146,43 @@ class InfiniteAlphabet:
 
 @dataclass(frozen=True)
 class IfsSystem:
-    """An iterated function system on a closed interval.
+    """An iterated function system on a closed interval: its domain and its maps.
 
-    ``s`` is the uniform contraction bound.  It is allowed to equal 1.0
-    for borderline families (continued-fraction branches have
-    sup|phi_1'| = 1 on [0, 1]).  Bounded distortion is assumed, not
-    stored: the quantization dimension follows from the pressure alone,
-    and cylinders are measured exactly (``cylinder_interval``).
+    Everything else is read off the maps.  Bounded distortion is assumed,
+    not stored: the quantization dimension follows from the pressure
+    alone, and cylinders are measured exactly (``cylinder_interval``).
     """
 
     domain: tuple[float, float]
     alphabet: FiniteAlphabet | InfiniteAlphabet
-    s: float
-    geometric_ratio: float | None = None  # set when map i is a ratio**i similarity
-    gauss_digits: Sequence[int] | None = None  # set when map i is 1/(gauss_digits[i-1] + x)
 
     def __post_init__(self):
         a, b = self.domain
         if not a < b:
             raise ValueError("domain must be a nondegenerate interval [a, b]")
         if not 0.0 < self.s <= 1.0:
-            raise ValueError("contraction bound s must lie in (0, 1]")
-        if isinstance(self.alphabet, FiniteAlphabet):
-            for i, m in enumerate(self.alphabet.maps, start=1):
-                if m.deriv_sup > self.s + 1e-12:
-                    raise ValueError(
-                        f"map {i} violates the stored contraction bound "
-                        f"({m.deriv_sup} > {self.s})"
-                    )
+            raise ValueError(f"contraction bound s = {self.s} outside (0, 1]: a map expands")
 
     # -- basic geometry -----------------------------------------------------
 
     @property
     def size(self) -> int | None:
         return self.alphabet.size
+
+    @property
+    def s(self) -> float:
+        """The uniform contraction bound: the largest sup|phi_i'|, or an infinite
+        alphabet's tail bound at i = 1 (1.0 with continued-fraction branch 1)."""
+        if isinstance(self.alphabet, FiniteAlphabet):
+            return max(m.deriv_sup for m in self.alphabet.maps)
+        tail = self.alphabet.tail
+        return tail.coef * tail.base if isinstance(tail, GeometricTail) else tail.coef
+
+    @property
+    def geometric_ratio(self) -> float | None:
+        """The ratio when map i is the similarity ratio**i (x + 2), else None."""
+        gen = getattr(self.alphabet, "generator", None)
+        return gen.ratio if isinstance(gen, _GeometricSimilarities) else None
 
     @property
     def all_similarities(self) -> bool:
@@ -256,8 +275,7 @@ def cylinder_interval(system: IfsSystem, word: Sequence[int]) -> tuple[float, fl
 
 def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
                       orientations: Sequence[int] | None = None, *,
-                      domain: tuple[float, float] = (0.0, 1.0),
-                      s: float | None = None) -> IfsSystem:
+                      domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
     """Finite system of affine contractions; validates images stay inside the domain."""
     if len(ratios) != len(offsets):
         raise ValueError("ratios and offsets must have equal length")
@@ -274,10 +292,7 @@ def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
         ends = sorted((m.value(a), m.value(b)))
         if ends[0] < a - 1e-12 or ends[1] > b + 1e-12:
             raise ValueError(f"map {i} does not send the domain into itself")
-    if s is None:
-        s = max(m.ratio for m in maps)
-    return IfsSystem(domain=(float(a), float(b)), alphabet=FiniteAlphabet(maps),
-                     s=float(s))
+    return IfsSystem(domain=(float(a), float(b)), alphabet=FiniteAlphabet(maps))
 
 
 def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
@@ -285,6 +300,16 @@ def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
     a, b = domain
     span = b - a
     return similarity_system([1 / 3, 1 / 3], [a + 0.0, a + 2 * span / 3], domain=domain)
+
+
+@dataclass(frozen=True)
+class _GeometricSimilarities:
+    """The generator i -> Similarity1D(ratio**i, 2 ratio**i) of a geometric system."""
+
+    ratio: float
+
+    def __call__(self, i: int) -> Similarity1D:
+        return Similarity1D(self.ratio ** i, 2.0 * self.ratio ** i)
 
 
 def geometric_similarity_system(ratio: float = 1 / 3) -> IfsSystem:
@@ -295,21 +320,8 @@ def geometric_similarity_system(ratio: float = 1 / 3) -> IfsSystem:
     """
     if not 0.0 < ratio <= 1 / 3:
         raise ValueError("geometric systems need ratio in (0, 1/3]")
-
-    def gen(i: int, _r: float = ratio) -> Similarity1D:
-        return Similarity1D(_r ** i, 2.0 * _r ** i)
-
-    return IfsSystem(domain=(0.0, 1.0),
-                     alphabet=InfiniteAlphabet(gen, GeometricTail(1.0, ratio)),
-                     s=ratio, geometric_ratio=ratio)
-
-
-def _gauss_branch(i: int) -> AnalyticBranch1D:
-    return AnalyticBranch1D(
-        fn=lambda x, i=i: 1.0 / (i + x),
-        deriv=lambda x, i=i: -1.0 / (i + x) ** 2,
-        deriv_sup=1.0 / i ** 2,
-    )
+    return IfsSystem((0.0, 1.0), InfiniteAlphabet(_GeometricSimilarities(ratio),
+                                                  GeometricTail(1.0, ratio)))
 
 
 def gauss_system(symbols: Sequence[int] | None = None) -> IfsSystem:
@@ -317,18 +329,14 @@ def gauss_system(symbols: Sequence[int] | None = None) -> IfsSystem:
 
     ``symbols`` picks a finite subsystem; None gives the full countable
     system with the i**-2 derivative tail.  Branch 1 has sup|phi'| = 1,
-    so the stored contraction bound degenerates to 1.0 there.
+    so the contraction bound degenerates to 1.0 there.
     """
     if symbols is None:
         return IfsSystem(domain=(0.0, 1.0),
-                         alphabet=InfiniteAlphabet(_gauss_branch, PowerLawTail(1.0, 2.0)),
-                         s=1.0, gauss_digits=range(1, sys.maxsize))
+                         alphabet=InfiniteAlphabet(GaussBranch1D, PowerLawTail(1.0, 2.0)))
     syms = tuple(symbols)
     if (any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i < 1 for i in syms)
             or len(set(syms)) != len(syms)):
         raise ValueError("continued-fraction symbols must be distinct positive integers")
-    syms = tuple(map(int, syms))
-    maps = tuple(_gauss_branch(i) for i in syms)
-    s = min(1.0, max(m.deriv_sup for m in maps))
-    return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps), s=s,
-                     gauss_digits=syms)
+    maps = tuple(GaussBranch1D(int(i)) for i in syms)
+    return IfsSystem(domain=(0.0, 1.0), alphabet=FiniteAlphabet(maps))

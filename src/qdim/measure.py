@@ -1,8 +1,8 @@
 """Sampling and metric machinery for conformal measures.
 
 The conformal measure assigns every cylinder the weight of its Birkhoff
-exponential; constant-weight families reduce to self-similar measures
-and sample exactly by i.i.d. symbol draws.  Nonconstant families are
+exponential; symbol-constant families reduce to Bernoulli measures and
+sample exactly by i.i.d. symbol draws.  Nonconstant families are
 sampled by a place-dependent chain driven by the leading eigenfunction
 of the transfer operator, whose stationary law is the Gibbs state, and
 a rejection step that turns the Gibbs state back into the conformal
@@ -25,14 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .ifs import IfsSystem
-from .potentials import PotentialFamily, _tail_exp_sum, f_value, truncation_tail_bound
+from .ifs import GaussBranch1D, IfsSystem, Similarity1D
+from .potentials import (PotentialFamily, _tail_exp_sum, f_value, is_symbol_constant,
+                         symbol_log_weight, truncation_tail_bound)
 from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _closed_form,
                        _operator_eigen, _operator_measure, _operator_parts, _symbol_logs,
                        is_multiplicative)
 
 _CHUNK = 65536
-_THREADS = 4              # most threads of the constant-weight sampler, one row range each
+_THREADS = 4              # most threads of the i.i.d. sampler, one row range each
 _REACH = 64               # reachable cdf entries up to which counting beats a binary search
 _CHAIN_CHUNK = 2048       # chains per chunk of the eigenfunction sampler
 _CHAIN_BATCH = 4          # chunks per step call: 4 x 2048 float64 = 64 KB per per-step array
@@ -180,36 +181,36 @@ def _apply_symbols(system: IfsSystem, idx: np.ndarray, x: np.ndarray) -> np.ndar
 def _map_step(system: IfsSystem, M: int):
     """(idx, x) -> phi_{idx+1}(x) for symbols 1..M, one vectorized call where it can.
 
-    Similarity maps step as slope * x + offset with slope = orientation *
-    ratio (exact, the orientation is +-1; a geometric ratio**i that
-    underflows to 0 only collapses a map of negligible weight onto 0), and
-    Gauss branches as 1 / (b + x) with b the branch integers (exact, an
-    integer converts exactly).  These give the maps' own values bit for
-    bit; any other family makes one map call per drawn symbol
-    (``_apply_symbols``).  The vectorized steps convert the indices (the
-    uint8 draws of ``_draw_symbols``) to intp once and build the result in
-    the buffer that the first ``take`` returns, with the same two float
-    operations per point.
+    The maps' types choose the step.  Similarities step as slope * x +
+    offset with slope = orientation * ratio (exact, the orientation is +-1;
+    a geometric system's ratio**i, in closed form, that underflows to 0
+    only collapses a map of negligible weight onto 0), and Gauss branches
+    as 1 / (b + x) with b their digits (exact, an integer converts
+    exactly).  These give the maps' own values bit for bit; any other mix
+    makes one map call per drawn symbol (``_apply_symbols``).  The
+    vectorized steps convert the indices (the uint8 draws of
+    ``_draw_symbols``) to intp once and build the result in the buffer
+    that the first ``take`` returns, with the same two float operations.
     """
     if system.geometric_ratio is not None:
         # phi_i(x) = ratio**i (x + 2) in closed form
         slope = np.array([system.geometric_ratio ** i for i in range(1, M + 1)])
         offset = 2.0 * slope
-    elif system.all_similarities:
+    else:
         maps = [system.map(i) for i in range(1, M + 1)]
+        if all(isinstance(m, GaussBranch1D) for m in maps):
+            b = np.array([m.digit for m in maps], dtype=float)
+
+            def gauss_step(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+                out = b.take(idx.astype(np.intp, copy=False))
+                out += x
+                return np.divide(1.0, out, out=out)
+
+            return gauss_step
+        if not all(isinstance(m, Similarity1D) for m in maps):
+            return lambda idx, x: _apply_symbols(system, idx.ravel(), x.ravel()).reshape(x.shape)
         slope = np.array([float(m.orientation) * m.ratio for m in maps])
         offset = np.array([m.offset for m in maps])
-    elif system.gauss_digits is not None:
-        b = np.array(system.gauss_digits[:M], dtype=float)
-
-        def gauss_step(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-            out = b.take(idx.astype(np.intp, copy=False))
-            out += x
-            return np.divide(1.0, out, out=out)
-
-        return gauss_step
-    else:
-        return lambda idx, x: _apply_symbols(system, idx.ravel(), x.ravel()).reshape(x.shape)
 
     def affine_step(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         i = idx.astype(np.intp, copy=False)
@@ -295,7 +296,7 @@ def _sample_constant(system: IfsSystem, family: PotentialFamily, count: int,
     CPU count; with one range in all (one CPU, or a single word) they run
     inline, without a pool.
     """
-    probs = np.array([math.exp(family.weights.log_p(i)) for i in range(1, M + 1)])
+    probs = np.array([math.exp(symbol_log_weight(family, system, i)) for i in range(1, M + 1)])
     cdf = _symbol_cdf(probs / probs.sum())
     step = _map_step(system, M)
     k, cap = 0, min(count, _CHUNK)
@@ -681,12 +682,12 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
                    seed: int = 0) -> SampleSet:
     """Draw a deterministic empirical approximation of the conformal measure.
 
-    Constant-weight families draw i.i.d. symbol strings with the
-    (truncation-renormalized) weights and map the domain midpoint
-    through the word; every other family runs ``depth`` steps of the
-    eigenfunction chain (``_sample_chain``).  A ``depth`` of None takes
-    the law within 1e-12 of its limit: words of length
-    log(1e-12) / log(s) for constant weights (60 when s = 1), and for the
+    Symbol-constant families (``is_symbol_constant``) draw i.i.d. symbol
+    strings with the (truncation-renormalized) weights e^{f_i} and map the
+    domain midpoint through the word; every other family runs ``depth``
+    steps of the eigenfunction chain (``_sample_chain``).  A ``depth`` of
+    None takes the law within 1e-12 of its limit: words of length
+    log(1e-12) / log(s) for i.i.d. words (60 when s = 1), and for the
     chain the steps its transfer operator's spectral gap needs.  Infinite
     alphabets truncate at the smallest M whose relative tail mass is at
     most 1e-6 (at most 4096 symbols) unless an explicit truncation is
@@ -704,7 +705,7 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
         M = _auto_truncation(system, family, total)
     deficit = _weight_deficit(system, family, M, total)
 
-    if family.is_log_weights:
+    if is_symbol_constant(family, system):
         depth = _default_depth(system) if depth is None else depth
         pts = _sample_constant(system, family, count, depth, M, seed)
     else:

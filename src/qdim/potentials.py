@@ -84,11 +84,6 @@ class PotentialFamily:
         if self.s_exp < 0:
             raise ValueError("derivative exponent must be positive")
 
-    @property
-    def is_log_weights(self) -> bool:
-        """f_i = log p_i alone: the self-similar case sampled by i.i.d. symbols."""
-        return self.weights is not None and self.g is None and not self.s_exp
-
 
 # ---------------------------------------------------------------------------
 # families as functions on symbols

@@ -236,8 +236,8 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int | None,
     at phi_i(x_j), a unit vector where phi_i(x_j) is itself a node.  The
     sampler reads the symbol-major views ``F.T`` and ``E.transpose(1, 0, 2)``.
 
-    The cache serves in-process repeats of one spec (two loads of the full
-    Gauss spec compare equal, two of Gauss {1,2} do not: per-load lambdas)
+    The cache serves in-process repeats of one spec (every system the
+    library builds is value-equal, so two loads of one spec give one key)
     and, in one command, ``verify``'s sample and ``figure1``'s fixed point.
     An infinite alphabet needs a truncation: M = None raises ValueError.
     """
@@ -246,7 +246,8 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int | None,
     x, w = _chebyshev_nodes(system.domain, nodes)
     maps = [system.map(i) for i in range(1, M + 1)]
     F = np.column_stack([f_value(family, system, i, x) for i in range(1, M + 1)])
-    D = np.log(np.column_stack([m.abs_deriv(x) for m in maps]))
+    with np.errstate(divide="ignore"):
+        D = np.log(np.column_stack([m.abs_deriv(x) for m in maps]))
     E = _barycentric_terms(x, w, np.column_stack([m.value(x) for m in maps]))
     E /= E.sum(axis=2, keepdims=True)
     for arr in (F, D, E):
@@ -257,12 +258,13 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int | None,
 def _operator_matrix(parts: _Parts, q: float, t: float) -> tuple[float, np.ndarray]:
     """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent.
 
-    Overflow and NaN in the exponents pass through silently: the
-    eigenvalue solve reports them as a numerical failure.
+    At t = 0 the derivative term is left out (D = -inf where |phi_i'|
+    underflows).  Overflow and NaN in the exponents pass through silently:
+    the eigenvalue solve reports them as a numerical failure.
     """
     F, D, E = parts
     with np.errstate(over="ignore", invalid="ignore"):
-        X = q * F + t * D
+        X = q * F if t == 0.0 else q * F + t * D
         s = float(X.max())
         return s, np.einsum("ji,jik->jk", np.exp(X - s), E)
 
@@ -345,7 +347,7 @@ def _operator_step(parts: _Parts, q: float, t: float,
     from ``_operator_matrix``'s einsum, which the certificate reads.
     """
     F, D, E = parts
-    X = q * F + t * D
+    X = q * F if t == 0.0 else q * F + t * D
     s = float(X.max())
     WV = np.empty((F.shape[0], 2, F.shape[1]))
     np.exp(X - s, out=WV[:, 0])

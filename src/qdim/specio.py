@@ -8,13 +8,14 @@ A document bundles the map family and the potential:
      "symbols": [1, 2],                      # gauss subsystems: distinct, >= 1
      "infinite": {"family": "geometric" | "gauss",
                   "ratio": ..},              # geometric similarity base
-     "s": ..,                                # an old spec's "K" is ignored
      "potential": {"kind": "logweights",
                    "weights": [..] | {"family": "geometric", "ratio": ..}}
                 | {"kind": "derivative", "s": .., "g": "zero"}}
 
-A weight list has one weight per map or symbol.  Anything else, including
-a value of the wrong type, raises ``SpecFormatError``.
+A weight list has one weight per map or symbol.  The contraction bound is
+read off the maps, so an old spec's top-level "s", like its "K", is
+ignored with every other key the loader does not read.  Anything else,
+including a value of the wrong type, raises ``SpecFormatError``.
 """
 
 from __future__ import annotations
@@ -69,13 +70,11 @@ def _build_system(doc: dict) -> IfsSystem:
         if any(isinstance(e, bool) or e not in (1, -1) for e in orientations):
             raise SpecFormatError("map orientations must be 1 or -1")
         try:
-            s = doc.get("s")
             return similarity_system(
                 [_number(m["ratio"], "map ratio") for m in maps],
                 [_number(m["offset"], "map offset") for m in maps],
                 orientations,
                 domain=domain,
-                s=None if s is None else _number(s, "s"),
             )
         except (KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad similarity maps: {exc}") from exc

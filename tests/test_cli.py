@@ -712,18 +712,28 @@ def test_malformed_spec_exits_one_with_a_spec_error(doc, args, message, tmp_path
     assert done.stdout == ""
 
 
-@pytest.mark.parametrize("args", [["dimh", "--m", "2"], ["qdim", "--r", "2", "--m", "2"]],
-                         ids=["dimh", "qdim"])
-def test_legacy_distortion_key_is_ignored(args, tmp_path, capsys):
-    doc = json.loads(GAUSS_DOC)
-    assert doc.pop("K") == 4.0
+@pytest.mark.parametrize("key, value, text, args", [
+    ("K", 4.0, GAUSS_DOC, ["dimh", "--m", "2"]),
+    ("K", 4.0, GAUSS_DOC, ["qdim", "--r", "2", "--m", "2"]),
+    # the contraction bound is read off the maps: e1's 1/3, not the old key's 0.5,
+    # sets the default depth, log(1e-12) / log(1/3) -> 26 symbols
+    ("s", 0.5, E1_DOC.replace('"kind"', '"s": 0.5, "kind"'),
+     ["sample", "--samples", "50", "--out", "pts.csv"]),
+], ids=["dimh", "qdim", "sample-s"])
+def test_legacy_distortion_key_is_ignored(key, value, text, args, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(text)
+    assert doc.pop(key) == value
     reports = []
-    for name, text in (("with_k", GAUSS_DOC), ("without_k", json.dumps(doc))):
+    for name, spec in (("with_key", text), ("without_key", json.dumps(doc))):
         path = tmp_path / f"{name}.json"
-        path.write_text(text)
+        path.write_text(spec)
         assert main([args[0], "--system", str(path), *args[1:]]) == 0
         report = json.loads(capsys.readouterr().out)
         reports.append({k: v for k, v in report.items() if k not in ("path", "system_digest")})
+        if args[0] == "sample":
+            assert json.loads((tmp_path / "pts.csv.json").read_text())["depth"] == 26
     assert reports[0] == reports[1]
 
 
@@ -1097,7 +1107,7 @@ def test_cli_import_leaves_scipy_unloaded():
 # every public name of the package, including those it serves from its lazy modules
 _PUBLIC_NAMES = """
 AnalyticBranch1D AntichainResult BetaSolution BracketError Codebook
-DegenerateSystemError FigureData FiniteAlphabet FiniteWeights
+DegenerateSystemError FigureData FiniteAlphabet FiniteWeights GaussBranch1D
 GeometricTail GeometricWeights IfsSystem InfiniteAlphabet NonSummableError
 NumericalFailure PotentialFamily PowerLawTail PressureEstimate QdimError QdimSolution
 QuantizationRun SampleSet Similarity1D SpecFormatError SweepResult TemperatureSample Word
@@ -1173,15 +1183,37 @@ def test_gauss_spec_loads(tmp_path, capsys):
     assert abs(report["dim_h"] - 0.531280506277205) <= 1e-12
 
 
-def test_spec_contraction_override(tmp_path):
+@pytest.mark.parametrize("doc", [GAUSS_DOC, GAUSS_FULL_DOC, E2_DOC, E3_DOC],
+                         ids=["gauss12", "gauss-full", "e2", "e3"])
+def test_two_loads_of_one_spec_are_one_system(doc, tmp_path):
+    # value-typed maps and generators: equal specs give equal cache keys
     from qdim.specio import load_spec
-    path = tmp_path / "s.json"
-    doc = json.loads(E1_DOC)
-    doc["s"] = 0.5
-    path.write_text(json.dumps(doc))
-    system, _, _ = load_spec(path)
-    assert system.s == 0.5
-    doc["s"] = 0.1  # below the actual map ratios: rejected
-    path.write_text(json.dumps(doc))
-    with pytest.raises(Exception):
-        load_spec(path)
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    (system_a, family_a, _), (system_b, family_b, _) = load_spec(path), load_spec(path)
+    assert system_a == system_b and hash(system_a) == hash(system_b)
+    assert family_a == family_b and hash(family_a) == hash(family_b)
+
+
+def test_repeated_dimh_reuses_the_operator(tmp_path, capsys):
+    path = tmp_path / "gauss.json"
+    path.write_text(GAUSS_DOC)
+    qdim.pressure._operator_parts.cache_clear()
+    for _ in range(3):
+        assert main(["dimh", "--system", str(path)]) == 0
+    info = qdim.pressure._operator_parts.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+# the text of every ```json block of the README
+_README_SPECS = [block.split("```")[0] for block in (
+    Path(__file__).resolve().parents[1] / "README.md").read_text().split("```json\n")[1:]]
+
+
+@pytest.mark.parametrize("text", _README_SPECS,
+                         ids=[f"block{k}" for k in range(len(_README_SPECS))])
+def test_readme_spec_examples_run(text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    Q.load_spec(path)
+    assert main(["dimh", "--system", str(path)]) == 0

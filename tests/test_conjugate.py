@@ -53,8 +53,7 @@ def _conjugate(ratios, offsets) -> Q.IfsSystem:
 
         # a Moebius map's |phi'| is monotone, so its sup sits at an end
         maps.append(Q.AnalyticBranch1D(fn, deriv, float(max(deriv(0.0), deriv(1.0)))))
-    s = max(m.deriv_sup for m in maps)
-    return Q.IfsSystem(domain=(0.0, 1.0), alphabet=Q.FiniteAlphabet(tuple(maps)), s=s)
+    return Q.IfsSystem(domain=(0.0, 1.0), alphabet=Q.FiniteAlphabet(tuple(maps)))
 
 
 def test_conjugated_e2_kappa_and_pressure_match_the_closed_form():

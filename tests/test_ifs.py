@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy
@@ -161,10 +163,39 @@ def test_gauss_system_rejects_bad_symbols(symbols):
         Q.gauss_system(symbols)
 
 
+def test_an_expanding_map_is_rejected():
+    # 1.08 is sup|phi'| of a map of e2's c = 3 Moebius conjugate, which expands
+    expanding = Q.AnalyticBranch1D(lambda x: x, lambda x: 1.0 + 0.0 * x, 1.08)
+    with pytest.raises(ValueError, match="contraction bound"):
+        Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.0), expanding)))
+
+
+@pytest.mark.parametrize("build, s", [
+    (lambda: Q.similarity_system([0.3, 0.2, 0.25], [0.0, 0.6, 0.75], [1, -1, 1]), 0.3),
+    (Q.cantor_system, 1 / 3),
+    (lambda: Q.gauss_system((1, 2)), 1.0),
+    (lambda: Q.gauss_system((2, 3)), 0.25),
+    (lambda: Q.gauss_system(None), 1.0),
+    (lambda: Q.geometric_similarity_system(1 / 3), 1 / 3),
+    (lambda: Q.geometric_similarity_system(0.05), 0.05),
+], ids=["similarity", "cantor", "gauss12", "gauss23", "gauss-full", "geometric",
+        "geometric-0.05"])
+def test_contraction_bound_is_read_off_the_maps(build, s):
+    # the values the builders used to store beside the maps, bit for bit
+    assert build().s == s
+
+
+def test_a_system_is_its_domain_and_its_maps():
+    # everything else, the contraction bound and the geometric ratio among it, is derived
+    assert [f.name for f in dataclasses.fields(Q.IfsSystem)] == ["domain", "alphabet"]
+    assert Q.geometric_similarity_system(0.2).geometric_ratio == 0.2
+    assert Q.gauss_system(None).geometric_ratio is None
+
+
 def test_constructors_take_numpy_integers():
     gauss = Q.gauss_system(np.array([3, 1, 7]))
-    assert gauss.gauss_digits == (3, 1, 7)
-    assert all(type(i) is int for i in gauss.gauss_digits)
+    assert [m.digit for m in gauss.alphabet.maps] == [3, 1, 7]
+    assert all(type(m.digit) is int for m in gauss.alphabet.maps)
     sim = Q.similarity_system([0.3, 0.3], [0.3, 0.7], np.array([-1, 1]))
     assert [m.orientation for m in sim.alphabet.maps] == [-1, 1]
     assert all(type(m.orientation) is int for m in sim.alphabet.maps)

@@ -219,9 +219,19 @@ def test_chain_matches_self_similar_moments():
     p = r / r.sum()
     m1 = (p @ o) / (1 - p @ (e * r))
     m2 = (p @ (2 * e * r * o * m1 + o * o)) / (1 - p @ (r * r))
-    x = Q.sample_measure(system, Q.derivative_family(1.0), 20_000, seed=2).points
+    x, _ = qdim.measure._sample_chain(system, Q.derivative_family(1.0), 20_000, depth=None,
+                                      M=2, seed=2)
     for vals, exact in ((x, m1), (x * x, m2)):
         assert abs(vals.mean() - exact) <= 4 * vals.std() / math.sqrt(vals.size)
+
+
+def test_bernoulli_derivative_family_samples_iid_words(e1):
+    # s log r_i is constant on each map, so the measure is the Bernoulli measure with
+    # p_i = r_i^s / sum r_j^s: 1/2 each on e1's maps, drawn as i.i.d. words
+    system, family = e1
+    a = Q.sample_measure(system, Q.derivative_family(0.7), 30_000, depth=26, seed=5)
+    b = Q.sample_measure(system, family, 30_000, depth=26, seed=5)
+    assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_chain_sampler_deterministic_on_hull():
@@ -762,8 +772,10 @@ def test_filter_decides_every_step_of_the_conformal_verify_sample(monkeypatch):
 
 
 def _unlabelled(system):
-    """The same branches as a generic analytic system, with no Gauss digits recorded."""
-    return Q.IfsSystem(domain=system.domain, alphabet=system.alphabet, s=system.s)
+    """The same branches as generic analytic maps, which the sampler steps one call each."""
+    maps = tuple(Q.AnalyticBranch1D(m.value, m.abs_deriv, m.deriv_sup)
+                 for m in system.alphabet.maps)
+    return Q.IfsSystem(domain=system.domain, alphabet=Q.FiniteAlphabet(maps))
 
 
 def _own_value(system, i: int, v: float) -> float:

@@ -243,10 +243,21 @@ def test_absent_derivative_term_is_not_formed():
     # a branch whose |phi'| underflows to 0 gives log|phi'| = -inf, so
     # 0 * log|phi'| would be NaN; a weight-only family never forms it
     flat = Q.AnalyticBranch1D(lambda x: 1e-300 * x, lambda x: 1e-300 * 1e-300 + 0.0 * x, 1e-300)
-    system = Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.5), flat)), 0.5)
+    system = Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.5), flat)))
     assert not np.any(flat.abs_deriv(system.grid))
     family = Q.log_weight_family([0.7, 0.3])
     value = Q.potentials.f_value(family, system, 2, system.grid)
     assert np.all(value == math.log(0.3))
     assert Q.potentials.single_exp_sup(family, system, 2) == pytest.approx(0.3, rel=1e-15)
     assert Q.normalize_pressure(family, system).shift == pytest.approx(0.0, abs=1e-15)
+
+
+def test_operator_at_zero_temperature_skips_the_derivative_term():
+    # a base function sends the same system to the collocated operator, whose
+    # t = 0 matrix leaves t * log|phi'| out: 0 * -inf would be NaN
+    flat = Q.AnalyticBranch1D(lambda x: 1e-300 * x, lambda x: 1e-300 * 1e-300 + 0.0 * x, 1e-300)
+    system = Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.5), flat)))
+    family = Q.PotentialFamily(Q.FiniteWeights((0.7, 0.3)), g=lambda x: 0.0 * x)
+    assert abs(Q.estimate_pressure(system, family, 1.0, 0.0).value) <= 1e-15
+    assert math.isfinite(Q.estimate_pressure(system, family, 1.0, 0.5).value)
+    assert len(Q.sample_measure(system, family, 2000, seed=3)) == 2000

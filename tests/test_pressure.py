@@ -48,8 +48,7 @@ def test_operator_path_matches_closed_form():
                            deriv_sup=1 / 3)
         for o in (0.0, 2 / 3)
     ]
-    system = Q.IfsSystem(domain=(0.0, 1.0), alphabet=Q.FiniteAlphabet(tuple(branches)),
-                         s=1 / 3)
+    system = Q.IfsSystem(domain=(0.0, 1.0), alphabet=Q.FiniteAlphabet(tuple(branches)))
     family = Q.log_weight_family([0.5, 0.5])
     for q, t in [(0.0, 0.5), (0.5, 0.5), (1.0, 0.2), (0.3, 1.4)]:
         expected = math.log(2.0 * 2.0 ** -q * 3.0 ** -t)
@@ -354,7 +353,7 @@ def _as_branches(system):
                                     deriv=lambda x, m=m: m.orientation * m.ratio + 0.0 * x,
                                     deriv_sup=m.ratio)
                  for m in system.alphabet.maps)
-    return Q.IfsSystem(domain=system.domain, alphabet=Q.FiniteAlphabet(maps), s=system.s)
+    return Q.IfsSystem(domain=system.domain, alphabet=Q.FiniteAlphabet(maps))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
