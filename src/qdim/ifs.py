@@ -295,11 +295,9 @@ def similarity_system(ratios: Sequence[float], offsets: Sequence[float],
     return IfsSystem(domain=(float(a), float(b)), alphabet=FiniteAlphabet(maps))
 
 
-def cantor_system(domain: tuple[float, float] = (0.0, 1.0)) -> IfsSystem:
-    """The middle-third Cantor system {x/3, x/3 + 2/3}."""
-    a, b = domain
-    span = b - a
-    return similarity_system([1 / 3, 1 / 3], [a + 0.0, a + 2 * span / 3], domain=domain)
+def cantor_system() -> IfsSystem:
+    """The middle-third Cantor system {x/3, x/3 + 2/3} on [0, 1]."""
+    return similarity_system([1 / 3, 1 / 3], [0.0, 2 / 3])
 
 
 @dataclass(frozen=True)
@@ -309,6 +307,8 @@ class _GeometricSimilarities:
     ratio: float
 
     def __call__(self, i: int) -> Similarity1D:
+        if self.ratio ** i == 0.0:
+            raise ValueError(f"symbol {i}: its ratio {self.ratio}**{i} underflows to 0.0")
         return Similarity1D(self.ratio ** i, 2.0 * self.ratio ** i)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .ifs import GaussBranch1D, IfsSystem, Similarity1D
-from .potentials import (PotentialFamily, _tail_exp_sum, f_value, is_symbol_constant,
-                         symbol_log_weight, truncation_tail_bound)
+from .potentials import (PotentialFamily, _exponent, _orbit_exponent, _tail_exp_sum,
+                         is_symbol_constant, symbol_log_weight, truncation_tail_bound)
 from .pressure import (_NODES, _barycentric_terms, _chebyshev_nodes, _closed_form,
                        _operator_eigen, _operator_measure, _operator_parts, _symbol_logs,
                        is_multiplicative)
@@ -100,18 +100,14 @@ def cylinder_mass(system: IfsSystem, family: PotentialFamily, word: Sequence[int
     if is_multiplicative(system, family):
         a, d = _symbol_logs(system, family, M or max(w))
         k = np.array(w) - 1
-        log_integral = float(np.sum(q * a[k] + t * d[k]))
+        log_integral = float(np.sum(_exponent(a[k], d[k], q, t)))
         pressure = _closed_form(system, family, truncation)(q, t)
     else:
         nu, pressure = _operator_measure(system, family, M, q, t)
-        y, _ = _chebyshev_nodes(system.domain, _NODES)
-        log_g = np.zeros(_NODES)
-        for sym in reversed(w):  # q S_w F + t log|phi_w'| along the suffix orbit
-            m = system.map(sym)
-            log_g += q * f_value(family, system, sym, y) + t * np.log(m.abs_deriv(y))
-            y = m.value(y)
-        top = float(log_g.max())
-        log_integral = top + math.log(float(nu @ np.exp(log_g - top)))
+        x, _ = _chebyshev_nodes(system.domain, _NODES)
+        log_g = _orbit_exponent(family, system, w, x, q, t)
+        top = float(log_g.max())  # -inf at every node: the cylinder weighs 0
+        log_integral = top if top == -math.inf else top + math.log(float(nu @ np.exp(log_g - top)))
     return math.exp(log_integral - len(w) * pressure)
 
 

@@ -130,11 +130,19 @@ def is_symbol_constant(family: PotentialFamily, system: IfsSystem) -> bool:
     return family.g is None and (not family.s_exp or system.all_similarities)
 
 
+def _log_deriv_sup(system: IfsSystem, i: int) -> float:
+    """log sup|phi_i'|; a geometric alphabet's ratio**i, read without building the map,
+    gives -inf once it underflows (the symbol weighs 0; ``_map_step`` maps it onto 0)."""
+    ratio = system.geometric_ratio
+    sup = system.map(i).deriv_sup if ratio is None else ratio ** i
+    return math.log(sup) if sup > 0.0 else -math.inf
+
+
 def symbol_log_weight(family: PotentialFamily, system: IfsSystem, i: int) -> float:
     """log||e^{f_i}|| for symbol-constant families (exact)."""
     value = _log_p(family, i)
     if family.s_exp:
-        value = value + family.s_exp * math.log(system.map(i).deriv_sup)
+        value = value + family.s_exp * _log_deriv_sup(system, i)
     return value - family.shift
 
 
@@ -142,14 +150,23 @@ def symbol_log_weight(family: PotentialFamily, system: IfsSystem, i: int) -> flo
 # Birkhoff sums
 
 
-def _birkhoff_grid(family: PotentialFamily, system: IfsSystem, word: Word,
-                   x: np.ndarray) -> np.ndarray:
-    """S_w(F) evaluated on an array of points, via the suffix orbit."""
-    total = np.zeros_like(np.asarray(x, dtype=float))
+def _exponent(F, D, q: float, t: float):
+    """q F + t D, the exponent of e^{q f} |phi'|^t from F = f and D = log|phi'|; D is
+    not read at t = 0 (D = -inf where |phi'| underflows, and 0 * -inf is NaN)."""
+    return q * F if t == 0.0 else q * F + t * D
+
+
+def _orbit_exponent(family: PotentialFamily, system: IfsSystem, word: Word, x,
+                    q: float = 1.0, t: float = 0.0) -> np.ndarray:
+    """q S_w(F) + t log|phi_w'| on an array of points, via the suffix orbit."""
     y = np.asarray(x, dtype=float)
+    total = np.zeros_like(y)
     for sym in reversed(word):
-        total = total + f_value(family, system, sym, y)
-        y = system.map(sym).value(y)
+        m = system.map(sym)
+        with np.errstate(divide="ignore"):  # D = -inf where |phi'| underflows
+            D = np.log(m.abs_deriv(y)) if t != 0.0 else None
+        total = total + _exponent(f_value(family, system, sym, y), D, q, t)
+        y = m.value(y)
     return total
 
 
@@ -162,7 +179,7 @@ def birkhoff_sum(family: PotentialFamily, system: IfsSystem, word: Sequence[int]
     a, b = system.domain
     if not (a - 1e-12 <= x <= b + 1e-12):
         raise ValueError(f"x={x} outside the domain [{a}, {b}]")
-    return float(_birkhoff_grid(family, system, w, np.asarray(float(x))))
+    return float(_orbit_exponent(family, system, w, float(x)))
 
 
 # ---------------------------------------------------------------------------

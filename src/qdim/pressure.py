@@ -53,8 +53,9 @@ import numpy as np
 
 from .errors import BracketError, DegenerateSystemError, NumericalFailure
 from .ifs import FiniteAlphabet, IfsSystem
-from .potentials import (PotentialFamily, _geometric_pressure, _tail_decay, f_value,
-                         is_symbol_constant, symbol_log_weight, truncation_tail_bound)
+from .potentials import (PotentialFamily, _exponent, _geometric_pressure, _log_deriv_sup,
+                         _tail_decay, f_value, is_symbol_constant, symbol_log_weight,
+                         truncation_tail_bound)
 
 _NODES = 32               # Chebyshev-Lobatto nodes of the collocated operator
 _RESIDUAL = 1e-9          # largest |P| a root solve may return
@@ -144,7 +145,7 @@ def _symbol_logs(system: IfsSystem, family: PotentialFamily,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-symbol (log||e^{f_i}||, log||phi_i'||) for i = 1..n."""
     a = np.array([symbol_log_weight(family, system, i) for i in range(1, n + 1)])
-    d = np.array([math.log(system.map(i).deriv_sup) for i in range(1, n + 1)])
+    d = np.array([_log_deriv_sup(system, i) for i in range(1, n + 1)])
     a.flags.writeable = False
     d.flags.writeable = False
     return a, d
@@ -256,15 +257,14 @@ def _operator_parts(system: IfsSystem, family: PotentialFamily, M: int | None,
 
 
 def _operator_matrix(parts: _Parts, q: float, t: float) -> tuple[float, np.ndarray]:
-    """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i) with s the largest exponent.
+    """(s, sum_i diag(e^{q F_i + t D_i - s}) E_i), s the largest exponent (``_exponent``).
 
-    At t = 0 the derivative term is left out (D = -inf where |phi_i'|
-    underflows).  Overflow and NaN in the exponents pass through silently:
-    the eigenvalue solve reports them as a numerical failure.
+    Overflow and NaN in the exponents pass through silently: the
+    eigenvalue solve reports them as a numerical failure.
     """
     F, D, E = parts
     with np.errstate(over="ignore", invalid="ignore"):
-        X = q * F if t == 0.0 else q * F + t * D
+        X = _exponent(F, D, q, t)
         s = float(X.max())
         return s, np.einsum("ji,jik->jk", np.exp(X - s), E)
 
@@ -347,11 +347,11 @@ def _operator_step(parts: _Parts, q: float, t: float,
     from ``_operator_matrix``'s einsum, which the certificate reads.
     """
     F, D, E = parts
-    X = q * F if t == 0.0 else q * F + t * D
+    X = _exponent(F, D, q, t)
     s = float(X.max())
     WV = np.empty((F.shape[0], 2, F.shape[1]))
     np.exp(X - s, out=WV[:, 0])
-    np.multiply(dq * F + dt * D, WV[:, 0], out=WV[:, 1])
+    np.multiply(_exponent(F, D, dq, dt), WV[:, 0], out=WV[:, 1])
     rows = WV @ E
     return s, rows[:, 0], rows[:, 1] @ h
 

@@ -889,6 +889,30 @@ def test_sample_small_geometric_ratio(tmp_path, capsys):
     assert len(points) == 500 and all(0.0 <= p <= 1.0 for p in points)
 
 
+def test_derivative_spec_samples_past_the_ratio_underflow(tmp_path, capsys, monkeypatch):
+    # 0.05**249 == 0.0: symbols from 249 on weigh 0 and map onto 0, read off the
+    # generator's ratio without building Similarity1D(0.0, 0.0), which is no map
+    monkeypatch.chdir(tmp_path)
+    Path("geo.json").write_text(GEO_DERIVATIVE_DOC)
+    common = ["--system", "geo.json", "--m", "300"]
+    assert main(["sample", *common, "--samples", "2000", "--seed", "7", "--out", "pts.csv"]) == 0
+    assert json.loads(capsys.readouterr().out)["truncation"] == 300
+    points = [float(v) for v in Path("pts.csv").read_text().split()[1:]]
+    assert len(points) == 2000 and all(0.0 <= p <= 1.0 for p in points)
+    code = main(["verify", *common, "--r", "2", "--n-list", "4,8,16", "--samples", "2000",
+                 "--out", "v.json"])
+    assert code in (0, 3)
+    capsys.readouterr()
+    assert main(["qdim", *common, "--r", "2"]) == 0
+    kappa = json.loads(capsys.readouterr().out)["kappa_r"]
+    assert json.loads(Path("v.json").read_text())["kappa_r"] == kappa
+    # below the underflow the sample's bytes are pinned
+    assert main(["sample", "--system", "geo.json", "--m", "248", "--samples", "2000",
+                 "--seed", "7", "--out", "pts.csv"]) == 0
+    assert (hashlib.sha256(Path("pts.csv").read_bytes()).hexdigest()
+            == "fc6b044feec50d9d31ea14212fdc972b6fd26da72c5cc40e9833ccb36797e101")
+
+
 def test_depth_only_samples(tmp_path, capsys):
     path = tmp_path / "gauss_full.json"
     path.write_text(GAUSS_FULL_DOC)

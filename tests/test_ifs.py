@@ -192,6 +192,23 @@ def test_a_system_is_its_domain_and_its_maps():
     assert Q.gauss_system(None).geometric_ratio is None
 
 
+def test_cantor_system_is_the_unit_interval_one():
+    # the system lives on [0, 1] and takes no domain
+    system = Q.cantor_system()
+    assert system.domain == (0.0, 1.0)
+    assert [(m.ratio, m.offset) for m in system.alphabet.maps] == [(1 / 3, 0.0), (1 / 3, 2 / 3)]
+    with pytest.raises(TypeError):
+        Q.cantor_system((1.0, 2.0))
+
+
+def test_a_geometric_map_past_the_underflow_names_it():
+    # 0.05**249 == 0.0: the ValueError names the symbol and the underflow
+    system = Q.geometric_similarity_system(0.05)
+    assert system.map(248).ratio == 0.05 ** 248 > 0.0
+    with pytest.raises(ValueError, match=r"symbol 249: .*0\.05\*\*249 underflows"):
+        system.map(249)
+
+
 def test_constructors_take_numpy_integers():
     gauss = Q.gauss_system(np.array([3, 1, 7]))
     assert [m.digit for m in gauss.alphabet.maps] == [3, 1, 7]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -43,6 +44,29 @@ def test_mq_masses_sum_to_one_at_fixed_point(e1, e3):
             if system.size is None or i <= system.size
         )
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("t, masses", [(0.0, (0.7, 0.3)), (0.5, (1.0, 0.0))])
+def test_cylinder_mass_with_an_underflowing_derivative(t, masses):
+    # branch 2's |phi'| underflows to 0: at t = 0 its derivative term is left out
+    # (0 * log 0 would be NaN), and at t > 0 its cylinder weighs 0, without warnings
+    flat = Q.AnalyticBranch1D(lambda x: 1e-300 * x, lambda x: 1e-300 * 1e-300 + 0.0 * x, 1e-300)
+    system = Q.IfsSystem((0.0, 1.0), Q.FiniteAlphabet((Q.Similarity1D(0.5, 0.5), flat)))
+    family = Q.PotentialFamily(Q.FiniteWeights((0.7, 0.3)), g=lambda x: 0.0 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [Q.cylinder_mass(system, family, (i,), 1.0, t) for i in (1, 2)]
+    assert got == [pytest.approx(m, abs=1e-12) for m in masses]
+    if t:
+        assert got[1] == 0.0
+
+
+def test_cylinder_mass_of_a_geometric_symbol_past_the_underflow(e3):
+    # (1/3)**700 == 0.0: symbol 700 keeps its weight p_700 at t = 0 and weighs 0 at t > 0
+    system, family = e3
+    mass = Q.cylinder_mass(system, family, (700,), truncation=700)
+    assert mass == pytest.approx(0.5 ** 700, rel=1e-12)
+    assert Q.cylinder_mass(system, family, (2, 700), 1.0, 0.5, truncation=700) == 0.0
 
 
 def test_cylinder_mass_needs_truncation(gauss_full):

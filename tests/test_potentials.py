@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import qdim as Q
 from qdim.errors import NonSummableError
-from qdim.potentials import _tail_exp_sum
+from qdim.potentials import _tail_exp_sum, symbol_log_weight
 
 
 def test_birkhoff_constant_weights(e1):
@@ -261,3 +261,11 @@ def test_operator_at_zero_temperature_skips_the_derivative_term():
     assert abs(Q.estimate_pressure(system, family, 1.0, 0.0).value) <= 1e-15
     assert math.isfinite(Q.estimate_pressure(system, family, 1.0, 0.5).value)
     assert len(Q.sample_measure(system, family, 2000, seed=3)) == 2000
+
+
+def test_a_geometric_symbol_past_the_underflow_weighs_zero():
+    # 0.05**249 == 0.0: the contraction is read off the generator's ratio, so the
+    # symbol's log weight is -inf instead of a failed map construction
+    system, family = Q.geometric_similarity_system(0.05), Q.derivative_family(0.8)
+    assert symbol_log_weight(family, system, 248) == 0.8 * math.log(0.05 ** 248)
+    assert symbol_log_weight(family, system, 249) == -math.inf
