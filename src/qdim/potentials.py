@@ -114,7 +114,8 @@ def f_value(family: PotentialFamily, system: IfsSystem, i: int, x):
         return _log_p(family, i) - family.shift + 0.0 * x
     value = _log_p(family, i) + (0.0 if family.g is None else family.g(x))
     if family.s_exp:
-        value = value + family.s_exp * np.log(system.map(i).abs_deriv(x))
+        with np.errstate(divide="ignore"):  # log 0 = -inf where phi_i' vanishes
+            value = value + family.s_exp * np.log(system.map(i).abs_deriv(x))
     return value - family.shift
 
 
@@ -344,5 +345,5 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
 
     from .pressure import _pressure_callable  # cycle kept local on purpose
 
-    P, _ = _pressure_callable(system, family, truncation)
-    return replace(family, shift=family.shift + P(1.0, 0.0))
+    evaluate, _ = _pressure_callable(system, family, truncation)
+    return replace(family, shift=family.shift + evaluate(1.0, 0.0)[0])

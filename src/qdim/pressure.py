@@ -29,17 +29,14 @@ Since P decreases in t, q_r is also the single root of
 g(q) = P(q, r * q), which is found directly, without computing beta.
 Every root lies on a line u -> (q + u dq, t + u dt) along which P
 decreases: beta(q) on (q, 0) + u (0, 1), q_r on (0, 0) + u (1, r).  One
-loop finds them all (``_line_root``).  On the collocated operator it
-first runs a Newton solve on the operator's eigenpair (h, u) with
-e^P = 1, one small linear solve per step (``_eigen_newton``), from each
-of the caller's starts in turn, and keeps the first root where h stays
-positive, the leading eigenvalue certifies |P| <= 1e-9 and u lies in
-that start's window.  A cold start is h = 1 at u = 0.  Along a q grid,
-``temperature_curve`` puts the secant prediction and the last h ahead of
-it, and ``legendre_and_figure_data`` the chord root and h in the grid
-cell where beta(q) - r q changes sign, that cell as its window.  When no
-start is certified, and on closed forms, one bracket walk and a
-safeguarded regula falsi solve it (``_root_decreasing``).
+loop finds them all (``_line_root``): Newton on the collocated
+operator's eigenpair (h, u), one small linear solve per step
+(``_eigen_newton``), from each of the caller's starts (h = 1 at u = 0
+cold; along a q grid the secant prediction and the last h, or the chord
+root in the cell where beta(q) - r q changes sign), kept where the
+leading eigenvalue certifies |P| <= 1e-9 in the start's window.  Else,
+and on closed forms, a sign bracket closes on the root, by one Newton
+run on P from an evaluation's h or by regula falsi.
 """
 
 from __future__ import annotations
@@ -224,6 +221,8 @@ def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarra
 
 
 _Parts = tuple[np.ndarray, np.ndarray, np.ndarray]  # (F, D, E) of ``_operator_parts``
+_Evaluate = Callable[[float, float], tuple[float, np.ndarray | None]]  # (q, t) -> (P, h)
+_Trace = tuple[tuple[float, float], ...]  # one (u, residual) per dense solve
 
 
 @lru_cache(maxsize=32)
@@ -300,6 +299,20 @@ def _operator_pressure(parts: _Parts, q: float, t: float) -> float:
     return s + math.log(float(ev.real[_leading_real(ev, q, t)]))
 
 
+def _operator_pair(parts: _Parts, q: float, t: float) -> tuple[float, np.ndarray | None]:
+    """(P, h): ``_operator_pressure``, h > 0 (sum 1) by one inverse iteration from 1, or None."""
+    s, A = _operator_matrix(parts, q, t)
+    ev = _lapack(np.linalg.eigvals, q, t, A)
+    mu = float(ev.real[_leading_real(ev, q, t)])
+    with np.errstate(all="ignore"):  # a singular shift or a zero sum fails h > 0
+        try:
+            h = np.linalg.solve(A - mu * np.eye(len(A)), np.ones(len(A)))
+        except np.linalg.LinAlgError:
+            h = np.zeros(len(A))
+        h = h / h.sum()
+    return s + math.log(mu), h if np.all(h > 0.0) else None
+
+
 def _operator_eigen(parts: _Parts, q: float, t: float
                     ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(lambda, h, nu, rho) of the collocated operator at (q, t).
@@ -358,30 +371,32 @@ def _operator_step(parts: _Parts, q: float, t: float,
 
 class _NewtonRoot(NamedTuple):
     u: float
-    h: np.ndarray
-    # one (u, residual) per dense solve: each step's u and max|L h - h| there,
-    # then the root's u and P from the certificate
-    trace: tuple[tuple[float, float], ...]
+    h: np.ndarray | None            # None where a bracket run failed
+    # one (u, residual) per dense solve: each step's u and max|e^-p L h - h|
+    # there, then the root's u and P from the certificate
+    trace: _Trace
 
 
-def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float,
-                  h: np.ndarray) -> _NewtonRoot | None:
+def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float, h: np.ndarray,
+                  bracket: tuple[float, float] | None = None) -> _NewtonRoot | None:
     """The root u of P(q + u dq, t + u dt) = 0 with h > 0 its eigenvector, or None.
 
     Newton on the eigenpair of the unshifted collocated operator L = e^s A
     whose ``parts`` the solve's ``_pressure_callable`` built: from u = 0
     and the start h, each step solves the bordered system
 
-        [[A - e^{-s} I, B h], [1^T, 0]] [dh; du] = [e^{-s} h - A h; 1 - 1^T h]
+        [[A - m I, B h], [1^T, 0]] [dh; du] = [m h - A h - m p h; 1 - 1^T h]
 
-    (``_operator_step``, which reads the node-major parts as they are
-    cached; the rows are L h = h scaled by e^{-s}).  It gives up as soon
-    as a step leaves h > 0, and ends when a step moves u and h by at most
-    ``_NEWTON_TOL``.  The root is kept only if that happens within
-    ``_NEWTON_STEPS`` steps, one budget for every start, and the leading
-    real eigenvalue there (``_operator_pressure``) gives |P| <=
-    ``_RESIDUAL``; any other eigenvalue 1 that Newton might reach fails
-    that test.
+    with m = e^{p - s} (``_operator_step``, which reads the node-major parts as
+    they are cached).  A start takes p = 0, Newton on L h = h; a run in a sign
+    bracket (lo, hi) about its point takes p = log 1^T L h / 1^T h, Newton on
+    P = log lambda, which does not overstep where lambda is far from 1, gives
+    up once u leaves (lo, hi), and when it fails returns its trace, h None.
+    A run gives up once a step leaves h > 0, and ends when a step moves u and h
+    by at most ``_NEWTON_TOL``.  The root is kept only if that happens within
+    ``_NEWTON_STEPS`` steps, one budget for every run, and the leading real
+    eigenvalue there (``_operator_pressure``) gives |P| <= ``_RESIDUAL``; any
+    other eigenvalue 1 that Newton might reach fails that test.
     """
     n = h.size
     J = np.zeros((n + 1, n + 1))
@@ -391,37 +406,43 @@ def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float,
     h = h / h.sum()
     u = 0.0
     trace = []
+    lo, hi = _ANYWHERE if bracket is None else bracket
+
+    def failed() -> _NewtonRoot | None:
+        return None if bracket is None else _NewtonRoot(u, None, tuple(trace))
+
     with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
         for _ in range(_NEWTON_STEPS):
             s, A, Bh = _operator_step(parts, q + u * dq, t + u * dt, dq, dt, h)
-            c = np.exp(-s)
+            Ah = A @ h
+            p = 0.0 if bracket is None else s + float(np.log(Ah.sum() / h.sum()))
+            c = np.exp(p - s)
             J[:n, :n] = A
             J[diag, diag] -= c
             J[:n, n] = Bh
-            rhs[:n] = c * h - A @ h
+            r = c * h - Ah
+            rhs[:n] = r - c * p * h
             rhs[n] = 1.0 - h.sum()
-            trace.append((u, float(np.max(np.abs(rhs[:n])) / c)))
+            trace.append((u, float(np.max(np.abs(r)) / c)))
             try:
                 step = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(step)):
-                return None
+                return failed()
             h = h + step[:n]
             u += float(step[n])
-            if not np.all(h > 0.0):
-                return None
+            if not (np.all(np.isfinite(step)) and np.all(h > 0.0) and lo < u < hi):
+                return failed()
             if (abs(step[n]) <= _NEWTON_TOL * (1.0 + abs(u))
                     and np.max(np.abs(step[:n])) <= _NEWTON_TOL * np.max(h)):
                 break
         else:
-            return None
+            return failed()
     try:
         resid = _operator_pressure(parts, q + u * dq, t + u * dt)
     except NumericalFailure:
-        return None
+        return failed()
     trace.append((u, resid))
-    return _NewtonRoot(u, h, tuple(trace)) if abs(resid) <= _RESIDUAL else None
+    return _NewtonRoot(u, h, tuple(trace)) if abs(resid) <= _RESIDUAL else failed()
 
 
 @lru_cache(maxsize=32)
@@ -449,8 +470,8 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     it reads 3.0 while the 32-node value lies within 1e-5 of the truth
     (ROADMAP item 3 replaces it by a certified bracket).
     """
-    P, parts = _pressure_callable(system, family, truncation)
-    value = P(q, t)
+    evaluate, parts = _pressure_callable(system, family, truncation)
+    value = evaluate(q, t)[0] if parts is None else _operator_pressure(parts, q, t)  # no h
     error = 0.0
     if parts is not None:  # the 16-node twin over the parts' M symbols
         coarse = _operator_parts(system, family, parts[0].shape[1], _NODES // 2)
@@ -486,68 +507,20 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> float:
 
 
 def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
-                       ) -> tuple[Callable[[float, float], float], _Parts | None]:
-    """(P, parts): (q, t) -> P(q, t), and the collocated operator's parts or None.
+                       ) -> tuple[_Evaluate, _Parts | None]:
+    """(evaluate, parts): (q, t) -> (P(q, t), h), and the collocated operator's parts or None.
 
     A solve's one choice between the two, built once and passed down.
     Multiplicative systems get the exact closed form (``_closed_form``,
-    float arithmetic per evaluation) and parts None; others get
-    ``_operator_parts`` at ``_NODES`` nodes and its leading eigenvalue,
-    which needs a truncation on an infinite alphabet (ValueError).
+    float arithmetic per evaluation), h None and parts None; others get
+    ``_operator_parts`` at ``_NODES`` nodes and ``_operator_pair``, which
+    needs a truncation on an infinite alphabet (ValueError).
     """
     if is_multiplicative(system, family):
-        return _closed_form(system, family, truncation), None
+        P = _closed_form(system, family, truncation)
+        return (lambda q, t: (P(q, t), None)), None
     parts = _operator_parts(system, family, system.truncated_size(truncation), _NODES)
-    return (lambda q, t: _operator_pressure(parts, q, t)), parts
-
-
-def _root_decreasing(fn: Callable[[float], float], lo: float, hi: float,
-                     ends: tuple[float, float]) -> tuple[float, float]:
-    """(x, fn(x)) at the root of a decreasing fn with fn(lo) > 0 > fn(hi).
-
-    Illinois regula falsi: the secant through the bracket ends, with the
-    value kept at an end that survives twice in a row halved.  The
-    midpoint replaces a secant step that is NaN (fn(lo) = +inf) or leaves
-    the bracket, and any step after three in a row that did not halve
-    the bracket, so it never needs more than four times the steps of
-    bisection.  Stops when the bracket is a few ulps wide and returns
-    the end with the smaller |fn|.  ``ends`` are fn(lo) and fn(hi), which
-    the caller has already evaluated.
-    """
-    f_lo, f_hi = ends
-    if not f_lo > 0.0 > f_hi:
-        raise BracketError(f"no sign change on [{lo:.6g}, {hi:.6g}]: "
-                           f"values {f_lo:.3g}, {f_hi:.3g}")
-    best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    w_lo, w_hi, side = f_lo, f_hi, 0           # secant weights, last side moved
-    width, slow = hi - lo, 0                   # last halved width, steps since
-    while True:
-        step = 2.0 * math.ulp(max(abs(lo), abs(hi), 1e-3))
-        if hi - lo <= 2.0 * step:
-            break
-        x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
-        if slow >= 3 or not lo <= x <= hi:
-            x = 0.5 * (lo + hi)
-        # a step shorter than `step` moves the nearer end by `step` instead
-        x = min(max(x, lo + step), hi - step)
-        v = fn(x)
-        if abs(v) < abs(best[1]):
-            best = (x, v)
-        if v == 0.0:
-            break
-        if v > 0.0:
-            lo, w_lo = x, v
-            w_hi = 0.5 * w_hi if side > 0 else w_hi
-            side = 1
-        else:
-            hi, w_hi = x, v
-            w_lo = 0.5 * w_lo if side < 0 else w_lo
-            side = -1
-        if hi - lo <= 0.5 * width:
-            width, slow = hi - lo, 0
-        else:
-            slow += 1
-    return best
+    return (lambda q, t: _operator_pair(parts, q, t)), parts
 
 
 _ANYWHERE = (-math.inf, math.inf)
@@ -555,30 +528,27 @@ _COLD_H = np.ones(_NODES)        # the eigenvector of a cold start
 _COLD_H.flags.writeable = False
 
 
-def _line_root(P: Callable[[float, float], float], parts: _Parts | None,
-               q: float, t: float, dq: float, dt: float,
-               starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], top: float
-               ) -> tuple[float, np.ndarray | None, tuple[tuple[float, float], ...], str]:
+def _line_root(evaluate: _Evaluate, parts: _Parts | None, q: float, t: float, dq: float, dt: float,
+               starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], cap: float,
+               top: float) -> tuple[float, np.ndarray | None, _Trace, str]:
     """(u, h, trace, solver) at the root of u -> P(q + u dq, t + u dt), decreasing in u.
 
-    The one root loop.  On the collocated operator ``_eigen_newton`` runs
-    from each start (u0, h0, (a, b)) in turn, at the point u0 with the
-    eigenvector h0, and the first certified root with a < u < b is kept
-    with its h.  Starts are drawn one at a time, on closed forms too
-    (where none runs), so a check a caller yields between two starts
-    always runs.  Otherwise, and on closed forms, the bracket walk decides
-    by the sign of P alone: from u = 0 it walks down by 1, 2, 4, ... while
-    P <= 0, to no lower than -top; the upper end starts at u = 2 / dt
-    (t = 2 on both lines, which start at t = 0; collocation on branches
-    with |phi'| = 1 at a point degrades at large t), capped at top, and
-    doubles toward top while P >= 0, each end with P > 0 (+inf too, below
-    a finiteness threshold) becoming the lower one.  ``_root_decreasing``
-    solves in the bracket, the root must give |P| <= ``_RESIDUAL``, and h
-    is None.  The trace holds every (u, P) of the walk and the regula
-    falsi, or the Newton root's.  Raises BracketError when P does not
-    change sign within [-top, top] or the residual is above its bound.
-    P and parts are the caller's ``_pressure_callable`` pair; parts is
-    None on a closed form.
+    The one root loop.  On the collocated operator ``_eigen_newton`` runs from
+    each start (u0, h0, (a, b)), drawn one at a time (on closed forms too, so a
+    check a caller yields between starts runs), and the first certified root
+    with a < u < b is kept.  Otherwise a sign bracket P(lo) > 0 > P(hi) closes
+    on the root, as ``rtsafe`` does (Numerical Recipes 9.4).  A walk finds its
+    ends: from u = 0 down by 1, 2, 4, ... while P <= 0, to no lower than -cap;
+    from u = 2 / dt (t = 2: collocation on branches with |phi'| = 1 at a point
+    degrades at large t) up while P >= 0, doubling to cap and then halving the
+    gap to top, each end with P > 0 (+inf too) becoming the lower one.  Then
+    one Newton run on P inside the bracket, from the walk's evaluation with the
+    least |P| and h > 0, may give the root; else Illinois steps (a stale end's
+    value halved; the midpoint for a NaN or outside secant and after three slow
+    steps) narrow the bracket to a few ulps, and its end with the smaller |P|,
+    which must meet ``_RESIDUAL``, is the root, with its h.  The trace holds
+    every (u, P) and the run's entries, in order.  BracketError when P keeps
+    its sign on [-cap, top) or the residual fails.
     """
     for u0, h0, (a, b) in starts:
         root = (None if parts is None
@@ -587,9 +557,10 @@ def _line_root(P: Callable[[float, float], float], parts: _Parts | None,
             return (u0 + root.u, root.h, tuple((u0 + u, v) for u, v in root.trace),
                     "newton")
     trace: list[tuple[float, float]] = []
+    hs: dict[float, np.ndarray | None] = {}  # the h > 0 of each evaluation, or None
 
     def fn(u: float) -> float:
-        v = P(q + u * dq, t + u * dt)
+        v, hs[u] = evaluate(q + u * dq, t + u * dt)
         trace.append((u, v))
         return v
 
@@ -597,20 +568,58 @@ def _line_root(P: Callable[[float, float], float], parts: _Parts | None,
     while (f_lo := fn(lo)) <= 0.0:
         lo -= step
         step *= 2.0
-        if lo < -top:
-            raise BracketError(f"P stays <= 0 down to u = {-top:.6g} from ({q:.6g}, {t:.6g})")
-    hi = min(2.0 / dt, top)
+        if lo < -cap:
+            raise BracketError(f"P stays <= 0 down to u = {-cap:.6g} from ({q:.6g}, {t:.6g})")
+    hi = min(2.0 / dt, cap)
     while (f_hi := fn(hi)) >= 0.0:
         if f_hi > 0.0:
             lo, f_lo = hi, f_hi
-        if hi >= top:
-            raise BracketError(f"P stays >= 0 up to u = {top:.6g} from ({q:.6g}, {t:.6g})")
-        hi = min(2.0 * hi, top)
-    u, resid = _root_decreasing(fn, lo, hi, (f_lo, f_hi))
+        up = min(2.0 * hi, cap) if hi < cap else hi + 0.5 * (top - hi)
+        if not up < top:
+            raise BracketError(f"P stays >= 0 up to u = {hi:.17g} from ({q:.6g}, {t:.6g})")
+        hi = up
+    _, x = min(((abs(v), u) for u, v in trace if hs[u] is not None), default=(0.0, None))
+    root = None if x is None else _eigen_newton(parts, q + x * dq, t + x * dt, dq, dt, hs[x],
+                                                (lo - x, hi - x))
+    if root is not None:
+        trace.extend((x + u, v) for u, v in root.trace)
+        if root.h is not None and lo < x + root.u < hi:
+            return x + root.u, root.h, tuple(trace), "newton"
+    best = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+    w_lo, w_hi, side = f_lo, f_hi, 0           # secant weights, last side moved
+    width, slow = hi - lo, 0                   # last halved width, steps since
+    while True:
+        # a few ulps of the ends, and of 1e-3 once the residual is met
+        step = 2.0 * math.ulp(max(abs(lo), abs(hi), 1e-3 if abs(best[1]) <= _RESIDUAL else 0.0))
+        if hi - lo <= 2.0 * step:
+            break
+        u = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        if slow >= 3 or not lo <= u <= hi:
+            u = 0.5 * (lo + hi)
+        # a step shorter than `step` moves the nearer end by `step` instead
+        u = min(max(u, lo + step), hi - step)
+        v = fn(u)
+        if abs(v) < abs(best[1]):
+            best = (u, v)
+        if v == 0.0:
+            break
+        if v > 0.0:
+            lo, w_lo = u, v
+            w_hi = 0.5 * w_hi if side > 0 else w_hi
+            side = 1
+        else:
+            hi, w_hi = u, v
+            w_lo = 0.5 * w_lo if side < 0 else w_lo
+            side = -1
+        if hi - lo <= 0.5 * width:
+            width, slow = hi - lo, 0
+        else:
+            slow += 1
+    u, resid = best
     if not abs(resid) <= _RESIDUAL:
         raise BracketError(f"pressure residual {resid:.3g} at ({q + u * dq:.6g}, "
                            f"{t + u * dt:.6g}) above tolerance")
-    return u, None, tuple(trace), "closed_form" if parts is None else "regula_falsi"
+    return u, hs[u], tuple(trace), "closed_form" if parts is None else "regula_falsi"
 
 
 def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
@@ -618,14 +627,13 @@ def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
     """The temperature function: the unique t with P(q, t) = 0, and how it was found.
 
     ``_line_root`` along t from (q, 0), Newton from h = 1 there, and the
-    bracket walk between t = -1e4 and 1e4 (P is strictly decreasing in t,
-    and +inf below theta(q) on an untruncated infinite alphabet).  The
-    returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.  The
-    trace holds every (t, P(q, t)) evaluation, or the Newton root's trace.
+    bracket within t = -1e4 and 1e4 (P is strictly decreasing in t, and
+    +inf below theta(q) on an untruncated infinite alphabet).  The
+    returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.
     """
     u, h, trace, solver = _line_root(*_pressure_callable(system, family, truncation),
-                                     q, 0.0, 0.0, 1.0, [(0.0, _COLD_H, _ANYWHERE)], 1e4)
-    return BetaSolution(q, u, solver, trace, h)
+                                     q, 0.0, 0.0, 1.0, [(0.0, _COLD_H, _ANYWHERE)], 1e4, math.inf)
+    return BetaSolution(q, u, solver, trace, h if solver == "newton" else None)
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
@@ -646,13 +654,12 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
 
     One P serves the walk, and each point after the first puts a warm
     start ahead of the cold one: the secant through the last two roots
-    (the last root after a single one) with the last h.  h comes from the
-    Newton root, or from ``_operator_eigen`` of the walk's own parts when
-    the regula falsi answered; without a positive h the next point starts
-    cold only.  Closed forms have no parts and run no Newton, so their h
-    stays None and every point is solved by the bracket walk alone.
+    (the last root after a single one) with the last h, that of the
+    Newton root or of the regula falsi's evaluation there; without a
+    positive h the next point starts cold only.  Closed forms have no
+    parts and run no Newton, so their h stays None.
     """
-    P, parts = _pressure_callable(system, family, truncation)
+    evaluate, parts = _pressure_callable(system, family, truncation)
     betas: list[float] = []
     hs: list = []
     h = None
@@ -663,12 +670,7 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
             starts.insert(0, (t, h, _ANYWHERE))
-        t, h, _, _ = _line_root(P, parts, q, 0.0, 0.0, 1.0, starts, 1e4)
-        if h is None and parts is not None:
-            try:
-                h = _operator_eigen(parts, q, t)[1]
-            except NumericalFailure:  # no positive h to start from: the next point is cold
-                pass
+        t, h, _, _ = _line_root(evaluate, parts, q, 0.0, 0.0, 1.0, starts, 1e4, math.inf)
         betas.append(t)
         hs.append(h)
     return betas, hs
@@ -695,11 +697,11 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
     share one P."""
     if r <= 0:
         raise ValueError("the order r must be positive")
-    P, parts = _pressure_callable(system, family, truncation)
+    evaluate, parts = _pressure_callable(system, family, truncation)
 
     def starts():
         yield from warm
-        p0 = P(0.0, 1e-9)
+        p0 = evaluate(0.0, 1e-9)[0] if parts is None else _operator_pressure(parts, 0.0, 1e-9)
         if p0 <= 0.0:
             raise DegenerateSystemError(
                 f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
@@ -707,7 +709,8 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
             )
         yield 0.0, _COLD_H, (0.0, 1.0)
 
-    q_r, _, trace, solver = _line_root(P, parts, 0.0, 0.0, 1.0, r, starts(), 1.0 - 1e-6)
+    q_r, _, trace, solver = _line_root(evaluate, parts, 0.0, 0.0, 1.0, r, starts(),
+                                       1.0 - 1e-6, 1.0)
     kappa = r * q_r / (1.0 - q_r)
     return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
                         trace=trace, solver=solver)
@@ -721,12 +724,9 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
     g(0) > 0 when beta(0) > 0; its root is found directly.  First
     P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  Then
-    ``_line_root`` along (1, r) from (0, 0): Newton from h = 1 there, kept
-    if 0 < q_r < 1, and the bracket walk from q = 0 with its first upper
-    end at min(2 / r, 1 - 1e-6), so that r q <= 2 keeps the operator at
-    small t, doubling toward 1 - 1e-6.  The trace holds every (q, g(q))
-    evaluation, or the Newton root's trace (the check is in neither).
-    kappa_r = r q_r/(1-q_r) and D_r = kappa_r = beta(q_r)/(1-q_r).
+    ``_line_root`` along (1, r) from (0, 0), with Newton from h = 1 there
+    kept if 0 < q_r < 1 and the bracket below q = 1 (the trace leaves the
+    check out).  kappa_r = r q_r/(1-q_r) and D_r = beta(q_r)/(1-q_r).
     """
     return _solve_quantization_dim(system, family, r, truncation)
 

@@ -224,7 +224,7 @@ def _slope_centers(pts: np.ndarray, edges: np.ndarray, r: float, tol: float) -> 
     the first step there is a bisection.
 
     Illinois regula falsi narrows all brackets at once, as
-    ``pressure._root_decreasing`` does for one: the secant through the
+    ``pressure._line_root`` does for one: the secant through the
     bracket ends, with the value kept at an end that survives twice in a
     row halved; the midpoint when the secant is NaN or leaves the bracket
     and after four steps in a row that did not halve it; a step shorter

@@ -233,9 +233,9 @@ def test_one_operator_lookup_for_many_cylinder_masses(monkeypatch):
 @pytest.mark.parametrize("doc, m, solvers", [
     (E1_DOC, [], ("closed_form",) * 3),
     (GAUSS_DOC, [], ("newton",) * 3),
-    # from h = 1 at t = 0, Newton leaves h > 0 at q = 2 on Gauss M = 5 at s = 1
-    (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.0'), ["--m", "5"],
-     ("newton", "regula_falsi", "newton")),
+    # from h = 1 at t = 0, Newton leaves h > 0 at q = 2 on Gauss M = 5 at s = 1,
+    # and Newton on P from inside the sign bracket answers
+    (GAUSS_FULL_DOC.replace('"s": 0.6', '"s": 1.0'), ["--m", "5"], ("newton",) * 3),
 ])
 def test_root_commands_name_their_solver(doc, m, solvers, tmp_path, capsys):
     # each root reports how it was found; reruns are byte-identical
@@ -461,7 +461,7 @@ def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> lis
     )),
     ("gauss15-0.8", (
         "b918529f0f907ba77718741edc31d5826cca53b6bf123b616f9dada1683e1c42",
-        "19106a2e054b6ea86d57166afa339452c6f77eaf150d7a54e488e4226b00d449",
+        "b1e80beb8006f5adac8523691781a367c9a73ff728a54d77b7d3c45c62af5651",
         "35c188064e85af256528e5c691df4b29312a8508ff547fa9fe70ee2da23ef707",
         "be29ac520899f268c6e2889e1c4eda5ed686b2b67ab69b88756a1c35ced0845e",
         "3cf6de9f74b2aab8263f823b417b9dab3f05dcb411c8fbdbfd529b6f872f12a1",
@@ -472,9 +472,9 @@ def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> lis
     )),
     ("gauss-full-1-m5", (
         "c0a0c0ab8f4e68135dc797911a5c0f0f771632e5b09beee3a1da5fcc8cadce4d",
-        "523b87fa7e5f9990298bff081940ad606ff8f384f49b1d17ccf8abdda460f2c5",
+        "f0eddd499a18b9ab7dc5f5b13e87b05261b5f5b4f3df0a701970248498fcd422",
         "b2492c620ff0a47548b4044e8c39b2a12d8e9427f6ec31575b66bc96c7bc148a",
-        "bdacb206bf526096558a6fc0c0322ab1524168be3a6f4abaf4d3b05dd909ee1b",
+        "b3a38784380fd13faf88ee1d2ab43aa04180f40eba2550bdec3406eeef6d36ac",
         "e9241488185e52a5bc4892af88b40d81a387e26756d586db1ec9989c0c54d8d6",
         "22436b4afd559983bc4ecc7d1124b658c75a7909c1d3df9b64c3088ae3fff26f",
         "aaace54def3c19e70484d8e28caad09db87d2b9fda00998fdabfa00e2bc7fbd2",
@@ -483,9 +483,9 @@ def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> lis
     )),
     ("gauss-full-1.5-m40", (
         "32ab00cda2a568c202372380601f51bb22e1f3cf26eb0eb27c1283955817fb59",
-        "ffb5e5c135acfa1b48abce8b164daeb2ace56056ea96a4a9c7f2df21196be0a3",
+        "bc23bafffdaa894c3c4bfb8c35e96174818a7de159a95efa43f340c247849fe4",
         "572439bc431b201af4174a39c42e4d752105db3d94b3d1a715956719b31ad643",
-        "bb66692d5106d121984e660f0f76b5f74fea32acb8cc67da9a31d0e836480ec1",
+        "5ac82d6750d51cf8ff312ee3d1626d86ee444fe24916c63da71f57559346524f",
         "2100a75f5ae30ded22849608bc8c4fd74846c0b2c82208a506cf6228f1931d02",
         "0b7899fcfbd4b9556f4179d034204a5176f619e20ffca3257fd25d7fe7466100",
         "1c5d5a4918aef1d4dc262a1e2db8494e2fb2d71d76e7fe000418147abde08c97",

@@ -261,6 +261,9 @@ def test_operator_at_zero_temperature_skips_the_derivative_term():
     assert abs(Q.estimate_pressure(system, family, 1.0, 0.0).value) <= 1e-15
     assert math.isfinite(Q.estimate_pressure(system, family, 1.0, 0.5).value)
     assert len(Q.sample_measure(system, family, 2000, seed=3)) == 2000
+    # f_i = 0.5 log|phi_i'| is -inf on the flat branch, which then weighs 0
+    value = Q.estimate_pressure(system, Q.derivative_family(0.5), 1.0, 0.0).value
+    assert value == pytest.approx(math.log(0.5 ** 0.5), abs=1e-15)
 
 
 def test_a_geometric_symbol_past_the_underflow_weighs_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ import qdim as Q
 import qdim.pressure
 from qdim.errors import BracketError, DegenerateSystemError
 from qdim.potentials import _geometric_pressure, _tail_decay, single_exp_sup
-from qdim.pressure import _root_decreasing
 
 from conftest import LOG23
 
@@ -389,10 +389,12 @@ def test_operator_matches_closed_form(case, kind, r, q, s_exp, draws):
 
 def _record_t(monkeypatch) -> tuple[list, list]:
     """Every t at which P is evaluated, in order: closed forms and dense
-    eigenvalue solves in the first list, eigenpair Newton steps in both."""
+    eigenvalue solves (with or without the eigenvector) in the first list,
+    eigenpair Newton steps in both."""
     ts, newton_ts = [], []
     closed = qdim.pressure._closed_form
     dense = qdim.pressure._operator_pressure
+    pair = qdim.pressure._operator_pair
     step = qdim.pressure._operator_step
 
     def closed_rec(system, family, truncation):
@@ -407,6 +409,10 @@ def _record_t(monkeypatch) -> tuple[list, list]:
         ts.append(t)
         return dense(parts, q, t)
 
+    def pair_rec(parts, q, t):
+        ts.append(t)
+        return pair(parts, q, t)
+
     def step_rec(major, q, t, dq, dt, h):
         ts.append(t)
         newton_ts.append(t)
@@ -414,24 +420,41 @@ def _record_t(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(qdim.pressure, "_closed_form", closed_rec)
     monkeypatch.setattr(qdim.pressure, "_operator_pressure", dense_rec)
+    monkeypatch.setattr(qdim.pressure, "_operator_pair", pair_rec)
     monkeypatch.setattr(qdim.pressure, "_operator_step", step_rec)
     return ts, newton_ts
 
 
-@pytest.mark.parametrize("name", ["e1", "gauss12", "e3", "geometric w=0.05"])
+@pytest.mark.parametrize("name", ["e1", "gauss12", "e3", "geometric w=0.05",
+                                  "gauss-full-M5 q=-1", "gauss-full-M5 q=2"])
 def test_beta_evaluates_no_point_twice(name, request, monkeypatch):
-    # the bracket walk and the regula falsi, with the Newton start disabled
-    q = 0.4
+    # the bracket walk and the regula falsi, with the Newton start disabled;
+    # on full Gauss at s = 1 and M = 5 with Newton on, the cold start from
+    # h = 1 leaves h > 0 at once and the bracket loop's Newton answers: P is
+    # evaluated at no point twice, nor is a Newton step taken twice at one
+    # point (a step at an evaluated point is the derivative there)
+    q, M, newton = 0.4, None, False
     if name == "geometric w=0.05":
         # theta(-1) > 2, so P(-1, 2) = +inf: the first upper end becomes the lower one
         system, family = Q.geometric_similarity_system(1 / 3), Q.geometric_weight_family(0.05)
         q = -1.0
+    elif name.startswith("gauss-full-M5"):
+        system, family = Q.gauss_system(None), Q.derivative_family(1.0)
+        q, M, newton = float(name.split("q=")[1]), 5, True
     else:
         system, family = request.getfixturevalue(name)
-    monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
-    ts, _ = _record_t(monkeypatch)
-    Q.beta_of_q(system, family, q)
-    assert ts and len(ts) == len(set(ts))
+    if not newton:
+        monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
+    ts, newton_ts = _record_t(monkeypatch)
+    sol = Q.solve_beta(system, family, q, M)
+    values = list(ts)
+    for t in newton_ts:
+        values.remove(t)
+    assert values and len(values) == len(set(values))
+    assert len(newton_ts) == len(set(newton_ts)) and bool(newton_ts) == newton
+    if newton:  # f = log|phi'| gives beta(q) = dim E_{1..5} - q
+        assert sol.solver == "newton"
+        assert abs(sol.beta - (0.836829443681208 - q)) <= 1e-14
 
 
 @pytest.mark.parametrize("s_exp", [0.6, 0.531280506277205])
@@ -499,30 +522,27 @@ def test_operator_matrix_matches_the_symbol_major_einsum(name, nodes, q, t):
     assert got_s == s and np.array_equal(got, want)
 
 
-def _traced(fn, trace):
-    """fn, with every evaluation appended to trace as (x, fn(x))."""
-    def f(x):
-        v = fn(x)
-        trace.append((x, v))
-        return v
-    return f
+def _line_root_of(f):
+    """(u, trace) of the bracket loop on the closed-form line u -> f(u)."""
+    u, h, trace, solver = qdim.pressure._line_root(lambda q, t: (f(t), None), None, 0.0, 0.0,
+                                                   0.0, 1.0, (), 1e4, math.inf)
+    assert h is None and solver == "closed_form"
+    return u, trace
 
 
 def test_root_finder_safeguards():
     # +inf at the left end makes the secant step NaN: the midpoint takes over
-    trace = []
-    f = _traced(lambda t: math.inf if t < 0.1 else 0.5 - t, trace)
-    x, v = _root_decreasing(f, 0.0, 2.0, (f(0.0), f(2.0)))
-    assert x == pytest.approx(0.5, abs=1e-15) and abs(v) <= 1e-15
+    x, trace = _line_root_of(lambda t: math.inf if t < 0.1 else 0.5 - t)
+    assert x == pytest.approx(0.5, abs=1e-15) and abs(dict(trace)[x]) <= 1e-15
     assert len(trace) <= 10
     # a flat root stalls plain regula falsi; forced bisection bounds the steps
-    trace = []
-    f = _traced(lambda t: -(t - 0.3) ** 9, trace)
-    x, _ = _root_decreasing(f, -1.0, 2.0, (f(-1.0), f(2.0)))
+    x, trace = _line_root_of(lambda t: -(t - 0.3) ** 9)
     assert x == pytest.approx(0.3, abs=1e-15)
     assert len(trace) <= 4 * 64
-    with pytest.raises(BracketError):
-        _root_decreasing(lambda t: 1.0 - t, 2.0, 3.0, (1.0 - 2.0, 1.0 - 3.0))
+    # no sign change, and a sign change without a root
+    for f in (lambda t: 1.0, lambda t: 1.0 if t < 0.5 else -1.0):
+        with pytest.raises(BracketError):
+            _line_root_of(f)
 
 
 def test_qdim_rejects_bad_order(e1):
@@ -733,14 +753,29 @@ def test_cold_newton_matches_the_regula_falsi(name, monkeypatch):
         assert abs(sol.kappa_r - fallback.kappa_r) <= 1e-14 * fallback.kappa_r
 
 
+# sha256 of repr(trace) of the walk and the regula falsi, Newton off
+_FALLBACK_TRACES = {-1.0: "2ad9bd29d31a8fdb08fb9702366a0543ffa470d3d8df6275f4f257d3ac4c52b2",
+                    2.0: "28c83688fac980074864c2f83cf14decc0eb898ff189a6b8fe3957602bdaf546"}
+
+
 @pytest.mark.parametrize("q", [-1.0, 2.0])
-def test_failed_cold_start_gives_the_regula_falsi_root(q, monkeypatch):
-    # Gauss M = 5 at s = 1: from h = 1 at t = 0, Newton leaves h > 0 at once
+def test_failed_cold_start_is_answered_inside_the_bracket(q, monkeypatch):
+    # Gauss M = 5 at s = 1: from h = 1 at t = 0, Newton leaves h > 0 at once.
+    # With Newton off, the walk and the regula falsi give the pinned trace bit
+    # for bit; with Newton on, Newton on P from the bracket's least |P| lands on
+    # the same root with fewer dense solves, the failed start's step included
     system, family = Q.gauss_system(None), Q.derivative_family(1.0)
+    counts = _count_dense_solves(monkeypatch)
     sol = Q.solve_beta(system, family, q, 5)
-    assert sol.solver == "regula_falsi" and sol.h is None
+    newton_solves = sum(counts.values())
+    counts.update(dict.fromkeys(counts, 0))
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
-    assert sol == Q.solve_beta(system, family, q, 5)
+    fallback = Q.solve_beta(system, family, q, 5)
+    assert fallback.solver == "regula_falsi" and fallback.h is None
+    assert hashlib.sha256(repr(fallback.trace).encode()).hexdigest() == _FALLBACK_TRACES[q]
+    assert sol.solver == "newton" and np.all(sol.h > 0.0)
+    assert abs(sol.beta - fallback.beta) <= 1e-14
+    assert newton_solves < sum(counts.values())
 
 
 def _fallback_cases():
@@ -756,46 +791,85 @@ def _fallback_cases():
 
 
 def _count_dense_solves(monkeypatch) -> dict:
-    """Calls of the eigenvalue solve, the eigendecomposition and the Newton step."""
-    counts = {}
-    for name in ("_operator_pressure", "_operator_eigen", "_operator_step"):
+    """Calls of the eigenvalue solves (with or without the eigenvector), the
+    eigendecomposition and the Newton step."""
+    counts = dict.fromkeys(("eigenvalue", "eigendecomposition", "step"), 0)
+    for name, kind in (("_operator_pressure", "eigenvalue"), ("_operator_pair", "eigenvalue"),
+                       ("_operator_eigen", "eigendecomposition"), ("_operator_step", "step")):
         fn = getattr(qdim.pressure, name)
-        counts[name] = 0
 
-        def counting(*args, name=name, fn=fn):
-            counts[name] += 1
+        def counting(*args, kind=kind, fn=fn):
+            counts[kind] += 1
             return fn(*args)
 
         monkeypatch.setattr(qdim.pressure, name, counting)
     return counts
 
 
-# ceilings (eigenvalue solves, eigendecompositions, Newton steps): the counts
-# when a continued point had 6 Newton steps and a cold one 16, and a failed
-# continued point was solved again from h = 1 by solve_beta
+# dense solves before the bracketed loop, when a failed start was answered
+# by a walk restarted from u = 0 and the regula falsi alone: per cold root,
+# and the walk's total; by kind, cold (56, 0, 152), (151, 0, 117),
+# (237, 0, 99), (327, 0, 83) and walk (36, 1, 78), (35, 1, 31), (37, 1, 103),
+# (42, 1, 32)
+_DENSE_SOLVES_BEFORE = {
+    "gauss12-0.6-normalized": ("12 12 12 9 9 8 8 8 8 8 7 7 7 6 6 3 6 6 7 7 8 8 8 9 9 10", 115),
+    "gauss15-0.8": ("11 11 12 11 10 12 12 10 9 9 9 8 8 7 6 5 6 7 8 9 10 13 16 19 15 15", 67),
+    "gauss-full-M40-0.75-normalized": (
+        "13 12 13 13 12 12 16 15 15 12 11 10 9 8 7 3 8 10 17 20 13 18 18 18 18 15", 141),
+    "gauss-full-M645-1.5": (
+        "18 20 15 16 16 13 13 19 20 17 14 11 8 6 8 12 14 19 19 17 18 19 17 16 22 23", 75),
+}
+
+
+# ceilings (eigenvalue solves, eigendecompositions, Newton steps): the bracket
+# loop's counts.  Its Newton steps replace more of the regula falsi's
+# eigenvalue solves than they add, so the step ceilings lie above the counts
+# before while no cold root and no total takes more dense solves
 @pytest.mark.parametrize("name, cold_ceiling, walk_ceiling", [
-    ("gauss12-0.6-normalized", (56, 0, 152), (36, 1, 78)),
-    ("gauss15-0.8", (151, 0, 117), (35, 1, 31)),
-    ("gauss-full-M40-0.75-normalized", (237, 0, 99), (37, 1, 103)),
-    ("gauss-full-M645-1.5", (327, 0, 83), (60, 2, 32)),
+    ("gauss12-0.6-normalized", (32, 0, 167), (28, 0, 83)),
+    ("gauss15-0.8", (62, 0, 176), (29, 0, 36)),
+    ("gauss-full-M40-0.75-normalized", (79, 0, 197), (29, 0, 109)),
+    ("gauss-full-M645-1.5", (94, 0, 200), (29, 0, 35)),
 ])
 def test_fallback_grid_dense_solves_under_their_ceilings(name, cold_ceiling, walk_ceiling,
                                                         monkeypatch):
     # on q = -2, -1.8, ..., 3 the cold start from h = 1 at t = 0 fails at 3
     # to 20 of the 26 points, where beta(q) is far from 0, and the bracket
-    # walk answers; the roots stay those of the regula falsi
+    # loop answers; the roots stay those of the regula falsi
     system, family, M = _fallback_cases()[name]
     qs = [float(q) for q in np.round(np.linspace(-2.0, 3.0, 26), 1)]
+    before, walk_before = _DENSE_SOLVES_BEFORE[name]
     counts = _count_dense_solves(monkeypatch)
-    cold = [Q.solve_beta(system, family, q, M).beta for q in qs]
+    cold, per_root = [], []
+    for q in qs:
+        solved = sum(counts.values())
+        cold.append(Q.solve_beta(system, family, q, M).beta)
+        per_root.append(sum(counts.values()) - solved)
     assert all(n <= c for n, c in zip(counts.values(), cold_ceiling))
+    assert all(n <= b for n, b in zip(per_root, map(int, before.split())))
+    assert sum(per_root) < sum(map(int, before.split()))
     counts.update(dict.fromkeys(counts, 0))
     walk = Q.temperature_curve(system, family, qs, M).betas
     assert all(n <= c for n, c in zip(counts.values(), walk_ceiling))
+    assert sum(counts.values()) < walk_before
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
     bracketed = [Q.solve_beta(system, family, q, M).beta for q in qs]
     assert np.max(np.abs(np.subtract(cold, bracketed))) <= 1e-14
     assert np.max(np.abs(np.subtract(walk, bracketed))) <= 1e-14
+
+
+def test_a_failed_bracket_run_stays_in_the_trace(monkeypatch):
+    # Gauss M = 5 at s = 1, q = -1: the cold start takes one step and leaves
+    # h > 0; with a budget of two steps the bracket's Newton run on P cannot
+    # converge either, and the regula falsi answers.  The trace keeps that
+    # run's two steps, one entry per dense solve after the cold start's
+    system, family = Q.gauss_system(None), Q.derivative_family(1.0)
+    monkeypatch.setattr(qdim.pressure, "_NEWTON_STEPS", 2)
+    counts = _count_dense_solves(monkeypatch)
+    sol = Q.solve_beta(system, family, -1.0, 5)
+    assert sol.solver == "regula_falsi" and counts["step"] == 3
+    assert len(sol.trace) == sum(counts.values()) - 1
+    assert abs(sol.beta - (0.836829443681208 + 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("r", [1e4, 1e6, 1e7])
@@ -808,6 +882,24 @@ def test_qdim_e2_at_large_order(e2, r):
     assert sol.solver == "closed_form"
     assert sol.q_r == pytest.approx(q_oracle, rel=1e-12)
     assert sol.kappa_r == pytest.approx(r * q_oracle / (1.0 - q_oracle), rel=1e-12)
+
+
+@pytest.mark.parametrize("r, limit, rel", [
+    (1e20, LOG23, 1e-14), (1e100, LOG23, 1e-14), (1e-7, 0.5560326498763891, 1e-6),
+])
+def test_qdim_e2_at_extreme_orders(e2, r, limit, rel):
+    # kappa_r -> beta(0) = log 2 / log 3 as r -> inf, and -> alpha(1) =
+    # -(0.7 log 0.7 + 0.3 log 0.3) / log 3 as r -> 0.  At r = 1e20 the bracket
+    # [0, 2 / r] is narrower than 2 ulp(1e-3), so the regula falsi narrows past
+    # that width until the residual is met; at r = 1e-7, q_r = 1 - 1.8e-7 lies
+    # past 1 - 1e-6, so the walk halves 1 - q on
+    system, family = e2
+    q_oracle = brentq(lambda q: math.log(0.7 ** q + 0.3 ** q) - r * q * math.log(3),
+                      0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+    sol = Q.solve_quantization_dim(system, family, r)
+    assert sol.solver == "closed_form"
+    assert sol.kappa_r == pytest.approx(r * q_oracle / (1.0 - q_oracle), rel=1e-8)
+    assert sol.kappa_r == pytest.approx(limit, rel=rel)
 
 
 @pytest.mark.parametrize("name", list(_continuation_cases()))
