@@ -15,6 +15,7 @@ measures on the line, computed by the sorted (quantile) coupling.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -268,6 +269,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _pin_worker():
+    """A pool initializer that pins the j-th worker to CPU ``cpus[j % len(cpus)]``.
+
+    ``cpus`` is the sorted affinity mask of the calling thread, and
+    ``os.sched_setaffinity(0, ...)`` acts on the calling thread only (Linux),
+    so each worker moves and the thread that starts the pool stays where it
+    is.  None where the call does not exist; a worker whose call raises
+    ``OSError`` stays unpinned.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    turn = itertools.count()
+
+    def pin() -> None:
+        try:
+            os.sched_setaffinity(0, {cpus[next(turn) % len(cpus)]})
+        except OSError:
+            pass
+
+    return pin
+
+
 def _sample_constant(system: IfsSystem, family: PotentialFamily, count: int,
                      depth: int, M: int, seed: int) -> np.ndarray:
     """i.i.d. symbol words of length ``depth`` applied to the domain midpoint.
@@ -291,6 +315,13 @@ def _sample_constant(system: IfsSystem, family: PotentialFamily, count: int,
     slices of the result, so the sample is the same bytes whatever the
     CPU count; with one range in all (one CPU, or a single word) they run
     inline, without a pool.
+
+    Each worker pins itself to its own CPU of the caller's mask
+    (``_pin_worker``).  Unpinned, two workers on a 2-vCPU Xeon VM took as
+    long as one thread: the 200 000-point sample of a weighted Cantor
+    measure took 26-28 ms serially or unpinned and 15-17 ms pinned.  The
+    cost: a pinned worker cannot leave a CPU that another process keeps
+    busy.  The caller's own mask is left as it is.
     """
     probs = np.array([math.exp(symbol_log_weight(family, system, i)) for i in range(1, M + 1)])
     cdf = _symbol_cdf(probs / probs.sum())
@@ -331,7 +362,7 @@ def _sample_constant(system: IfsSystem, family: PotentialFamily, count: int,
             words(*args)
     else:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(workers, initializer=_pin_worker()) as pool:
             list(pool.map(lambda args: words(*args), ranges))
     return out
 

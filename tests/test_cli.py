@@ -349,16 +349,20 @@ def test_verify_reports_pinned_at_benchmark_shape(r, digest, tmp_path, monkeypat
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-def test_verify_on_one_cpu_writes_the_pinned_report(tmp_path):
+@pytest.mark.parametrize("width", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_verify_under_a_cpu_mask_writes_the_pinned_report(width, tmp_path):
     # a child confined to one CPU reads that mask in _cpu_count and draws each
-    # chunk's words inline, without a thread pool: the r = 2 report pinned above
+    # chunk's words inline, without a thread pool; one confined to two CPUs
+    # pins one pool worker to each: both write the r = 2 report pinned above
+    mask = sorted(os.sched_getaffinity(0))
+    if len(mask) < width:
+        pytest.skip(f"the process may run on {len(mask)} CPU(s)")
     (tmp_path / "e2.json").write_text(E2_DOC)
-    cpu = min(os.sched_getaffinity(0))
     done = subprocess.run([sys.executable, "-m", "qdim.cli", "verify", "--system", "e2.json",
                            "--r", "2", "--samples", "200000", "--n-list",
                            "4,8,16,32,64,128,256,512", "--seed", "7", "--out", "v.json"],
                           cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
-                          timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+                          timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, mask[:width]))
     assert done.returncode == 0, done.stderr
     assert (hashlib.sha256((tmp_path / "v.json").read_bytes()).hexdigest()
             == "bdbc2f1a50e30d1cc63b92dd5c751ab2dfda1a501441995255e12aace28ef393")

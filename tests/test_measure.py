@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import threading
 import warnings
 from unittest.mock import patch
 
@@ -439,6 +441,48 @@ def test_constant_sampler_bytes_do_not_depend_on_the_cpu_count(name, count, dept
         if (name, count) == ("wide", 3) and cpus > 1:
             # the ranges of one chunk took both sides of the reach
             assert {idx.dtype for idx in calls} == {np.dtype(np.uint8), np.dtype(np.intp)}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_constant_sampler_pins_each_worker_to_its_own_cpu(cpus, monkeypatch):
+    # each range records its thread's mask; the caller's mask must not move
+    system, family = _STREAM_SYSTEMS["e2"]
+    count = qdim.measure._CHUNK + 5000
+    mask = os.sched_getaffinity(0)
+    draw = qdim.measure._draw_symbols
+    seen = {}
+
+    def recording_draw(rng, cdf, shape):
+        seen[threading.get_ident()] = os.sched_getaffinity(0)
+        return draw(rng, cdf, shape)
+
+    monkeypatch.setattr(qdim.measure, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(qdim.measure, "_draw_symbols", recording_draw)
+    got = qdim.measure._sample_constant(system, family, count, 26, 2, 9)
+    assert os.sched_getaffinity(0) == mask
+    assert got.tobytes() == _constant_words(system, family, count, 26, 2, 9).tobytes()
+    assert threading.get_ident() not in seen and 1 < len(seen) <= cpus
+    assert all(len(worker) == 1 and worker <= mask for worker in seen.values())
+    if len(seen) <= len(mask):
+        assert len(set().union(*seen.values())) == len(seen)
+
+
+@pytest.mark.parametrize("fault", ["raises", "missing"])
+def test_constant_sampler_runs_unpinned_where_pinning_fails(fault, monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    if fault == "raises":
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity call")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    system, family = _STREAM_SYSTEMS["e2"]
+    monkeypatch.setattr(qdim.measure, "_cpu_count", lambda: 2)
+    got = qdim.measure._sample_constant(system, family, 5000, 26, 2, 4)
+    assert got.tobytes() == _constant_words(system, family, 5000, 26, 2, 4).tobytes()
 
 
 @pytest.mark.parametrize("count, cpus", [(1, 2), (5, 1)])
