@@ -21,11 +21,10 @@ from .errors import (BracketError, DegenerateSystemError, NonSummableError,
                      NumericalFailure, QdimError, SpecFormatError)
 from .ifs import (AnalyticBranch1D, FiniteAlphabet, GaussBranch1D, GeometricTail,
                   IfsSystem, InfiniteAlphabet, PowerLawTail, Similarity1D, Word,
-                  cantor_system, compose_and_derivative, cylinder_interval, gauss_system,
+                  cantor_system, compose_and_derivative, gauss_system,
                   geometric_similarity_system, similarity_system)
-from .potentials import (FiniteWeights, GeometricWeights, PotentialFamily, birkhoff_sum,
-                         derivative_family, geometric_weight_family,
-                         log_weight_family, normalize_pressure)
+from .potentials import (FiniteWeights, GeometricWeights, PotentialFamily, derivative_family,
+                         geometric_weight_family, log_weight_family, normalize_pressure)
 from .pressure import (BetaSolution, FigureData, PressureEstimate, QdimSolution,
                        SweepResult, TemperatureSample, beta_of_q,
                        estimate_pressure, hausdorff_dim, is_multiplicative,
@@ -36,10 +35,8 @@ from .specio import load_spec
 
 # each name a lazily loaded module re-exports here -> that module
 _LAZY_OWNER = {
-    **dict.fromkeys(("SampleSet", "cylinder_mass", "load_sample", "sample_measure",
-                     "save_sample", "wasserstein_1d"), "measure"),
-    **dict.fromkeys(("AntichainResult", "Codebook", "QuantizationRun",
-                     "antichain_codebook", "estimate_Dr", "lloyd_optimize", "quant_error"),
+    **dict.fromkeys(("SampleSet", "cylinder_mass", "sample_measure", "save_sample"), "measure"),
+    **dict.fromkeys(("Codebook", "QuantizationRun", "estimate_Dr", "lloyd_optimize"),
                     "quantizer"),
 }
 

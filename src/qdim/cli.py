@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -96,10 +97,20 @@ def _json_text(payload: dict) -> str:
     return "".join(parts)
 
 
+@contextmanager
+def _writing(out: str):
+    """Report a failed write of the --out artifact as a bad flag (exit 1), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write --out {out}: {exc}") from exc
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     text = _json_text(payload)
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
     sys.stdout.write(text)
 
 
@@ -114,7 +125,8 @@ def _csv_cell(value) -> str:
 def _emit_csv(rows, header, out: str) -> None:
     """The header and rows (two or more cells each) with CRLF row ends, in one write."""
     text = "".join(",".join(map(_csv_cell, row)) + "\r\n" for row in (header, *rows))
-    Path(out).write_text(text, newline="")
+    with _writing(out):
+        Path(out).write_text(text, newline="")
 
 
 def _int_list(text: str) -> list[int]:
@@ -251,7 +263,8 @@ def _cmd_sample(args, system, family, meta) -> int:
     _check_depth(args)
     sample = measure.sample_measure(system, family, args.samples, depth=args.depth,
                                     truncation=args.m, seed=args.seed)
-    measure.save_sample(sample, args.out)
+    with _writing(args.out):
+        measure.save_sample(sample, args.out)
     sys.stdout.write(_json_text({
         "command": "sample", "count": len(sample), "seed": sample.seed,
         "depth": sample.depth, "truncation": sample.truncation,
@@ -438,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_SPEC if exc.code not in (0, None) else 0
     try:
         _check_numbers(args)
+        if args.out and not Path(args.out).parent.is_dir():
+            raise SpecFormatError(f"cannot write --out {args.out}: "
+                                  f"{Path(args.out).parent} is not a directory")
         system, family, meta = load_spec(args.system)
         return _COMMANDS[args.command](args, system, family, meta)
     except SpecFormatError as exc:

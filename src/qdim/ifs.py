@@ -150,7 +150,7 @@ class IfsSystem:
 
     Everything else is read off the maps.  Bounded distortion is assumed,
     not stored: the quantization dimension follows from the pressure
-    alone, and cylinders are measured exactly (``cylinder_interval``).
+    alone, and cylinders are measured exactly (``compose_and_derivative``).
     """
 
     domain: tuple[float, float]
@@ -259,14 +259,6 @@ def compose_and_derivative(system: IfsSystem, word: Sequence[int], x: float) -> 
         deriv *= float(m.abs_deriv(value))
         value = float(m.value(value))
     return value, deriv
-
-
-def cylinder_interval(system: IfsSystem, word: Sequence[int]) -> tuple[float, float]:
-    """Exact image interval phi_word([a, b]) (branches are monotone)."""
-    w = system.check_word(word)
-    lo, _ = compose_and_derivative(system, w, system.domain[0])
-    hi, _ = compose_and_derivative(system, w, system.domain[1])
-    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 # ---------------------------------------------------------------------------

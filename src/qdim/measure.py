@@ -7,14 +7,10 @@ sampled by a place-dependent chain driven by the leading eigenfunction
 of the transfer operator, whose stationary law is the Gibbs state, and
 a rejection step that turns the Gibbs state back into the conformal
 measure.
-
-Also here: the order-r minimal (Wasserstein) metric between empirical
-measures on the line, computed by the sorted (quantile) coupling.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -762,46 +758,3 @@ def save_sample(sample: SampleSet, path: str | Path) -> None:
         "deficit": sample.deficit,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-
-
-def load_sample(path: str | Path) -> SampleSet:
-    path = Path(path)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["point"]:
-            raise ValueError("expected a single 'point' column")
-        pts = np.array([float(row[0]) for row in reader])
-    meta = json.loads(Path(str(path) + ".json").read_text())
-    return SampleSet(points=pts, seed=meta["seed"], depth=meta["depth"],
-                     truncation=meta["truncation"], deficit=meta["deficit"])
-
-
-# ---------------------------------------------------------------------------
-# the order-r minimal metric
-
-
-def _as_points(obj) -> np.ndarray:
-    if isinstance(obj, SampleSet):
-        return obj.points
-    pts = np.sort(np.asarray(obj, dtype=float))
-    return pts
-
-
-def wasserstein_1d(r: float, a, b) -> float:
-    """Order-r minimal metric between two empirical measures on the line.
-
-    In one dimension the optimal coupling is the sorted (quantile)
-    coupling; unequal sizes are resampled onto a common quantile grid.
-    """
-    if r <= 0:
-        raise ValueError("the order r must be positive")
-    pa, pb = _as_points(a), _as_points(b)
-    if pa.size == 0 or pb.size == 0:
-        raise ValueError("empty sample set")
-    if pa.size != pb.size:
-        k = max(pa.size, pb.size)
-        qs = (np.arange(k) + 0.5) / k
-        pa = np.quantile(pa, qs, method="inverted_cdf")
-        pb = np.quantile(pb, qs, method="inverted_cdf")
-    return float(np.mean(np.abs(pa - pb) ** r) ** (1.0 / r))

@@ -171,18 +171,6 @@ def _orbit_exponent(family: PotentialFamily, system: IfsSystem, word: Word, x,
     return total
 
 
-def birkhoff_sum(family: PotentialFamily, system: IfsSystem, word: Sequence[int],
-                 x: float) -> float:
-    """S_w(F)(x) = sum_j f_{w_j}(phi_{suffix after j}(x))."""
-    w = system.check_word(word)
-    if not w:
-        raise ValueError("Birkhoff sums need a nonempty word")
-    a, b = system.domain
-    if not (a - 1e-12 <= x <= b + 1e-12):
-        raise ValueError(f"x={x} outside the domain [{a}, {b}]")
-    return float(_orbit_exponent(family, system, w, float(x)))
-
-
 # ---------------------------------------------------------------------------
 # the tail model of infinite alphabets
 

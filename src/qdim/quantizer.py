@@ -10,11 +10,6 @@ for r < 1, where the objective is not convex, a golden-section search
 after a 64-point pre-scan.  It starts from one deterministic greedy split
 of the sorted sample into n contiguous cells; optimal 1-D cells are
 contiguous too.
-
-``antichain_codebook`` splits cylinders heaviest first by the weight
-m_w |phi_w(X)|^r, with m_w the exact cylinder mass, until a further
-split would pass n words; one point per kept cylinder gives a codebook
-of at most n points, along which n * V^(kappa/r) stays bounded.
 """
 
 from __future__ import annotations
@@ -27,10 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSystemError, NumericalFailure
-from .ifs import IfsSystem, Word, compose_and_derivative, cylinder_interval
-from .measure import SampleSet, cylinder_mass
-from .potentials import PotentialFamily
+from .errors import NumericalFailure
+from .measure import SampleSet
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,16 +56,6 @@ class QuantizationRun:
     trace: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class AntichainResult:
-    r: float
-    n: int
-    tau: float               # weight of the heaviest kept word
-    words: tuple[Word, ...]
-    codebook: Codebook
-    cardinality: int
-
-
 # ---------------------------------------------------------------------------
 # error evaluation
 
@@ -98,17 +81,6 @@ def _sorted_errors(pts: np.ndarray, code: np.ndarray, r: float) -> np.ndarray:
     err = np.repeat(code, np.diff(ends, prepend=0, append=pts.size))
     np.subtract(pts, err, out=err)
     return _power_in_place(err, r)
-
-
-def quant_error(sample: SampleSet, codebook: Codebook | np.ndarray, r: float) -> float:
-    """Mean over the sample of (distance to the nearest code point)^r."""
-    pts = sample.points if isinstance(sample, SampleSet) else np.sort(np.asarray(sample, float))
-    code = codebook.points if isinstance(codebook, Codebook) else np.sort(np.asarray(codebook, float))
-    if code.size == 0:
-        raise ValueError("empty codebook")
-    if pts.size == 0:
-        raise ValueError("empty sample")
-    return float(np.mean(_sorted_errors(pts, code, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,46 +468,6 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
     return QuantizationRun(n=n, r=r, V_hat=v, e_hat=v ** (1.0 / r),
                            codebook=Codebook(code, n), iterations=iters,
                            restarts=1, converged=converged, trace=tuple(trace))
-
-
-# ---------------------------------------------------------------------------
-# the antichain codebook
-
-
-def antichain_codebook(system: IfsSystem, family: PotentialFamily, r: float, n: int,
-                       truncation: int | None = None) -> AntichainResult:
-    """The threshold antichain of at most n cylinders, one code point in each.
-
-    A word w weighs m_w |I_w|^r, with m_w the exact mass of the
-    (truncated) system's measure and I_w = phi_w(X).  From the empty word
-    on, the heaviest word is split into its N children while the word
-    count stays at most n.  Children weigh no more than their parent, so
-    every kept word weighs at most tau, the heaviest kept weight, and
-    every split word weighed at least tau.  The code points are
-    phi_w(midpoint of X).
-    """
-    if n < 1:
-        raise ValueError("codebook budget must be >= 1")
-    N = system.truncated_size(truncation)
-    if N is None:
-        raise ValueError("infinite alphabets need a truncation for the antichain")
-    if N == 1:
-        raise DegenerateSystemError("a one-symbol alphabet splits its cylinder forever")
-
-    def entry(word: Word) -> tuple[float, Word]:
-        lo, hi = cylinder_interval(system, word)
-        mass = cylinder_mass(system, family, word, truncation=truncation)
-        return -mass * (hi - lo) ** r, word
-
-    heap = [entry(())]
-    while len(heap) + N - 1 <= n:
-        _, w = heapq.heappop(heap)
-        for i in range(1, N + 1):
-            heapq.heappush(heap, entry(w + (i,)))
-    words = sorted(w for _, w in heap)
-    points = np.array([compose_and_derivative(system, w, system.midpoint)[0] for w in words])
-    return AntichainResult(r=r, n=n, tau=-heap[0][0], words=tuple(words),
-                           codebook=Codebook(points, n), cardinality=len(words))
 
 
 # ---------------------------------------------------------------------------

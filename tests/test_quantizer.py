@@ -1,5 +1,6 @@
 import gc
 import heapq
+import itertools
 import math
 import weakref
 
@@ -11,12 +12,10 @@ from hypothesis import strategies as st
 import qdim as Q
 import qdim.pressure
 import qdim.quantizer
-from qdim.errors import DegenerateSystemError
 
 from conftest import LOG23
 
 DIM_GAUSS2 = 0.531280506277205  # dim E_{1,2}
-DIM_GAUSS5 = 0.836829443681208  # dim E_{1..5}
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +59,8 @@ def test_quant_error_equals_the_per_point_mean(name, request):
         for n in (1, 3, 16, 64):
             for code in (Q.lloyd_optimize(sample, n, r).codebook, np.sort(rng.random(n))):
                 points = code.points if isinstance(code, Q.Codebook) else code
-                assert (Q.quant_error(sample, code, r)
-                        == float(np.mean(_per_point_errors(sample.points, points, r))))
+                assert (np.mean(qdim.quantizer._sorted_errors(sample.points, points, r))
+                        == np.mean(_per_point_errors(sample.points, points, r)))
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
@@ -70,26 +69,26 @@ def test_lloyd_rejects_a_bad_order(e1_sample, r):
         Q.lloyd_optimize(e1_sample, 4, r)
 
 
+def _quant_error(sample, code, r):
+    """Mean over the sample of (distance to the nearest code point)^r."""
+    return float(np.mean(qdim.quantizer._sorted_errors(sample.points, code, r)))
+
+
 def test_quant_error_variance_oracle(e1_sample):
     # Cantor measure: Var = 1/8 from the self-similar recursion V = V/9 + 1/9
-    v = Q.quant_error(e1_sample, np.array([0.5]), 2.0)
+    v = _quant_error(e1_sample, np.array([0.5]), 2.0)
     assert v == pytest.approx(0.125, rel=0.04)
 
 
 def test_quant_error_second_moment_oracle(e1_sample):
     # E x^2 = Var + mean^2 = 1/8 + 1/4
-    v = Q.quant_error(e1_sample, np.array([0.0]), 2.0)
+    v = _quant_error(e1_sample, np.array([0.0]), 2.0)
     assert v == pytest.approx(0.375, rel=0.03)
 
 
 def test_quant_error_zero_when_codebook_covers(e1_sample):
     code = np.unique(e1_sample.points)
-    assert Q.quant_error(e1_sample, code, 2.0) == 0.0
-
-
-def test_quant_error_rejects_empty(e1_sample):
-    with pytest.raises(ValueError):
-        Q.quant_error(e1_sample, np.array([]), 2.0)
+    assert _quant_error(e1_sample, code, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +107,22 @@ def test_lloyd_two_points_split_oracle(e1_sample):
     run = Q.lloyd_optimize(e1_sample, 2, 2.0)
     assert run.codebook.points == pytest.approx([1 / 6, 5 / 6], abs=0.01)
     assert run.V_hat == pytest.approx(1 / 72, rel=0.10)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_lloyd_finds_the_optimal_cantor_quantizer(e1, seed):
+    # Graf-Luschgy (Math. Nachr. 183, 1997): for n = 2^k the optimal order-2
+    # codebook of the Cantor measure is the midpoints of the 2^k level-k
+    # cylinders, of length 3^-k, and its error is 9^-k / 8
+    system, family = e1
+    sample = Q.sample_measure(system, family, 200_000, seed=seed)
+    for k in range(1, 7):
+        words = itertools.product((1, 2), repeat=k)
+        mids = np.sort([Q.compose_and_derivative(system, w, system.midpoint)[0] for w in words])
+        run = Q.lloyd_optimize(sample, 2 ** k, 2.0)
+        assert run.codebook.points.size == 2 ** k
+        assert np.max(np.abs(run.codebook.points - mids)) <= 0.05 * 3.0 ** -k, k
+        assert run.V_hat == pytest.approx(9.0 ** -k / 8.0, rel=0.01), k
 
 
 def test_lloyd_error_trace_nonincreasing(e1_sample):
@@ -478,116 +493,6 @@ def test_estimate_dr_input_validation():
         Q.estimate_Dr([run, bad])
 
 
-# ---------------------------------------------------------------------------
-# the antichain codebook
-
-
-def test_antichain_depth_one_example(e1):
-    # each depth-1 word weighs m_w |I_w|^2 = (1/2)(1/3)^2 = 1/18; splitting the
-    # empty word gives two words, and a further split would pass n = 2
-    system, family = e1
-    result = Q.antichain_codebook(system, family, 2.0, 2)
-    assert result.words == ((1,), (2,))
-    assert result.cardinality == 2
-    assert result.tau == pytest.approx(1 / 18, rel=1e-12)
-    assert np.allclose(result.codebook.points, [1 / 6, 5 / 6], atol=1e-15)
-
-
-def test_antichain_small_budgets(e1):
-    system, family = e1
-    assert Q.antichain_codebook(system, family, 2.0, 4).words == (
-        (1, 1), (1, 2), (2, 1), (2, 2))
-    root = Q.antichain_codebook(system, family, 2.0, 1)
-    assert root.words == ((),)
-    assert root.tau == pytest.approx(1.0, rel=1e-15)  # the whole unit interval
-    assert root.codebook.points.tolist() == [0.5]
-
-
-def test_antichain_cardinality_bound(e1):
-    system, family = e1
-    for n in (1, 3, 4, 16, 64, 256):
-        result = Q.antichain_codebook(system, family, 2.0, n)
-        assert result.cardinality <= n
-        assert result.cardinality == n  # on two symbols each split adds one word
-
-
-def test_antichain_is_maximal(e1):
-    system, family = e1
-    result = Q.antichain_codebook(system, family, 2.0, 32)
-    prefixes = set(result.words)
-    max_len = max(len(w) for w in prefixes)
-    rng = np.random.default_rng(45)
-    for _ in range(1000):
-        stream = tuple(int(v) + 1 for v in rng.integers(0, 2, size=max_len + 2))
-        hits = [k for k in range(1, len(stream) + 1) if stream[:k] in prefixes]
-        assert len(hits) == 1
-
-
-def test_antichain_on_truncated_infinite(e3):
-    system, family = e3
-    result = Q.antichain_codebook(system, family, 2.0, 32, truncation=6)
-    assert result.cardinality == 31  # 1 + 5 words per split
-    pts = result.codebook.points
-    assert np.all((pts >= 0) & (pts <= 1))
-
-
-def _weight(system, family, word, r):
-    lo, hi = Q.cylinder_interval(system, word)
-    return Q.cylinder_mass(system, family, word) * (hi - lo) ** r
-
-
-@pytest.fixture(scope="module")
-def gauss5_normalized():
-    system = Q.gauss_system((1, 2, 3, 4, 5))
-    return system, Q.normalize_pressure(Q.derivative_family(DIM_GAUSS5), system)
-
-
-def test_antichain_uses_its_budget_on_gauss(gauss5_normalized):
-    system, family = gauss5_normalized
-    for n, least in ((64, 60), (512, 508)):
-        result = Q.antichain_codebook(system, family, 2.0, n)
-        assert least <= result.cardinality <= n
-        assert len(set(result.codebook.points.tolist())) == result.cardinality
-
-
-def test_antichain_threshold_separates_kept_and_split(gauss5_normalized):
-    system, family = gauss5_normalized
-    result = Q.antichain_codebook(system, family, 2.0, 64)
-    kept = [_weight(system, family, w, 2.0) for w in result.words]
-    assert max(kept) == result.tau
-    split = {w[:-1] for w in result.words}
-    assert min(_weight(system, family, w, 2.0) for w in split) >= result.tau
-
-
-def test_antichain_solves_the_operator_once(gauss5_normalized, monkeypatch):
-    # every cylinder mass shares one (nu, P) of the collocated operator
-    system, family = gauss5_normalized
-    qdim.pressure._operator_measure.cache_clear()
-    calls = []
-    eigen = qdim.pressure._operator_eigen
-    monkeypatch.setattr(qdim.pressure, "_operator_eigen",
-                        lambda *a: calls.append(a[1:]) or eigen(*a))
-    assert Q.antichain_codebook(system, family, 2.0, 64).cardinality >= 60
-    assert calls == [(1.0, 0.0)]
-
-
-def test_antichain_one_symbol_alphabet_raises(e3):
-    system, family = e3
-    with pytest.raises(DegenerateSystemError, match="one-symbol"):
-        Q.antichain_codebook(system, family, 2.0, 8, truncation=1)
-
-
-def test_antichain_series_bounded(e1, e1_sample_big):
-    system, family = e1
-    kappa = Q.solve_quantization_dim(system, family, 2.0).kappa_r
-    series = []
-    for n in (4, 8, 16, 32, 64):
-        res = Q.antichain_codebook(system, family, 2.0, n)
-        v = Q.quant_error(e1_sample_big, res.codebook, 2.0)
-        series.append(n * v ** (kappa / 2.0))
-    assert max(series) / min(series) <= 2.0
-
-
 def test_truncation_comparison_invariant(e3):
     # quantizing the truncated measure is never harder than the full one
     system, family = e3
@@ -611,5 +516,5 @@ def test_wasserstein_continuity_of_errors():
     for n in (2, 5, 9):
         ea = Q.lloyd_optimize(sa, n, 2.0).e_hat
         eb = Q.lloyd_optimize(sb, n, 2.0).e_hat
-        rho = Q.wasserstein_1d(2.0, sa, sb)
+        rho = np.mean((a - b) ** 2) ** 0.5  # W_2 by the sorted (quantile) coupling
         assert abs(ea - eb) <= rho + 0.02
