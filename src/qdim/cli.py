@@ -32,16 +32,6 @@ _EXIT_NUMERIC = 2
 _EXIT_VERIFY = 3
 
 
-def _json_key(key) -> str:
-    """A dict key as ``json`` writes it: str as is, float, int, bool and None
-    as their JSON text (inf as "Infinity"); anything else is a TypeError."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -76,13 +66,11 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         if not value:
             parts.append("{}")
             return
-        # keys as json writes them, the last of equal ones kept, then sorted
-        items = {_json_key(k): v for k, v in value.items()}
         inner = newline + "  "
         sep = "{" + inner
-        for key in sorted(items):
+        for key in sorted(value):  # str keys only: any other is a TypeError
             parts.append(sep + _encode_str(key) + ": ")
-            _write_json(items[key], inner, parts)
+            _write_json(value[key], inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
     else:
@@ -149,7 +137,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--m", type=int, default=None, help="alphabet truncation")
         if seed:
-            p.add_argument("--depth", type=int, default=None, help="sampling depth")
             p.add_argument("--seed", type=int, default=2024)
 
     p = sub.add_parser("pressure", help="two-parameter pressure estimate")
@@ -230,7 +217,7 @@ def _cmd_beta(args, system, family, meta) -> int:
 def _cmd_qdim(args, system, family, meta) -> int:
     sol = solve_quantization_dim(system, family, args.r, args.m)
     _emit_json({"command": "qdim", "r": sol.r, "q_r": sol.q_r,
-                "kappa_r": sol.kappa_r, "D_r": sol.D_r,
+                "kappa_r": sol.kappa_r, "D_r": sol.kappa_r,
                 "truncation": sol.truncation, "solver": sol.solver,
                 "iterations": len(sol.trace), **meta}, args.out)
     return _EXIT_OK
@@ -260,9 +247,8 @@ def _cmd_sweep(args, system, family, meta) -> int:
 
 def _cmd_sample(args, system, family, meta) -> int:
     _check_out(args)
-    _check_depth(args)
-    sample = measure.sample_measure(system, family, args.samples, depth=args.depth,
-                                    truncation=args.m, seed=args.seed)
+    sample = measure.sample_measure(system, family, args.samples, truncation=args.m,
+                                    seed=args.seed)
     with _writing(args.out):
         measure.save_sample(sample, args.out)
     sys.stdout.write(_json_text({
@@ -304,12 +290,6 @@ def _check_out(args) -> None:
         raise SpecFormatError(f"{args.command} needs --out for the CSV artifact")
 
 
-def _check_depth(args) -> None:
-    """Reject a sampling depth that would otherwise fail only after the solves."""
-    if args.depth is not None and args.depth < 1:
-        raise SpecFormatError(f"--depth {args.depth} is not positive")
-
-
 def _check_n_list(args) -> None:
     """Reject codebook sizes that would otherwise fail only after sampling."""
     if not args.n_list:
@@ -326,15 +306,14 @@ def _check_n_list(args) -> None:
 
 
 def _run_quantize(args, system, family):
-    sample = measure.sample_measure(system, family, args.samples, depth=args.depth,
-                                    truncation=args.m, seed=args.seed)
+    sample = measure.sample_measure(system, family, args.samples, truncation=args.m,
+                                    seed=args.seed)
     return sample, [quantizer.lloyd_optimize(sample, n, args.r) for n in args.n_list]
 
 
 def _cmd_quantize(args, system, family, meta) -> int:
     _check_out(args)
     _check_n_list(args)
-    _check_depth(args)
     sample, runs = _run_quantize(args, system, family)
     rows = []
     for k, run in enumerate(runs):
@@ -359,7 +338,6 @@ def _cmd_quantize(args, system, family, meta) -> int:
 
 def _cmd_verify(args, system, family, meta) -> int:
     _check_n_list(args)
-    _check_depth(args)
     if len(args.n_list) < 2:
         raise SpecFormatError("verify needs at least two --n-list sizes")
     sol = solve_quantization_dim(system, family, args.r, truncation=args.m)

@@ -37,7 +37,7 @@ _CHAIN_BATCH = 4          # chunks per step call: 4 x 2048 float64 = 64 KB per p
 _H_GRID = 2049            # grid points of the eigenfunction's table (its minimum, the rejection)
 _DEFICIT = 1e-6           # largest relative tail mass an automatic truncation leaves out
 _MAX_TRUNCATION = 4096    # the chain interpolates every symbol's probability at every step
-_LAW_TOL = 1e-12          # the default depth takes the sampled law this close to its limit
+_LAW_TOL = 1e-12          # each sample's depth takes its law this close to its limit
 _TABLE_GRID = 1024        # grid cells of the chain's cdf table
 _TABLE_BYTES = 1 << 21    # at most this many bytes of cdf table; larger alphabets get fewer cells
 _ROUNDING = 1e-12         # rounding of the table, of the exact draw and of its normalization
@@ -624,18 +624,18 @@ def _filtered_rejection(x: np.ndarray, w: np.ndarray, h: np.ndarray,
 
 
 def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
-                  depth: int | None, M: int, seed: int) -> tuple[np.ndarray, int]:
+                  M: int, seed: int) -> tuple[np.ndarray, int]:
     """Exact draw for nonconstant families: an eigenfunction chain, then rejection.
 
     With L h = lambda h for the transfer operator at (q, t) = (1, 0), the
     place-dependent chain y -> phi_i(y) with probability
     p_i(y) = e^{f_i(y)} h(phi_i y) / (lambda h(y)) has the Gibbs state h m
     as its stationary law (Barnsley-Demko-Elton-Geronimo); keeping its
-    state after ``depth`` steps with probability min h / h(y) leaves the
+    state after n steps with probability min h / h(y) leaves the
     conformal measure m.  Its transition operator Q g = L(h g) / (lambda h)
     is similar to L / lambda, so the law after n steps approaches h m like
-    rho^n, rho the operator's subdominant eigenvalue ratio; a ``depth`` of
-    None takes the fewest steps with rho^n <= 1e-12 (``_gap_depth``).  The
+    rho^n, rho the operator's subdominant eigenvalue ratio; the chain takes
+    the fewest steps with rho^n <= 1e-12 (``_gap_depth``).  The
     p_i are interpolated from their values at the operator's
     Chebyshev-Lobatto nodes.  Exactly, a step is one product of
     (chains x nodes) barycentric terms with the (nodes x M) node
@@ -670,8 +670,7 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
     parts = _operator_parts(system, family, M, _NODES)
     F, _, E = parts
     lam, h, _, rho = _operator_eigen(parts, 1.0, 0.0)
-    if depth is None:
-        depth = _gap_depth(rho)
+    depth = _gap_depth(rho)
     x, w = _chebyshev_nodes(system.domain, _NODES)
     # symbol-major views of the node-major parts; probs[i, j] = p_{i+1}(x_j)
     probs = np.exp(F.T) * (E.transpose(1, 0, 2) @ h) / (lam * h)
@@ -701,17 +700,16 @@ def _sample_chain(system: IfsSystem, family: PotentialFamily, count: int,
 
 
 def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
-                   depth: int | None = None, truncation: int | None = None,
-                   seed: int = 0) -> SampleSet:
+                   truncation: int | None = None, seed: int = 0) -> SampleSet:
     """Draw a deterministic empirical approximation of the conformal measure.
 
     Symbol-constant families (``is_symbol_constant``) draw i.i.d. symbol
     strings with the (truncation-renormalized) weights e^{f_i} and map the
-    domain midpoint through the word; every other family runs ``depth``
-    steps of the eigenfunction chain (``_sample_chain``).  A ``depth`` of
-    None takes the law within 1e-12 of its limit: words of length
-    log(1e-12) / log(s) for i.i.d. words (60 when s = 1), and for the
-    chain the steps its transfer operator's spectral gap needs.  Infinite
+    domain midpoint through the word; every other family runs the
+    eigenfunction chain (``_sample_chain``).  The depth takes the law
+    within 1e-12 of its limit: words of length log(1e-12) / log(s) for
+    i.i.d. words (60 when s = 1), and for the chain the steps its
+    transfer operator's spectral gap needs.  Infinite
     alphabets truncate at the smallest M whose relative tail mass is at
     most 1e-6 (at most 4096 symbols) unless an explicit truncation is
     supplied, which samples the truncated system's own measure whatever
@@ -719,8 +717,6 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be >= 1")
 
     total = _tail_exp_sum(family, system)
     M = system.truncated_size(truncation)
@@ -729,10 +725,10 @@ def sample_measure(system: IfsSystem, family: PotentialFamily, count: int,
     deficit = _weight_deficit(system, family, M, total)
 
     if is_symbol_constant(family, system):
-        depth = _default_depth(system) if depth is None else depth
+        depth = _default_depth(system)
         pts = _sample_constant(system, family, count, depth, M, seed)
     else:
-        pts, depth = _sample_chain(system, family, count, depth, M, seed)
+        pts, depth = _sample_chain(system, family, count, M, seed)
     return SampleSet(points=pts, seed=seed, depth=depth, truncation=M,
                      deficit=deficit)
 
@@ -757,4 +753,8 @@ def save_sample(sample: SampleSet, path: str | Path) -> None:
         "truncation": sample.truncation,
         "deficit": sample.deficit,
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    try:
+        Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    except OSError:
+        path.unlink()  # no CSV without its metadata
+        raise

@@ -58,10 +58,6 @@ class GeometricWeights:
     def log_p(self, i: int) -> float:
         return math.log1p(-self.ratio) + (i - 1) * math.log(self.ratio)
 
-    @property
-    def size(self) -> None:
-        return None
-
 
 @dataclass(frozen=True)
 class PotentialFamily:

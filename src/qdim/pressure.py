@@ -42,7 +42,6 @@ run on P from an evaluation's h or by regula falsi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -64,8 +63,7 @@ _NEWTON_TOL = 1e-12       # a last Newton step at most this (relative) size ends
 # result types
 #
 # Records that are only read are NamedTuples, which cost far less than
-# frozen dataclasses to define at import.  BetaSolution stays a dataclass:
-# its h array is left out of equality.
+# frozen dataclasses to define at import.
 
 
 class PressureEstimate(NamedTuple):
@@ -81,27 +79,22 @@ class PressureEstimate(NamedTuple):
 class TemperatureSample(NamedTuple):
     qs: tuple[float, ...]
     betas: tuple[float, ...]
-    convexity_defect: float         # max(0, -min second difference)
 
 
 class QdimSolution(NamedTuple):
     r: float
     q_r: float
     kappa_r: float
-    D_r: float
     truncation: int | None
     trace: tuple[tuple[float, float], ...]  # one (q, residual) per dense solve
     solver: str                     # "newton", "regula_falsi" or "closed_form"
 
 
-@dataclass(frozen=True)
-class BetaSolution:
+class BetaSolution(NamedTuple):
     q: float
     beta: float
     solver: str                     # "newton", "regula_falsi" or "closed_form"
     trace: tuple[tuple[float, float], ...]  # one (t, residual) per dense solve
-    # the positive eigenvector at the nodes (sum 1) of a Newton root, else None
-    h: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 class SweepEntry(NamedTuple):
@@ -631,9 +624,9 @@ def solve_beta(system: IfsSystem, family: PotentialFamily, q: float,
     +inf below theta(q) on an untruncated infinite alphabet).  The
     returned t satisfies |P(q, t)| <= 1e-9; BracketError otherwise.
     """
-    u, h, trace, solver = _line_root(*_pressure_callable(system, family, truncation),
+    u, _, trace, solver = _line_root(*_pressure_callable(system, family, truncation),
                                      q, 0.0, 0.0, 1.0, [(0.0, _COLD_H, _ANYWHERE)], 1e4, math.inf)
-    return BetaSolution(q, u, solver, trace, h if solver == "newton" else None)
+    return BetaSolution(q, u, solver, trace)
 
 
 def beta_of_q(system: IfsSystem, family: PotentialFamily, q: float,
@@ -682,12 +675,7 @@ def temperature_curve(system: IfsSystem, family: PotentialFamily,
     """beta on a q grid (21 points on [0, 1] by default), by ``_temperature_walk``."""
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     betas, _ = _temperature_walk(system, family, qs, truncation)
-    b = np.asarray(betas)
-    defect = 0.0
-    if len(b) >= 3:
-        second = np.diff(b, 2)
-        defect = max(0.0, float(-second.min()))
-    return TemperatureSample(tuple(map(float, qs)), tuple(map(float, betas)), defect)
+    return TemperatureSample(tuple(map(float, qs)), tuple(map(float, betas)))
 
 
 def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
@@ -712,13 +700,13 @@ def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float
     q_r, _, trace, solver = _line_root(evaluate, parts, 0.0, 0.0, 1.0, r, starts(),
                                        1.0 - 1e-6, 1.0)
     kappa = r * q_r / (1.0 - q_r)
-    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, D_r=kappa, truncation=truncation,
+    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, truncation=truncation,
                         trace=trace, solver=solver)
 
 
 def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
                            truncation: int | None = None) -> QdimSolution:
-    """Solve beta(q_r) = r * q_r and return (q_r, kappa_r, D_r).
+    """Solve beta(q_r) = r * q_r and return (q_r, kappa_r).
 
     As t -> P(q, t) is strictly decreasing, beta(q) = r q holds exactly
     where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
@@ -726,7 +714,7 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  Then
     ``_line_root`` along (1, r) from (0, 0), with Newton from h = 1 there
     kept if 0 < q_r < 1 and the bracket below q = 1 (the trace leaves the
-    check out).  kappa_r = r q_r/(1-q_r) and D_r = beta(q_r)/(1-q_r).
+    check out).  kappa_r = r q_r/(1-q_r), which is D_r = beta(q_r)/(1-q_r).
     """
     return _solve_quantization_dim(system, family, r, truncation)
 

@@ -26,6 +26,7 @@ from .errors import NumericalFailure
 from .measure import SampleSet
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 60            # Lloyd iterations before a run is reported unconverged
 
 
 @dataclass(frozen=True)
@@ -407,8 +408,7 @@ def _split_orders(sample: SampleSet) -> tuple[int, dict]:
 
 
 def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: float,
-                max_iter: int, center_tol: float
-                ) -> tuple[np.ndarray, float, int, bool, list[float]]:
+                center_tol: float) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Lloyd iteration from the order-r centers of a contiguous partition.
 
     Centers are a pure function of (edges, r), so a partition that
@@ -417,8 +417,7 @@ def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: floa
     trace: list[float] = []
     converged = False
     code = centers
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         code, new_edges = _fix_empty_cells(pts, code, r)
         if not np.array_equal(new_edges, edges):
             edges = new_edges
@@ -434,8 +433,7 @@ def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: floa
     return code, trace[-1], it, converged, trace
 
 
-def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
-                   max_iter: int = 60) -> QuantizationRun:
+def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0) -> QuantizationRun:
     """Lloyd optimization of an n-point codebook from a greedy split start.
 
     The start is the order-r centers of the first n cells of the
@@ -448,8 +446,6 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
         raise ValueError("codebook size must be >= 1")
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"the order r must be finite and positive, got {r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     pts = sample.points
     distinct, orders = _split_orders(sample)
     if n >= distinct:
@@ -463,8 +459,7 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0,
         order = orders[r] = _SplitOrder(pts.size)
     edges = order.edges(pts, n, r)
     centers = _cell_centers(pts, edges, r, center_tol)
-    code, v, iters, converged, trace = _lloyd_once(pts, edges, centers, r, max_iter,
-                                                   center_tol)
+    code, v, iters, converged, trace = _lloyd_once(pts, edges, centers, r, center_tol)
     return QuantizationRun(n=n, r=r, V_hat=v, e_hat=v ** (1.0 / r),
                            codebook=Codebook(code, n), iterations=iters,
                            restarts=1, converged=converged, trace=tuple(trace))

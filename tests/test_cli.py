@@ -268,12 +268,14 @@ def test_qdim_at_large_order_by_the_regula_falsi(tmp_path, monkeypatch, capsys):
 
 
 def test_too_few_distinct_points_exit_two(tmp_path, capsys):
-    # depth 2 gives 4 distinct points, so V_hat = 0 from n = 4 on: the
-    # regression fails numerically, and the flags were fine
-    path = tmp_path / "e2.json"
-    path.write_text(E1_DOC.replace("[0.5, 0.5]", "[0.7, 0.3]"))
+    # ratios 0.01 set the depth to log(1e-12) / log(0.01) = 6, so the sample has
+    # at most 2^6 = 64 distinct points and V_hat = 0 at n = 64: the regression
+    # fails numerically, and the flags were fine
+    path = tmp_path / "tiny.json"
+    path.write_text(E2_DOC.replace("0.3333333333333333", "0.01")
+                    .replace("0.6666666666666666", "0.99"))
     assert main(["verify", "--system", str(path), "--r", "2", "--n-list", "4,8,16,32,64",
-                 "--samples", "100", "--seed", "1", "--depth", "2"]) == 2
+                 "--samples", "100", "--seed", "1"]) == 2
     assert "numerical failure: nonpositive error estimates" in capsys.readouterr().err
 
 
@@ -578,9 +580,11 @@ def _no_solve(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["sample", "quantize", "verify"])
-@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("depth", ["0", "-3", "6"])
 def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeypatch,
                                       capsys):
+    # every sample runs at the depth its law needs: no command takes --depth,
+    # and its parser rejects the flag before anything is sampled or solved
     monkeypatch.setattr(qdim.measure, "sample_measure", _no_sampling)
     monkeypatch.setattr(qdim.cli, "solve_quantization_dim", _no_solve)
     args = [command, "--system", e1_spec, "--depth", depth, "--samples", "100",
@@ -588,7 +592,8 @@ def test_depth_checked_before_solving(command, depth, e1_spec, tmp_path, monkeyp
     if command != "sample":
         args += ["--r", "2", "--n-list", "4,8"]
     assert main(args) == 1
-    assert f"spec error: --depth {depth} is not positive" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", _TOP_USAGE + f"qdim: error: unrecognized arguments: --depth {depth}\n")
 
 
 _OUT_ARGS = {
@@ -634,6 +639,18 @@ def test_a_failed_out_write_exits_one(command, e1_spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"spec error: cannot write --out {tmp_path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_failed_sidecar_write_leaves_no_csv(e1_spec, tmp_path, capsys):
+    # the CSV is written, then its PATH.json sidecar fails: the CSV goes too
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "pts.csv.json").mkdir()
+    out = tmp_path / "side" / "pts.csv"
+    assert main(["sample", "--system", e1_spec, "--samples", "100", "--out", str(out)]) == 1
+    _, err = capsys.readouterr()
+    assert err.startswith(f"spec error: cannot write --out {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 _SAMPLING = ["--n-list", "4,8", "--samples", "100"]
@@ -947,7 +964,7 @@ def test_derivative_spec_samples_past_the_ratio_underflow(tmp_path, capsys, monk
 def test_depth_only_samples(tmp_path, capsys):
     path = tmp_path / "gauss_full.json"
     path.write_text(GAUSS_FULL_DOC)
-    # the pressure comes from the transfer operator: --depth is no dimh flag
+    # no command takes --depth: the samplers set their own
     assert main(["dimh", "--system", str(path), "--m", "40", "--depth", "6"]) == 1
     capsys.readouterr()
     # the root solves have no tolerance knob: only verify takes --tol
@@ -1035,16 +1052,14 @@ options:
                   "usage: qdim qdim [-h] --system SYSTEM [--out OUT] [--m M] --r R\n"
                   "qdim qdim: error: argument --r: invalid float value: 'abc'\n"),
     "verify-help": (["verify", "--help"], 0, """\
-usage: qdim verify [-h] --system SYSTEM [--out OUT] [--m M] [--depth DEPTH]
-                   [--seed SEED] --r R [--tol TOL] [--n-list N_LIST]
-                   [--samples SAMPLES]
+usage: qdim verify [-h] --system SYSTEM [--out OUT] [--m M] [--seed SEED] --r
+                   R [--tol TOL] [--n-list N_LIST] [--samples SAMPLES]
 
 options:
   -h, --help         show this help message and exit
   --system SYSTEM    system spec JSON
   --out OUT          artifact path
   --m M              alphabet truncation
-  --depth DEPTH      sampling depth
   --seed SEED
   --r R
   --tol TOL          largest relative gap
@@ -1078,8 +1093,7 @@ def _json_text_reference(payload: dict) -> str:
     return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-_JSON_KEYS = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.integers(-3, 12),
-                       st.floats(width=16))
+_JSON_KEYS = st.text(max_size=3)  # every payload key is a str
 _JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
                          st.floats(), st.floats().map(np.float64),
                          st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
@@ -1099,7 +1113,9 @@ def test_json_text_matches_the_round_trip(payload):
 @pytest.mark.parametrize("payload", [
     {"a": (1.0, [math.inf, {"b": (-math.inf, math.nan)}])},
     {"x": np.float64(0.1), "y": [np.float64(math.nan)], "z": {"w": (np.float64(-0.0),)}},
-    {True: 1, False: 2, None: 3, 10: 4, 2: 5, 1.5: 6, math.inf: 7, "true": 8},
+    # the text json gives True, False, None, 10, 2, 1.5 and inf as keys, as str keys
+    {"true": 1, "false": 2, "null": 3, "10": 4, "2": 5, "1.5": 6, "Infinity": 7, "": 8,
+     "\u00e9": 9, "a\"b": 10},
 ], ids=["nested-nonfinite", "numpy-floats", "key-conversion"])
 def test_json_text_examples(payload):
     assert qdim.cli._json_text(payload) == _json_text_reference(payload)
@@ -1110,6 +1126,15 @@ def test_json_text_examples(payload):
 def test_json_text_rejects_what_json_rejects(payload):
     with pytest.raises(TypeError):
         _json_text_reference(payload)
+    with pytest.raises(TypeError):
+        qdim.cli._json_text(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: 0}, {None: 0}, {True: 0}, {1.5: 0}, {"a": 0, 2: 1},
+                                     {"a": [{"b": {math.inf: 0}}]}],
+                         ids=["int", "none", "bool", "float", "mixed", "nested"])
+def test_json_text_rejects_a_key_that_is_no_str(payload):
+    # json would write these keys as text; no payload has one
     with pytest.raises(TypeError):
         qdim.cli._json_text(payload)
 

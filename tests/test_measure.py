@@ -179,8 +179,10 @@ def _node_quadrature(system, family):
 def test_chain_sampler_matches_branch_mass(gauss12):
     system, _ = gauss12
     family = Q.normalize_pressure(Q.derivative_family(0.6), system)
-    sample = Q.sample_measure(system, family, 1500, depth=40, seed=3)
-    assert sample.depth == 40  # an explicit depth is used as given
+    sample = Q.sample_measure(system, family, 1500, seed=3)
+    parts = qdim.pressure._operator_parts(system, family, system.size, qdim.pressure._NODES)
+    rho = qdim.pressure._operator_eigen(parts, 1.0, 0.0)[3]
+    assert sample.depth == qdim.measure._gap_depth(rho) == 24  # the spectral gap's depth
     # attractor hull of the {1,2} branches: [[0; 2, 1, 2, 1, ...], [0; 1, 2, 1, 2, ...]]
     left = (math.sqrt(3) - 1) / 2
     right = 1 / (1 + left)
@@ -246,8 +248,7 @@ def test_chain_matches_self_similar_moments():
     p = r / r.sum()
     m1 = (p @ o) / (1 - p @ (e * r))
     m2 = (p @ (2 * e * r * o * m1 + o * o)) / (1 - p @ (r * r))
-    x, _ = qdim.measure._sample_chain(system, Q.derivative_family(1.0), 20_000, depth=None,
-                                      M=2, seed=2)
+    x, _ = qdim.measure._sample_chain(system, Q.derivative_family(1.0), 20_000, M=2, seed=2)
     for vals, exact in ((x, m1), (x * x, m2)):
         assert abs(vals.mean() - exact) <= 4 * vals.std() / math.sqrt(vals.size)
 
@@ -256,8 +257,9 @@ def test_bernoulli_derivative_family_samples_iid_words(e1):
     # s log r_i is constant on each map, so the measure is the Bernoulli measure with
     # p_i = r_i^s / sum r_j^s: 1/2 each on e1's maps, drawn as i.i.d. words
     system, family = e1
-    a = Q.sample_measure(system, Q.derivative_family(0.7), 30_000, depth=26, seed=5)
-    b = Q.sample_measure(system, family, 30_000, depth=26, seed=5)
+    a = Q.sample_measure(system, Q.derivative_family(0.7), 30_000, seed=5)
+    b = Q.sample_measure(system, family, 30_000, seed=5)
+    assert a.depth == b.depth == 26  # log(1e-12) / log(1/3)
     assert a.points.tobytes() == b.points.tobytes()
 
 
@@ -790,8 +792,9 @@ def test_chain_batches_match_the_chunk_by_chunk_draw():
     draw = qdim.measure._chain_drawer(x, w, table)
     keep = qdim.measure._exact_rejection(x, w, h, h_min)
     step = qdim.measure._map_step(system, 5)
-    depth, chunk = 4, qdim.measure._CHAIN_CHUNK
+    chunk = qdim.measure._CHAIN_CHUNK
     for count, seed in [(1, 0), (chunk, 1), (5 * chunk, 2), (11 * chunk + 7, 3)]:
+        got, depth = qdim.measure._sample_chain(system, family, count, 5, seed)
         kept, total, chunk_idx = [], 0, 0
         while total < count:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk_idx)))
@@ -804,7 +807,6 @@ def test_chain_batches_match_the_chunk_by_chunk_draw():
             total += kept[-1].size
             chunk_idx += 1
         want = np.concatenate(kept)[:count]
-        got, _ = qdim.measure._sample_chain(system, family, count, depth, 5, seed)
         assert got.tobytes() == want.tobytes()
 
 

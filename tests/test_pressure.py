@@ -272,7 +272,7 @@ def test_beta_monotone_convex(e1):
     curve = Q.temperature_curve(system, family)
     betas = np.asarray(curve.betas)
     assert np.all(np.diff(betas) < 0)
-    assert curve.convexity_defect <= 1e-8
+    assert np.diff(betas, 2).min() >= -1e-8  # convex up to rounding
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,7 @@ def test_qdim_e1_closed_form(e1):
     sol = Q.solve_quantization_dim(system, family, 2.0)
     assert sol.q_r == pytest.approx(math.log(2) / math.log(18), abs=1e-10)
     assert sol.kappa_r == pytest.approx(LOG23, abs=1e-8)
-    assert sol.D_r == sol.kappa_r
-    # defining identity at the returned point
+    # defining identity at the returned point: D_r = beta(q_r) / (1 - q_r) is kappa_r
     assert Q.beta_of_q(system, family, sol.q_r) == pytest.approx(2.0 * sol.q_r, abs=1e-9)
 
 
@@ -725,6 +724,13 @@ def test_newton_from_a_non_perron_vector_is_rejected(gauss12):
     assert abs(beta + 0.05 + root.u - beta) <= 1e-14 and np.all(root.h > 0.0)
 
 
+def _beta_root(system, family, q, M):
+    """(u, h, trace, solver) of the root loop as ``solve_beta`` runs it, with its h."""
+    P = qdim.pressure
+    return P._line_root(*P._pressure_callable(system, family, M), q, 0.0, 0.0, 1.0,
+                        [(0.0, P._COLD_H, P._ANYWHERE)], 1e4, math.inf)
+
+
 def _cold_cases():
     cases = dict(_continuation_cases())
     cases["gauss15-dim"] = (Q.gauss_system((1, 2, 3, 4, 5)),
@@ -740,12 +746,14 @@ def test_cold_newton_matches_the_regula_falsi(name, monkeypatch):
     rs = (0.5, 2.0, 3.0) if name != "gauss12-sin" else (2.0, 3.0)  # beta(1) > 0 there
     betas = {q: Q.solve_beta(system, family, q, M) for q in (-1.0, 0.0, 0.3, 2.0)}
     fixed = {r: Q.solve_quantization_dim(system, family, r, M) for r in rs}
-    assert betas[0.0].solver == "newton" and np.all(betas[0.0].h > 0.0)
+    assert betas[0.0].solver == "newton"
+    u, h, _, solver = _beta_root(system, family, 0.0, M)
+    assert solver == "newton" and u == betas[0.0].beta and np.all(h > 0.0)
     assert all(sol.solver == "newton" and len(sol.trace) >= 2 for sol in fixed.values())
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
     for q, sol in betas.items():
         fallback = Q.solve_beta(system, family, q, M)
-        assert fallback.solver == "regula_falsi" and fallback.h is None
+        assert fallback.solver == "regula_falsi"
         assert abs(sol.beta - fallback.beta) <= 1e-14
     for r, sol in fixed.items():
         fallback = Q.solve_quantization_dim(system, family, r, M)
@@ -765,15 +773,16 @@ def test_failed_cold_start_is_answered_inside_the_bracket(q, monkeypatch):
     # for bit; with Newton on, Newton on P from the bracket's least |P| lands on
     # the same root with fewer dense solves, the failed start's step included
     system, family = Q.gauss_system(None), Q.derivative_family(1.0)
+    u, h, _, solver = _beta_root(system, family, q, 5)
     counts = _count_dense_solves(monkeypatch)
     sol = Q.solve_beta(system, family, q, 5)
     newton_solves = sum(counts.values())
     counts.update(dict.fromkeys(counts, 0))
     monkeypatch.setattr(qdim.pressure, "_eigen_newton", lambda *args: None)
     fallback = Q.solve_beta(system, family, q, 5)
-    assert fallback.solver == "regula_falsi" and fallback.h is None
+    assert fallback.solver == "regula_falsi"
     assert hashlib.sha256(repr(fallback.trace).encode()).hexdigest() == _FALLBACK_TRACES[q]
-    assert sol.solver == "newton" and np.all(sol.h > 0.0)
+    assert sol.solver == solver == "newton" and u == sol.beta and np.all(h > 0.0)
     assert abs(sol.beta - fallback.beta) <= 1e-14
     assert newton_solves < sum(counts.values())
 

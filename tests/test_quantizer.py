@@ -147,7 +147,7 @@ def test_lloyd_general_r_median_and_golden(e1_sample):
     run3 = Q.lloyd_optimize(e1_sample, 2, 3.0)
     assert run3.codebook.points == pytest.approx([1 / 6, 5 / 6], abs=0.05)
     # r = 0.7: pre-scan path stays finite and ordered
-    run07 = Q.lloyd_optimize(e1_sample, 2, 0.7, max_iter=20)
+    run07 = Q.lloyd_optimize(e1_sample, 2, 0.7)
     assert np.all(np.diff(run07.codebook.points) > 0)
 
 
@@ -213,7 +213,7 @@ def test_lloyd_relocates_an_empty_cell():
     centers = np.array([-1.0, 5.0, 11.0])
     assert qdim.quantizer._cell_edges(pts, centers).tolist() == [0, 2, 2, 4]
     code, v, _, converged, _ = qdim.quantizer._lloyd_once(
-        pts, np.array([0, 1, 3, 4]), centers, 2.0, 60, 1e-10 * 12.0)
+        pts, np.array([0, 1, 3, 4]), centers, 2.0, 1e-10 * 12.0)
     assert code.tolist() == [-1.0, 0.0, 10.5]
     assert v == 0.125 and converged
 
