@@ -258,7 +258,8 @@ def _operator_matrix(parts: _Parts, q: float, t: float) -> tuple[float, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         X = _exponent(F, D, q, t)
         s = float(X.max())
-        return s, np.einsum("ji,jik->jk", np.exp(X - s), E)
+        X -= s
+        return s, np.einsum("ji,jik->jk", np.exp(X, out=X), E)
 
 
 def _leading_real(ev: np.ndarray, q: float, t: float) -> int:
@@ -268,7 +269,7 @@ def _leading_real(ev: np.ndarray, q: float, t: float) -> int:
     1 at 0), spurious oscillatory modes are not damped and can outweigh it.
     """
     real = np.where(ev.imag == 0.0, ev.real, -np.inf)
-    k = int(np.argmax(real))
+    k = int(real.argmax())
     if not real[k] > 0.0:
         raise NumericalFailure(f"collocated operator has no positive real eigenvalue "
                                f"at (q, t) = ({q:.6g}, {t:.6g})")
@@ -342,22 +343,24 @@ def _operator_eigen(parts: _Parts, q: float, t: float
     return math.exp(s) * mu, h * total, nu / total, rho
 
 
-def _operator_step(parts: _Parts, q: float, t: float,
-                   dq: float, dt: float, h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _operator_step(parts: _Parts, q: float, t: float, Y: np.ndarray, WV: np.ndarray,
+                   h: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(s, A, B h): ``_operator_matrix`` at (q, t), and its derivative along
-    (dq, dt) applied to h.
+    the run's direction applied to h.
 
-    B = sum_i diag((dq F_i + dt D_i) e^{q F_i + t D_i - s}) E_i, under the
-    same shift s as A.  One batched product over the node-major parts reads
-    E once and gives row j of A and of B together; it rounds differently
-    from ``_operator_matrix``'s einsum, which the certificate reads.
+    Y = dq F + dt D is the direction's exponent and WV a (nodes, 2, symbols)
+    buffer, both built once per Newton run; the step overwrites WV with
+    e^{X - s} and Y e^{X - s}, X = q F + t D.  B = sum_i diag(Y_i e^{X_i - s}) E_i,
+    under the same shift s as A.  One batched product over the node-major
+    parts reads E once and gives row j of A and of B together; it rounds
+    differently from ``_operator_matrix``'s einsum, which the certificate reads.
     """
     F, D, E = parts
     X = _exponent(F, D, q, t)
     s = float(X.max())
-    WV = np.empty((F.shape[0], 2, F.shape[1]))
-    np.exp(X - s, out=WV[:, 0])
-    np.multiply(_exponent(F, D, dq, dt), WV[:, 0], out=WV[:, 1])
+    X -= s
+    np.exp(X, out=WV[:, 0])
+    np.multiply(Y, WV[:, 0], out=WV[:, 1])
     rows = WV @ E
     return s, rows[:, 0], rows[:, 1] @ h
 
@@ -381,7 +384,9 @@ def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float, h: np
         [[A - m I, B h], [1^T, 0]] [dh; du] = [m h - A h - m p h; 1 - 1^T h]
 
     with m = e^{p - s} (``_operator_step``, which reads the node-major parts as
-    they are cached).  A start takes p = 0, Newton on L h = h; a run in a sign
+    they are cached).  The direction's exponent Y = dq F + dt D and the step's
+    product buffer WV are built once, before the first step, and every step
+    gets the same two.  A start takes p = 0, Newton on L h = h; a run in a sign
     bracket (lo, hi) about its point takes p = log 1^T L h / 1^T h, Newton on
     P = log lambda, which does not overstep where lambda is far from 1, gives
     up once u leaves (lo, hi), and when it fails returns its trace, h None.
@@ -391,11 +396,13 @@ def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float, h: np
     eigenvalue there (``_operator_pressure``) gives |P| <= ``_RESIDUAL``; any
     other eigenvalue 1 that Newton might reach fails that test.
     """
+    F, D, _ = parts
     n = h.size
     J = np.zeros((n + 1, n + 1))
     J[n, :n] = 1.0
+    diag = J.ravel()[:n * (n + 2):n + 2]  # a view of A - m I's diagonal
     rhs = np.zeros(n + 1)
-    diag = np.arange(n)
+    WV = np.empty((F.shape[0], 2, F.shape[1]))
     h = h / h.sum()
     u = 0.0
     trace = []
@@ -405,28 +412,29 @@ def _eigen_newton(parts: _Parts, q: float, t: float, dq: float, dt: float, h: np
         return None if bracket is None else _NewtonRoot(u, None, tuple(trace))
 
     with np.errstate(all="ignore"):  # overflow and NaN fail the finiteness test
+        Y = _exponent(F, D, dq, dt)
         for _ in range(_NEWTON_STEPS):
-            s, A, Bh = _operator_step(parts, q + u * dq, t + u * dt, dq, dt, h)
+            s, A, Bh = _operator_step(parts, q + u * dq, t + u * dt, Y, WV, h)
             Ah = A @ h
             p = 0.0 if bracket is None else s + float(np.log(Ah.sum() / h.sum()))
             c = np.exp(p - s)
             J[:n, :n] = A
-            J[diag, diag] -= c
+            diag -= c
             J[:n, n] = Bh
             r = c * h - Ah
             rhs[:n] = r - c * p * h
             rhs[n] = 1.0 - h.sum()
-            trace.append((u, float(np.max(np.abs(r)) / c)))
+            trace.append((u, float(np.abs(r).max() / c)))
             try:
                 step = np.linalg.solve(J, rhs)
             except np.linalg.LinAlgError:
                 return failed()
             h = h + step[:n]
             u += float(step[n])
-            if not (np.all(np.isfinite(step)) and np.all(h > 0.0) and lo < u < hi):
+            if not (np.isfinite(step).all() and (h > 0.0).all() and lo < u < hi):
                 return failed()
             if (abs(step[n]) <= _NEWTON_TOL * (1.0 + abs(u))
-                    and np.max(np.abs(step[:n])) <= _NEWTON_TOL * np.max(h)):
+                    and np.abs(step[:n]).max() <= _NEWTON_TOL * h.max()):
                 break
         else:
             return failed()

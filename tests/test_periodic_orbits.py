@@ -140,3 +140,32 @@ def test_operator_pressure_at_an_extreme_temperature():
     # 32 collocation nodes miss the determinant's value by about 6e-6
     value = Q.estimate_pressure(Q.gauss_system((1, 2)), _GAUSS12["dim"], 0.3, 25.0).value
     assert abs(value - _EXTREME) <= 1e-10
+
+
+def _g3(x):
+    return 3.0 * x
+
+
+_GAUSS15_ROOTS = {
+    "g=3x": Q.normalize_pressure(Q.derivative_family(0.6, _g3, g_sup=3.0),
+                                 Q.gauss_system((1, 2, 3, 4, 5))),
+    "weights": Q.log_weight_family([0.3, 0.25, 0.2, 0.15, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_GAUSS15_ROOTS))
+def test_gauss15_temperature_roots_are_the_determinants_zeros(name):
+    # beta(q) by the warm-started walk: the determinant's P vanishes at (q, beta(q))
+    family = _GAUSS15_ROOTS[name]
+    curve = Q.temperature_curve(Q.gauss_system((1, 2, 3, 4, 5)), family, [0.0, 0.5, 1.0, 2.0])
+    for q, beta in zip(curve.qs, curve.betas):
+        assert abs(periodic_orbit_pressure(range(1, 6), family, q, beta, 8)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0])
+@pytest.mark.parametrize("name", list(_GAUSS15_ROOTS))
+def test_gauss15_quantization_roots_are_the_determinants_zeros(name, r):
+    # q_r by a cold start: the determinant's P vanishes at (q_r, r q_r)
+    family = _GAUSS15_ROOTS[name]
+    q_r = Q.solve_quantization_dim(Q.gauss_system((1, 2, 3, 4, 5)), family, r).q_r
+    assert abs(periodic_orbit_pressure(range(1, 6), family, q_r, r * q_r, 8)) <= 1e-13

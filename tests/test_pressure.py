@@ -521,6 +521,33 @@ def test_operator_matrix_matches_the_symbol_major_einsum(name, nodes, q, t):
     assert got_s == s and np.array_equal(got, want)
 
 
+def test_newton_run_builds_its_direction_exponent_and_buffer_once(monkeypatch):
+    # a cold beta(0) root on Gauss {1,2} takes 6 Newton steps: one exponent per
+    # step, one for the direction (0, 1) before the first and one for the
+    # certificate; every step gets the run's one exponent Y and buffer WV
+    system, family = Q.gauss_system((1, 2)), Q.derivative_family(1.0)
+    exponent, step = qdim.pressure._exponent, qdim.pressure._operator_step
+    exponents, args = [], []
+
+    def exponent_rec(*a):
+        exponents.append(a)
+        return exponent(*a)
+
+    def step_rec(parts, q, t, Y, WV, h):
+        args.append((parts, Y, WV))
+        return step(parts, q, t, Y, WV, h)
+
+    monkeypatch.setattr(qdim.pressure, "_exponent", exponent_rec)
+    monkeypatch.setattr(qdim.pressure, "_operator_step", step_rec)
+    sol = Q.solve_beta(system, family, 0.0)
+    assert sol.solver == "newton" and len(args) == 6
+    assert len(exponents) == len(args) + 2
+    F, D, _ = parts = args[0][0]
+    Y, WV = args[0][1], args[0][2]
+    assert np.array_equal(Y, 0.0 * F + 1.0 * D) and WV.shape == (F.shape[0], 2, F.shape[1])
+    assert all(a[0] is parts and a[1] is Y and a[2] is WV for a in args)
+
+
 def _line_root_of(f):
     """(u, trace) of the bracket loop on the closed-form line u -> f(u)."""
     u, h, trace, solver = qdim.pressure._line_root(lambda q, t: (f(t), None), None, 0.0, 0.0,
