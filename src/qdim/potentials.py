@@ -329,5 +329,5 @@ def normalize_pressure(family: PotentialFamily, system: IfsSystem,
 
     from .pressure import _pressure_callable  # cycle kept local on purpose
 
-    evaluate, _ = _pressure_callable(system, family, truncation)
-    return replace(family, shift=family.shift + evaluate(1.0, 0.0)[0])
+    P, _ = _pressure_callable(system, family, truncation)
+    return replace(family, shift=family.shift + P(1.0, 0.0))

@@ -32,18 +32,19 @@ decreases: beta(q) on (q, 0) + u (0, 1), q_r on (0, 0) + u (1, r).  One
 loop finds them all (``_line_root``): Newton on the collocated
 operator's eigenpair (h, u), one small linear solve per step
 (``_eigen_newton``), from each of the caller's starts (h = 1 at u = 0
-cold; along a q grid the secant prediction and the last h, or the chord
-root in the cell where beta(q) - r q changes sign), kept where the
-leading eigenvalue certifies |P| <= 1e-9 in the start's window.  Else,
-and on closed forms, a sign bracket closes on the root, by one Newton
-run on P from an evaluation's h or by regula falsi.
+cold; along the temperature curve's q grid the secant prediction and
+the last h), kept where the leading eigenvalue certifies |P| <= 1e-9 in
+the start's window.  Else, and on closed forms, a sign bracket closes
+on the root, by one Newton run on P from an evaluation's h or by
+regula falsi.  ``legendre_and_figure_data`` takes its q_r from
+``solve_quantization_dim``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,7 +215,6 @@ def _barycentric_terms(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarra
 
 
 _Parts = tuple[np.ndarray, np.ndarray, np.ndarray]  # (F, D, E) of ``_operator_parts``
-_Evaluate = Callable[[float, float], tuple[float, np.ndarray | None]]  # (q, t) -> (P, h)
 _Trace = tuple[tuple[float, float], ...]  # one (u, residual) per dense solve
 
 
@@ -471,8 +471,8 @@ def estimate_pressure(system: IfsSystem, family: PotentialFamily, q: float, t: f
     it reads 3.0 while the 32-node value lies within 1e-5 of the truth
     (ROADMAP item 3 replaces it by a certified bracket).
     """
-    evaluate, parts = _pressure_callable(system, family, truncation)
-    value = evaluate(q, t)[0] if parts is None else _operator_pressure(parts, q, t)  # no h
+    P, parts = _pressure_callable(system, family, truncation)
+    value = P(q, t)
     error = 0.0
     if parts is not None:  # the 16-node twin over the parts' M symbols
         coarse = _operator_parts(system, family, parts[0].shape[1], _NODES // 2)
@@ -508,20 +508,19 @@ def theta_of_q(system: IfsSystem, family: PotentialFamily, q: float) -> float:
 
 
 def _pressure_callable(system: IfsSystem, family: PotentialFamily, truncation: int | None
-                       ) -> tuple[_Evaluate, _Parts | None]:
-    """(evaluate, parts): (q, t) -> (P(q, t), h), and the collocated operator's parts or None.
+                       ) -> tuple[Callable[[float, float], float], _Parts | None]:
+    """(P, parts): (q, t) -> P(q, t), and the collocated operator's parts or None.
 
     A solve's one choice between the two, built once and passed down.
-    Multiplicative systems get the exact closed form (``_closed_form``,
-    float arithmetic per evaluation), h None and parts None; others get
-    ``_operator_parts`` at ``_NODES`` nodes and ``_operator_pair``, which
-    needs a truncation on an infinite alphabet (ValueError).
+    Multiplicative systems get the exact closed form itself (``_closed_form``,
+    float arithmetic per evaluation) and parts None; others get
+    ``_operator_parts`` at ``_NODES`` nodes and ``_operator_pressure`` on
+    them, which needs a truncation on an infinite alphabet (ValueError).
     """
     if is_multiplicative(system, family):
-        P = _closed_form(system, family, truncation)
-        return (lambda q, t: (P(q, t), None)), None
+        return _closed_form(system, family, truncation), None
     parts = _operator_parts(system, family, system.truncated_size(truncation), _NODES)
-    return (lambda q, t: _operator_pair(parts, q, t)), parts
+    return (lambda q, t: _operator_pressure(parts, q, t)), parts
 
 
 _ANYWHERE = (-math.inf, math.inf)
@@ -529,31 +528,32 @@ _COLD_H = np.ones(_NODES)        # the eigenvector of a cold start
 _COLD_H.flags.writeable = False
 
 
-def _line_root(evaluate: _Evaluate, parts: _Parts | None, q: float, t: float, dq: float, dt: float,
-               starts: Iterable[tuple[float, np.ndarray, tuple[float, float]]], cap: float,
+def _line_root(P: Callable[[float, float], float], parts: _Parts | None, q: float, t: float,
+               dq: float, dt: float,
+               starts: Sequence[tuple[float, np.ndarray, tuple[float, float]]], cap: float,
                top: float) -> tuple[float, np.ndarray | None, _Trace, str]:
     """(u, h, trace, solver) at the root of u -> P(q + u dq, t + u dt), decreasing in u.
 
     The one root loop.  On the collocated operator ``_eigen_newton`` runs from
-    each start (u0, h0, (a, b)), drawn one at a time (on closed forms too, so a
-    check a caller yields between starts runs), and the first certified root
-    with a < u < b is kept.  Otherwise a sign bracket P(lo) > 0 > P(hi) closes
-    on the root, as ``rtsafe`` does (Numerical Recipes 9.4).  A walk finds its
-    ends: from u = 0 down by 1, 2, 4, ... while P <= 0, to no lower than -cap;
-    from u = 2 / dt (t = 2: collocation on branches with |phi'| = 1 at a point
-    degrades at large t) up while P >= 0, doubling to cap and then halving the
-    gap to top, each end with P > 0 (+inf too) becoming the lower one.  Then
-    one Newton run on P inside the bracket, from the walk's evaluation with the
-    least |P| and h > 0, may give the root; else Illinois steps (a stale end's
+    each start (u0, h0, (a, b)), and the first certified root with a < u < b
+    is kept; closed forms run no start.  Otherwise a sign bracket
+    P(lo) > 0 > P(hi) closes on the root, as ``rtsafe`` does (Numerical
+    Recipes 9.4).  A walk finds its ends: from u = 0 down by 1, 2, 4, ...
+    while P <= 0, to no lower than -cap; from u = 2 / dt (t = 2: collocation
+    on branches with |phi'| = 1 at a point degrades at large t) up while
+    P >= 0, doubling to cap and then halving the gap to top, each end with
+    P > 0 (+inf too) becoming the lower one.  On the operator each of the
+    walk's evaluations also takes its h (``_operator_pair``); then one Newton
+    run on P inside the bracket, from the walk's evaluation with the least
+    |P| and h > 0, may give the root.  Else Illinois steps (a stale end's
     value halved; the midpoint for a NaN or outside secant and after three slow
     steps) narrow the bracket to a few ulps, and its end with the smaller |P|,
     which must meet ``_RESIDUAL``, is the root, with its h.  The trace holds
     every (u, P) and the run's entries, in order.  BracketError when P keeps
     its sign on [-cap, top) or the residual fails.
     """
-    for u0, h0, (a, b) in starts:
-        root = (None if parts is None
-                else _eigen_newton(parts, q + u0 * dq, t + u0 * dt, dq, dt, h0))
+    for u0, h0, (a, b) in (starts if parts is not None else ()):
+        root = _eigen_newton(parts, q + u0 * dq, t + u0 * dt, dq, dt, h0)
         if root is not None and a < u0 + root.u < b:
             return (u0 + root.u, root.h, tuple((u0 + u, v) for u, v in root.trace),
                     "newton")
@@ -561,7 +561,8 @@ def _line_root(evaluate: _Evaluate, parts: _Parts | None, q: float, t: float, dq
     hs: dict[float, np.ndarray | None] = {}  # the h > 0 of each evaluation, or None
 
     def fn(u: float) -> float:
-        v, hs[u] = evaluate(q + u * dq, t + u * dt)
+        x, y = q + u * dq, t + u * dt
+        v, hs[u] = (P(x, y), None) if parts is None else _operator_pair(parts, x, y)
         trace.append((u, v))
         return v
 
@@ -649,9 +650,10 @@ def hausdorff_dim(system: IfsSystem, family: PotentialFamily,
     return beta_of_q(system, family, 0.0, truncation)
 
 
-def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray,
-                      truncation: int | None) -> tuple[list[float], list]:
-    """beta at each grid point, and the operator's eigenvector h at each root.
+def temperature_curve(system: IfsSystem, family: PotentialFamily,
+                      q_grid: Sequence[float] | None = None,
+                      truncation: int | None = None) -> TemperatureSample:
+    """beta on a q grid (21 points on [0, 1] by default).
 
     One P serves the walk, and each point after the first puts a warm
     start ahead of the cold one: the secant through the last two roots
@@ -660,9 +662,9 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
     positive h the next point starts cold only.  Closed forms have no
     parts and run no Newton, so their h stays None.
     """
-    evaluate, parts = _pressure_callable(system, family, truncation)
+    qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
+    P, parts = _pressure_callable(system, family, truncation)
     betas: list[float] = []
-    hs: list = []
     h = None
     for k, q in enumerate(map(float, qs)):
         starts = [(0.0, _COLD_H, _ANYWHERE)]
@@ -671,45 +673,9 @@ def _temperature_walk(system: IfsSystem, family: PotentialFamily, qs: np.ndarray
             if k >= 2 and qs[k - 1] != qs[k - 2]:
                 t += (betas[-1] - betas[-2]) * (q - qs[k - 1]) / (qs[k - 1] - qs[k - 2])
             starts.insert(0, (t, h, _ANYWHERE))
-        t, h, _, _ = _line_root(evaluate, parts, q, 0.0, 0.0, 1.0, starts, 1e4, math.inf)
+        t, h, _, _ = _line_root(P, parts, q, 0.0, 0.0, 1.0, starts, 1e4, math.inf)
         betas.append(t)
-        hs.append(h)
-    return betas, hs
-
-
-def temperature_curve(system: IfsSystem, family: PotentialFamily,
-                      q_grid: Sequence[float] | None = None,
-                      truncation: int | None = None) -> TemperatureSample:
-    """beta on a q grid (21 points on [0, 1] by default), by ``_temperature_walk``."""
-    qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
-    betas, _ = _temperature_walk(system, family, qs, truncation)
     return TemperatureSample(tuple(map(float, qs)), tuple(map(float, betas)))
-
-
-def _solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
-                            truncation: int | None, warm: Sequence = ()) -> QdimSolution:
-    """``solve_quantization_dim`` with the ``warm`` starts ahead of the
-    degeneracy check and the cold start; the check and the root loop
-    share one P."""
-    if r <= 0:
-        raise ValueError("the order r must be positive")
-    evaluate, parts = _pressure_callable(system, family, truncation)
-
-    def starts():
-        yield from warm
-        p0 = evaluate(0.0, 1e-9)[0] if parts is None else _operator_pressure(parts, 0.0, 1e-9)
-        if p0 <= 0.0:
-            raise DegenerateSystemError(
-                f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
-                "the (truncated) limit set carries no dimension"
-            )
-        yield 0.0, _COLD_H, (0.0, 1.0)
-
-    q_r, _, trace, solver = _line_root(evaluate, parts, 0.0, 0.0, 1.0, r, starts(),
-                                       1.0 - 1e-6, 1.0)
-    kappa = r * q_r / (1.0 - q_r)
-    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, truncation=truncation,
-                        trace=trace, solver=solver)
 
 
 def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
@@ -720,11 +686,25 @@ def solve_quantization_dim(system: IfsSystem, family: PotentialFamily, r: float,
     where g(q) = P(q, r q) vanishes, and g is strictly decreasing with
     g(0) > 0 when beta(0) > 0; its root is found directly.  First
     P(0, 1e-9) > 0 is checked, or DegenerateSystemError raised.  Then
-    ``_line_root`` along (1, r) from (0, 0), with Newton from h = 1 there
-    kept if 0 < q_r < 1 and the bracket below q = 1 (the trace leaves the
-    check out).  kappa_r = r q_r/(1-q_r), which is D_r = beta(q_r)/(1-q_r).
+    ``_line_root`` along (1, r) from (0, 0), on the check's P, with Newton
+    from h = 1 there kept if 0 < q_r < 1 and the bracket below q = 1 (the
+    trace leaves the check out).  kappa_r = r q_r/(1-q_r), which is
+    D_r = beta(q_r)/(1-q_r).
     """
-    return _solve_quantization_dim(system, family, r, truncation)
+    if r <= 0:
+        raise ValueError("the order r must be positive")
+    P, parts = _pressure_callable(system, family, truncation)
+    p0 = P(0.0, 1e-9)
+    if p0 <= 0.0:
+        raise DegenerateSystemError(
+            f"P(0, 1e-9) = {p0:.3g} <= 0, so beta(0) <= 0: "
+            "the (truncated) limit set carries no dimension"
+        )
+    q_r, _, trace, solver = _line_root(P, parts, 0.0, 0.0, 1.0, r, [(0.0, _COLD_H, (0.0, 1.0))],
+                                       1.0 - 1e-6, 1.0)
+    kappa = r * q_r / (1.0 - q_r)
+    return QdimSolution(r=r, q_r=q_r, kappa_r=kappa, truncation=truncation,
+                        trace=trace, solver=solver)
 
 
 def truncation_sweep(system: IfsSystem, family: PotentialFamily, r: float,
@@ -758,27 +738,15 @@ def legendre_and_figure_data(system: IfsSystem, family: PotentialFamily, r: floa
     The line through the intersection (q_r, r q_r) and (1, 0) meets the
     vertical axis at the quantization dimension; the spectrum is
     f(alpha) = inf over the grid of (q alpha + beta(q)) with alpha
-    ranging over the negated slopes of beta.  q_r is found as by
-    ``solve_quantization_dim``, with a warm start ahead of its degeneracy
-    check and cold start: in the first grid cell where beta(q) - r q
-    changes sign, the chord's root and h at the cell's left end, its root
-    kept only inside that cell.
+    ranging over the negated slopes of beta.  beta is ``temperature_curve``'s
+    on the grid; q_r and the intercept kappa_r are ``solve_quantization_dim``'s.
     """
     qs = np.linspace(0.0, 1.0, 21) if q_grid is None else np.asarray(q_grid, float)
     if len(qs) < 3:
         raise ValueError("q grid too coarse")
-    betas, hs = _temperature_walk(system, family, qs, truncation)
-    betas = np.array(betas)
-    d = betas - r * qs
-    warm = []
-    for k in range(len(qs) - 1):
-        if d[k] > 0.0 >= d[k + 1]:
-            if hs[k] is not None:
-                q0 = float(qs[k] + d[k] * (qs[k + 1] - qs[k]) / (d[k] - d[k + 1]))
-                warm.append((q0, hs[k], (qs[k], qs[k + 1])))
-            break
-    q_r = _solve_quantization_dim(system, family, r, truncation, warm).q_r
-    intercept = r * q_r / (1.0 - q_r)
+    betas = np.array(temperature_curve(system, family, qs, truncation).betas)
+    fixed = solve_quantization_dim(system, family, r, truncation)
+    q_r, intercept = fixed.q_r, fixed.kappa_r
 
     slopes = -np.diff(betas) / np.diff(qs)
     a_min, a_max = float(slopes.min()), float(slopes.max())

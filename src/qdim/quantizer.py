@@ -54,7 +54,6 @@ class QuantizationRun:
     iterations: int
     restarts: int
     converged: bool
-    trace: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +407,13 @@ def _split_orders(sample: SampleSet) -> tuple[int, dict]:
 
 
 def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: float,
-                center_tol: float) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Lloyd iteration from the order-r centers of a contiguous partition.
+                center_tol: float) -> tuple[np.ndarray, float, int, bool]:
+    """Lloyd iteration from the order-r centers of a contiguous partition,
+    and the mean order-r error of its last codebook.
 
     Centers are a pure function of (edges, r), so a partition that
     repeats reuses the centers already computed for it.
     """
-    trace: list[float] = []
     converged = False
     code = centers
     for it in range(1, _MAX_ITER + 1):
@@ -424,13 +423,12 @@ def _lloyd_once(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, r: floa
             centers = _cell_centers(pts, edges, r, center_tol)
         counts = np.diff(edges)
         new_code = np.sort(np.where(counts > 0, centers, code))
-        trace.append(float(np.mean(_sorted_errors(pts, new_code, r))))
         done = np.max(np.abs(new_code - code)) <= center_tol
         code = new_code
         if done:
             converged = True
             break
-    return code, trace[-1], it, converged, trace
+    return code, float(np.mean(_sorted_errors(pts, code, r))), it, converged
 
 
 def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0) -> QuantizationRun:
@@ -459,10 +457,10 @@ def lloyd_optimize(sample: SampleSet, n: int, r: float = 2.0) -> QuantizationRun
         order = orders[r] = _SplitOrder(pts.size)
     edges = order.edges(pts, n, r)
     centers = _cell_centers(pts, edges, r, center_tol)
-    code, v, iters, converged, trace = _lloyd_once(pts, edges, centers, r, center_tol)
+    code, v, iters, converged = _lloyd_once(pts, edges, centers, r, center_tol)
     return QuantizationRun(n=n, r=r, V_hat=v, e_hat=v ** (1.0 / r),
                            codebook=Codebook(code, n), iterations=iters,
-                           restarts=1, converged=converged, trace=tuple(trace))
+                           restarts=1, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_figure1_matches_qdim(e1_spec, tmp_path, capsys):
     out = tmp_path / "qdim.json"
     assert main(["qdim", "--system", e1_spec, "--r", "2", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert abs(summary["intercept"] - report["D_r"]) <= 1e-6
+    assert summary["intercept"] == report["D_r"]
     header = fig.read_text().splitlines()[0]
     assert header == "q,beta,line,legendre_alpha,legendre_f"
 
@@ -160,8 +160,9 @@ def _count_eigensolves(monkeypatch) -> list:
 
 def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
     # the continued curve: one certifying eigenvalue solve for the cold
-    # Newton root at q = 0, per later point and for q_r (254 when every
-    # grid point was solved by the regula falsi)
+    # Newton root at q = 0 and per later point, then qdim's degeneracy check
+    # and certificate for q_r (254 when every grid point was solved by the
+    # regula falsi)
     path = tmp_path / "gauss.json"
     path.write_text(GAUSS12_DIM_DOC)
     calls = _count_eigensolves(monkeypatch)
@@ -170,7 +171,7 @@ def test_figure1_takes_few_eigensolves(tmp_path, monkeypatch, capsys):
     assert 21 <= len(calls) <= 25
     summary = json.loads(capsys.readouterr().out)
     assert main(["qdim", "--system", str(path), "--r", "2"]) == 0
-    assert abs(summary["q_r"] - json.loads(capsys.readouterr().out)["q_r"]) <= 1e-14
+    assert summary["q_r"] == json.loads(capsys.readouterr().out)["q_r"]
     rows = [list(map(float, row.split(","))) for row in fig.read_text().splitlines()[1:]]
     assert max(abs(b - 0.531280506277205 * (1.0 - q)) for q, b, *_ in rows) <= 1e-12
 
@@ -462,7 +463,7 @@ def _theory_digests(doc: str, m: list, capsys, commands=_THEORY_COMMANDS) -> lis
         "8c5057952fc04347c172f0fed416b6ab8fb717af80bcb27e41c259ea8e85fbb9",
         "1ddfc9ad7a577560aac6513791ee7459b8e5744cad6bd9c2acb9c43a3494a813",
         "31916af00a20bdd2ae50dfd36bce66f20e3086d92b97046aad2e2392fb1bc3c9",
-        "2501524ccf7cd0097c3866ed02e99f672c8b18f5fc15fdb64be77228fc625e05",
+        "f97796b06e34498bc7249048e6ddfa241c45ede3629332890043d91bc2cdd599",
         "81adaa910865a3b0765fcdf258f78e54f7c40ac84a601060a745ee5bfd152cca",
     )),
     ("gauss15-0.8", (
@@ -534,6 +535,23 @@ def test_theory_outputs_pinned(name, digests, tmp_path, monkeypatch, capsys):
     else:
         doc, m = _THEORY_SYSTEMS[name]
         assert _theory_digests(doc, m, capsys) == list(digests)
+
+
+@pytest.mark.parametrize("name", list(_THEORY_SYSTEMS))
+def test_figure1_reports_the_qdim_fixed_point(name, tmp_path, monkeypatch, capsys):
+    # figure1's chord meets beta at qdim's q_r and the vertical axis at
+    # qdim's kappa_r, to the bit
+    monkeypatch.chdir(tmp_path)
+    doc, m = _THEORY_SYSTEMS[name]
+    Path("spec.json").write_text(doc)
+    for r in ("0.777", "1.37", "2", "2.5"):
+        assert main(["figure1", "--system", "spec.json", *m, "--r", r, "--out", "fig.csv"]) == 0
+        figure = json.loads(capsys.readouterr().out)
+        assert main(["qdim", "--system", "spec.json", *m, "--r", r]) == 0
+        report = json.loads(capsys.readouterr().out)
+        q_r = report["q_r"]
+        assert (figure["q_r"], figure["intercept"]) == (q_r, report["kappa_r"]), r
+        assert figure["intersection"] == [q_r, float(r) * q_r], r
 
 
 def test_quantize_command(e1_spec, tmp_path, capsys):

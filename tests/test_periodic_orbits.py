@@ -34,17 +34,18 @@ def _g(x):
 
 @lru_cache(maxsize=None)
 def _orbits(digits: tuple[int, ...], period: int):
-    """For each n <= period, one row per word w of length n: its digits, its
-    periodic orbit (x_w first) and 1 / (1 - phi_w'(x_w)), phi_w'(x_w) signed."""
+    """For each n <= period, one row per word w of length n: its digits
+    (int8), its periodic orbit (x_w first) and 1 / (1 - phi_w'(x_w)),
+    phi_w'(x_w) signed."""
     out = []
     for n in range(1, period + 1):
-        words = np.array(list(product(digits, repeat=n)), dtype=float)
+        words = np.array(list(product(digits, repeat=n)), dtype=np.int8)
         x = np.full(len(words), 0.5)
         # phi_a(phi_b x) phi_b(x) <= 1/2 on [0, 1], so two symbols contract by 1/4 or more
         for _ in range(-(-80 // n)):
             for k in range(n):
                 x = 1.0 / (words[:, k] + x)
-        ys = np.empty_like(words)
+        ys = np.empty(words.shape)
         deriv = np.ones(len(words))
         for k in range(n):
             ys[:, k] = x
@@ -52,6 +53,11 @@ def _orbits(digits: tuple[int, ...], period: int):
             deriv *= -x * x  # phi_i'(y) = -1 / (i + y)^2 = -phi_i(y)^2
         out.append((words, ys, 1.0 / (1.0 - deriv)))
     return out
+
+
+def teardown_module():
+    # the period-8 orbits of five symbols are tens of MB
+    _orbits.cache_clear()
 
 
 def _determinant(digits, family, q, t, period):

@@ -550,8 +550,8 @@ def test_newton_run_builds_its_direction_exponent_and_buffer_once(monkeypatch):
 
 def _line_root_of(f):
     """(u, trace) of the bracket loop on the closed-form line u -> f(u)."""
-    u, h, trace, solver = qdim.pressure._line_root(lambda q, t: (f(t), None), None, 0.0, 0.0,
-                                                   0.0, 1.0, (), 1e4, math.inf)
+    u, h, trace, solver = qdim.pressure._line_root(lambda q, t: f(t), None, 0.0, 0.0, 0.0,
+                                                   1.0, (), 1e4, math.inf)
     assert h is None and solver == "closed_form"
     return u, trace
 
@@ -714,8 +714,8 @@ def test_failed_newton_falls_back_to_the_same_curve(gauss12, monkeypatch):
 
 
 def test_fixed_point_outside_its_cell_is_solved_cold(gauss12, monkeypatch):
-    # a Newton root along t = r q that leaves the sign-change cell is dropped
-    # (the cold fixed-point solve starts at q = 0, the continued one inside a cell)
+    # figure1's fixed point is the cold solve's, from q = 0: a Newton root
+    # along t = r q from any other start, here shifted by 0.1, is never read
     system, family = gauss12
     cold = Q.solve_quantization_dim(system, family, 2.0).q_r
     newton = qdim.pressure._eigen_newton
@@ -939,16 +939,12 @@ def test_qdim_e2_at_extreme_orders(e2, r, limit, rel):
 
 
 @pytest.mark.parametrize("name", list(_continuation_cases()))
-def test_figure_fixed_point_matches_the_cold_solve(name, monkeypatch):
+def test_figure_fixed_point_matches_the_cold_solve(name):
     system, family, M = _continuation_cases()[name]
     rs = (0.7, 2.0, 3.0) if name != "gauss12-sin" else (2.0, 3.0)  # beta(1) > 0 there
-    starts = _cold_starts(monkeypatch)
-    figures = [Q.legendre_and_figure_data(system, family, r, truncation=M) for r in rs]
-    # the one cold start is the walk's, along t at q = 0: none along (1, r)
-    assert starts == [(0.0, 0.0)] * len(rs)
-    monkeypatch.undo()
-    for r, data in zip(rs, figures):
-        assert abs(data.q_r - Q.solve_quantization_dim(system, family, r, M).q_r) <= 1e-14
+    for r in rs:
+        data = Q.legendre_and_figure_data(system, family, r, truncation=M)
+        assert data.q_r == Q.solve_quantization_dim(system, family, r, M).q_r
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,21 @@ def test_lloyd_finds_the_optimal_cantor_quantizer(e1, seed):
         assert run.V_hat == pytest.approx(9.0 ** -k / 8.0, rel=0.01), k
 
 
-def test_lloyd_error_trace_nonincreasing(e1_sample):
-    for n in (3, 7, 16):
-        run = Q.lloyd_optimize(e1_sample, n, 2.0)
-        trace = np.asarray(run.trace)
-        assert np.all(np.diff(trace) <= 1e-12)
+def test_lloyd_error_trace_nonincreasing(e1_sample, monkeypatch):
+    # V_hat after at most k Lloyd steps, k = 1 up to the full run's steps.  The
+    # split start settles in one step on the Cantor sample, and in 12 to 30
+    # steps on uniform draws
+    uniform = Q.SampleSet(points=np.random.default_rng(5).random(4000), seed=5, depth=1,
+                          truncation=None, deficit=0.0)
+    for sample in (e1_sample, uniform):
+        for n in (3, 7, 16):
+            steps = Q.lloyd_optimize(sample, n, 2.0).iterations
+            trace = []
+            for k in range(1, steps + 1):
+                monkeypatch.setattr(qdim.quantizer, "_MAX_ITER", k)
+                trace.append(Q.lloyd_optimize(sample, n, 2.0).V_hat)
+            monkeypatch.undo()
+            assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_lloyd_monotone_in_n(e1_sample):
@@ -212,7 +222,7 @@ def test_lloyd_relocates_an_empty_cell():
     pts = np.array([-1.0, 0.0, 10.0, 11.0])
     centers = np.array([-1.0, 5.0, 11.0])
     assert qdim.quantizer._cell_edges(pts, centers).tolist() == [0, 2, 2, 4]
-    code, v, _, converged, _ = qdim.quantizer._lloyd_once(
+    code, v, _, converged = qdim.quantizer._lloyd_once(
         pts, np.array([0, 1, 3, 4]), centers, 2.0, 1e-10 * 12.0)
     assert code.tolist() == [-1.0, 0.0, 10.5]
     assert v == 0.125 and converged
